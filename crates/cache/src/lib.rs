@@ -23,7 +23,7 @@
 use bytes::Bytes;
 use lob_ops::{OpError, PageReader};
 use lob_pagestore::{FaultHook, FaultVerdict, IoEvent, Lsn, Page, PageId, StableStore, StoreError};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 pub mod shard;
@@ -100,6 +100,11 @@ pub struct CacheStats {
 /// The cache manager.
 pub struct CacheManager {
     frames: HashMap<PageId, Frame>,
+    /// `(rlsn, page)` of every dirty frame, oldest first: the redo floor,
+    /// the dirty count and the checkpoint order without a scan over the
+    /// resident frames. Updated wherever a frame's `dirty` or `rlsn`
+    /// changes; clean frames (the only ones evicted) are not in it.
+    dirty: BTreeSet<(Lsn, PageId)>,
     /// Maximum resident pages; `None` = unbounded (simulation default).
     capacity: Option<usize>,
     tick: u64,
@@ -121,6 +126,7 @@ impl CacheManager {
     pub fn with_capacity(capacity: Option<usize>) -> CacheManager {
         CacheManager {
             frames: HashMap::new(),
+            dirty: BTreeSet::new(),
             capacity,
             tick: 0,
             stats: CacheStats::default(),
@@ -178,6 +184,7 @@ impl CacheManager {
             Some(f) => {
                 if !f.dirty {
                     f.rlsn = page.lsn();
+                    self.dirty.insert((f.rlsn, id));
                 }
                 f.page = page;
                 f.dirty = true;
@@ -185,6 +192,7 @@ impl CacheManager {
             }
             None => {
                 let rlsn = page.lsn();
+                self.dirty.insert((rlsn, id));
                 self.frames.insert(
                     id,
                     Frame {
@@ -280,6 +288,9 @@ impl CacheManager {
             .ok_or(CacheError::NotResident(id))?;
         // lint:allow(durability-order) the WAL guard in validate_flush rejects any frame with lsn > durable, so the caller's force is already proven
         store.write_page(id, f.page.clone())?;
+        if f.dirty {
+            self.dirty.remove(&(f.rlsn, id));
+        }
         f.dirty = false;
         f.rlsn = Lsn::NULL;
         self.stats.pages_flushed += 1;
@@ -289,12 +300,7 @@ impl CacheManager {
     /// All dirty page ids, sorted — deterministic so that seeded
     /// experiments that pick flush victims are reproducible.
     pub fn dirty_pages(&self) -> Vec<PageId> {
-        let mut out: Vec<PageId> = self
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(id, _)| *id)
-            .collect();
+        let mut out: Vec<PageId> = self.dirty.iter().map(|&(_, id)| id).collect();
         out.sort();
         out
     }
@@ -303,19 +309,12 @@ impl CacheManager {
     /// classic checkpointing order: flushing these first advances the log
     /// truncation point fastest.
     pub fn dirty_pages_by_rlsn(&self) -> Vec<(PageId, Lsn)> {
-        let mut out: Vec<(PageId, Lsn)> = self
-            .frames
-            .iter()
-            .filter(|(_, f)| f.dirty)
-            .map(|(id, f)| (*id, f.rlsn))
-            .collect();
-        out.sort_by_key(|&(id, rlsn)| (rlsn, id));
-        out
+        self.dirty.iter().map(|&(rlsn, id)| (id, rlsn)).collect()
     }
 
     /// Number of dirty pages.
     pub fn dirty_count(&self) -> usize {
-        self.frames.values().filter(|f| f.dirty).count()
+        self.dirty.len()
     }
 
     /// Number of resident pages.
@@ -326,11 +325,7 @@ impl CacheManager {
     /// Minimum rLSN over dirty pages: crash recovery must scan from here
     /// (or earlier). `None` when nothing is dirty.
     pub fn min_dirty_rlsn(&self) -> Option<Lsn> {
-        self.frames
-            .values()
-            .filter(|f| f.dirty)
-            .map(|f| f.rlsn)
-            .min()
+        self.dirty.first().map(|&(rlsn, _)| rlsn)
     }
 
     /// Advance a dirty page's rLSN (used after an identity write puts the
@@ -340,7 +335,9 @@ impl CacheManager {
     pub fn advance_rlsn(&mut self, id: PageId, to: Lsn) {
         if let Some(f) = self.frames.get_mut(&id) {
             if f.dirty && f.rlsn < to {
+                self.dirty.remove(&(f.rlsn, id));
                 f.rlsn = to;
+                self.dirty.insert((to, id));
             }
         }
     }
@@ -348,6 +345,7 @@ impl CacheManager {
     /// Drop every frame (crash: volatile state is lost).
     pub fn clear(&mut self) {
         self.frames.clear();
+        self.dirty.clear();
     }
 
     /// Drop a clean page from the cache. Dirty pages are refused.
@@ -570,6 +568,50 @@ mod tests {
         assert_eq!(c.dirty_count(), 0);
         // S untouched by the crash.
         assert!(s.read_page(pid(0)).unwrap().lsn().is_null());
+    }
+
+    #[test]
+    fn dirty_index_equals_a_scan_of_the_frames() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let s = store();
+        let mut rng = SmallRng::seed_from_u64(0xD1A7);
+        // Capacity below the page count, so gets evict clean frames.
+        let mut c = CacheManager::with_capacity(Some(6));
+        let mut lsn = 0u64;
+        for step in 0..4000 {
+            let id = pid(rng.gen_range(0..16u32));
+            lsn += 1;
+            match rng.gen_range(0..6u32) {
+                0 | 1 => c.put_dirty(id, page(lsn, 1)),
+                2 => c.advance_rlsn(id, Lsn(rng.gen_range(0..lsn + 1))),
+                3 => {
+                    let _ = c.write_out(&[id], &s, Lsn::MAX);
+                }
+                4 => {
+                    let _ = c.get(id, &s);
+                }
+                _ => {
+                    let _ = c.evict(id);
+                }
+            }
+            if step % 997 == 0 {
+                c.clear();
+            }
+            let mut scan: Vec<(PageId, Lsn)> = c
+                .frames
+                .iter()
+                .filter(|(_, f)| f.dirty)
+                .map(|(id, f)| (*id, f.rlsn))
+                .collect();
+            scan.sort_by_key(|&(id, rlsn)| (rlsn, id));
+            assert_eq!(c.dirty_pages_by_rlsn(), scan, "step {step}");
+            assert_eq!(c.dirty_count(), scan.len());
+            assert_eq!(c.min_dirty_rlsn(), scan.first().map(|&(_, rlsn)| rlsn));
+            let mut ids: Vec<PageId> = scan.iter().map(|&(id, _)| id).collect();
+            ids.sort();
+            assert_eq!(c.dirty_pages(), ids);
+        }
     }
 
     #[test]

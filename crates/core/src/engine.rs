@@ -311,28 +311,11 @@ impl Engine {
     }
 
     fn check_discipline(&mut self, body: &OpBody) -> Result<(), EngineError> {
-        // Domain confinement: every page the op touches must be in exactly
-        // one backup-order domain.
-        let mut domain: Option<DomainId> = None;
-        for page in body.readset().into_iter().chain(body.writeset()) {
-            match self.coordinator.domain_of(page.partition) {
-                None => {
-                    return Err(EngineError::Discipline(format!(
-                        "page {page} is outside every backup-order domain"
-                    )))
-                }
-                Some(d) => match domain {
-                    None => domain = Some(d),
-                    Some(prev) if prev == d => {}
-                    Some(prev) => {
-                        return Err(EngineError::Discipline(format!(
-                            "operation spans backup domains {prev:?} and {d:?}; \
-                             per-partition tracking requires partition-confined operations"
-                        )))
-                    }
-                },
-            }
-        }
+        confined_domain(
+            &self.coordinator,
+            body,
+            "per-partition tracking requires partition-confined operations",
+        )?;
         match self.config.discipline {
             Discipline::General => Ok(()),
             Discipline::PageOriented => {
@@ -501,7 +484,7 @@ impl Engine {
     /// required, flush the node's `vars` to `S` (WAL-protocol-checked), and
     /// remove the node. This is the cache-management algorithm of §3.5.
     fn install_one_node(&mut self, node: NodeId) -> Result<(), EngineError> {
-        let vars: Vec<PageId> = self.graph.vars(node)?.iter().copied().collect();
+        let vars: Vec<PageId> = self.graph.vars(node)?.to_vec();
         // WAL rule for steals: if a blind write emptied (part of) this
         // node's vars, the thief's record must be durable before the node
         // installs — otherwise a crash leaves the stolen object's value
@@ -1359,7 +1342,7 @@ impl Engine {
             self.install_one_node(n)?;
         }
         let node = target[0];
-        let vars: Vec<PageId> = self.graph.vars(node)?.iter().copied().collect();
+        let vars: Vec<PageId> = self.graph.vars(node)?.to_vec();
         for &v in &vars {
             let value: Bytes = self
                 .cache
@@ -2118,6 +2101,42 @@ impl Engine {
         Err(EngineError::Backup(BackupError::BadState(
             "no fetchable complete generation for the instant-restore witness".into(),
         )))
+    }
+}
+
+/// Domain confinement: every page `body` reads or writes must lie in one
+/// and the same backup-order domain, which is returned (`None` for an
+/// operation touching no page). `requirement` ends the message when it
+/// spans two.
+pub(crate) fn confined_domain(
+    coordinator: &BackupCoordinator,
+    body: &OpBody,
+    requirement: &str,
+) -> Result<Option<DomainId>, EngineError> {
+    let mut domain: Option<DomainId> = None;
+    let mut violation: Option<String> = None;
+    let mut visit = |page: PageId| {
+        if violation.is_some() {
+            return;
+        }
+        match (coordinator.domain_of(page.partition), domain) {
+            (None, _) => {
+                violation = Some(format!("page {page} is outside every backup-order domain"));
+            }
+            (Some(d), None) => domain = Some(d),
+            (Some(d), Some(prev)) if prev == d => {}
+            (Some(d), Some(prev)) => {
+                violation = Some(format!(
+                    "operation spans backup domains {prev:?} and {d:?}; {requirement}"
+                ));
+            }
+        }
+    };
+    body.for_each_read(&mut visit);
+    body.for_each_write(&mut visit);
+    match violation {
+        Some(msg) => Err(EngineError::Discipline(msg)),
+        None => Ok(domain),
     }
 }
 

@@ -43,7 +43,7 @@
 //! thread while sessions keep executing (see DESIGN.md §5.14).
 
 use crate::config::{BackupPolicy, Discipline, EngineConfig, FlushPolicy, LogBacking, Tracking};
-use crate::engine::lift_cache_err;
+use crate::engine::{confined_domain, lift_cache_err};
 use crate::error::EngineError;
 use crate::stats::EngineStats;
 use bytes::Bytes;
@@ -326,26 +326,11 @@ impl EngineService {
     /// Discipline and confinement check; returns the single domain the
     /// operation touches (domain 0 for page-free operations).
     fn check_discipline(&self, body: &OpBody) -> Result<DomainId, EngineError> {
-        let mut domain: Option<DomainId> = None;
-        for page in body.readset().into_iter().chain(body.writeset()) {
-            match self.coordinator.domain_of(page.partition) {
-                None => {
-                    return Err(EngineError::Discipline(format!(
-                        "page {page} is outside every backup-order domain"
-                    )))
-                }
-                Some(d) => match domain {
-                    None => domain = Some(d),
-                    Some(prev) if prev == d => {}
-                    Some(prev) => {
-                        return Err(EngineError::Discipline(format!(
-                            "operation spans backup domains {prev:?} and {d:?}; \
-                             sessions require domain-confined operations"
-                        )))
-                    }
-                },
-            }
-        }
+        let domain = confined_domain(
+            &self.coordinator,
+            body,
+            "sessions require domain-confined operations",
+        )?;
         match self.config.discipline {
             Discipline::General => {}
             Discipline::PageOriented => {
@@ -469,7 +454,7 @@ impl EngineService {
     /// algorithm, verbatim from [`crate::Engine`] with the shared-state
     /// substrates swapped in (group force, sharded write-out).
     fn install_one_node(&self, dom: &mut DomainState, node: NodeId) -> Result<(), EngineError> {
-        let vars: Vec<PageId> = dom.graph.vars(node)?.iter().copied().collect();
+        let vars: Vec<PageId> = dom.graph.vars(node)?.to_vec();
         let wal_floor = dom.graph.wal_floor(node)?;
         if vars.is_empty() {
             return self.install_free_node(dom, node, wal_floor);

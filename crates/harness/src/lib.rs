@@ -33,11 +33,15 @@
 //! * [`torture`] — [`TortureRunner`]: the crash-point torture harness —
 //!   re-run a seeded workload crashing at every (or a sampled set of) I/O
 //!   event(s), recover, and require byte-equality with the shadow oracle.
+//! * [`refgraph`] — [`ReferenceWriteGraph`]: the whole-graph write-graph
+//!   construction (full Tarjan pass per insertion), the step-by-step
+//!   differential witness for `lob_recovery::WriteGraph`.
 //! * [`report`] — plain-text table formatting for the experiment binaries.
 
 pub mod fault;
 pub mod instant;
 pub mod parallel;
+pub mod refgraph;
 pub mod report;
 pub mod scenarios;
 pub mod sessions;
@@ -54,6 +58,7 @@ pub use parallel::{
     combine_images, DrillPath, ParallelCaseResult, ParallelDrillConfig, ParallelDrillReport,
     ParallelDrillRunner,
 };
+pub use refgraph::ReferenceWriteGraph;
 pub use report::Table;
 pub use scenarios::{
     fig1_split_scenario, random_session, Fig1Outcome, SessionConfig, SessionReport,

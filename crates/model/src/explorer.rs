@@ -463,7 +463,7 @@ impl Replay {
         let (Ok(vars_p), Ok(vars_q)) = (graph.vars(np), graph.vars(nq)) else {
             return false;
         };
-        if vars_p.intersection(vars_q).next().is_some() {
+        if vars_p.iter().any(|v| vars_q.contains(v)) {
             return false;
         }
         match coordination {

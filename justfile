@@ -35,6 +35,11 @@ ratchet:
 witness:
     cargo test --release -q -p lob-harness --test race_witness
 
+# The repo benchmark's self-check: 1/50-size smoke of all four workloads,
+# BENCHMARK.json == manifest, same-seed determinism (see benchmark/README.md).
+bench-check:
+    bash benchmark/run.sh --check
+
 # ThreadSanitizer sweep (needs nightly + rust-src; skips gracefully).
 tsan:
     bash scripts/tsan.sh
