@@ -46,7 +46,6 @@ fn two_partition_config(
         cache_capacity: None,
         policy: lob_core::BackupPolicy::Protocol,
         log: lob_core::LogBacking::Memory,
-        recovery: lob_core::RecoveryConfig::sequential(),
         ..EngineConfig::small()
     }
 }

@@ -71,6 +71,17 @@ pub enum BackupError {
     InjectedCrash,
 }
 
+impl BackupError {
+    /// Whether this failed one read attempt only (the stored copy or run
+    /// is intact and a retry may succeed).
+    pub fn is_transient(&self) -> bool {
+        matches!(
+            self,
+            BackupError::TransientImage { .. } | BackupError::TransientArchive { .. }
+        )
+    }
+}
+
 impl fmt::Display for BackupError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

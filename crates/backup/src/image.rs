@@ -43,12 +43,10 @@ impl BackupImage {
         self.pages.len()
     }
 
-    /// Restore this image's pages into `S` (the first half of media
-    /// recovery; the caller then rolls forward from `start_lsn`).
-    ///
-    /// Fails on incomplete images and on incremental images (materialize
-    /// them onto their base first with [`BackupImage::materialize`]).
-    pub fn restore_to(&self, store: &StableStore) -> Result<(), BackupError> {
+    /// Whether media recovery may seed `S` from this image: not an
+    /// incomplete image, and not a bare incremental one (materialize it
+    /// onto its base first with [`BackupImage::materialize`]).
+    pub fn check_restorable(&self) -> Result<(), BackupError> {
         if !self.complete {
             return Err(BackupError::IncompleteImage {
                 backup_id: self.backup_id,
@@ -59,6 +57,14 @@ impl BackupImage {
                 "cannot restore from a bare incremental image; materialize onto its base".into(),
             ));
         }
+        Ok(())
+    }
+
+    /// Restore this image's pages into `S` (the first half of media
+    /// recovery; the caller then rolls forward from `start_lsn`). Fails
+    /// unless [`BackupImage::check_restorable`].
+    pub fn restore_to(&self, store: &StableStore) -> Result<(), BackupError> {
+        self.check_restorable()?;
         store.apply_image(&self.pages)?;
         Ok(())
     }

@@ -15,7 +15,6 @@
 //! | `tab_steps_sweep`           | §5.3 — extra-log bytes vs `N` |
 //! | `tab_incremental`           | §6.1 — incremental backup volume & correctness |
 //! | `tab_appread_zero_logging`  | §6.2 — applications-last ordering needs no Iw/oF |
-//! | `tab_partition_parallel`    | §3.4 — partition-parallel backup |
 //! | `tab_succ_structure`        | §5.2's caveats — successor-structure ablation |
 //!
 //! Run any of them with
@@ -100,7 +99,6 @@ pub fn prefilled_multi_engine(
             cache_capacity: None,
             policy: BackupPolicy::Protocol,
             log: LogBacking::Memory,
-            recovery: lob_core::RecoveryConfig::sequential(),
             ..EngineConfig::small()
         },
         seed,

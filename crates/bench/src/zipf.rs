@@ -1,4 +1,4 @@
-//! Seeded zipfian session workloads (BENCH_8).
+//! Seeded zipfian session workloads.
 //!
 //! Uniform page access makes multi-session scaling look better than it
 //! is: sessions rarely collide on a page, the backup latch is rarely

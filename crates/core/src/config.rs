@@ -167,13 +167,14 @@ pub struct EngineConfig {
     /// Backup sweep batching defaults.
     pub sweep: SweepConfig,
     /// Shards of the concurrent page cache used by
-    /// [`crate::EngineService`] (clamped to at least 1). The
-    /// single-threaded [`crate::Engine`] ignores this — its cache needs no
-    /// lock at all.
+    /// [`crate::EngineService`] (clamped to at least 1). The single-owner
+    /// [`crate::Engine`] ignores this — its cache needs no lock at all.
     pub cache_shards: usize,
-    /// Parallel recovery knobs ([`crate::Engine::parallel_recover`] /
-    /// [`crate::Engine::parallel_restore`]): replay workers and group
-    /// install batch size. The default is the sequential legacy path.
+    /// Restore and redo knobs for every crash and media recovery
+    /// ([`crate::Engine::recover`], [`crate::Engine::media_recover`] and
+    /// their variants, [`crate::EngineService::recover`]): replay workers
+    /// and pages per group install. The default is one worker draining
+    /// whole-hot-set batches.
     pub recovery: RecoveryConfig,
 }
 
@@ -194,7 +195,7 @@ impl EngineConfig {
             commit: CommitConfig::default(),
             sweep: SweepConfig::default(),
             cache_shards: 8,
-            recovery: RecoveryConfig::sequential(),
+            recovery: RecoveryConfig::default(),
         }
     }
 

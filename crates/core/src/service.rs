@@ -42,17 +42,16 @@
 //! and coordinator layers, so a deployment runs them from one maintenance
 //! thread while sessions keep executing (see DESIGN.md §5.14).
 
-use crate::config::{BackupPolicy, Discipline, EngineConfig, FlushPolicy, LogBacking, Tracking};
-use crate::engine::{confined_domain, lift_cache_err};
+use crate::config::{BackupPolicy, Discipline, EngineConfig, FlushPolicy, LogBacking};
+use crate::engine::{check_discipline, confined_domain, lift_cache_err, open_store};
 use crate::error::EngineError;
 use crate::stats::EngineStats;
 use bytes::Bytes;
 use lob_backup::{BackupCoordinator, BackupImage, BackupRun, DomainId, RunConfig, SuccessorTable};
 use lob_cache::ShardedCache;
-use lob_ops::{OpBody, OpError, PageReader, TreeForm};
-use lob_pagestore::{witness, Lsn, Page, PageId, PartitionId, StableStore, StoreConfig};
-use lob_recovery::redo::StoreRedoTarget;
-use lob_recovery::{redo_scan, NodeId, RedoOutcome, WriteGraph};
+use lob_ops::{OpBody, OpError, PageReader};
+use lob_pagestore::{witness, Lsn, Page, PageId, PartitionId, StableStore};
+use lob_recovery::{parallel_redo_scan, NodeId, RedoOutcome, WriteGraph};
 use lob_wal::{FileLogStore, GroupCommitLog, LogManager, RecordBody};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, HashSet};
@@ -144,42 +143,7 @@ impl PageReader for ShardReader<'_> {
 impl EngineService {
     /// Build a service over a fresh, formatted database.
     pub fn new(config: EngineConfig) -> Result<EngineService, EngineError> {
-        let store = Arc::new(StableStore::new(
-            StoreConfig {
-                page_size: config.page_size,
-            },
-            &config.partitions,
-        ));
-        let parts_with_sizes =
-            |ids: &[PartitionId]| -> Result<Vec<(PartitionId, u32)>, EngineError> {
-                ids.iter()
-                    .map(|&p| {
-                        store
-                            .page_count(p)
-                            .map(|n| (p, n))
-                            .map_err(EngineError::Store)
-                    })
-                    .collect()
-            };
-        let coordinator = match &config.tracking {
-            Tracking::Sequential(order) => {
-                if order.len() != config.partitions.len() {
-                    return Err(EngineError::Discipline(format!(
-                        "sequential tracking order lists {} partitions, store has {}",
-                        order.len(),
-                        config.partitions.len()
-                    )));
-                }
-                BackupCoordinator::sequential(parts_with_sizes(order)?)
-            }
-            Tracking::PerPartition => {
-                let all: Vec<PartitionId> = (0..config.partitions.len() as u32)
-                    .map(PartitionId)
-                    .collect();
-                BackupCoordinator::per_partition(parts_with_sizes(&all)?)
-            }
-        };
-        let coordinator = Arc::new(coordinator);
+        let (store, coordinator) = open_store(&config)?;
         let manager = match &config.log {
             LogBacking::Memory => LogManager::in_memory(),
             LogBacking::File(path) => {
@@ -331,38 +295,9 @@ impl EngineService {
             body,
             "sessions require domain-confined operations",
         )?;
-        match self.config.discipline {
-            Discipline::General => {}
-            Discipline::PageOriented => {
-                if !body.class().is_page_oriented() {
-                    return Err(EngineError::Discipline(format!(
-                        "{} is a logical operation; engine is page-oriented",
-                        body.label()
-                    )));
-                }
-            }
-            Discipline::Tree => match body.tree_form() {
-                Some(TreeForm::PageOriented { .. }) | Some(TreeForm::ReadExtra { .. }) => {}
-                Some(TreeForm::WriteNew { new, .. }) => {
-                    let lsn = self
-                        .cache
-                        .page_lsn(new, &self.store)
-                        .map_err(lift_cache_err)?;
-                    if !lsn.is_null() {
-                        return Err(EngineError::Discipline(format!(
-                            "write-new target {new} was already updated (pageLSN {lsn}); \
-                             tree operations may only initialize fresh objects"
-                        )));
-                    }
-                }
-                None => {
-                    return Err(EngineError::Discipline(format!(
-                        "{} does not fit the tree-operation discipline",
-                        body.label()
-                    )))
-                }
-            },
-        }
+        check_discipline(self.config.discipline, body, |p| {
+            self.cache.page_lsn(p, &self.store).map_err(lift_cache_err)
+        })?;
         Ok(domain.unwrap_or(DomainId(0)))
     }
 
@@ -675,15 +610,16 @@ impl EngineService {
         self.coordinator.reset_volatile();
     }
 
-    /// Crash recovery: forward redo over the surviving log suffix,
-    /// write-through to `S`. Takes every lock — sessions resume after.
+    /// Crash recovery: roll the surviving log suffix forward over `S`
+    /// through the batched replay, with the workers/batch knobs from
+    /// [`EngineConfig::recovery`]. Takes every lock — sessions resume
+    /// after.
     pub fn recover(&self) -> Result<RedoOutcome, EngineError> {
         let (_meta, _held) = self.lock_meta();
         let mut doms: Vec<MutexGuard<'_, DomainState>> =
             self.domains.iter().map(|m| m.lock()).collect();
         let records = self.log.scan_from(self.log.truncation())?;
-        let mut target = StoreRedoTarget::new(&self.store);
-        let outcome = redo_scan(&records, &mut target)?;
+        let outcome = parallel_redo_scan(&records, &self.store, self.config.recovery)?;
         self.counters.recoveries.fetch_add(1, Ordering::Relaxed);
         // Reseed the per-domain allocators past everything recovery wrote.
         for dom in doms.iter_mut() {
@@ -901,6 +837,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Tracking;
     use lob_ops::PhysioOp;
     use lob_pagestore::PartitionSpec;
 

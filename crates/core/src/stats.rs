@@ -40,17 +40,11 @@ pub struct EngineStats {
     pub sweep_batches: u64,
     /// Sweep workers run to completion by partition-parallel backups.
     pub sweep_workers: u64,
-    /// Crash recoveries performed through the parallel replay scheduler
-    /// (also counted in `recoveries`).
-    pub parallel_recoveries: u64,
-    /// Media recoveries performed through the parallel restore + replay
-    /// path (also counted in `media_recoveries`).
-    pub parallel_restores: u64,
     /// Instant-restore epochs begun (`begin_instant_restore` plus
     /// `recover_instant` re-entries).
     pub instant_epochs: u64,
-    /// Instant-restore epochs completed and witness-verified (also counted
-    /// in `media_recoveries`).
+    /// Instant-restore epochs completed (also counted in
+    /// `media_recoveries`).
     pub instant_completions: u64,
     /// Instant-restore epochs begun in reboot mode after a crash mid-epoch
     /// (also counted in `instant_epochs`).
@@ -90,8 +84,6 @@ impl EngineStats {
             transient_retries: self.transient_retries - earlier.transient_retries,
             sweep_batches: self.sweep_batches - earlier.sweep_batches,
             sweep_workers: self.sweep_workers - earlier.sweep_workers,
-            parallel_recoveries: self.parallel_recoveries - earlier.parallel_recoveries,
-            parallel_restores: self.parallel_restores - earlier.parallel_restores,
             instant_epochs: self.instant_epochs - earlier.instant_epochs,
             instant_completions: self.instant_completions - earlier.instant_completions,
             instant_reboots: self.instant_reboots - earlier.instant_reboots,

@@ -24,7 +24,10 @@
 //!    [`lob_core::Engine::recover_instant`] re-enters the epoch from the
 //!    surviving media (archive + images + log) — traffic resumes under the
 //!    rebooted epoch;
-//! 6. after the epoch drains, a burst of post-restore writes proves the
+//! 6. every time an epoch closes, [`verify_epoch_close`] byte-compares
+//!    what the per-segment restores produced with a sequential reference
+//!    restore of the newest generation;
+//! 7. after the epoch drains, a burst of post-restore writes proves the
 //!    engine left degraded mode intact, and the stable database must
 //!    byte-match the shadow oracle at the surviving history.
 //!
@@ -34,13 +37,46 @@
 //! case even if it byte-verified.
 
 use crate::fault::{sample_indices, FaultKind, FaultPlan};
+use crate::reference::{diff_stores, reference_replay};
 use crate::shadow::ShadowOracle;
 use crate::workload::WorkloadGen;
+use lob_backup::BackupError;
 use lob_core::{
     BackupPolicy, Discipline, Engine, EngineConfig, GraphMode, LogBacking, Lsn, OpBody, PageId,
     PartitionId, PartitionSpec, Tracking,
 };
 use lob_pagestore::IoEvent;
+
+/// The epoch-close witness: flush everything (so `S` sits at its pageLSN
+/// frontier), then restore the newest generation whose complete image is
+/// fetchable (corrupt or incremental generations are skipped) into a
+/// scratch store, roll it forward over the full suffix with the reference
+/// scan, and demand byte-for-byte agreement with what the per-segment
+/// restores (plus subsequent flushes) produced. Call it right after an
+/// epoch closes, with no fault hook installed — the witness must not draw
+/// faults of its own.
+pub fn verify_epoch_close(engine: &mut Engine) -> Result<(), String> {
+    engine
+        .flush_all()
+        .map_err(|e| format!("epoch-close flush failed: {e}"))?;
+    for backup_id in engine.catalog().generations() {
+        match engine.catalog().fetch_image(backup_id) {
+            Ok(image) if image.complete && !image.incremental => {
+                let records = engine
+                    .log()
+                    .scan_from(image.start_lsn)
+                    .map_err(|e| format!("witness log scan failed: {e}"))?;
+                let (reference, _) = reference_replay(engine, &image.pages, &records)?;
+                return diff_stores(engine, &reference, "instant-restore epoch close");
+            }
+            Ok(_)
+            | Err(BackupError::CorruptImage { .. })
+            | Err(BackupError::MissingPage { .. }) => {}
+            Err(e) => return Err(format!("witness image fetch failed: {e}")),
+        }
+    }
+    Err("no fetchable complete generation for the epoch-close witness".into())
+}
 
 /// Parameters of one instant-restore drill session.
 #[derive(Debug, Clone)]
@@ -168,7 +204,6 @@ impl InstantDrillRunner {
             cache_capacity: None,
             policy: BackupPolicy::Protocol,
             log: LogBacking::Memory,
-            recovery: lob_recovery::RecoveryConfig::sequential(),
             ..EngineConfig::small()
         })
         .map_err(|e| e.to_string())?;
@@ -218,6 +253,39 @@ impl InstantDrillRunner {
             .recover_instant()
             .map_err(|e| format!("recover_instant after kill failed: {e}"))?;
         Ok(())
+    }
+
+    /// Kill the process model after the epoch closed: no media is failed
+    /// any more, so it recovers the ordinary way.
+    fn kill_and_recover(engine: &mut Engine, oracle: &mut ShadowOracle) -> Result<(), String> {
+        engine.crash();
+        oracle.truncate_to(engine.log().durable_lsn());
+        engine
+            .recover()
+            .map_err(|e| format!("crash recovery after epoch failed: {e}"))?;
+        Ok(())
+    }
+
+    /// An epoch just closed: flush under the armed plan (a kill here
+    /// recovers the ordinary way), then run the reference comparison with
+    /// the hook lifted. Returns whether the flush was killed.
+    fn settle_epoch_close(
+        engine: &mut Engine,
+        oracle: &mut ShadowOracle,
+        plan: &FaultPlan,
+    ) -> Result<bool, String> {
+        let killed = match engine.flush_all() {
+            Ok(()) => false,
+            Err(e) if e.is_injected_crash() => {
+                Self::kill_and_recover(engine, oracle)?;
+                true
+            }
+            Err(e) => return Err(format!("epoch-close flush failed: {e}")),
+        };
+        engine.install_fault_hook(None);
+        let verdict = verify_epoch_close(engine);
+        engine.install_fault_hook(Some(plan.hook()));
+        verdict.map(|()| killed)
     }
 
     /// Run one case with `kind` armed. See the module docs for the phases.
@@ -304,6 +372,7 @@ impl InstantDrillRunner {
         let mut reads = 0u64;
         let mut writes = 0u64;
         let mut issued = 0u32;
+        let mut epoch_open = engine.instant_restore_active();
         while engine.instant_restore_active() || issued < cfg.foreground_ops {
             if issued < cfg.foreground_ops {
                 issued += 1;
@@ -355,6 +424,11 @@ impl InstantDrillRunner {
                     Err(e) => return Err(format!("sweep step failed: {e}")),
                 }
             }
+            let active = engine.instant_restore_active();
+            if epoch_open && !active {
+                killed |= Self::settle_epoch_close(&mut engine, &mut oracle, &plan)?;
+            }
+            epoch_open = active;
         }
 
         // Phase 6: the epoch is over — prove normal service resumed. A
@@ -367,11 +441,7 @@ impl InstantDrillRunner {
                     .apply(lsn, &body)
                     .map_err(|e| format!("oracle apply failed: {e}"))?,
                 Err(e) if e.is_injected_crash() => {
-                    engine.crash();
-                    oracle.truncate_to(engine.log().durable_lsn());
-                    engine
-                        .recover()
-                        .map_err(|e| format!("crash recovery after epoch failed: {e}"))?;
+                    Self::kill_and_recover(&mut engine, &mut oracle)?;
                     killed = true;
                 }
                 Err(e) => return Err(format!("post-restore write failed: {e}")),
@@ -455,6 +525,88 @@ impl InstantDrillRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use lob_core::Page;
+
+    /// Keeps the witness armed for a test that drives an engine outside
+    /// `run_case`: arming is depth-counted, so no concurrently starting
+    /// case resets the registry under this test's I/O events.
+    struct Armed;
+
+    impl Armed {
+        fn new() -> Armed {
+            lob_pagestore::witness::arm();
+            Armed
+        }
+    }
+
+    impl Drop for Armed {
+        fn drop(&mut self) {
+            lob_pagestore::witness::disarm();
+        }
+    }
+
+    /// The drill's engine just before the epoch: an archived full backup,
+    /// a logged tail past it, and every partition failed.
+    fn engine_after_total_media_loss(seed: u64) -> Engine {
+        let runner = InstantDrillRunner::new(InstantDrillConfig::small(seed));
+        let (mut engine, mut oracle, mut gen) = runner.build().unwrap();
+        let base = engine.offline_backup().unwrap();
+        let backup_id = base.backup_id;
+        engine.register_backup_generation(base).unwrap();
+        engine.extend_backup_archive(backup_id).unwrap();
+        for _ in 0..runner.config().tail_ops {
+            let body = runner.foreground_body(&mut gen);
+            oracle.execute(&mut engine, body).unwrap();
+        }
+        engine.flush_all().unwrap();
+        for p in 0..runner.config().partitions {
+            engine.store().fail_partition(PartitionId(p)).unwrap();
+        }
+        engine
+    }
+
+    #[test]
+    fn epoch_close_witness_catches_an_altered_page() {
+        let _armed = Armed::new();
+        let mut engine = engine_after_total_media_loss(5);
+        engine.begin_instant_restore().unwrap();
+        engine.instant_restore_drain().unwrap();
+        // One restored page changes behind the engine's back, after the
+        // last segment restore and before the comparison.
+        let id = PageId::new(1, 3);
+        let restored = engine.store().read_page(id).unwrap();
+        let mut bytes = restored.data().to_vec();
+        bytes[0] ^= 0xFF;
+        let altered = Page::new(restored.lsn(), Bytes::from(bytes));
+        engine.store().write_page(id, altered).unwrap();
+        let err = verify_epoch_close(&mut engine).unwrap_err();
+        assert!(err.contains(&id.to_string()), "got: {err}");
+        // With the restored bytes back, the same comparison passes.
+        engine.store().write_page(id, restored).unwrap();
+        verify_epoch_close(&mut engine).unwrap();
+    }
+
+    #[test]
+    fn mid_restore_kill_reenters_and_byte_verifies() {
+        let _armed = Armed::new();
+        let mut engine = engine_after_total_media_loss(9);
+        // The first segment install dies mid-epoch: the commit point
+        // (clearing the failure flag) was never reached.
+        let plan = FaultPlan::new(FaultKind::CrashAtEvent(IoEvent::SegmentInstall, 0));
+        engine.install_fault_hook(Some(plan.hook()));
+        engine.begin_instant_restore().unwrap();
+        let err = engine.instant_restore_drain().unwrap_err();
+        assert!(err.is_injected_crash(), "got {err}");
+        engine.install_fault_hook(None);
+        engine.crash();
+        // Reboot re-entry: every segment is re-derived from archive +
+        // image, and the interrupted one is simply restored again.
+        engine.recover_instant().unwrap();
+        engine.instant_restore_drain().unwrap();
+        assert_eq!(engine.stats().instant_reboots, 1);
+        verify_epoch_close(&mut engine).unwrap();
+    }
 
     #[test]
     fn fault_free_case_serves_traffic_and_completes() {

@@ -33,6 +33,10 @@
 //! * [`torture`] — [`TortureRunner`]: the crash-point torture harness —
 //!   re-run a seeded workload crashing at every (or a sampled set of) I/O
 //!   event(s), recover, and require byte-equality with the shadow oracle.
+//! * [`reference`] — the reference recovery: seed pages written one at a
+//!   time, then the record-at-a-time `redo_scan` on a scratch store — the
+//!   differential witness every settled crash, media and instant recovery
+//!   is byte-compared against.
 //! * [`refgraph`] — [`ReferenceWriteGraph`]: the whole-graph write-graph
 //!   construction (full Tarjan pass per insertion), the step-by-step
 //!   differential witness for `lob_recovery::WriteGraph`.
@@ -41,6 +45,7 @@
 pub mod fault;
 pub mod instant;
 pub mod parallel;
+pub mod reference;
 pub mod refgraph;
 pub mod report;
 pub mod scenarios;
@@ -52,7 +57,8 @@ pub mod workload;
 
 pub use fault::{sample_indices, FaultKind, FaultPlan};
 pub use instant::{
-    InstantCaseResult, InstantDrillConfig, InstantDrillReport, InstantDrillRunner, InstantPath,
+    verify_epoch_close, InstantCaseResult, InstantDrillConfig, InstantDrillReport,
+    InstantDrillRunner, InstantPath,
 };
 pub use parallel::{
     combine_images, DrillPath, ParallelCaseResult, ParallelDrillConfig, ParallelDrillReport,

@@ -26,6 +26,7 @@
 //! non-empty candidate lock-set, or the case fails even if it byte-verified.
 
 use crate::fault::{sample_indices, FaultKind, FaultPlan};
+use crate::reference::{recover_checked, restore_checked};
 use crate::shadow::ShadowOracle;
 use crate::workload::WorkloadGen;
 use lob_core::{
@@ -185,7 +186,6 @@ impl ParallelDrillRunner {
             cache_capacity: None,
             policy: BackupPolicy::Protocol,
             log: LogBacking::Memory,
-            recovery: lob_recovery::RecoveryConfig::sequential(),
             ..EngineConfig::small()
         })
         .map_err(|e| e.to_string())?;
@@ -409,15 +409,13 @@ impl ParallelDrillRunner {
             }
             let any_failed = (0..engine.store().partition_count())
                 .any(|p| engine.store().has_failures(PartitionId(p)).unwrap_or(false));
+            let recovery = engine.config().recovery;
             let path = if any_failed {
-                engine
-                    .media_recover(base)
+                restore_checked(&mut engine, base, recovery)
                     .map_err(|e| format!("media recovery after crash failed: {e}"))?;
                 DrillPath::MediaRecovery
             } else {
-                engine
-                    .recover()
-                    .map_err(|e| format!("crash recovery failed: {e}"))?;
+                recover_checked(&mut engine, recovery)?;
                 DrillPath::CrashRecovery
             };
             oracle
@@ -471,8 +469,8 @@ impl ParallelDrillRunner {
                     .fail_partition(PartitionId(p))
                     .map_err(|e| e.to_string())?;
             }
-            engine
-                .media_recover(&combined)
+            let recovery = engine.config().recovery;
+            restore_checked(&mut engine, &combined, recovery)
                 .map_err(|e| format!("restore from parallel images failed: {e}"))?;
             oracle
                 .verify_store(&engine, Lsn::MAX)
@@ -501,8 +499,7 @@ impl ParallelDrillRunner {
                 .fail_range(p.partition, p.index, p.index + 1)
                 .map_err(|e| e.to_string())?;
         }
-        engine
-            .media_recover(base)
+        restore_checked(engine, base, engine.config().recovery)
             .map_err(|e| format!("media recovery failed: {e}"))?;
         oracle
             .verify_store(engine, Lsn::MAX)

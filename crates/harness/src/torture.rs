@@ -12,14 +12,14 @@
 //! sweep is pinned by `(seed, workload, fault kind, k)` alone.
 
 use crate::fault::{sample_indices, FaultKind, FaultPlan};
+use crate::reference::{recover_checked, restore_checked};
 use crate::shadow::ShadowOracle;
 use crate::workload::WorkloadGen;
 use lob_core::{
     BackupImage, BackupPolicy, Discipline, Engine, EngineConfig, EngineError, Lsn, PageId,
-    PartitionId,
+    PartitionId, RecoveryConfig,
 };
-use lob_pagestore::{IoEvent, StableStore, StoreConfig};
-use lob_recovery::{redo_scan, RecoveryConfig, StoreRedoTarget};
+use lob_pagestore::IoEvent;
 
 /// Which workload shape a torture run drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,12 +68,11 @@ pub struct TortureConfig {
     /// Register the pre-session off-line backup as a repair generation, so
     /// the engine heals detected bad reads online instead of surfacing them.
     pub self_heal: bool,
-    /// Route every recovery through the parallel scheduler with these
-    /// workers/batch knobs, and settle each one against the differential
-    /// replay oracle: the same log (and image, for restores) replayed
-    /// sequentially on a scratch store must land byte-identically.
-    /// `None` = the legacy sequential recovery paths.
-    pub parallel_recovery: Option<RecoveryConfig>,
+    /// Workers/batch knobs every recovery runs with. Each one is settled
+    /// against the reference ([`crate::reference`]): the same log (and
+    /// image, for restores) replayed record by record on a scratch store
+    /// must land byte-identically.
+    pub recovery: RecoveryConfig,
 }
 
 impl TortureConfig {
@@ -93,20 +92,19 @@ impl TortureConfig {
             ops_per_backup_step: 7,
             cache_capacity: None,
             self_heal: false,
-            parallel_recovery: None,
+            recovery: RecoveryConfig::default(),
         }
     }
 
-    /// [`TortureConfig::small`] with every recovery fanned through the
-    /// parallel scheduler (`recovery` workers / group-install batch), each
-    /// case byte-checked against the sequential differential oracle.
+    /// [`TortureConfig::small`] with every recovery run under the given
+    /// `recovery` workers / group-install batch.
     pub fn parallel(
         seed: u64,
         workload: TortureWorkload,
         recovery: RecoveryConfig,
     ) -> TortureConfig {
         TortureConfig {
-            parallel_recovery: Some(recovery),
+            recovery,
             ..TortureConfig::small(seed, workload)
         }
     }
@@ -224,130 +222,6 @@ impl TortureRunner {
     /// The configuration under test.
     pub fn config(&self) -> &TortureConfig {
         &self.cfg
-    }
-
-    /// A fresh store with the engine's geometry — the differential replay
-    /// oracle's sequential shadow target.
-    fn scratch_store(engine: &Engine) -> StableStore {
-        StableStore::new(
-            StoreConfig {
-                page_size: engine.config().page_size,
-            },
-            &engine.config().partitions,
-        )
-    }
-
-    /// Byte-compare every page (payload and page LSN) of the engine's
-    /// store against the sequential shadow store.
-    fn diff_stores(engine: &Engine, scratch: &StableStore, when: &str) -> Result<(), String> {
-        let live = engine
-            .store()
-            .snapshot()
-            .map_err(|e| format!("{when}: live snapshot failed: {e}"))?;
-        let shadow = scratch
-            .snapshot()
-            .map_err(|e| format!("{when}: shadow snapshot failed: {e}"))?;
-        if live.len() != shadow.len() {
-            return Err(format!(
-                "{when}: page counts diverge (parallel {}, sequential {})",
-                live.len(),
-                shadow.len()
-            ));
-        }
-        for ((id, page), (sid, spage)) in live.iter().zip(shadow.iter()) {
-            if id != sid {
-                return Err(format!("{when}: page id order diverges ({id} vs {sid})"));
-            }
-            if page.lsn() != spage.lsn() || page.data() != spage.data() {
-                return Err(format!(
-                    "{when}: parallel and sequential replay diverge at {id} \
-                     (lsn {} vs {})",
-                    page.lsn(),
-                    spage.lsn()
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Crash recovery through the configured path. With a parallel arm,
-    /// the surviving log suffix is first replayed *sequentially* on a
-    /// scratch copy of `S`; the parallel scheduler must then land on the
-    /// same bytes and the same [`lob_recovery::RedoOutcome`].
-    fn crash_recover_checked(&self, engine: &mut Engine) -> Result<(), String> {
-        let Some(rc) = self.cfg.parallel_recovery else {
-            engine
-                .recover()
-                .map_err(|e| format!("crash recovery failed: {e}"))?;
-            return Ok(());
-        };
-        let records = engine
-            .log()
-            .scan_from(engine.log().truncation())
-            .map_err(|e| format!("oracle log scan failed: {e}"))?;
-        let scratch = Self::scratch_store(engine);
-        let before = engine
-            .store()
-            .snapshot()
-            .map_err(|e| format!("pre-recovery snapshot failed: {e}"))?;
-        scratch
-            .apply_image(&before)
-            .map_err(|e| format!("oracle seed failed: {e}"))?;
-        let mut target = StoreRedoTarget::new(&scratch);
-        let expected = redo_scan(&records, &mut target)
-            .map_err(|e| format!("sequential shadow replay failed: {e}"))?;
-        let got = engine
-            .parallel_recover_with(rc)
-            .map_err(|e| format!("parallel crash recovery failed: {e}"))?;
-        if got != expected {
-            return Err(format!(
-                "parallel redo outcome {got:?} != sequential {expected:?}"
-            ));
-        }
-        Self::diff_stores(engine, &scratch, "post-crash differential")
-    }
-
-    /// Media recovery through the configured path (sequential
-    /// [`Engine::media_recover`] or the parallel restore), surfacing the
-    /// raw engine error so callers can classify injected crashes.
-    fn media_recover_raw(
-        &self,
-        engine: &mut Engine,
-        image: &BackupImage,
-    ) -> Result<(), EngineError> {
-        match self.cfg.parallel_recovery {
-            Some(rc) => engine.parallel_restore_with(image, rc).map(|_| ()),
-            None => engine.media_recover(image).map(|_| ()),
-        }
-    }
-
-    /// [`TortureRunner::media_recover_raw`] plus, under a parallel arm,
-    /// the differential check: restoring the same image and sequentially
-    /// replaying the same log suffix on a scratch store must produce the
-    /// same bytes. (Media recovery forces but never truncates the log, so
-    /// scanning after the fact sees exactly what the parallel path saw.)
-    fn media_recover_checked(
-        &self,
-        engine: &mut Engine,
-        image: &BackupImage,
-    ) -> Result<(), String> {
-        self.media_recover_raw(engine, image)
-            .map_err(|e| e.to_string())?;
-        if self.cfg.parallel_recovery.is_none() {
-            return Ok(());
-        }
-        let scratch = Self::scratch_store(engine);
-        image
-            .restore_to(&scratch)
-            .map_err(|e| format!("shadow restore failed: {e}"))?;
-        let records = engine
-            .log()
-            .scan_from(image.start_lsn)
-            .map_err(|e| format!("shadow log scan failed: {e}"))?;
-        let mut target = StoreRedoTarget::new(&scratch);
-        redo_scan(&records, &mut target)
-            .map_err(|e| format!("sequential shadow replay failed: {e}"))?;
-        Self::diff_stores(engine, &scratch, "post-restore differential")
     }
 
     /// Drive one session. The op sequence, flush choices, and backup
@@ -611,7 +485,7 @@ impl TortureRunner {
                 let any_failed = (0..engine.store().partition_count())
                     .any(|p| engine.store().has_failures(PartitionId(p)).unwrap_or(false));
                 let path = if any_failed {
-                    self.media_recover_checked(&mut engine, &image)
+                    restore_checked(&mut engine, &image, self.cfg.recovery)
                         .map_err(|e| format!("media recovery failed: {e}"))?;
                     RecoveryPath::MediaRecovery
                 } else {
@@ -653,11 +527,11 @@ impl TortureRunner {
                 let path = if any_failed {
                     // Torn / corrupt pages masquerade as tiny media
                     // failures: restore from the backup and roll forward.
-                    self.media_recover_checked(&mut engine, &image)
+                    restore_checked(&mut engine, &image, self.cfg.recovery)
                         .map_err(|e| format!("media recovery after crash failed: {e}"))?;
                     RecoveryPath::MediaRecovery
                 } else {
-                    self.crash_recover_checked(&mut engine)?;
+                    recover_checked(&mut engine, self.cfg.recovery)?;
                     RecoveryPath::CrashRecovery
                 };
                 oracle
@@ -682,7 +556,7 @@ impl TortureRunner {
                 if let Some(id) = inflight {
                     engine.release_backup(id);
                 }
-                self.media_recover_checked(&mut engine, &image)
+                restore_checked(&mut engine, &image, self.cfg.recovery)
                     .map_err(|e| format!("media recovery failed: {e}"))?;
                 oracle
                     .verify_store(&engine, Lsn::MAX)
@@ -861,11 +735,11 @@ impl TortureRunner {
     /// restore + roll-forward itself and show that simply *re-running*
     /// media recovery converges to the oracle — restores are restartable.
     ///
-    /// Under [`TortureConfig::parallel_recovery`] every restore in the
-    /// drill (the counting run, the killed attempt, and the restart) goes
-    /// through the parallel path, so the kill lands *inside* a parallel
-    /// restore and the restarted one must still converge — and is
-    /// additionally settled against the sequential differential oracle.
+    /// Every restore in the drill (the counting run, the killed attempt,
+    /// and the restart) runs under [`TortureConfig::recovery`], so with
+    /// several workers the kill lands *inside* a parallel restore; the
+    /// restarted one must still converge — and is additionally settled
+    /// against the reference.
     pub fn restore_crash_drill(&self, max_points: usize) -> Result<TortureReport, String> {
         let DriveOutcome {
             mut engine,
@@ -887,7 +761,8 @@ impl TortureRunner {
             .fail_partition(PartitionId(0))
             .map_err(|e| e.to_string())?;
         engine.install_fault_hook(Some(counter.hook()));
-        self.media_recover_raw(&mut engine, &image)
+        engine
+            .parallel_restore_with(&image, self.cfg.recovery)
             .map_err(|e| format!("fault-free restore failed: {e}"))?;
         engine.install_fault_hook(None);
         let total = counter.events_seen();
@@ -909,7 +784,7 @@ impl TortureRunner {
                 continue;
             }
             engine.install_fault_hook(Some(plan.hook()));
-            let first = self.media_recover_raw(&mut engine, &image);
+            let first = engine.parallel_restore_with(&image, self.cfg.recovery);
             engine.install_fault_hook(None);
             match first {
                 Err(e) if e.is_injected_crash() => {
@@ -920,7 +795,7 @@ impl TortureRunner {
                     // The process died mid-restore. Model the reboot, then
                     // just run media recovery again from the same image.
                     engine.crash();
-                    if let Err(e) = self.media_recover_checked(&mut engine, &image) {
+                    if let Err(e) = restore_checked(&mut engine, &image, self.cfg.recovery) {
                         report
                             .divergences
                             .push(format!("event {k}: restarted restore failed: {e}"));

@@ -169,6 +169,17 @@ impl PageImage {
         page
     }
 
+    /// The copies of one partition, as an image of their own (partition
+    /// restore installs just these).
+    pub fn partition(&self, partition: PartitionId) -> PageImage {
+        let mut only = PageImage::new();
+        if let Some(part) = self.parts.get(&partition) {
+            only.len = part.slots.iter().flatten().count();
+            only.parts.insert(partition, part.clone());
+        }
+        only
+    }
+
     /// Merge `other` into `self`; `other`'s pages win on conflict.
     /// Used to apply an incremental backup on top of a full one.
     pub fn overlay(&mut self, other: &PageImage) {

@@ -12,8 +12,8 @@
 //! unit; units are therefore pairwise page-disjoint and can replay on
 //! separate workers with no synchronization at all.
 //!
-//! Why a per-unit [`redo_scan`] is byte-identical to the global sequential
-//! scan restricted to that unit's pages:
+//! Why a per-unit replay is byte-identical to the global sequential scan
+//! ([`crate::redo_scan`]) restricted to that unit's pages:
 //!
 //! * every record that writes or reads a page of the unit is *in* the unit,
 //!   so the per-page LSN test and every replay-time read see exactly the
@@ -24,54 +24,51 @@
 //! * control records touch no pages; they are counted by the plan and
 //!   excluded from every unit.
 //!
-//! Batching is orthogonal: with `batch > 1` a unit replays through a
-//! [`GroupReplay`] table — pages fault in from the store once, every
-//! later read and LSN test is local, and installs are deferred and
-//! drained as contiguous runs through [`StableStore::write_run`], one
-//! lock round-trip and one checksummed [`Page`] construction per
-//! *installed* page instead of per replayed write. Deferral is invisible
-//! to replay because every read goes through the table. `workers = 1,
-//! batch = 1` takes literally the legacy code path ([`redo_scan`] over a
-//! [`StoreRedoTarget`]), which the differential tests pin as bit-identical.
+//! Batching is orthogonal: every unit replays through a [`GroupReplay`]
+//! table — pages fault in from the store once, every later read and LSN
+//! test is local, and installs are deferred and drained as contiguous
+//! runs through [`StableStore::write_run`], one lock round-trip and one
+//! checksummed [`Page`] construction per *installed* page instead of per
+//! replayed write. Deferral is invisible to replay because every read
+//! goes through the table. This is the only production replay:
+//! `workers = 1` is the sequential case, and the record-at-a-time
+//! [`crate::redo_scan`] over a [`crate::StoreRedoTarget`] survives as the
+//! reference the differential tests byte-compare every configuration
+//! against.
 
 use crate::fxhash::FxHashMap;
-use crate::redo::{
-    anchor_identities, redo_scan, AnchoredIdentity, IdentityAnchors, RedoError, RedoOutcome,
-    StoreRedoTarget,
-};
+use crate::redo::{anchor_identities, AnchoredIdentity, IdentityAnchors, RedoError, RedoOutcome};
 use bytes::Bytes;
 use lob_pagestore::{Lsn, Page, PageId, PageImage, StableStore, StoreError};
 use lob_wal::{LogRecord, RecordBody};
 use std::collections::hash_map::Entry;
 use std::collections::BTreeSet;
 
-/// Tuning knobs for parallel recovery, carried by `EngineConfig`.
+/// Tuning knobs for restore and redo, carried by `EngineConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryConfig {
-    /// Maximum replay workers. `1` (the default) is the sequential legacy
-    /// path; each additional worker replays independent units concurrently.
+    /// Maximum replay workers. `1` (the default) replays the whole suffix
+    /// on the calling thread; each additional worker replays independent
+    /// units concurrently.
     pub workers: usize,
-    /// Pages buffered per group install. `1` (the default) writes through
-    /// page-at-a-time; larger batches drain contiguous runs through
-    /// [`StableStore::write_run`].
+    /// Dirty pages a replay buffers before draining them as contiguous
+    /// runs through [`StableStore::write_run`], and the longest run an
+    /// image install writes per store round-trip. The default holds a
+    /// whole hot set, so a replay drains once at its end.
     pub batch: usize,
 }
 
 impl Default for RecoveryConfig {
+    /// One worker, whole-hot-set batches.
     fn default() -> Self {
-        RecoveryConfig::sequential()
+        RecoveryConfig {
+            workers: 1,
+            batch: 4096,
+        }
     }
 }
 
 impl RecoveryConfig {
-    /// The legacy sequential configuration: one worker, no batching.
-    pub fn sequential() -> RecoveryConfig {
-        RecoveryConfig {
-            workers: 1,
-            batch: 1,
-        }
-    }
-
     /// A configuration with both knobs clamped to at least 1.
     pub fn new(workers: usize, batch: usize) -> RecoveryConfig {
         RecoveryConfig {
@@ -312,12 +309,12 @@ struct PageSlot {
     dirty: bool,
 }
 
-/// The grouped replay state for one unit (`batch > 1`): a local page
-/// table the whole subsequence replays against, with installs deferred
-/// and drained as contiguous runs through [`StableStore::write_run`].
+/// The grouped replay state for one unit: a local page table the whole
+/// subsequence replays against, with installs deferred and drained as
+/// contiguous runs through [`StableStore::write_run`].
 ///
-/// This is where the parallel pipeline's single-thread speedup comes
-/// from, beyond amortizing lock round-trips:
+/// What this saves over a write-through replay, beyond amortizing lock
+/// round-trips:
 ///
 /// * pages are fetched from the store once (first touch) and every later
 ///   read or LSN test is a local map hit;
@@ -330,8 +327,7 @@ struct PageSlot {
 /// invisible to the replay itself because all reads go through the table,
 /// and the drained value/LSN per page equals the last write-through
 /// value. `batch` bounds how many dirty pages may be pending before a
-/// drain, so memory stays proportional to the knob, as with the
-/// page-at-a-time path.
+/// drain, so memory stays proportional to the knob.
 pub(crate) struct GroupReplay<'a> {
     // lint: guarded-by(immutable) shared store reference, never reseated
     store: &'a StableStore,
@@ -353,7 +349,7 @@ impl<'a> GroupReplay<'a> {
     pub(crate) fn new(store: &'a StableStore, batch: usize, pages_hint: usize) -> Self {
         GroupReplay {
             store,
-            batch: batch.max(2),
+            batch: batch.max(1),
             table: FxHashMap::with_capacity_and_hasher(pages_hint, Default::default()),
             dirty: 0,
             unit: lob_pagestore::witness::new_unit(),
@@ -491,7 +487,7 @@ impl<'a> GroupReplay<'a> {
 }
 
 /// Replay a record subsequence through a [`GroupReplay`] table. Mirrors
-/// [`redo_scan`] exactly — same identity anchoring (shared
+/// [`crate::redo_scan`] exactly — same identity anchoring (shared
 /// [`anchor_identities`] analysis), same per-page LSN test, same
 /// [`RedoOutcome`] counters — but reads and writes resolve against the
 /// local table instead of store round-trips per record.
@@ -599,20 +595,6 @@ where
     Ok(out)
 }
 
-/// Replay one record subsequence against the store with the requested
-/// batching. `batch <= 1` is literally the legacy write-through path.
-fn replay_subsequence(
-    records: &[LogRecord],
-    store: &StableStore,
-    batch: usize,
-) -> Result<RedoOutcome, RedoError> {
-    if batch <= 1 {
-        let mut target = StoreRedoTarget::new(store);
-        return redo_scan(records, &mut target);
-    }
-    replay_grouped(records.iter(), store, batch, 0)
-}
-
 fn accumulate(total: &mut RedoOutcome, part: RedoOutcome) {
     total.replayed += part.replayed;
     total.skipped += part.skipped;
@@ -620,16 +602,15 @@ fn accumulate(total: &mut RedoOutcome, part: RedoOutcome) {
     total.controls += part.controls;
 }
 
-/// The parallel counterpart of [`redo_scan`]: partition `records` into
-/// replay units and fan them out over up to `config.workers` scoped
-/// threads, each installing through a batch-`config.batch` target.
+/// The production redo pass: partition `records` into replay units and
+/// fan them out over up to `config.workers` scoped threads, each replaying
+/// through a batch-`config.batch` [`GroupReplay`] table.
 ///
-/// With `workers <= 1` this *is* the sequential scan (no plan, no threads);
-/// with `batch <= 1` on top, it is the exact legacy code path. The summed
-/// [`RedoOutcome`] is identical to the sequential scan's in every
-/// configuration, because units partition the op records and the per-page
-/// LSN tests are unit-local. The first failing unit's error (in plan
-/// order) is surfaced.
+/// With `workers <= 1` the whole suffix is one unit replayed on the
+/// calling thread (no plan, no threads). The summed [`RedoOutcome`] is
+/// identical to [`crate::redo_scan`]'s in every configuration, because
+/// units partition the op records and the per-page LSN tests are
+/// unit-local. The first failing unit's error (in plan order) is surfaced.
 pub fn parallel_redo_scan(
     records: &[LogRecord],
     store: &StableStore,
@@ -638,7 +619,7 @@ pub fn parallel_redo_scan(
     let workers = config.workers.max(1);
     let batch = config.batch.max(1);
     if workers == 1 {
-        return replay_subsequence(records, store, batch);
+        return replay_grouped(records.iter(), store, batch, 0);
     }
     let plan = ReplayPlan::build(records);
     let queues = plan.assign(workers);
@@ -657,24 +638,14 @@ pub fn parallel_redo_scan(
                         let Some(unit) = plan.units().get(ui) else {
                             continue;
                         };
-                        let result = if batch <= 1 {
-                            // Legacy write-through path wants a slice.
-                            let subseq: Vec<LogRecord> = unit
-                                .indices()
-                                .iter()
-                                .filter_map(|&i| records.get(i).cloned())
-                                .collect();
-                            replay_subsequence(&subseq, store, batch)
-                        } else {
-                            // Grouped replay walks the indices in place — no
-                            // per-unit record clone.
-                            replay_grouped(
-                                unit.indices().iter().filter_map(|&i| records.get(i)),
-                                store,
-                                batch,
-                                unit.pages().len(),
-                            )
-                        };
+                        // Walks the indices in place — no per-unit record
+                        // clone.
+                        let result = replay_grouped(
+                            unit.indices().iter().filter_map(|&i| records.get(i)),
+                            store,
+                            batch,
+                            unit.pages().len(),
+                        );
                         match result {
                             Ok(out) => accumulate(&mut total, out),
                             Err(e) => return (ui, Err(e)),
@@ -706,10 +677,8 @@ pub fn parallel_redo_scan(
 
 /// Install a backup image's pages with up to `config.workers` workers,
 /// each draining contiguous runs of at most `config.batch` pages through
-/// [`StableStore::write_run`] (`batch <= 1` degrades to per-page
-/// [`StableStore::write_page`], the legacy restore path). Runs are dealt
-/// round-robin to workers, so the assignment is deterministic. Returns the
-/// number of pages installed.
+/// [`StableStore::write_run`]. Runs are dealt round-robin to workers, so
+/// the assignment is deterministic. Returns the number of pages installed.
 pub fn parallel_install_image(
     image: &PageImage,
     store: &StableStore,
@@ -740,17 +709,6 @@ pub fn parallel_install_image(
     }
     let total: u64 = runs.iter().map(|r| r.pages.len() as u64).sum();
     let install = |spec: &mut RunSpec| -> Result<(), RedoError> {
-        if batch <= 1 {
-            for (off, page) in spec.pages.drain(..).enumerate() {
-                store
-                    .write_page(
-                        PageId::new(spec.start.partition.0, spec.start.index + off as u32),
-                        page,
-                    )
-                    .map_err(map_store_err)?;
-            }
-            return Ok(());
-        }
         store
             .write_run(spec.start.partition, spec.start.index, &mut spec.pages)
             .map_err(map_store_err)
@@ -796,6 +754,7 @@ pub fn parallel_install_image(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::redo::{redo_scan, StoreRedoTarget};
     use bytes::Bytes;
     use lob_ops::{LogicalOp, OpBody};
     use lob_pagestore::{Lsn, StoreConfig};
@@ -900,7 +859,7 @@ mod tests {
         let seq = store(8);
         let mut t = StoreRedoTarget::new(&seq);
         let want = redo_scan(&recs, &mut t).unwrap();
-        for (workers, batch) in [(2, 1), (4, 8), (2, 64)] {
+        for (workers, batch) in [(1, 1), (1, 64), (2, 1), (4, 8), (2, 64)] {
             let par = store(8);
             let got = parallel_redo_scan(&recs, &par, RecoveryConfig::new(workers, batch)).unwrap();
             assert_eq!(got, want, "workers={workers} batch={batch}");
@@ -973,7 +932,9 @@ mod tests {
     #[test]
     fn config_clamps_to_one() {
         let c = RecoveryConfig::new(0, 0);
-        assert_eq!(c, RecoveryConfig::sequential());
-        assert_eq!(RecoveryConfig::default(), RecoveryConfig::sequential());
+        assert_eq!((c.workers, c.batch), (1, 1));
+        let d = RecoveryConfig::default();
+        assert_eq!(d.workers, 1);
+        assert!(d.batch >= 4096, "the default drains once per replay");
     }
 }

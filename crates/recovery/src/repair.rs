@@ -32,6 +32,7 @@
 //! enforces that), so drills replay identically.
 
 use crate::redo::{redo_scan, RedoError, RedoOutcome, RedoTarget};
+use lob_backup::merge_runs;
 use lob_pagestore::{CorruptionEntry, Lsn, Page, PageId};
 use lob_wal::{LogRecord, RecordBody};
 use std::collections::{BTreeMap, BTreeSet};
@@ -69,6 +70,42 @@ impl BackoffSchedule {
         x ^= x >> 33;
         base + (x % base)
     }
+
+    /// Run `fetch` until it succeeds, fails with an error `is_transient`
+    /// rejects, or has failed transiently `max_attempts` times — the last
+    /// transient error is then returned. Each retry adds one to
+    /// `cost.retries` and its virtual wait to `cost.backoff_ticks`; the
+    /// wait is accounted, never slept.
+    pub fn retry<T, E>(
+        &self,
+        cost: &mut RetryCost,
+        is_transient: impl Fn(&E) -> bool,
+        mut fetch: impl FnMut() -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut attempt = 0u32;
+        loop {
+            match fetch() {
+                Err(e) if is_transient(&e) => {
+                    attempt += 1;
+                    if attempt >= self.max_attempts {
+                        return Err(e);
+                    }
+                    cost.backoff_ticks += self.delay_ticks(attempt - 1);
+                    cost.retries += 1;
+                }
+                done => return done,
+            }
+        }
+    }
+}
+
+/// What retried fetches have cost so far (see [`BackoffSchedule::retry`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetryCost {
+    /// Transient failures that were retried.
+    pub retries: u32,
+    /// Virtual backoff ticks those retries waited.
+    pub backoff_ticks: u64,
 }
 
 /// The dependency closure of `targets` over a log suffix: the least page
@@ -111,6 +148,49 @@ pub fn records_for_closure(records: &[LogRecord], closure: &BTreeSet<PageId>) ->
         })
         .cloned()
         .collect()
+}
+
+/// [`dependency_closure`] and [`records_for_closure`] of `seed` over a
+/// generation's page-indexed archive, reading only the runs the closure
+/// pulls in. `seed_runs` holds every archived run of a seed page (already
+/// fetched — a segment's runs stream off in one sequential read);
+/// `fetch_run` supplies the run of any spill-over page. Every record of a
+/// page's run writes that page, so every fetched record's read and write
+/// sets join the closure. Returns the runs merged with `control` into one
+/// ascending-LSN suffix (a record writing several closure pages sits in
+/// several runs; the merge deduplicates by LSN) and the closure.
+pub fn archive_closure<E>(
+    seed: BTreeSet<PageId>,
+    seed_runs: Vec<(PageId, Vec<LogRecord>)>,
+    control: Vec<LogRecord>,
+    mut fetch_run: impl FnMut(PageId) -> Result<Vec<LogRecord>, E>,
+) -> Result<(Vec<LogRecord>, BTreeSet<PageId>), E> {
+    let mut closure = seed;
+    let mut frontier: Vec<PageId> = Vec::new();
+    let mut runs: BTreeMap<PageId, Vec<LogRecord>> = BTreeMap::new();
+    let mut seed_runs = seed_runs.into_iter();
+    loop {
+        let (id, run) = match seed_runs.next() {
+            Some(seeded) => seeded,
+            None => match frontier.pop() {
+                Some(id) => (id, fetch_run(id)?),
+                None => break,
+            },
+        };
+        for rec in &run {
+            if let Some(op) = rec.body.as_op() {
+                for touched in op.readset().into_iter().chain(op.writeset()) {
+                    if closure.insert(touched) {
+                        frontier.push(touched);
+                    }
+                }
+            }
+        }
+        runs.insert(id, run);
+    }
+    let mut all_runs: Vec<Vec<LogRecord>> = runs.into_values().collect();
+    all_runs.push(control);
+    Ok((merge_runs(all_runs), closure))
 }
 
 /// A scratch redo target over an in-memory page map. Reads outside the
@@ -333,6 +413,74 @@ mod tests {
         // scratch's hard error surfaces as a failed replay.
         let err = replay_closure(seed, &recs, &only_target).unwrap_err();
         assert!(matches!(err, RedoError::Op { .. } | RedoError::Target(_)));
+    }
+
+    #[test]
+    fn retry_succeeds_after_max_attempts_minus_one_transients() {
+        let backoff = BackoffSchedule::new(7, 4);
+        let mut cost = RetryCost::default();
+        let mut calls = 0u32;
+        let got: Result<u32, &str> = backoff.retry(
+            &mut cost,
+            |e| *e == "transient",
+            || {
+                calls += 1;
+                if calls < 4 {
+                    Err("transient")
+                } else {
+                    Ok(calls)
+                }
+            },
+        );
+        assert_eq!(got, Ok(4), "the fourth attempt is still allowed");
+        assert_eq!(cost.retries, 3);
+        // The ticks the hand-rolled loops accumulated: one delay per retry,
+        // indexed by the 0-based number of the attempt that failed.
+        let want: u64 = (0..3).map(|i| backoff.delay_ticks(i)).sum();
+        assert_eq!(cost.backoff_ticks, want);
+    }
+
+    #[test]
+    fn retry_returns_the_last_error_when_exhausted() {
+        let backoff = BackoffSchedule::new(7, 4);
+        let mut cost = RetryCost {
+            retries: 10,
+            backoff_ticks: 1000,
+        };
+        let mut calls = 0u32;
+        let got: Result<(), (bool, u32)> = backoff.retry(
+            &mut cost,
+            |e: &(bool, u32)| e.0,
+            || {
+                calls += 1;
+                Err((true, calls))
+            },
+        );
+        assert_eq!(got, Err((true, 4)), "the last attempt's error surfaces");
+        assert_eq!(calls, 4, "max_attempts bounds the tries");
+        // The exhausting failure is not a retry: three retries, three
+        // delays, added to what the cost already held.
+        assert_eq!(cost.retries, 13);
+        let waited: u64 = (0..3).map(|i| backoff.delay_ticks(i)).sum();
+        assert_eq!(cost.backoff_ticks, 1000 + waited);
+    }
+
+    #[test]
+    fn retry_passes_other_errors_through_untouched() {
+        let backoff = BackoffSchedule::new(7, 4);
+        let mut cost = RetryCost::default();
+        let mut calls = 0u32;
+        let got: Result<(), &str> = backoff.retry(
+            &mut cost,
+            |e| *e == "transient",
+            || {
+                calls += 1;
+                Err("corrupt")
+            },
+        );
+        assert_eq!(got, Err("corrupt"));
+        assert_eq!(calls, 1);
+        assert_eq!(cost, RetryCost::default());
     }
 
     #[test]

@@ -51,7 +51,6 @@ fn main() {
         // Group forcing: a WAL-required force persists the whole appended
         // tail, so concurrent appenders share one force round-trip.
         commit: lob_core::CommitConfig::with_policy(FlushPolicy::Group),
-        recovery: lob_recovery::RecoveryConfig::sequential(),
         ..EngineConfig::small()
     })
     .expect("engine config");

@@ -11,20 +11,11 @@ check:
     cargo fmt --all -- --check
     cargo clippy --workspace --all-targets -- -D warnings
 
-# All ten lint passes plus the three ratchets, matching the CI lint jobs.
+# All ten lint passes, the three ratchets and the `--json` report — the CI
+# `lint` job, step for step.
 lint:
     cargo test --release -p lob-lint
     git diff --exit-code crates/lint/panic_ratchet.tsv crates/lint/race_ratchet.tsv crates/lint/durability_ratchet.tsv
-
-# Both halves of the durability-order contract: the static CFG pass over
-# the workspace plus the runtime ordering witness over the real drills.
-lint-durability:
-    cargo test --release -p lob-lint --test workspace durability
-    cargo test --release -p lob-lint --test fixtures bad_durability bad_error_flow
-    cargo test --release -q -p lob-harness --test order_witness
-
-# Machine-readable concurrency/lint report.
-lint-json:
     cargo run --release -p lob-lint --bin lob-lint -- --json
 
 # Re-baseline both ratchets after burning down violations.

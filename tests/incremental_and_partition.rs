@@ -133,7 +133,6 @@ fn multi() -> (Engine, ShadowOracle, WorkloadGen) {
         cache_capacity: None,
         policy: BackupPolicy::Protocol,
         log: lob_core::LogBacking::Memory,
-        recovery: lob_recovery::RecoveryConfig::sequential(),
         ..EngineConfig::small()
     })
     .unwrap();

@@ -6,9 +6,10 @@
 //! faults kill the process mid-restore or storm the archive with transient
 //! read errors. Every case — including mid-restore kills that re-enter
 //! through `recover_instant` — must end byte-identical to the shadow
-//! oracle. This is the release-built smoke behind the availability claim
-//! of `results/BENCH_7.json`; the unit drills in `lob_harness::instant`
-//! cover the same paths at debug-friendly sizes.
+//! oracle, and every epoch that closes is byte-compared against a
+//! sequential reference restore (`lob_harness::verify_epoch_close`). The
+//! unit drills in `lob_harness::instant` cover the same paths at
+//! debug-friendly sizes.
 
 use lob_harness::{FaultKind, InstantDrillConfig, InstantDrillRunner, InstantPath};
 

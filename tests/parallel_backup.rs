@@ -28,7 +28,6 @@ fn multi(flush_policy: FlushPolicy) -> (Engine, ShadowOracle, WorkloadGen) {
         policy: BackupPolicy::Protocol,
         log: LogBacking::Memory,
         commit: lob_core::CommitConfig::with_policy(flush_policy),
-        recovery: lob_recovery::RecoveryConfig::sequential(),
         ..EngineConfig::small()
     })
     .unwrap();

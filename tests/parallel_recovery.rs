@@ -1,15 +1,15 @@
-//! Partition-parallel restore & redo vs the sequential legacy paths.
+//! Batched, partition-parallel restore & redo vs the reference scan.
 //!
-//! The parallel replay scheduler must be *invisible* in the recovered
-//! state: for every workload shape and every workers/batch knob setting,
-//! crash recovery and media recovery through `parallel_recover` /
-//! `parallel_restore` must land byte-for-byte on the state the sequential
-//! paths produce — and with `workers = 1, batch = 1` they must *be* the
-//! sequential paths. The torture sweeps here additionally settle every
-//! case against the harness's differential replay oracle (a sequential
-//! shadow replay of the same log on a scratch store).
+//! The replay scheduler's knobs must be *invisible* in the recovered
+//! state: for every workload shape and every workers/batch setting, crash
+//! recovery and media recovery must land byte-for-byte — payload and page
+//! LSN — and outcome-for-outcome on what the record-at-a-time reference
+//! (`redo_scan` over a `StoreRedoTarget` on a scratch store,
+//! `lob_harness::reference`) produces from the same pages and log. The
+//! torture sweeps settle every case against the same reference.
 
-use lob_core::{BackupImage, Discipline, Engine, EngineConfig, RecoveryConfig, RedoOutcome};
+use lob_core::{BackupImage, Discipline, Engine, EngineConfig, RecoveryConfig};
+use lob_harness::reference::{diff_stores, recover_checked, reference_replay, restore_checked};
 use lob_harness::{
     sample_indices, TortureConfig, TortureReport, TortureRunner, TortureWorkload, WorkloadGen,
 };
@@ -104,33 +104,14 @@ fn driven_session(workload: TortureWorkload, seed: u64) -> (Engine, BackupImage)
     (engine, base)
 }
 
-/// Every page of both stores must match in payload bytes *and* page LSN.
-fn assert_stores_identical(a: &Engine, b: &Engine, label: &str) {
-    let sa = a.store().snapshot().unwrap();
-    let sb = b.store().snapshot().unwrap();
-    assert_eq!(sa.len(), sb.len(), "{label}: page counts diverge");
-    for ((ida, pa), (idb, pb)) in sa.iter().zip(sb.iter()) {
-        assert_eq!(ida, idb, "{label}: page id order diverges");
-        assert_eq!(pa.lsn(), pb.lsn(), "{label}: page LSN diverges at {ida}");
-        assert_eq!(pa.data(), pb.data(), "{label}: bytes diverge at {ida}");
-    }
-}
-
-/// Crash two identical sessions; recover one through the legacy sequential
-/// path and one through the parallel scheduler with `rc`. Both the
-/// recovered stores and the [`RedoOutcome`]s must be identical.
+/// Crash a session and recover it with `rc`; the recovered store and the
+/// `RedoOutcome` must equal the reference scan's over the same crashed
+/// store and log suffix.
 fn crash_and_compare(workload: TortureWorkload, seed: u64, rc: RecoveryConfig) {
-    let label = format!("{workload:?} workers={} batch={}", rc.workers, rc.batch);
-    let (mut seq, _) = driven_session(workload, seed);
-    let (mut par, _) = driven_session(workload, seed);
-    seq.crash();
-    par.crash();
-    let want: RedoOutcome = seq.recover().unwrap();
-    let got = par.parallel_recover_with(rc).unwrap();
-    assert_eq!(got, want, "{label}: redo outcome diverges");
-    assert_stores_identical(&seq, &par, &label);
-    assert_eq!(par.stats().parallel_recoveries, 1);
-    assert_eq!(seq.stats().parallel_recoveries, 0);
+    let (mut engine, _) = driven_session(workload, seed);
+    engine.crash();
+    recover_checked(&mut engine, rc).unwrap_or_else(|e| panic!("{workload:?} {rc:?}: {e}"));
+    assert_eq!(engine.stats().recoveries, 1);
 }
 
 const KNOB_GRID: [(usize, usize); 9] = [
@@ -178,70 +159,63 @@ fn backup_concurrent_parallel_recovery_matches_sequential_across_the_grid() {
     }
 }
 
-/// Named regression: `workers = 1, batch = 1` is not merely equivalent —
-/// it takes literally the legacy `redo_scan` + per-page store path, so
-/// the recovered state is bit-identical to [`Engine::recover`] on every
-/// workload shape.
+/// Named regression: the default configuration (what `Engine::recover`
+/// runs) and the write-through corner `workers = 1, batch = 1` — once a
+/// separate code path — land on the reference on every workload shape.
 #[test]
-fn worker1_batch1_is_bit_identical_to_the_legacy_path() {
+fn default_and_worker1_batch1_match_the_reference() {
     for workload in [
         TortureWorkload::General,
         TortureWorkload::Tree,
         TortureWorkload::BackupConcurrent,
     ] {
-        crash_and_compare(workload, 0x1B1, RecoveryConfig::sequential());
+        crash_and_compare(workload, 0x1B1, RecoveryConfig::default());
+        crash_and_compare(workload, 0x1B1, RecoveryConfig::new(1, 1));
     }
 }
 
-/// Parallel media recovery: fail the medium after a completed session and
-/// require the parallel restore + roll-forward to land exactly where the
-/// sequential `media_recover` lands, for the same image and log.
+/// Media recovery: fail the medium after a completed session and require
+/// restore + roll-forward to land exactly where the reference lands, for
+/// the same image and log.
 #[test]
 fn parallel_restore_matches_sequential_media_recovery() {
-    for (workers, batch) in [(1, 1), (2, 8), (4, 64)] {
+    for (workers, batch) in [(1, 1), (1, 4096), (2, 8), (4, 64)] {
         let rc = RecoveryConfig::new(workers, batch);
-        let label = format!("restore workers={workers} batch={batch}");
-        let (mut seq, image) = driven_session(TortureWorkload::BackupConcurrent, 0x4E57);
-        let (mut par, _) = driven_session(TortureWorkload::BackupConcurrent, 0x4E57);
-        seq.store().fail_partition(PartitionId(0)).unwrap();
-        par.store().fail_partition(PartitionId(0)).unwrap();
-        let want = seq.media_recover(&image).unwrap();
-        let got = par.parallel_restore_with(&image, rc).unwrap();
-        assert_eq!(got, want, "{label}: redo outcome diverges");
-        assert_stores_identical(&seq, &par, &label);
-        assert_eq!(par.stats().parallel_restores, 1);
+        let (mut engine, image) = driven_session(TortureWorkload::BackupConcurrent, 0x4E57);
+        engine.store().fail_partition(PartitionId(0)).unwrap();
+        restore_checked(&mut engine, &image, rc)
+            .unwrap_or_else(|e| panic!("restore workers={workers} batch={batch}: {e}"));
+        assert_eq!(engine.stats().media_recoveries, 1);
     }
 }
 
 /// Catalog-sourced restore: `parallel_restore_latest` must fetch the
 /// *newest* registered generation (checksum-verified whole-image fetch)
-/// and recover exactly like a sequential restore from that image.
+/// and recover exactly like the reference restores that image.
 #[test]
 fn catalog_sourced_parallel_restore_uses_the_newest_generation() {
-    let (mut seq, stale) = driven_session(TortureWorkload::General, 0xCA7A);
-    let (mut par, stale2) = driven_session(TortureWorkload::General, 0xCA7A);
+    let (mut engine, stale) = driven_session(TortureWorkload::General, 0xCA7A);
     // Register the stale pre-session image first, then a fresh one: the
     // catalog must hand back the fresh one.
-    let fresh = par.offline_backup().unwrap();
-    par.register_backup_generation(stale2).unwrap();
-    par.register_backup_generation(fresh.clone()).unwrap();
-    seq.register_backup_generation(stale).unwrap();
+    let fresh = engine.offline_backup().unwrap();
+    engine.register_backup_generation(stale).unwrap();
+    engine.register_backup_generation(fresh.clone()).unwrap();
 
-    seq.store().fail_partition(PartitionId(0)).unwrap();
-    par.store().fail_partition(PartitionId(0)).unwrap();
-    let want = seq.media_recover(&fresh).unwrap();
-    let got = par
+    engine.store().fail_partition(PartitionId(0)).unwrap();
+    let got = engine
         .parallel_restore_latest_with(RecoveryConfig::new(4, 8))
         .unwrap();
+    let records = engine.log().scan_from(fresh.start_lsn).unwrap();
+    let (reference, want) = reference_replay(&engine, &fresh.pages, &records).unwrap();
     assert_eq!(got, want, "catalog restore: redo outcome diverges");
-    assert_stores_identical(&seq, &par, "catalog restore");
+    diff_stores(&engine, &reference, "catalog restore").unwrap();
 }
 
 // ---------------------------------------------------------------------
-// The torture suite's crash points, re-run through the parallel arm.
-// Every case is settled against the differential replay oracle: the
-// harness replays the surviving log sequentially on a scratch store and
-// byte-compares it with the parallel recovery.
+// The torture suite's crash points, re-run with several workers. Every
+// case is settled against the reference: the harness replays the
+// surviving log record by record on a scratch store and byte-compares it
+// with the engine's recovery.
 // ---------------------------------------------------------------------
 
 fn assert_no_divergence(label: &str, report: &TortureReport) {
@@ -296,9 +270,9 @@ fn parallel_crash_sweep_backup_concurrent_matches_the_oracle_at_every_point() {
 }
 
 /// The three parallel sweeps above arm the same seeds and point budgets as
-/// the sequential torture suite; together they re-run its 280+ distinct
-/// crash points through `parallel_recover`. (Point sets are a pure
-/// function of seed, so counting them is cheap and exact.)
+/// the single-worker torture suite; together they re-run its 280+ distinct
+/// crash points with several workers. (Point sets are a pure function of
+/// seed, so counting them is cheap and exact.)
 #[test]
 fn parallel_sweeps_rerun_at_least_280_crash_points() {
     let mut total = 0;
@@ -317,14 +291,14 @@ fn parallel_sweeps_rerun_at_least_280_crash_points() {
     }
     assert!(
         total >= 280,
-        "the parallel arm must re-run the suite's 280+ crash points (got {total})"
+        "the multi-worker sweeps must re-run the suite's 280+ crash points (got {total})"
     );
 }
 
 /// Kill-during-parallel-restore: crash a *parallel* media recovery at
 /// every sampled I/O event of the restore + roll-forward, then show that
 /// simply re-running the parallel restore converges — and byte-matches
-/// the sequential differential oracle.
+/// the reference.
 #[test]
 fn interrupted_parallel_restore_is_restartable() {
     let runner = TortureRunner::new(TortureConfig::parallel(

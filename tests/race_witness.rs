@@ -74,7 +74,6 @@ fn parallel_restore_keeps_every_lock_set_nonempty() {
         cache_capacity: None,
         policy: BackupPolicy::Protocol,
         log: LogBacking::Memory,
-        recovery: RecoveryConfig::sequential(),
         ..EngineConfig::small()
     })
     .unwrap();
