@@ -30,8 +30,8 @@
 
 use bytes::Bytes;
 use lob_core::{Engine, EngineError};
-use lob_ops::{LogicalOp, OpBody, PhysioOp, RecPage};
-use lob_pagestore::{PageId, PartitionId};
+use lob_ops::{LogicalOp, OpBody, OpError, PhysioOp, RecPage, RecView};
+use lob_pagestore::{Page, PageId, PartitionId};
 
 /// How node splits are logged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +80,13 @@ impl From<EngineError> for BTreeError {
     }
 }
 
+/// A node that does not parse as a record page is a corrupt tree.
+impl From<OpError> for BTreeError {
+    fn from(e: OpError) -> Self {
+        BTreeError::Corrupt(e.to_string())
+    }
+}
+
 fn encode_child(id: PageId) -> Vec<u8> {
     let mut v = Vec::with_capacity(8);
     v.extend_from_slice(&id.partition.0.to_le_bytes());
@@ -100,6 +107,11 @@ fn decode_child(bytes: &[u8]) -> Result<PageId, BTreeError> {
         // lint:allow(panic) 4-byte slice follows the length-8 check above
         u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
     ))
+}
+
+/// The records of a node, searched where they lie in the page.
+fn node_view(id: PageId, page: &Page) -> Result<RecView<'_>, BTreeError> {
+    Ok(RecView::new(id, page.data())?)
 }
 
 /// A key-value record: owned key and value bytes.
@@ -180,20 +192,29 @@ impl BTree {
         Ok(())
     }
 
+    /// An owned copy of a node, for the paths that mutate or walk it. The
+    /// descents search the page bytes in place instead ([`node_view`]).
     fn read_node(&self, engine: &mut Engine, id: PageId) -> Result<RecPage, BTreeError> {
         let page = engine.read_page(id)?;
-        RecPage::decode(id, page.data()).map_err(|e| BTreeError::Corrupt(e.to_string()))
+        Ok(RecPage::decode(id, page.data())?)
+    }
+
+    /// Encoded size of a node's records (what underflow is judged by).
+    fn node_len(&self, engine: &mut Engine, id: PageId) -> Result<usize, BTreeError> {
+        let page = engine.read_page(id)?;
+        Ok(node_view(id, &page)?.encoded_len()?)
     }
 
     /// Current `(root, height)`.
     pub fn root(&self, engine: &mut Engine) -> Result<(PageId, u32), BTreeError> {
-        let meta = self.read_node(engine, self.meta)?;
+        let page = engine.read_page(self.meta)?;
+        let meta = node_view(self.meta, &page)?;
         let root = decode_child(
-            meta.get(b"root")
+            meta.find(b"root")?
                 .ok_or_else(|| BTreeError::Corrupt("meta page missing root".into()))?,
         )?;
         let height = meta
-            .get(b"height")
+            .find(b"height")?
             .and_then(|v| v.try_into().ok().map(u32::from_le_bytes))
             .ok_or_else(|| BTreeError::Corrupt("meta page missing height".into()))?;
         Ok((root, height))
@@ -216,16 +237,12 @@ impl BTree {
         engine.config().page_size
     }
 
-    /// Within an inner node, the child covering `key`.
-    fn child_for(node: &RecPage, key: &[u8]) -> Result<(Vec<u8>, PageId), BTreeError> {
-        for (k, v) in node.iter() {
-            if key <= k {
-                return Ok((k.to_vec(), decode_child(v)?));
-            }
-        }
-        Err(BTreeError::Corrupt(
-            "inner node lacks covering separator (no sentinel?)".into(),
-        ))
+    /// Within an inner node, the separator covering `key` and its child.
+    fn child_for<'a>(node: &RecView<'a>, key: &[u8]) -> Result<(&'a [u8], PageId), BTreeError> {
+        let (sep, child) = node.first_at_or_above(key)?.ok_or_else(|| {
+            BTreeError::Corrupt("inner node lacks covering separator (no sentinel?)".into())
+        })?;
+        Ok((sep, decode_child(child)?))
     }
 
     /// Look up a key.
@@ -233,11 +250,11 @@ impl BTree {
         self.validate_key(key)?;
         let (mut node_id, height) = self.root(engine)?;
         for _ in 0..height {
-            let node = self.read_node(engine, node_id)?;
-            node_id = Self::child_for(&node, key)?.1;
+            let page = engine.read_page(node_id)?;
+            node_id = Self::child_for(&node_view(node_id, &page)?, key)?.1;
         }
-        let leaf = self.read_node(engine, node_id)?;
-        Ok(leaf.get(key).map(|v| v.to_vec()))
+        let page = engine.read_page(node_id)?;
+        Ok(node_view(node_id, &page)?.find(key)?.map(<[u8]>::to_vec))
     }
 
     /// Insert (or overwrite) a record.
@@ -255,25 +272,29 @@ impl BTree {
             // level up), then the descent restarts — so when a leaf splits,
             // its parent can always absorb the new separator.
             let (root, height) = self.root(engine)?;
-            let mut path: Vec<(PageId, Vec<u8>)> = Vec::new(); // (node, covering sep)
+            // The node above `node_id` and the separator that covers it
+            // there (a view into that node's page, not a copy): all a split
+            // needs of the path.
+            let mut parent: Option<(PageId, Bytes)> = None;
             let mut node_id = root;
             let mut restart = false;
             for _ in 0..height {
-                let node = self.read_node(engine, node_id)?;
-                if !Self::inner_has_room(&node, size) {
-                    self.split(engine, node_id, &path, height)?;
+                let page = engine.read_page(node_id)?;
+                let node = node_view(node_id, &page)?;
+                if !Self::inner_has_room(&node, size)? {
+                    self.split(engine, node_id, parent.as_ref(), height)?;
                     restart = true;
                     break;
                 }
                 let (sep, child) = Self::child_for(&node, key)?;
-                path.push((node_id, sep));
+                parent = Some((node_id, page.data().slice_ref(sep)));
                 node_id = child;
             }
             if restart {
                 continue;
             }
-            let leaf = self.read_node(engine, node_id)?;
-            if leaf.fits_with(key, value, size) {
+            let page = engine.read_page(node_id)?;
+            if node_view(node_id, &page)?.fits_with(key, value, size)? {
                 engine.execute(OpBody::Physio(PhysioOp::InsertRec {
                     target: node_id,
                     key: Bytes::copy_from_slice(key),
@@ -282,24 +303,24 @@ impl BTree {
                 return Ok(());
             }
             // Leaf is full: split it, then retry the descent.
-            self.split(engine, node_id, &path, height)?;
+            self.split(engine, node_id, parent.as_ref(), height)?;
         }
     }
 
     /// Whether an inner node can absorb the one separator entry a child
     /// split adds (worst case: a `MAX_KEY`-byte key + 8-byte child id).
-    fn inner_has_room(node: &RecPage, page_size: usize) -> bool {
-        node.encoded_len() + 4 + MAX_KEY + 8 <= page_size
+    fn inner_has_room(node: &RecView<'_>, page_size: usize) -> Result<bool, BTreeError> {
+        Ok(node.encoded_len()? + 4 + MAX_KEY + 8 <= page_size)
     }
 
-    /// Split `node_id` whose parent path is `path` (empty = it is the
-    /// root). The immediate parent is guaranteed to have room for the new
-    /// separator (preemptive splitting during descent).
+    /// Split `node_id`, which `parent` covers with the given separator
+    /// (`None` = it is the root). The parent is guaranteed to have room for
+    /// the new separator (preemptive splitting during descent).
     fn split(
         &self,
         engine: &mut Engine,
         node_id: PageId,
-        path: &[(PageId, Vec<u8>)],
+        parent: Option<&(PageId, Bytes)>,
         height: u32,
     ) -> Result<(), BTreeError> {
         let node = self.read_node(engine, node_id)?;
@@ -320,9 +341,7 @@ impl BTree {
             }
             SplitLogging::PageOriented => {
                 let moved = RecPage::from_sorted(node.records_above(&sep));
-                let value = moved
-                    .encode(new, self.page_size(engine))
-                    .map_err(|e| BTreeError::Corrupt(e.to_string()))?;
+                let value = moved.encode(new, self.page_size(engine))?;
                 engine.execute(OpBody::PhysicalWrite { target: new, value })?;
             }
         }
@@ -333,7 +352,7 @@ impl BTree {
             sep: Bytes::from(sep.clone()),
         }))?;
 
-        if let Some((parent_id, old_sep)) = path.last() {
+        if let Some((parent_id, old_sep)) = parent {
             // Parent: `node_id` now covers ≤ sep; `new` covers (sep, old_sep].
             let parent = self.read_node(engine, *parent_id)?;
             if !parent.fits_with(&sep, &encode_child(node_id), self.page_size(engine)) {
@@ -348,7 +367,7 @@ impl BTree {
             }))?;
             engine.execute(OpBody::Physio(PhysioOp::InsertRec {
                 target: *parent_id,
-                key: Bytes::from(old_sep.clone()),
+                key: old_sep.clone(),
                 val: Bytes::from(encode_child(new)),
             }))?;
         } else {
@@ -357,9 +376,7 @@ impl BTree {
             let mut entries = RecPage::new();
             entries.insert(sep.clone(), encode_child(node_id));
             entries.insert(HIGH_KEY.to_vec(), encode_child(new));
-            let value = entries
-                .encode(new_root, self.page_size(engine))
-                .map_err(|e| BTreeError::Corrupt(e.to_string()))?;
+            let value = entries.encode(new_root, self.page_size(engine))?;
             engine.execute(OpBody::PhysicalWrite {
                 target: new_root,
                 value,
@@ -382,15 +399,14 @@ impl BTree {
     pub fn delete(&self, engine: &mut Engine, key: &[u8]) -> Result<bool, BTreeError> {
         self.validate_key(key)?;
         let (mut node_id, height) = self.root(engine)?;
-        let mut path: Vec<(PageId, Vec<u8>)> = Vec::new();
+        let mut path: Vec<PageId> = Vec::new();
         for _ in 0..height {
-            let node = self.read_node(engine, node_id)?;
-            let (sep, child) = Self::child_for(&node, key)?;
-            path.push((node_id, sep));
-            node_id = child;
+            let page = engine.read_page(node_id)?;
+            path.push(node_id);
+            node_id = Self::child_for(&node_view(node_id, &page)?, key)?.1;
         }
-        let leaf = self.read_node(engine, node_id)?;
-        if leaf.get(key).is_none() {
+        let page = engine.read_page(node_id)?;
+        if node_view(node_id, &page)?.find(key)?.is_none() {
             return Ok(false);
         }
         engine.execute(OpBody::Physio(PhysioOp::DeleteRec {
@@ -404,20 +420,12 @@ impl BTree {
         // inner entries are records too), finally collapsing single-child
         // roots.
         let size = self.page_size(engine);
-        let underflows = |n: &RecPage| n.encoded_len() * 4 < size;
-        let after = self.read_node(engine, node_id)?;
-        if underflows(&after) {
-            if let Some((parent_id, _)) = path.last() {
-                self.try_merge(engine, *parent_id, node_id)?;
+        let mut child = node_id;
+        for &parent in path.iter().rev() {
+            if self.node_len(engine, child)? * 4 < size {
+                self.try_merge(engine, parent, child)?;
             }
-        }
-        for i in (1..path.len()).rev() {
-            let node = path[i].0;
-            let parent = path[i - 1].0;
-            let n = self.read_node(engine, node)?;
-            if underflows(&n) {
-                self.try_merge(engine, parent, node)?;
-            }
+            child = parent;
         }
         self.collapse_root(engine)?;
         Ok(true)
@@ -484,9 +492,7 @@ impl BTree {
                 for (k, v) in self.read_node(engine, src)?.iter() {
                     combined.insert(k.to_vec(), v.to_vec());
                 }
-                let value = combined
-                    .encode(dst, size)
-                    .map_err(|e| BTreeError::Corrupt(e.to_string()))?;
+                let value = combined.encode(dst, size)?;
                 engine.execute(OpBody::PhysicalWrite { target: dst, value })?;
             }
         }
@@ -893,6 +899,47 @@ mod tests {
             logical < page_oriented,
             "logical {logical}B vs page-oriented {page_oriented}B"
         );
+    }
+
+    #[test]
+    fn a_damaged_inner_node_is_reported_by_every_descent() {
+        let mut e = engine(512);
+        let t = BTree::create(&mut e, PartitionId(0), SplitLogging::Logical).unwrap();
+        for i in 0..200 {
+            t.insert(&mut e, &key(i), &val(i)).unwrap();
+        }
+        let (root, height) = t.root(&mut e).unwrap();
+        assert!(height >= 1, "the root is an inner node");
+        // Rewrite the root with its first two separators swapped. The
+        // sentinel entry still covers every key, so a search that stopped
+        // at the first covering separator would not notice.
+        let node = t.read_node(&mut e, root).unwrap();
+        let mut entries: Vec<Record> = node.into_entries();
+        assert!(entries.len() >= 3);
+        entries.swap(0, 1);
+        let mut value = (entries.len() as u16).to_le_bytes().to_vec();
+        for (k, v) in &entries {
+            value.extend_from_slice(&(k.len() as u16).to_le_bytes());
+            value.extend_from_slice(&(v.len() as u16).to_le_bytes());
+            value.extend_from_slice(k);
+            value.extend_from_slice(v);
+        }
+        value.resize(256, 0);
+        e.execute(OpBody::PhysicalWrite {
+            target: root,
+            value: Bytes::from(value),
+        })
+        .unwrap();
+
+        let corrupt = |r: Result<(), BTreeError>| match r {
+            Err(BTreeError::Corrupt(m)) => assert!(m.contains("not strictly ascending"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        corrupt(t.get(&mut e, &key(150)).map(drop));
+        corrupt(t.insert(&mut e, &key(150), b"v"));
+        corrupt(t.insert(&mut e, &key(777), b"v"));
+        corrupt(t.delete(&mut e, &key(150)).map(drop));
+        corrupt(t.check(&mut e).map(drop));
     }
 
     #[test]

@@ -117,8 +117,7 @@ pub fn span_tokens(file: &SourceFile, span: &FnSpan) -> Vec<(Tok, usize)> {
     out
 }
 
-/// A token stream tagged with 1-based source lines (named so the borrow
-/// below doesn't trip the panic pass's `'a [` index heuristic).
+/// A token stream tagged with 1-based source lines.
 type SpannedToks = [(Tok, usize)];
 
 struct Builder<'a> {

@@ -129,9 +129,12 @@ fn scan_file(f: &SourceFile, out: &mut Vec<Diagnostic>, counts: &mut Option<File
                 if toks[i] != Tok::Sym('[') {
                     continue;
                 }
+                // `&'a [u8]`: the word before the bracket is a lifetime.
+                let lifetime = i >= 2 && toks.get(i - 2) == Some(&Tok::Sym('\''));
                 let indexing = match &toks[i - 1] {
                     Tok::Word(w) => {
-                        !NON_INDEX_KEYWORDS.contains(&w.as_str())
+                        !lifetime
+                            && !NON_INDEX_KEYWORDS.contains(&w.as_str())
                             && !w.chars().next().is_some_and(|ch| ch.is_ascii_digit())
                     }
                     Tok::Sym(')') | Tok::Sym(']') => true,

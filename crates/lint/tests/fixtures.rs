@@ -54,6 +54,21 @@ fn good_annotated_fixture_is_clean() {
 }
 
 #[test]
+fn a_lifetime_before_a_slice_type_is_not_an_index_site() {
+    let f = SourceFile::parse(
+        "crates/fx/src/x.rs",
+        "pub struct V<'a> {\n    rest: &'a [u8],\n}\npub fn f(v: &[u8], i: usize) -> u8 {\n    v[i]\n}\n",
+    );
+    let (diags, counts) = panic_free::check_with_counts(&[f], &panic_free::Config::bare());
+    assert!(diags.is_empty(), "diags: {diags:#?}");
+    assert_eq!(counts.len(), 1);
+    assert_eq!(
+        counts[0].index_sites, 1,
+        "`v[i]` counts, `&'a [u8]` does not"
+    );
+}
+
+#[test]
 fn lock_cycle_fixture_is_detected() {
     let a = fixture("crates/fx/src/lock_cycle_a.rs", "lock_cycle_a.rs");
     let b = fixture("crates/fx/src/lock_cycle_b.rs", "lock_cycle_b.rs");

@@ -51,4 +51,4 @@ pub mod recpage;
 pub use body::{LogicalOp, OpBody, PageReader, PhysioOp};
 pub use class::{OpClass, TreeForm};
 pub use error::OpError;
-pub use recpage::RecPage;
+pub use recpage::{RecPage, RecView};

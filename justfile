@@ -31,6 +31,11 @@ witness:
 bench-check:
     bash benchmark/run.sh --check
 
+# Alternating parent/change benchmark pairs against a revision: medians,
+# quartiles and wins/pairs per end-to-end metric (scripts/bench_pairs.sh).
+bench-pairs rev *workloads:
+    bash scripts/bench_pairs.sh {{rev}} {{workloads}}
+
 # ThreadSanitizer sweep (needs nightly + rust-src; skips gracefully).
 tsan:
     bash scripts/tsan.sh
