@@ -21,14 +21,17 @@
 //! at indexing time, re-verified on every fetch — archive media rot
 //! (injected through the catalog's `ArchiveRead` fault hook or the tamper
 //! API) is detected and typed, never silently replayed into `S`. The
-//! archive is built incrementally: [`LogArchive::extend`] indexes records
-//! past the current watermark, so a catalog can keep a generation's
+//! frames are the log's own: [`LogArchive::extend`] takes the `(Lsn,
+//! Bytes)` frames [`lob_wal::LogManager::frames_from`] returns and pushes
+//! the same refcounted buffers into the runs — no re-encode, no second
+//! copy of the suffix. The archive is built incrementally: `extend` indexes
+//! frames past the current watermark, so a catalog can keep a generation's
 //! archive caught up as the log grows.
 
 use crate::error::BackupError;
 use bytes::Bytes;
 use lob_pagestore::{Lsn, PageId, PartitionId};
-use lob_wal::{decode_record, encode_record, LogRecord, RecordBody};
+use lob_wal::{decode_record_shared, AsFrame, LogRecord, RecordBody};
 use std::collections::BTreeMap;
 
 /// One sorted run of encoded records (LSN order), checksummed at indexing
@@ -154,25 +157,30 @@ impl LogArchive {
         self.runs.values().map(|r| r.frames.len()).sum::<usize>() + self.control.frames.len()
     }
 
-    /// Index every record with `lsn >= watermark`, partitioning by
-    /// writeset page; earlier records are skipped (already indexed or
-    /// below `start_lsn`). Records must arrive in ascending LSN order —
-    /// the runs stay LSN-sorted by construction.
-    pub fn extend(&mut self, records: &[LogRecord]) {
-        for rec in records {
-            if rec.lsn < self.watermark {
+    /// Index every frame with `lsn >= watermark`, partitioning by
+    /// writeset page; earlier frames are skipped (already indexed or below
+    /// `start_lsn`). Frames must arrive in ascending LSN order — the runs
+    /// stay LSN-sorted by construction.
+    ///
+    /// Each frame is decoded zero-copy only to walk its writeset, and the
+    /// frame's own buffer goes into the runs. A frame that does not decode
+    /// is filed in the control run, which every closure fetch decodes: it
+    /// surfaces there as [`BackupError::CorruptArchive`], never as a
+    /// silently missing record.
+    pub fn extend<F: AsFrame>(&mut self, frames: &[F]) {
+        for f in frames {
+            let lsn = f.lsn();
+            if lsn < self.watermark {
                 continue;
             }
-            let frame = encode_record(rec);
-            match &rec.body {
-                RecordBody::Op(op) => {
-                    for page in op.writeset() {
-                        self.runs.entry(page).or_default().push(&frame);
-                    }
+            let frame = f.frame();
+            match decode_record_shared(&frame).map(|rec| rec.body) {
+                Ok(RecordBody::Op(op)) => {
+                    op.for_each_write(|page| self.runs.entry(page).or_default().push(&frame))
                 }
                 _ => self.control.push(&frame),
             }
-            self.watermark = Lsn(rec.lsn.0 + 1);
+            self.watermark = Lsn(lsn.0 + 1);
         }
     }
 
@@ -288,7 +296,8 @@ fn decode_frames(
 ) -> Result<Vec<LogRecord>, BackupError> {
     let mut out = Vec::with_capacity(frames.len());
     for frame in frames {
-        match decode_record(frame) {
+        // Zero-copy: payloads stay views into the run's shared frames.
+        match decode_record_shared(frame) {
             Ok(rec) => out.push(rec),
             // A decode failure past the checksum gate means the frame was
             // damaged in a checksum-colliding way — report it as the same
@@ -353,10 +362,149 @@ mod tests {
         }
     }
 
+    /// The records as the log holds them.
+    fn frames(records: &[LogRecord]) -> Vec<(Lsn, Bytes)> {
+        records
+            .iter()
+            .map(|r| (r.lsn, lob_wal::encode_record(r)))
+            .collect()
+    }
+
+    /// One of every record shape the archive partitions, chosen by `x`.
+    fn seeded_body(x: u64) -> lob_wal::RecordBody {
+        use lob_ops::PhysioOp;
+        let page = |k: u64| pid((x >> k) as u32 % 12);
+        let bytes = |n: u64| Bytes::from(vec![x as u8; (x >> 40) as usize % n as usize]);
+        let op = match x % 11 {
+            0 => OpBody::PhysicalWrite {
+                target: page(8),
+                value: bytes(40),
+            },
+            1 => OpBody::IdentityWrite {
+                target: page(8),
+                value: bytes(40),
+            },
+            2 => OpBody::Physio(PhysioOp::SetBytes {
+                target: page(8),
+                offset: (x >> 20) as u32 % 16,
+                bytes: bytes(9),
+            }),
+            3 => OpBody::Physio(PhysioOp::InsertRec {
+                target: page(8),
+                key: bytes(5),
+                val: bytes(17),
+            }),
+            4 => OpBody::Physio(PhysioOp::DeleteRec {
+                target: page(8),
+                key: bytes(5),
+            }),
+            5 => OpBody::Logical(LogicalOp::Copy {
+                src: page(8),
+                dst: page(16),
+            }),
+            6 => OpBody::Logical(LogicalOp::Mix {
+                reads: vec![page(8), page(12)],
+                writes: vec![page(16), page(20), page(24)],
+                salt: x,
+            }),
+            7 => OpBody::Logical(LogicalOp::MovRec {
+                old: page(8),
+                sep: bytes(5),
+                new: page(16),
+            }),
+            8 => OpBody::Logical(LogicalOp::SortExtent {
+                src: vec![page(8)],
+                dst: vec![page(16), page(20)],
+            }),
+            9 => {
+                return RecordBody::BackupBegin {
+                    backup_id: x % 7,
+                    start_lsn: Lsn(x % 100),
+                }
+            }
+            _ => return RecordBody::BackupEnd { backup_id: x % 7 },
+        };
+        RecordBody::Op(op)
+    }
+
+    #[test]
+    fn the_log_frames_index_exactly_like_re_encoded_records() {
+        let mut log = lob_wal::LogManager::in_memory();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for i in 0..600u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            log.append(seeded_body(x));
+            if i == 400 {
+                log.force_all().unwrap(); // durable frames, then a volatile tail
+            }
+        }
+        let start = Lsn(37);
+        let shared = log.frames_from(start).unwrap();
+        let mut from_log = LogArchive::new(start);
+        // Incremental, overlapping feeds land where one pass would.
+        from_log.extend(shared.get(..250).unwrap());
+        from_log.extend(&shared);
+        let records = log.scan_from(start).unwrap();
+        let mut re_encoded = LogArchive::new(start);
+        // A decoded record's frame is `encode_record` of it, made on demand.
+        re_encoded.extend(&records);
+        assert_eq!(from_log.watermark(), Lsn(601));
+        assert_eq!(re_encoded.watermark(), Lsn(601));
+        assert!(from_log.run_count() >= 12, "every page got a run");
+        assert_eq!(
+            from_log.runs.keys().collect::<Vec<_>>(),
+            re_encoded.runs.keys().collect::<Vec<_>>()
+        );
+        let pairs = from_log
+            .runs
+            .values()
+            .zip(re_encoded.runs.values())
+            .chain([(&from_log.control, &re_encoded.control)]);
+        for (a, b) in pairs {
+            assert_eq!(a.frames, b.frames);
+            assert_eq!(a.sum, b.sum);
+            assert!(a.verify());
+        }
+        assert!(!from_log.control.frames.is_empty());
+        // The runs hold the log's own buffers, not copies of them.
+        let first = shared.first().map(|(_, f)| f.as_ptr());
+        let indexed = from_log
+            .runs
+            .values()
+            .chain([&from_log.control])
+            .flat_map(|r| &r.frames)
+            .any(|f| Some(f.as_ptr()) == first);
+        assert!(indexed);
+    }
+
+    #[test]
+    fn an_undecodable_frame_surfaces_as_corrupt_control_run() {
+        let mut a = LogArchive::new(Lsn(1));
+        let mut feed = frames(&[phys(1, 0)]);
+        feed.push((Lsn(2), Bytes::from_static(b"\x02\0\0\0\0\0\0\0\xEE")));
+        a.extend(&feed);
+        assert_eq!(a.watermark(), Lsn(3));
+        assert!(a.decode_run(7, pid(0)).is_ok());
+        assert!(matches!(
+            a.decode_control(7),
+            Err(BackupError::CorruptArchive {
+                backup_id: 7,
+                page: None
+            })
+        ));
+    }
+
     #[test]
     fn partitions_by_writeset_page_in_lsn_order() {
         let mut a = LogArchive::new(Lsn(1));
-        a.extend(&[phys(1, 0), copy(2, 0, 1), phys(3, 1), control(4)]);
+        a.extend(&frames(&[
+            phys(1, 0),
+            copy(2, 0, 1),
+            phys(3, 1),
+            control(4),
+        ]));
         assert_eq!(a.watermark(), Lsn(5));
         let run0 = a.decode_run(7, pid(0)).unwrap();
         assert_eq!(
@@ -374,9 +522,9 @@ mod tests {
     #[test]
     fn extend_is_incremental_and_idempotent_below_watermark() {
         let mut a = LogArchive::new(Lsn(1));
-        a.extend(&[phys(1, 0), phys(2, 1)]);
+        a.extend(&frames(&[phys(1, 0), phys(2, 1)]));
         // Re-feeding the same prefix plus new records indexes only the new.
-        a.extend(&[phys(1, 0), phys(2, 1), phys(3, 0)]);
+        a.extend(&frames(&[phys(1, 0), phys(2, 1), phys(3, 0)]));
         let run0 = a.decode_run(7, pid(0)).unwrap();
         assert_eq!(run0.iter().map(|r| r.lsn.0).collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(a.watermark(), Lsn(4));
@@ -385,7 +533,7 @@ mod tests {
     #[test]
     fn tampered_run_fails_checksum_verification() {
         let mut a = LogArchive::new(Lsn(1));
-        a.extend(&[phys(1, 0), phys(2, 0), phys(3, 1)]);
+        a.extend(&frames(&[phys(1, 0), phys(2, 0), phys(3, 1)]));
         assert!(a.tamper_run(pid(0)));
         assert!(matches!(
             a.decode_run(7, pid(0)),

@@ -17,6 +17,7 @@
 use crate::archive::LogArchive;
 use crate::error::BackupError;
 use crate::image::BackupImage;
+use bytes::Bytes;
 use lob_pagestore::fault::{FaultHook, FaultVerdict, IoEvent};
 use lob_pagestore::{Lsn, Page, PageId, PartitionId};
 use lob_wal::LogRecord;
@@ -246,8 +247,9 @@ impl BackupCatalog {
     }
 
     /// Attach (if absent) and extend the page-indexed media-log archive of
-    /// a generation: records at or past the archive's watermark are sorted
-    /// into per-page runs; earlier records are skipped. Returns the new
+    /// a generation: log frames at or past the archive's watermark are
+    /// sorted into per-page runs (the frames themselves, shared — see
+    /// [`LogArchive::extend`]); earlier frames are skipped. Returns the new
     /// watermark — the exclusive LSN bound the archive now covers.
     ///
     /// This is the incremental half of archive maintenance: register the
@@ -256,7 +258,7 @@ impl BackupCatalog {
     pub fn extend_archive(
         &self,
         backup_id: u64,
-        records: &[LogRecord],
+        frames: &[(Lsn, Bytes)],
     ) -> Result<Lsn, BackupError> {
         let mut gens = self.generations.write();
         let gen = gens
@@ -266,7 +268,7 @@ impl BackupCatalog {
         let archive = gen
             .archive
             .get_or_insert_with(|| LogArchive::new(gen.image.start_lsn));
-        archive.extend(records);
+        archive.extend(frames);
         Ok(archive.watermark())
     }
 

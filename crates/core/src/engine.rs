@@ -1626,7 +1626,7 @@ impl Engine {
             Some(w) => w,
             None => return Ok(None),
         };
-        let tail = match backoff.retry(cost, is_transient_log, || self.log.scan_from(from)) {
+        let tail = match backoff.retry(cost, is_transient_log, || self.log.frames_from(from)) {
             Ok(tail) => tail,
             Err(LogError::Transient | LogError::Truncated { .. }) => {
                 self.stats.repair_index_fallbacks += 1;
@@ -1676,19 +1676,21 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Catch one generation's page-indexed archive up to the durable end
-    /// of the log: force, scan from the archive's watermark (its start
-    /// LSN if no archive exists yet — this call *creates* the archive),
-    /// and index the tail. Returns the new watermark. Backups keep their
-    /// archives current by calling this as the log grows; instant restore
-    /// calls it for every archived generation when an epoch begins.
+    /// of the log: force, read the log's frames from the archive's
+    /// watermark (its start LSN if no archive exists yet — this call
+    /// *creates* the archive), and index them — the archive shares the
+    /// log's frame buffers, nothing is decoded into owned records or
+    /// re-encoded. Returns the new watermark. Backups keep their archives
+    /// current by calling this as the log grows; instant restore calls it
+    /// for every archived generation when an epoch begins.
     pub fn extend_backup_archive(&mut self, backup_id: u64) -> Result<Lsn, EngineError> {
         self.log.force_all()?;
         let from = match self.catalog.archive_watermark(backup_id)? {
             Some(w) => w,
             None => self.catalog.start_lsn(backup_id)?,
         };
-        let records = self.log.scan_from(from)?;
-        Ok(self.catalog.extend_archive(backup_id, &records)?)
+        let frames = self.log.frames_from(from)?;
+        Ok(self.catalog.extend_archive(backup_id, &frames)?)
     }
 
     /// Catch every archived generation's archive up to the durable log

@@ -197,6 +197,7 @@ impl EngineService {
     pub fn session(self: &Arc<Self>) -> Session {
         Session {
             svc: Arc::clone(self),
+            logged: Arc::new(AtomicU64::new(Lsn::NULL.raw())),
         }
     }
 
@@ -797,9 +798,17 @@ impl std::fmt::Debug for EngineService {
 /// that forwards to the service. Each thread gets its own; the service's
 /// domain locks, cache shards, and group-commit scheduler do the
 /// coordinating.
+///
+/// A clone is the *same* session: it shares the service and the record of
+/// what the session has logged, so [`Session::commit`] through any clone
+/// covers every record executed through any of them. A fresh session
+/// comes from [`EngineService::session`].
 #[derive(Clone, Debug)]
 pub struct Session {
     svc: Arc<EngineService>,
+    /// Highest LSN this session's `execute`s returned (raw; 0 before the
+    /// first): the record [`Session::commit`] forces.
+    logged: Arc<AtomicU64>, // lint: atomic(acq-rel)
 }
 
 impl Session {
@@ -810,7 +819,9 @@ impl Session {
 
     /// Execute a logged operation. See [`EngineService::execute`].
     pub fn execute(&self, body: OpBody) -> Result<Lsn, EngineError> {
-        self.svc.execute(body)
+        let lsn = self.svc.execute(body)?;
+        self.logged.fetch_max(lsn.raw(), Ordering::AcqRel);
+        Ok(lsn)
     }
 
     /// Read a page through the shared cache.
@@ -823,9 +834,13 @@ impl Session {
         self.svc.flush_page(page)
     }
 
-    /// Commit: durably force everything this session has logged.
+    /// Commit: durably force everything this session has logged — a group
+    /// force of its newest record, which covers every earlier one. If a
+    /// crash wiped that record before any force reached it, the commit
+    /// fails with the injected crash instead of reporting durability.
     pub fn commit(&self) -> Result<(), EngineError> {
-        self.svc.force_log()
+        self.svc
+            .group_force(Lsn(self.logged.load(Ordering::Acquire)))
     }
 
     /// Allocate a fresh page.
@@ -939,6 +954,45 @@ mod tests {
         assert_eq!(image.page_count(), 16);
         assert_eq!(svc.stats().backups_completed, 1);
         svc.release_backup(image.backup_id);
+    }
+
+    #[test]
+    fn commit_after_a_crash_reports_the_lost_record() {
+        use lob_wal::LogError;
+        let svc = Arc::new(EngineService::new(config(1, 16)).unwrap());
+        let s = svc.session();
+        // Nothing logged yet: an empty commit is trivially durable.
+        s.commit().unwrap();
+        let lsn = s.execute(insert(PageId::new(0, 0), b"a", b"1")).unwrap();
+        svc.crash();
+        assert!(matches!(svc.log().force(lsn), Err(LogError::InjectedCrash)));
+        assert!(
+            matches!(s.commit(), Err(EngineError::Log(LogError::InjectedCrash))),
+            "the session's record was wiped; commit must not report it durable"
+        );
+        // A clone is the same session and sees the same loss.
+        assert!(s.clone().commit().is_err());
+        svc.recover().unwrap();
+        // New work through the session commits normally again.
+        let again = s.execute(insert(PageId::new(0, 1), b"b", b"2")).unwrap();
+        assert!(again > lsn);
+        s.commit().unwrap();
+        assert!(svc.log().durable_lsn() >= again);
+    }
+
+    #[test]
+    fn a_session_commits_what_its_clones_logged() {
+        let svc = Arc::new(EngineService::new(config(1, 16)).unwrap());
+        let s = svc.session();
+        let clone = s.clone();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(move || clone.execute(insert(PageId::new(0, 0), b"a", b"1")));
+            worker.join().unwrap().unwrap();
+        });
+        svc.crash();
+        // `s` executed nothing itself; its clone's lost record is its own.
+        assert!(s.commit().is_err());
+        assert!(svc.session().commit().is_ok());
     }
 
     #[test]

@@ -99,10 +99,10 @@ pub const REGISTRY: &[Site] = &[
     },
     Site {
         file: "wal/src/manager.rs",
-        func: "scan_from",
+        func: "frames_from",
         events: &["LogRead"],
         coverage: Coverage::Direct,
-        note: "once per scan of the durable suffix (recovery, media redo, online repair)",
+        note: "once per scan of the durable suffix (recovery, media redo, online repair, archive indexing); scan_from decodes over it",
     },
     Site {
         file: "backup/src/catalog.rs",
@@ -172,7 +172,7 @@ pub const REGISTRY: &[Site] = &[
         func: "frames_from",
         events: &[],
         coverage: Coverage::Delegated,
-        note: "raw frame read; only reachable via LogManager::scan_from, which consults per scan",
+        note: "raw frame read; reachable via LogManager::frames_from, which consults once per scan (scan_from included), and the from_existing bootstrap, which runs before any hook exists",
     },
     Site {
         file: "wal/src/store.rs",

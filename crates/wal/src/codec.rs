@@ -19,6 +19,7 @@ use crate::record::{LogRecord, RecordBody};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use lob_ops::{LogicalOp, OpBody, PhysioOp};
 use lob_pagestore::{Lsn, PageId};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors from decoding.
@@ -102,6 +103,39 @@ pub fn encode_record(rec: &LogRecord) -> Bytes {
         }
     }
     buf.freeze()
+}
+
+/// A log record in the form the log stores it: an LSN and its encoded
+/// frame. The log's own `(Lsn, Bytes)` frames (what
+/// [`crate::LogManager::frames_from`] returns) hand out their shared buffer;
+/// a decoded [`LogRecord`] is encoded on demand. The log's frame *is*
+/// [`encode_record`] of its record, so both yield the same bytes.
+pub trait AsFrame {
+    /// The record's LSN.
+    fn lsn(&self) -> Lsn;
+    /// The record's encoded frame: borrowed where it already exists, so
+    /// walking the log's frames takes no reference of its own.
+    fn frame(&self) -> Cow<'_, Bytes>;
+}
+
+impl AsFrame for (Lsn, Bytes) {
+    fn lsn(&self) -> Lsn {
+        self.0
+    }
+
+    fn frame(&self) -> Cow<'_, Bytes> {
+        Cow::Borrowed(&self.1)
+    }
+}
+
+impl AsFrame for LogRecord {
+    fn lsn(&self) -> Lsn {
+        self.lsn
+    }
+
+    fn frame(&self) -> Cow<'_, Bytes> {
+        Cow::Owned(encode_record(self))
+    }
 }
 
 fn encode_op(buf: &mut BytesMut, op: &OpBody) {

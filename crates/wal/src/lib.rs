@@ -33,7 +33,7 @@ pub mod record;
 pub mod stats;
 pub mod store;
 
-pub use codec::{decode_record, decode_record_shared, encode_record, CodecError};
+pub use codec::{decode_record, decode_record_shared, encode_record, AsFrame, CodecError};
 pub use group::GroupCommitLog;
 pub use manager::{LogError, LogManager};
 pub use record::{LogRecord, RecordBody};

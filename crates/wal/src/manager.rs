@@ -76,7 +76,13 @@ impl From<CodecError> for LogError {
 /// retained) caps how far truncation may advance.
 pub struct LogManager {
     store: Box<dyn LogStore>,
+    /// The volatile tail is `tail[head..]`, in LSN order. A force moves
+    /// `head` past what it persisted instead of shifting the rest down; the
+    /// consumed prefix is dropped once it is at least as long as what is
+    /// left, so each frame is moved at most once and a force costs
+    /// O(frames forced), amortized, whatever the tail length.
     tail: Vec<(Lsn, Bytes)>,
+    head: usize,
     next: Lsn,
     durable: Lsn,
     truncation: Lsn,
@@ -95,6 +101,7 @@ impl LogManager {
         LogManager {
             store,
             tail: Vec::new(),
+            head: 0,
             next: Lsn::FIRST,
             durable: Lsn::NULL,
             truncation: Lsn::NULL,
@@ -118,6 +125,7 @@ impl LogManager {
         Ok(LogManager {
             store,
             tail: Vec::new(),
+            head: 0,
             next: durable.next().max(Lsn::FIRST),
             durable,
             truncation: Lsn::NULL,
@@ -151,6 +159,23 @@ impl LogManager {
         }
     }
 
+    /// The appended-but-unforced frames, LSN order.
+    fn pending(&self) -> &[(Lsn, Bytes)] {
+        self.tail.get(self.head..).unwrap_or_default()
+    }
+
+    /// Drop the first `n` pending frames (they are durable now).
+    fn consume(&mut self, n: usize) {
+        self.head += n;
+        if self.head >= self.tail.len() {
+            self.tail.clear();
+            self.head = 0;
+        } else if 2 * self.head >= self.tail.len() {
+            self.tail.drain(..self.head);
+            self.head = 0;
+        }
+    }
+
     /// Durably persist all appended records with `lsn <= upto` — as a
     /// **group force**: every frame that passes the fault gate is handed to
     /// the store in one [`LogStore::append_batch`] call, so a file-backed
@@ -170,7 +195,7 @@ impl LogManager {
         // either way. The single probe here covers every engine force
         // site (`force_all` funnels through this method).
         lob_pagestore::witness::io_order("LogForce");
-        let n = self.tail.partition_point(|(l, _)| *l <= upto);
+        let n = self.pending().partition_point(|(l, _)| *l <= upto);
         if n == 0 {
             return Ok(());
         }
@@ -195,11 +220,14 @@ impl LogManager {
             }
             gate += 1;
         }
+        // Field-wise borrow of the pending frames (the store is borrowed
+        // mutably beside it).
+        let pending = self.tail.get(self.head..).unwrap_or_default();
         let batch = self
             .store
-            .append_batch(self.tail.get(..gate).unwrap_or_default());
+            .append_batch(pending.get(..gate).unwrap_or_default());
         let appended = batch.appended.min(gate);
-        if let Some((lsn, _)) = appended.checked_sub(1).and_then(|i| self.tail.get(i)) {
+        if let Some((lsn, _)) = appended.checked_sub(1).and_then(|i| pending.get(i)) {
             self.durable = *lsn;
         }
         if let Some(e) = batch.error {
@@ -212,7 +240,7 @@ impl LogManager {
             });
         }
         self.stats.record_force(appended as u64);
-        self.tail.drain(..appended);
+        self.consume(appended);
         outcome
     }
 
@@ -236,23 +264,25 @@ impl LogManager {
     /// ever issued, preserving LSN monotonicity across the crash.
     pub fn crash(&mut self) {
         self.tail.clear();
+        self.head = 0;
     }
 
     /// Number of appended-but-unforced records.
     pub fn unforced(&self) -> usize {
-        self.tail.len()
+        self.pending().len()
     }
 
-    /// All records with `lsn >= from` (durable first, then the volatile
-    /// tail), decoded.
+    /// All frames with `lsn >= from` — the durable ones first, then the
+    /// volatile tail — as the shared `(Lsn, Bytes)` buffers the log holds
+    /// (each frame is [`encode_record`] of its record).
     ///
     /// With a fault hook installed, [`IoEvent::LogRead`] is consulted once
-    /// per scan before any frame is decoded: a crash verdict kills the
+    /// per scan before any frame is read: a crash verdict kills the
     /// process at this read, a transient verdict fails the attempt only
     /// (durable frames intact — a retry succeeds). Damage verdicts are
     /// meaningless here (frame corruption is injected at the store level,
     /// see `MemLogStore::corrupt_frame`) and proceed.
-    pub fn scan_from(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
+    pub fn frames_from(&self, from: Lsn) -> Result<Vec<(Lsn, Bytes)>, LogError> {
         if from < self.truncation {
             return Err(LogError::Truncated {
                 requested: from,
@@ -264,18 +294,21 @@ impl LogManager {
             FaultVerdict::TransientRead => return Err(LogError::Transient),
             _ => {}
         }
-        let frames = self.store.frames_from(from)?;
-        let mut out = Vec::with_capacity(frames.len() + self.tail.len());
-        for (_, frame) in &frames {
-            // Zero-copy decode: payload bytes stay in the frame buffer.
-            out.push(decode_record_shared(frame)?);
-        }
-        for (lsn, frame) in &self.tail {
-            if *lsn >= from {
-                out.push(decode_record_shared(frame)?);
-            }
-        }
-        Ok(out)
+        let mut frames = self.store.frames_from(from)?;
+        let pending = self.pending();
+        let start = pending.partition_point(|(l, _)| *l < from);
+        frames.extend_from_slice(pending.get(start..).unwrap_or_default());
+        Ok(frames)
+    }
+
+    /// All records with `lsn >= from` (durable first, then the volatile
+    /// tail), decoded zero-copy from [`LogManager::frames_from`] — so one
+    /// scan is one [`IoEvent::LogRead`] consult, with the same verdicts.
+    pub fn scan_from(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
+        self.frames_from(from)?
+            .iter()
+            .map(|(_, frame)| Ok(decode_record_shared(frame)?))
+            .collect()
     }
 
     /// Pin the log from `lsn` onward for media recovery; `None` releases the
@@ -340,7 +373,7 @@ impl fmt::Debug for LogManager {
             self.next,
             self.durable,
             self.truncation,
-            self.tail.len()
+            self.unforced()
         )
     }
 }
@@ -533,6 +566,84 @@ mod tests {
             log.scan_from(Lsn::NULL),
             Err(LogError::InjectedCrash)
         ));
+    }
+
+    #[test]
+    fn frames_from_and_scan_from_share_one_log_read_each() {
+        use lob_pagestore::fault::{FaultVerdict, IoEvent};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let mut log = LogManager::in_memory();
+        for i in 0..6 {
+            log.append(phys(i));
+        }
+        log.force(Lsn(4)).unwrap();
+        // LSNs 1..=4 durable, 5..=6 volatile.
+        let reads = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::clone(&reads);
+        log.set_fault_hook(Some(Arc::new(move |ev, _| {
+            if ev == IoEvent::LogRead {
+                seen.fetch_add(1, Ordering::Relaxed);
+            }
+            FaultVerdict::Proceed
+        })));
+        for from in [Lsn::NULL, Lsn(3), Lsn(5), Lsn(6), Lsn(7)] {
+            let before = reads.load(Ordering::Relaxed);
+            let frames = log.frames_from(from).unwrap();
+            assert_eq!(reads.load(Ordering::Relaxed), before + 1);
+            let records = log.scan_from(from).unwrap();
+            assert_eq!(reads.load(Ordering::Relaxed), before + 2);
+            let want: Vec<Lsn> = (1..=6).map(Lsn).filter(|l| *l >= from).collect();
+            assert_eq!(frames.iter().map(|(l, _)| *l).collect::<Vec<_>>(), want);
+            assert_eq!(records.iter().map(|r| r.lsn).collect::<Vec<_>>(), want);
+            // The frame is the record's encoding, byte for byte.
+            for ((_, frame), rec) in frames.iter().zip(&records) {
+                assert_eq!(frame, &encode_record(rec));
+            }
+        }
+        log.truncate(Lsn(3)).unwrap();
+        for from in [Lsn::NULL, Lsn(2)] {
+            assert!(matches!(
+                log.frames_from(from),
+                Err(LogError::Truncated { .. })
+            ));
+            assert!(matches!(
+                log.scan_from(from),
+                Err(LogError::Truncated { .. })
+            ));
+        }
+        assert_eq!(log.frames_from(Lsn(3)).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn a_long_tail_forced_one_record_at_a_time_stays_exact() {
+        const N: u64 = 65_536;
+        let mut log = LogManager::in_memory();
+        for i in 0..N {
+            log.append(phys(i as u32));
+        }
+        assert_eq!(log.unforced(), N as usize);
+        for i in 1..=N {
+            log.force(Lsn(i)).unwrap();
+            assert_eq!(log.durable_lsn(), Lsn(i));
+            assert_eq!(log.unforced(), (N - i) as usize);
+            if i == N / 2 + 1 || i == N - 1 {
+                // Durable frames, then the tail: every LSN once, in order.
+                let lsns: Vec<u64> = log
+                    .frames_from(Lsn::NULL)
+                    .unwrap()
+                    .iter()
+                    .map(|(l, _)| l.raw())
+                    .collect();
+                assert!(lsns.iter().copied().eq(1..=N));
+            }
+        }
+        assert_eq!(log.stats().forces, N);
+        assert_eq!(log.scan_from(Lsn(N)).unwrap().len(), 1);
+        // Appends after the drain continue the sequence.
+        assert_eq!(log.append(phys(0)), Lsn(N + 1));
+        assert_eq!(log.unforced(), 1);
     }
 
     #[test]

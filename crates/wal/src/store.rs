@@ -1,4 +1,15 @@
 //! Durable frame stores backing the log manager.
+//!
+//! Both stores checksum every frame once, at append, and verify it before
+//! a scan first trusts it. The checksum is FNV-1a folded a machine word at
+//! a time — the shape of `lob_pagestore::page::fnv1a` and the archive's
+//! `checksum_extend`: starting from the FNV offset basis, each of the LSN
+//! word, the frame length, every 8-byte little-endian word of the frame and
+//! then each remaining byte is XORed in and multiplied by the FNV prime.
+//! Multiplying by the odd prime is a bijection on `u64`, so a change to any
+//! single input word always changes the sum: every single-bit flip is
+//! caught. A frame whose sum no longer matches ends the trusted prefix —
+//! the frames after it are never returned, and a torn file tail is dropped.
 
 use bytes::Bytes;
 use lob_pagestore::Lsn;
@@ -174,20 +185,24 @@ fn le_u64(buf: &[u8], off: usize) -> Option<u64> {
     }
 }
 
-/// FNV-1a checksum used by the file framing.
+/// The frame checksum of both stores (see the module docs): word-at-a-time
+/// FNV-1a over the LSN, the frame length, the frame's 8-byte words and its
+/// byte remainder.
 fn frame_checksum(lsn: Lsn, frame: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut feed = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    };
-    for b in lsn.raw().to_le_bytes() {
-        feed(b);
+    const PRIME: u64 = 0x100_0000_01b3;
+    let feed = |h: u64, word: u64| (h ^ word).wrapping_mul(PRIME);
+    let mut h = feed(0xcbf2_9ce4_8422_2325, lsn.raw());
+    h = feed(h, frame.len() as u64);
+    let mut words = frame.chunks_exact(8);
+    for w in words.by_ref() {
+        if let Ok(w) = <[u8; 8]>::try_from(w) {
+            h = feed(h, u64::from_le_bytes(w));
+        }
     }
-    for &b in frame {
-        feed(b);
-    }
-    h
+    words
+        .remainder()
+        .iter()
+        .fold(h, |h, &b| feed(h, u64::from(b)))
 }
 
 /// File-backed log store: frames appended to a single file as
@@ -465,6 +480,81 @@ mod tests {
         assert_eq!(all.len(), 2, "scan stops before the corrupt frame");
         assert_eq!(all.last().unwrap().0, Lsn(2));
         assert!(s.frames_from(Lsn(4)).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn lsns(frames: &[(Lsn, Bytes)]) -> Vec<Lsn> {
+        frames.iter().map(|(l, _)| *l).collect()
+    }
+
+    #[test]
+    fn every_single_bit_flip_is_a_prefix_stop_in_both_stores() {
+        // Three frames of `len` bytes each; every bit of the middle one is
+        // flipped in turn. Lengths 0..=40 cover every sub-word remainder,
+        // with zero to five whole words in front of it.
+        let dir = std::env::temp_dir().join(format!("lob-wal-bitflip-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("bitflip.wal");
+        for len in 0..=40usize {
+            let frames: Vec<(Lsn, Bytes)> = (1..=3u64)
+                .map(|i| {
+                    let body = (0..len).map(|b| (b as u8).wrapping_mul(31) ^ i as u8);
+                    (Lsn(i), Bytes::from(body.collect::<Vec<u8>>()))
+                })
+                .collect();
+            {
+                let mut s = FileLogStore::create(&path).unwrap();
+                assert_eq!(s.append_batch(&frames).appended, 3);
+            }
+            let clean = std::fs::read(&path).unwrap();
+            // Frame 2 starts after frame 1's 20-byte header and body.
+            let frame2 = 20 + len;
+            let file_scan = |image: &[u8]| {
+                std::fs::write(&path, image).unwrap();
+                lsns(
+                    &FileLogStore::open(&path)
+                        .unwrap()
+                        .frames_from(Lsn::NULL)
+                        .unwrap(),
+                )
+            };
+            assert_eq!(file_scan(&clean), vec![Lsn(1), Lsn(2), Lsn(3)]);
+            for bit in 0..len * 8 {
+                let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
+                let mut mem = MemLogStore::new();
+                assert_eq!(mem.append_batch(&frames).appended, 3);
+                let mut rotten = frames[1].1.to_vec();
+                rotten[byte] ^= mask;
+                mem.frames[1].1 = Bytes::from(rotten);
+                assert_eq!(
+                    lsns(&mem.frames_from(Lsn::NULL).unwrap()),
+                    vec![Lsn(1)],
+                    "mem store, len {len}, bit {bit}"
+                );
+                let mut image = clean.clone();
+                image[frame2 + 20 + byte] ^= mask;
+                assert_eq!(
+                    file_scan(&image),
+                    vec![Lsn(1)],
+                    "file store, len {len}, bit {bit}"
+                );
+            }
+            // The header's checksum and LSN words are covered too.
+            for bit in 32..160 {
+                let mut image = clean.clone();
+                image[frame2 + bit / 8] ^= 1u8 << (bit % 8);
+                assert_eq!(
+                    file_scan(&image),
+                    vec![Lsn(1)],
+                    "file header, len {len}, bit {bit}"
+                );
+            }
+            // Even an empty frame can rot: `corrupt_frame` grows it.
+            let mut mem = MemLogStore::new();
+            mem.append_batch(&frames);
+            assert_eq!(mem.corrupt_frame(1), Some(Lsn(2)));
+            assert_eq!(lsns(&mem.frames_from(Lsn::NULL).unwrap()), vec![Lsn(1)]);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
