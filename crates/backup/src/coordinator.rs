@@ -106,10 +106,7 @@ impl BackupCoordinator {
 
     /// Install (or clear) the fault hook consulted before backup copies.
     pub fn set_fault_hook(&self, hook: Option<FaultHook>) {
-        let mut g = self.hook.lock();
-        let _w = lob_pagestore::witness::hold("backup/coordinator.hook");
-        lob_pagestore::witness::access("BackupCoordinator.hook");
-        *g = hook;
+        *self.hook.lock() = hook;
     }
 
     /// Whether a fault hook is installed. Batched sweeps check this once
@@ -117,20 +114,12 @@ impl BackupCoordinator {
     /// anyway, so the per-page hook-lock round-trip can be skipped without
     /// changing behavior.
     pub fn has_fault_hook(&self) -> bool {
-        let g = self.hook.lock();
-        let _w = lob_pagestore::witness::hold("backup/coordinator.hook");
-        lob_pagestore::witness::access("BackupCoordinator.hook");
-        g.is_some()
+        self.hook.lock().is_some()
     }
 
     /// Consult the fault hook (Proceed when none is installed).
     pub fn consult_fault(&self, ev: IoEvent, page: Option<PageId>) -> FaultVerdict {
-        let hook = {
-            let g = self.hook.lock();
-            let _w = lob_pagestore::witness::hold("backup/coordinator.hook");
-            lob_pagestore::witness::access("BackupCoordinator.hook");
-            g.clone()
-        };
+        let hook = self.hook.lock().clone();
         match hook {
             Some(h) => h(ev, page),
             None => FaultVerdict::Proceed,
@@ -231,37 +220,25 @@ impl BackupCoordinator {
     /// Record that a page's value in `S` changed (a flush). Feeds the
     /// changed-page set incremental backups copy.
     pub fn note_flushed(&self, page: PageId) {
-        let mut g = self.changed.lock();
-        let _w = lob_pagestore::witness::hold("backup/coordinator.changed");
-        lob_pagestore::witness::access("BackupCoordinator.changed");
-        g.insert(page);
+        self.changed.lock().insert(page);
     }
 
     /// Take (and clear) the changed-page set at the start of an incremental
     /// backup. Pages flushed *after* this point are recorded for the *next*
     /// incremental backup; the in-flight one covers them via the media log.
     pub fn take_changed(&self) -> HashSet<PageId> {
-        let mut g = self.changed.lock();
-        let _w = lob_pagestore::witness::hold("backup/coordinator.changed");
-        lob_pagestore::witness::access("BackupCoordinator.changed");
-        std::mem::take(&mut *g)
+        std::mem::take(&mut *self.changed.lock())
     }
 
     /// Merge a changed-page set back (an incremental backup was aborted, so
     /// its pages are still "changed since the last completed backup").
     pub fn restore_changed(&self, pages: HashSet<PageId>) {
-        let mut g = self.changed.lock();
-        let _w = lob_pagestore::witness::hold("backup/coordinator.changed");
-        lob_pagestore::witness::access("BackupCoordinator.changed");
-        g.extend(pages);
+        self.changed.lock().extend(pages);
     }
 
     /// Number of pages currently marked changed.
     pub fn changed_count(&self) -> usize {
-        let g = self.changed.lock();
-        let _w = lob_pagestore::witness::hold("backup/coordinator.changed");
-        lob_pagestore::witness::access("BackupCoordinator.changed");
-        g.len()
+        self.changed.lock().len()
     }
 
     /// Decision statistics.

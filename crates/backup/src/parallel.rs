@@ -63,24 +63,27 @@ impl ParallelSweep {
             for mut run in runs {
                 let domain = run.domain();
                 let backup_id = run.backup_id();
+                let witness = lob_pagestore::witness::current();
                 let handle = s.spawn(move || {
-                    let mut batches = 0u64;
-                    let outcome = loop {
-                        batches += 1;
-                        match run.step_batch(coordinator, store, batch) {
-                            Ok(true) => break Ok(()),
-                            Ok(false) => {}
-                            Err(e) => break Err(e),
+                    lob_pagestore::witness::within(witness, || {
+                        let mut batches = 0u64;
+                        let outcome = loop {
+                            batches += 1;
+                            match run.step_batch(coordinator, store, batch) {
+                                Ok(true) => break Ok(()),
+                                Ok(false) => {}
+                                Err(e) => break Err(e),
+                            }
+                        };
+                        WorkerReport {
+                            domain,
+                            backup_id,
+                            pages_copied: run.pages_copied(),
+                            batches,
+                            outcome,
+                            run: Some(run),
                         }
-                    };
-                    WorkerReport {
-                        domain,
-                        backup_id,
-                        pages_copied: run.pages_copied(),
-                        batches,
-                        outcome,
-                        run: Some(run),
-                    }
+                    })
                 });
                 handles.push((domain, backup_id, handle));
             }

@@ -72,8 +72,6 @@ impl ProgressTracker {
     /// tracked); everything above is pending.
     pub fn begin(&self, backup_id: u64, first_boundary: u64) {
         let mut s = self.state.write();
-        let _w = lob_pagestore::witness::hold("backup/tracker.state");
-        lob_pagestore::witness::access("ProgressTracker.state");
         s.active = true;
         s.backup_id = backup_id;
         s.d = 0;
@@ -85,8 +83,6 @@ impl ProgressTracker {
     // lint: durability(CursorAdvance requires BackupCopy)
     pub fn advance(&self, next_boundary: u64) {
         let mut s = self.state.write();
-        let _w = lob_pagestore::witness::hold("backup/tracker.state");
-        lob_pagestore::witness::access("ProgressTracker.state");
         debug_assert!(s.active, "advance on inactive tracker");
         debug_assert!(next_boundary >= s.p, "boundaries must not regress");
         s.d = s.p;
@@ -97,8 +93,6 @@ impl ProgressTracker {
     /// ("Between backups, we set D = P = Min").
     pub fn finish(&self) {
         let mut s = self.state.write();
-        let _w = lob_pagestore::witness::hold("backup/tracker.state");
-        lob_pagestore::witness::access("ProgressTracker.state");
         s.active = false;
         s.d = 0;
         s.p = 0;
@@ -107,26 +101,20 @@ impl ProgressTracker {
     /// Take the backup latch in share mode. The returned guard pins `D` and
     /// `P` for the duration of the flush.
     pub fn latch(&self) -> TrackerGuard<'_> {
-        let guard = self.state.read();
-        let w = lob_pagestore::witness::hold("backup/tracker.state");
-        lob_pagestore::witness::access("ProgressTracker.state");
-        TrackerGuard { guard, _w: w }
+        TrackerGuard {
+            guard: self.state.read(),
+        }
     }
 
     /// Whether a backup is currently active (unlatched peek; use
     /// [`latch`](Self::latch) on the flush path).
     pub fn is_active(&self) -> bool {
-        let s = self.state.read();
-        let _w = lob_pagestore::witness::hold("backup/tracker.state");
-        lob_pagestore::witness::access("ProgressTracker.state");
-        s.active
+        self.state.read().active
     }
 
     /// Current backup id, if active.
     pub fn backup_id(&self) -> Option<u64> {
         let s = self.state.read();
-        let _w = lob_pagestore::witness::hold("backup/tracker.state");
-        lob_pagestore::witness::access("ProgressTracker.state");
         s.active.then_some(s.backup_id)
     }
 }
@@ -141,8 +129,6 @@ impl Default for ProgressTracker {
 /// this guard lives.
 pub struct TrackerGuard<'a> {
     guard: RwLockReadGuard<'a, TrackerState>,
-    /// Keeps the witness's held-lock record alive as long as the latch.
-    _w: lob_pagestore::witness::Held,
 }
 
 impl TrackerGuard<'_> {

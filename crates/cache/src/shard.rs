@@ -72,19 +72,13 @@ impl ShardedCache {
     /// Lock the shard owning `id`. The error arm is unreachable
     /// (construction guarantees at least one shard and the index is
     /// reduced mod the length) but kept typed: no panics on this path.
-    fn lock_shard(
-        &self,
-        id: PageId,
-    ) -> Result<(MutexGuard<'_, CacheManager>, lob_pagestore::witness::Held), CacheError> {
+    fn lock_shard(&self, id: PageId) -> Result<MutexGuard<'_, CacheManager>, CacheError> {
         let idx = (Self::hash(id) as usize) % self.shards.len().max(1);
-        let guard = self
+        Ok(self
             .shards
             .get(idx)
             .ok_or(CacheError::NotResident(id))?
-            .lock();
-        let held = lob_pagestore::witness::hold("cache/shard.shards");
-        lob_pagestore::witness::access("ShardedCache.shards");
-        Ok((guard, held))
+            .lock())
     }
 
     /// Install (or clear) the fault hook on every shard.
@@ -96,37 +90,33 @@ impl ShardedCache {
 
     /// Current value of a page, fetching from `S` on a miss.
     pub fn get(&self, id: PageId, store: &StableStore) -> Result<Page, CacheError> {
-        let (mut c, _h) = self.lock_shard(id)?;
+        let mut c = self.lock_shard(id)?;
         c.get(id, store)
     }
 
     /// The pageLSN of a page (fetching on miss).
     pub fn page_lsn(&self, id: PageId, store: &StableStore) -> Result<Lsn, CacheError> {
-        let (mut c, _h) = self.lock_shard(id)?;
+        let mut c = self.lock_shard(id)?;
         c.page_lsn(id, store)
     }
 
     /// Install an operation's result for one page (dirty, rLSN pinned at
     /// the first dirtying operation).
     pub fn put_dirty(&self, id: PageId, page: Page) -> Result<(), CacheError> {
-        let (mut c, _h) = self.lock_shard(id)?;
+        let mut c = self.lock_shard(id)?;
         c.put_dirty(id, page);
         Ok(())
     }
 
     /// Whether a page is resident and dirty.
     pub fn is_dirty(&self, id: PageId) -> bool {
-        self.lock_shard(id)
-            .map(|(c, _h)| c.is_dirty(id))
-            .unwrap_or(false)
+        self.lock_shard(id).map(|c| c.is_dirty(id)).unwrap_or(false)
     }
 
     /// The cached value of a resident page (owned — the shard lock is
     /// released before returning).
     pub fn peek(&self, id: PageId) -> Option<Page> {
-        self.lock_shard(id)
-            .ok()
-            .and_then(|(c, _h)| c.peek(id).cloned())
+        self.lock_shard(id).ok().and_then(|c| c.peek(id).cloned())
     }
 
     /// Write pages to `S` in one atomic-validated set: phase one checks
@@ -140,7 +130,7 @@ impl ShardedCache {
         durable: Lsn,
     ) -> Result<(), CacheError> {
         for &id in ids {
-            let (c, _h) = self.lock_shard(id)?;
+            let c = self.lock_shard(id)?;
             c.validate_flush(id, durable)?;
         }
         // Ordering witness: after validation, before any install — a call
@@ -149,7 +139,7 @@ impl ShardedCache {
             lob_pagestore::witness::io_order("PageFlush");
         }
         for &id in ids {
-            let (mut c, _h) = self.lock_shard(id)?;
+            let mut c = self.lock_shard(id)?;
             c.flush_validated(id, store)?;
         }
         Ok(())
@@ -195,7 +185,7 @@ impl ShardedCache {
 
     /// Advance a dirty page's rLSN (never regresses).
     pub fn advance_rlsn(&self, id: PageId, to: Lsn) {
-        if let Ok((mut c, _h)) = self.lock_shard(id) {
+        if let Ok(mut c) = self.lock_shard(id) {
             c.advance_rlsn(id, to);
         }
     }

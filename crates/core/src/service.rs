@@ -31,7 +31,7 @@
 //! (cache shards, store partitions, the coordinator's changed-set and
 //! hook mutexes) are acquired one at a time with nothing taken inside
 //! them. The static lock-order pass checks the aliased prefix of this
-//! chain stays acyclic; the dynamic lock-set witness checks the rest.
+//! chain stays acyclic.
 //!
 //! ## Scope
 //!
@@ -50,7 +50,7 @@ use bytes::Bytes;
 use lob_backup::{BackupCoordinator, BackupImage, BackupRun, DomainId, RunConfig, SuccessorTable};
 use lob_cache::ShardedCache;
 use lob_ops::{OpBody, OpError, PageReader};
-use lob_pagestore::{witness, Lsn, Page, PageId, PartitionId, StableStore};
+use lob_pagestore::{Lsn, Page, PageId, PartitionId, StableStore};
 use lob_recovery::{parallel_redo_scan, NodeId, RedoOutcome, WriteGraph};
 use lob_wal::{FileLogStore, GroupCommitLog, LogManager, RecordBody};
 use parking_lot::{Mutex, MutexGuard};
@@ -248,25 +248,16 @@ impl EngineService {
         self.log.with_manager(|m| m.stats().clone())
     }
 
-    fn lock_domain(
-        &self,
-        d: DomainId,
-    ) -> Result<(MutexGuard<'_, DomainState>, witness::Held), EngineError> {
-        let guard = self
+    fn lock_domain(&self, d: DomainId) -> Result<MutexGuard<'_, DomainState>, EngineError> {
+        Ok(self
             .domains
             .get(d.0 as usize)
             .ok_or_else(|| EngineError::Discipline(format!("no such backup domain {d:?}")))?
-            .lock();
-        let held = witness::hold("core/service.domains");
-        witness::access("EngineService.domains");
-        Ok((guard, held))
+            .lock())
     }
 
-    fn lock_meta(&self) -> (MutexGuard<'_, ServiceMeta>, witness::Held) {
-        let guard = self.meta.lock();
-        let held = witness::hold("core/service.meta");
-        witness::access("EngineService.meta");
-        (guard, held)
+    fn lock_meta(&self) -> MutexGuard<'_, ServiceMeta> {
+        self.meta.lock()
     }
 
     /// The group-commit force: named so the static lock-order pass can
@@ -309,7 +300,7 @@ impl EngineService {
     pub fn execute(&self, body: OpBody) -> Result<Lsn, EngineError> {
         body.validate()?;
         let domain = self.check_discipline(&body)?;
-        let (mut dom, _held) = self.lock_domain(domain)?;
+        let mut dom = self.lock_domain(domain)?;
         // Evaluate first (no state change on failure).
         let outputs = {
             let mut reader = ShardReader {
@@ -357,7 +348,7 @@ impl EngineService {
             .store
             .page_count(partition)
             .map_err(EngineError::Store)?;
-        let (mut dom, _held) = self.lock_domain(domain)?;
+        let mut dom = self.lock_domain(domain)?;
         let next = dom.next_free.get_mut(&partition).ok_or(EngineError::Store(
             lob_pagestore::StoreError::NoSuchPartition(partition),
         ))?;
@@ -379,7 +370,7 @@ impl EngineService {
         let Some(domain) = self.coordinator.domain_of(partition) else {
             return Ok(());
         };
-        let (mut dom, _held) = self.lock_domain(domain)?;
+        let mut dom = self.lock_domain(domain)?;
         if let Some(n) = dom.next_free.get_mut(&partition) {
             *n = (*n).max(upto);
         }
@@ -492,7 +483,7 @@ impl EngineService {
                 "page {page} is outside every backup-order domain"
             )));
         };
-        let (mut dom, _held) = self.lock_domain(domain)?;
+        let mut dom = self.lock_domain(domain)?;
         let Some(node) = dom.graph.node_of(page) else {
             if self.cache.is_dirty(page) {
                 return Err(EngineError::Internal(format!(
@@ -511,7 +502,7 @@ impl EngineService {
     /// Drain one domain's write graph (flush every dirty page of the
     /// domain in write-graph order).
     pub fn flush_domain(&self, domain: DomainId) -> Result<(), EngineError> {
-        let (mut dom, _held) = self.lock_domain(domain)?;
+        let mut dom = self.lock_domain(domain)?;
         loop {
             let frontier = dom.graph.frontier();
             if frontier.is_empty() {
@@ -584,7 +575,7 @@ impl EngineService {
     /// Install (or clear) a fault hook on every I/O site the service owns
     /// or shares (store, log, cache shards, coordinator).
     pub fn install_fault_hook(&self, hook: Option<lob_pagestore::FaultHook>) {
-        let (mut meta, _held) = self.lock_meta();
+        let mut meta = self.lock_meta();
         self.store.set_fault_hook(hook.clone());
         self.log.set_fault_hook(hook.clone());
         self.cache.set_fault_hook(hook.clone());
@@ -598,7 +589,7 @@ impl EngineService {
     /// finish against pre-crash state or surface typed errors; call
     /// [`EngineService::recover`] next.
     pub fn crash(&self) {
-        let (mut meta, _held) = self.lock_meta();
+        let mut meta = self.lock_meta();
         let mut doms: Vec<MutexGuard<'_, DomainState>> =
             self.domains.iter().map(|m| m.lock()).collect();
         for dom in doms.iter_mut() {
@@ -616,7 +607,7 @@ impl EngineService {
     /// [`EngineConfig::recovery`]. Takes every lock — sessions resume
     /// after.
     pub fn recover(&self) -> Result<RedoOutcome, EngineError> {
-        let (_meta, _held) = self.lock_meta();
+        let _meta = self.lock_meta();
         let mut doms: Vec<MutexGuard<'_, DomainState>> =
             self.domains.iter().map(|m| m.lock()).collect();
         let records = self.log.scan_from(self.log.truncation())?;
@@ -705,7 +696,7 @@ impl EngineService {
     /// run is driven with [`EngineService::backup_step_batch`] — from this
     /// or any other thread — while sessions keep executing.
     pub fn begin_backup_of(&self, domain: DomainId, steps: u32) -> Result<BackupRun, EngineError> {
-        let (mut meta, _held) = self.lock_meta();
+        let mut meta = self.lock_meta();
         let changed = self.take_domain_changed(domain);
         let backup_id = meta.next_backup_id;
         let start_lsn = self.redo_scan_start()?;
@@ -742,7 +733,7 @@ impl EngineService {
     /// image. The image's log suffix stays retained until
     /// [`EngineService::release_backup`].
     pub fn complete_backup(&self, run: BackupRun) -> Result<BackupImage, EngineError> {
-        let (mut meta, _held) = self.lock_meta();
+        let mut meta = self.lock_meta();
         let backup_id = run.backup_id();
         let mut image = run.into_image()?;
         self.log.append_record(RecordBody::BackupEnd { backup_id });
@@ -758,7 +749,7 @@ impl EngineService {
     /// Abort an in-flight backup run: tracker deactivates, the log suffix
     /// is released, the changed-page set merges back.
     pub fn abort_backup(&self, run: BackupRun) {
-        let (mut meta, _held) = self.lock_meta();
+        let mut meta = self.lock_meta();
         let backup_id = run.backup_id();
         run.abort(&self.coordinator);
         if let Some(i) = meta
@@ -776,7 +767,7 @@ impl EngineService {
     /// Release a completed backup's retained log suffix (it is superseded
     /// by a newer backup, or discarded).
     pub fn release_backup(&self, backup_id: u64) {
-        let (mut meta, _held) = self.lock_meta();
+        let mut meta = self.lock_meta();
         meta.retained.retain(|&(id, _)| id != backup_id);
         self.refresh_media_barrier(&meta);
     }

@@ -9,8 +9,11 @@
 //! A plan is used in two passes. First a [`FaultKind::CountOnly`] pass runs
 //! the workload to completion and records the total event count; then the
 //! harness re-runs the identical workload once per chosen index with a real
-//! fault armed, recovers, and verifies against the shadow oracle.
+//! fault armed, recovers, and verifies against the shadow oracle. Every
+//! drill runner runs each case through `witnessed`, so the ordering
+//! witness watches it too.
 
+use lob_pagestore::witness::Witness;
 use lob_pagestore::{FaultHook, FaultVerdict, IoEvent, PageId};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -224,6 +227,30 @@ pub fn sample_indices(total: u64, max_points: usize) -> Vec<u64> {
     out
 }
 
+/// Run one drill case under a fresh ordering witness
+/// ([`lob_pagestore::witness`]) and hand the witness back with the case's
+/// result. A consumer I/O event observed before its required generator
+/// fails the case, even if it byte-verified.
+pub(crate) fn witnessed<T>(
+    case: impl FnOnce() -> Result<T, String>,
+) -> Result<(T, Witness), String> {
+    let witness = Witness::new();
+    let res = witness.run(case);
+    let violations = witness.take_violations();
+    if violations.is_empty() {
+        return res.map(|r| (r, witness));
+    }
+    let tail = match &res {
+        Err(e) => format!(" (case also failed: {e})"),
+        Ok(_) => String::new(),
+    };
+    Err(format!(
+        "ordering witness flagged {} event(s): {}{tail}",
+        violations.len(),
+        violations.join("; ")
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +333,27 @@ mod tests {
         assert_eq!(hook(IoEvent::PageRead, Some(p)), FaultVerdict::Proceed);
         assert_eq!(hook(IoEvent::PageRead, Some(p)), FaultVerdict::Proceed);
         assert!(plan.fired());
+    }
+
+    #[test]
+    fn witnessed_fails_a_case_on_an_ordering_violation() {
+        use lob_pagestore::witness::io_order;
+        let err = witnessed(|| {
+            io_order("PageWrite");
+            Ok(())
+        })
+        .unwrap_err();
+        assert!(
+            err.contains("`PageWrite` observed before any `LogForce`"),
+            "{err}"
+        );
+        let ((), witness) = witnessed(|| {
+            io_order("LogForce");
+            io_order("PageWrite");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(witness.events(), 2);
     }
 
     #[test]

@@ -31,12 +31,11 @@
 //!    engine left degraded mode intact, and the stable database must
 //!    byte-match the shadow oracle at the surviving history.
 //!
-//! Every case runs with the Eraser-style lock-set witness and the
-//! I/O-ordering witness ([`lob_pagestore::witness`]) armed: an instant
-//! segment install observed before the segment's archive fetch fails the
-//! case even if it byte-verified.
+//! Every case runs under its own ordering witness
+//! ([`lob_pagestore::witness`]): an instant segment install observed before
+//! the segment's archive fetch fails the case even if it byte-verified.
 
-use crate::fault::{sample_indices, FaultKind, FaultPlan};
+use crate::fault::{sample_indices, witnessed, FaultKind, FaultPlan};
 use crate::reference::{diff_stores, reference_replay};
 use crate::shadow::ShadowOracle;
 use crate::workload::WorkloadGen;
@@ -45,6 +44,7 @@ use lob_core::{
     BackupPolicy, Discipline, Engine, EngineConfig, GraphMode, LogBacking, Lsn, OpBody, PageId,
     PartitionId, PartitionSpec, Tracking,
 };
+use lob_pagestore::witness::Witness;
 use lob_pagestore::IoEvent;
 
 /// The epoch-close witness: flush everything (so `S` sits at its pageLSN
@@ -133,8 +133,8 @@ pub struct InstantCaseResult {
     pub fired_event: Option<(u64, IoEvent)>,
     /// Total I/O events the session consulted.
     pub events_seen: u64,
-    /// Access events the lock-set witness recorded during the case.
-    pub witness_events: u64,
+    /// The case's ordering witness, with the events it observed.
+    pub witness: Witness,
     /// How the case ended.
     pub path: InstantPath,
     /// Reboot re-entries (`recover_instant` calls that started an epoch).
@@ -290,38 +290,11 @@ impl InstantDrillRunner {
 
     /// Run one case with `kind` armed. See the module docs for the phases.
     ///
-    /// Both witnesses ([`lob_pagestore::witness`]) are armed for the
-    /// duration: an emptied candidate lock-set or a segment install
+    /// The case runs under its own ordering witness: a segment install
     /// observed before its archive fetch fails the case outright.
     pub fn run_case(&self, kind: FaultKind) -> Result<InstantCaseResult, String> {
-        lob_pagestore::witness::arm();
-        let res = self.run_case_inner(kind);
-        let events = lob_pagestore::witness::events();
-        let violations = lob_pagestore::witness::take_violations();
-        let order_violations = lob_pagestore::witness::take_order_violations();
-        lob_pagestore::witness::disarm();
-        let tail = match &res {
-            Err(e) => format!(" (case also failed: {e})"),
-            Ok(_) => String::new(),
-        };
-        if !violations.is_empty() {
-            return Err(format!(
-                "lock witness flagged {} site(s): {}{tail}",
-                violations.len(),
-                violations.join("; ")
-            ));
-        }
-        if !order_violations.is_empty() {
-            return Err(format!(
-                "ordering witness flagged {} event(s): {}{tail}",
-                order_violations.len(),
-                order_violations.join("; ")
-            ));
-        }
-        res.map(|mut case| {
-            case.witness_events = events;
-            case
-        })
+        let (case, witness) = witnessed(|| self.run_case_inner(kind))?;
+        Ok(InstantCaseResult { witness, ..case })
     }
 
     fn run_case_inner(&self, kind: FaultKind) -> Result<InstantCaseResult, String> {
@@ -459,7 +432,7 @@ impl InstantDrillRunner {
             fired: plan.fired(),
             fired_event: plan.fired_event(),
             events_seen: plan.events_seen(),
-            witness_events: 0,
+            witness: Witness::new(), // replaced by `run_case`
             path: if killed {
                 InstantPath::Killed
             } else {
@@ -528,24 +501,6 @@ mod tests {
     use bytes::Bytes;
     use lob_core::Page;
 
-    /// Keeps the witness armed for a test that drives an engine outside
-    /// `run_case`: arming is depth-counted, so no concurrently starting
-    /// case resets the registry under this test's I/O events.
-    struct Armed;
-
-    impl Armed {
-        fn new() -> Armed {
-            lob_pagestore::witness::arm();
-            Armed
-        }
-    }
-
-    impl Drop for Armed {
-        fn drop(&mut self) {
-            lob_pagestore::witness::disarm();
-        }
-    }
-
     /// The drill's engine just before the epoch: an archived full backup,
     /// a logged tail past it, and every partition failed.
     fn engine_after_total_media_loss(seed: u64) -> Engine {
@@ -568,7 +523,6 @@ mod tests {
 
     #[test]
     fn epoch_close_witness_catches_an_altered_page() {
-        let _armed = Armed::new();
         let mut engine = engine_after_total_media_loss(5);
         engine.begin_instant_restore().unwrap();
         engine.instant_restore_drain().unwrap();
@@ -589,7 +543,6 @@ mod tests {
 
     #[test]
     fn mid_restore_kill_reenters_and_byte_verifies() {
-        let _armed = Armed::new();
         let mut engine = engine_after_total_media_loss(9);
         // The first segment install dies mid-epoch: the commit point
         // (clearing the failure flag) was never reached.

@@ -28,7 +28,7 @@
 //!   interleaver of multi-session scripts over the concurrent
 //!   [`lob_core::EngineService`]; and [`SessionDrillRunner`]: threaded
 //!   session races with live backup sweeps, optional crash injection
-//!   inside the group-commit force, armed dynamic witnesses, and
+//!   inside the group-commit force, the run's ordering witness, and
 //!   LSN-merged shadow-oracle verification.
 //! * [`torture`] — [`TortureRunner`]: the crash-point torture harness —
 //!   re-run a seeded workload crashing at every (or a sampled set of) I/O

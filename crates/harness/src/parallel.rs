@@ -20,12 +20,12 @@
 //!   and the **fuzzy parallel images themselves** restore the store after
 //!   total media loss — combine, restore, roll forward, byte-verify.
 //!
-//! Every case additionally runs with the Eraser-style lock-set witness
-//! ([`lob_pagestore::witness`]) armed: instrumented shared-state accesses in
-//! the store, coordinator, tracker, and group-replay paths must keep a
-//! non-empty candidate lock-set, or the case fails even if it byte-verified.
+//! Every case additionally runs under its own ordering witness
+//! ([`lob_pagestore::witness`]), carried into every sweep worker: an install
+//! before any log force, or a cursor advance before its copy, fails the case
+//! even if it byte-verified.
 
-use crate::fault::{sample_indices, FaultKind, FaultPlan};
+use crate::fault::{sample_indices, witnessed, FaultKind, FaultPlan};
 use crate::reference::{recover_checked, restore_checked};
 use crate::shadow::ShadowOracle;
 use crate::workload::WorkloadGen;
@@ -33,6 +33,7 @@ use lob_core::{
     BackupImage, BackupPolicy, BackupRun, Discipline, DomainId, Engine, EngineConfig, EngineError,
     GraphMode, LogBacking, Lsn, PageId, PartitionId, PartitionSpec, Tracking,
 };
+use lob_pagestore::witness::{self, Witness};
 use lob_pagestore::IoEvent;
 use std::sync::Arc;
 use std::thread;
@@ -91,9 +92,8 @@ pub enum DrillPath {
 pub struct ParallelCaseResult {
     /// Whether the armed fault fired.
     pub fired: bool,
-    /// Access events the lock-set witness recorded during the case (zero
-    /// only if the witness was compiled out).
-    pub witness_events: u64,
+    /// The case's ordering witness, with the events it observed.
+    pub witness: Witness,
     /// `(event index, event kind)` the fault fired at (racy across runs:
     /// the index is global over all threads' consults).
     pub fired_event: Option<(u64, IoEvent)>,
@@ -204,44 +204,12 @@ impl ParallelDrillRunner {
     /// spawn one worker thread per run, race the writer against them on
     /// this thread, then classify whatever surfaced and verify recovery.
     ///
-    /// The Eraser-style lock-set witness ([`lob_pagestore::witness`]) is
-    /// armed for the duration of the case: any instrumented shared site
-    /// whose candidate lock-set goes empty fails the case, fault or no
-    /// fault — and so is the ordering witness
-    /// ([`lob_pagestore::witness::ORDER_CONTRACTS`]): a consumer I/O event
-    /// observed before its required generator fails the case the same way.
-    /// Concurrent cases in one process share the global registry — arming
-    /// is depth-counted, so an overlapping case never resets the seen-set
-    /// mid-flight, and every instrumented access pairs with its hold.
+    /// The case runs under its own ordering witness, carried into every
+    /// worker: a consumer I/O event observed before its required generator
+    /// fails the case, fault or no fault.
     pub fn run_case(&self, kind: FaultKind) -> Result<ParallelCaseResult, String> {
-        lob_pagestore::witness::arm();
-        let res = self.run_case_inner(kind);
-        let events = lob_pagestore::witness::events();
-        let violations = lob_pagestore::witness::take_violations();
-        let order_violations = lob_pagestore::witness::take_order_violations();
-        lob_pagestore::witness::disarm();
-        let tail = match &res {
-            Err(e) => format!(" (case also failed: {e})"),
-            Ok(_) => String::new(),
-        };
-        if !violations.is_empty() {
-            return Err(format!(
-                "lock witness flagged {} site(s): {}{tail}",
-                violations.len(),
-                violations.join("; ")
-            ));
-        }
-        if !order_violations.is_empty() {
-            return Err(format!(
-                "ordering witness flagged {} event(s): {}{tail}",
-                order_violations.len(),
-                order_violations.join("; ")
-            ));
-        }
-        res.map(|mut case| {
-            case.witness_events = events;
-            case
-        })
+        let (case, witness) = witnessed(|| self.run_case_inner(kind))?;
+        Ok(ParallelCaseResult { witness, ..case })
     }
 
     fn run_case_inner(&self, kind: FaultKind) -> Result<ParallelCaseResult, String> {
@@ -284,15 +252,18 @@ impl ParallelDrillRunner {
         for mut run in runs {
             let c = Arc::clone(&coordinator);
             let s = Arc::clone(&store);
+            let w = witness::current();
             handles.push(thread::spawn(move || {
-                let res = loop {
-                    match run.step_batch(&c, &s, batch) {
-                        Ok(true) => break Ok(()),
-                        Ok(false) => {}
-                        Err(e) => break Err(e),
-                    }
-                };
-                (run, res)
+                witness::within(w, || {
+                    let res = loop {
+                        match run.step_batch(&c, &s, batch) {
+                            Ok(true) => break Ok(()),
+                            Ok(false) => {}
+                            Err(e) => break Err(e),
+                        }
+                    };
+                    (run, res)
+                })
             }));
         }
 
@@ -384,7 +355,7 @@ impl ParallelDrillRunner {
         let result = |path| ParallelCaseResult {
             fired: plan.fired(),
             fired_event: plan.fired_event(),
-            witness_events: 0,
+            witness: Witness::new(), // replaced by `run_case`
             path,
             workers: 0,
             worker_errors,

@@ -14,20 +14,21 @@
 //!   drive partition-confined sessions against one shared service while an
 //!   optional backup sweep runs rounds of the paper's on-line protocol
 //!   over domain 0 and (optionally) a crash is injected *inside the
-//!   group-commit force* via the fault hook. Both dynamic witnesses
-//!   ([`lob_pagestore::witness`]) are armed for the duration, and the
-//!   surviving database is byte-verified against a [`ShadowOracle`] built
+//!   group-commit force* via the fault hook. The run's own ordering
+//!   witness ([`lob_pagestore::witness`]) is carried into every thread, and
+//!   the surviving database is byte-verified against a [`ShadowOracle`] built
 //!   from the per-session operation logs merged in LSN order — operations
 //!   in different domains touch disjoint pages (the service's confinement
 //!   rule), and same-domain operations are LSN-ordered by the domain lock,
 //!   so the merged log is a faithful serial history.
 
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::{witnessed, FaultKind, FaultPlan};
 use crate::shadow::ShadowOracle;
 use crate::workload::WorkloadGen;
 use lob_core::{
     DomainId, EngineConfig, EngineService, FlushPolicy, Lsn, OpBody, PageId, PartitionId, Tracking,
 };
+use lob_pagestore::witness::{self, Witness};
 use lob_pagestore::{IoEvent, PartitionSpec};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -212,12 +213,12 @@ pub struct SessionDrillReport {
     pub backups_completed: u32,
     /// Pages those sweeps copied.
     pub backup_pages: u64,
-    /// Dynamic-witness events observed while armed.
-    pub witness_events: u64,
+    /// The run's ordering witness, with the events it observed.
+    pub witness: Witness,
 }
 
-/// Runs threaded multi-session races against one [`EngineService`], with
-/// both dynamic witnesses armed and every run byte-verified against the
+/// Runs threaded multi-session races against one [`EngineService`], under
+/// the ordering witness and with every run byte-verified against the
 /// shadow oracle. See the module docs.
 pub struct SessionDrillRunner {
     cfg: SessionDrillConfig,
@@ -391,12 +392,18 @@ impl SessionDrillRunner {
             for t in 0..cfg.sessions {
                 let svc = &svc;
                 let stop = &stop;
-                handles.push(scope.spawn(move || Self::session_work(cfg, svc, t, stop)));
+                let w = witness::current();
+                handles.push(
+                    scope.spawn(move || {
+                        witness::within(w, || Self::session_work(cfg, svc, t, stop))
+                    }),
+                );
             }
             let sweeper = if cfg.sweep_rounds > 0 {
                 let svc = &svc;
                 let stop = &stop;
-                Some(scope.spawn(move || Self::sweep_work(cfg, svc, stop)))
+                let w = witness::current();
+                Some(scope.spawn(move || witness::within(w, || Self::sweep_work(cfg, svc, stop))))
             } else {
                 None
             };
@@ -461,42 +468,16 @@ impl SessionDrillRunner {
             verified_prefix: prefix,
             backups_completed: sweep_outcome.0,
             backup_pages: sweep_outcome.1,
-            witness_events: 0,
+            witness: Witness::new(), // replaced by `run`
         })
     }
 
-    /// Run the drill with both dynamic witnesses armed: an emptied
-    /// candidate lock-set or a misordered durability event fails the run
-    /// outright, even if the data verification would have passed.
+    /// Run the drill under its own ordering witness: a misordered
+    /// durability event fails the run outright, even if the data
+    /// verification would have passed.
     pub fn run(&self) -> Result<SessionDrillReport, String> {
-        lob_pagestore::witness::arm();
-        let res = self.run_inner();
-        let events = lob_pagestore::witness::events();
-        let violations = lob_pagestore::witness::take_violations();
-        let order_violations = lob_pagestore::witness::take_order_violations();
-        lob_pagestore::witness::disarm();
-        let tail = match &res {
-            Err(e) => format!(" (drill also failed: {e})"),
-            Ok(_) => String::new(),
-        };
-        if !violations.is_empty() {
-            return Err(format!(
-                "lock witness flagged {} site(s): {}{tail}",
-                violations.len(),
-                violations.join("; ")
-            ));
-        }
-        if !order_violations.is_empty() {
-            return Err(format!(
-                "ordering witness flagged {} event(s): {}{tail}",
-                order_violations.len(),
-                order_violations.join("; ")
-            ));
-        }
-        res.map(|mut report| {
-            report.witness_events = events;
-            report
-        })
+        let (report, witness) = witnessed(|| self.run_inner())?;
+        Ok(SessionDrillReport { witness, ..report })
     }
 }
 
@@ -553,7 +534,7 @@ mod tests {
             .unwrap();
         assert_eq!(report.ops_executed, 3 * 64);
         assert!(!report.injected_crash);
-        assert!(report.witness_events > 0, "witness should observe events");
+        assert!(report.witness.events() > 0, "witness should observe events");
     }
 
     #[test]

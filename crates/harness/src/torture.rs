@@ -11,7 +11,7 @@
 //! I/O" is a perfectly reproducible scenario: any divergence found by a
 //! sweep is pinned by `(seed, workload, fault kind, k)` alone.
 
-use crate::fault::{sample_indices, FaultKind, FaultPlan};
+use crate::fault::{sample_indices, witnessed, FaultKind, FaultPlan};
 use crate::reference::{recover_checked, restore_checked};
 use crate::shadow::ShadowOracle;
 use crate::workload::WorkloadGen;
@@ -19,6 +19,7 @@ use lob_core::{
     BackupImage, BackupPolicy, Discipline, Engine, EngineConfig, EngineError, Lsn, PageId,
     PartitionId, RecoveryConfig,
 };
+use lob_pagestore::witness::Witness;
 use lob_pagestore::IoEvent;
 
 /// Which workload shape a torture run drives.
@@ -150,6 +151,8 @@ pub struct CaseResult {
     /// Pages still quarantined when the case ended — zero unless a page was
     /// genuinely unrepairable.
     pub quarantined_after: usize,
+    /// The case's ordering witness, with the events it observed.
+    pub witness: Witness,
 }
 
 /// Aggregated outcome of a sweep.
@@ -427,30 +430,13 @@ impl TortureRunner {
     /// recover, and verify byte-equality with the oracle at the surviving
     /// log prefix.
     ///
-    /// The ordering witness ([`lob_pagestore::witness::ORDER_CONTRACTS`])
-    /// is armed for the duration of the case: any instrumented install,
-    /// flush, backup copy, or cursor advance observed before its required
-    /// generator event fails the case even if it byte-verified. The
-    /// single-threaded torture runner does not assert on the lock-set
-    /// half — that is the parallel drill's job — so lock-set violations
-    /// are left in the registry, not drained here.
+    /// The case runs under its own ordering witness
+    /// ([`lob_pagestore::witness::ORDER_CONTRACTS`]): any instrumented
+    /// install, flush, backup copy, or cursor advance observed before its
+    /// required generator event fails the case even if it byte-verified.
     pub fn run_case(&self, kind: FaultKind) -> Result<CaseResult, String> {
-        lob_pagestore::witness::arm();
-        let res = self.run_case_inner(kind);
-        let order_violations = lob_pagestore::witness::take_order_violations();
-        lob_pagestore::witness::disarm();
-        if !order_violations.is_empty() {
-            let tail = match &res {
-                Err(e) => format!(" (case also failed: {e})"),
-                Ok(_) => String::new(),
-            };
-            return Err(format!(
-                "ordering witness flagged {} event(s): {}{tail}",
-                order_violations.len(),
-                order_violations.join("; ")
-            ));
-        }
-        res
+        let (case, witness) = witnessed(|| self.run_case_inner(kind))?;
+        Ok(CaseResult { witness, ..case })
     }
 
     fn run_case_inner(&self, kind: FaultKind) -> Result<CaseResult, String> {
@@ -469,7 +455,8 @@ impl TortureRunner {
         // base image restores the whole session.
         let image = completed.unwrap_or(base);
 
-        match error {
+        let faulted = error.is_some();
+        let (path, corruption_detected) = match error {
             None => {
                 // The session completed, but a sticky fault may have left a
                 // latent wound: a silently corrupted page or a failed range
@@ -495,15 +482,7 @@ impl TortureRunner {
                 oracle
                     .verify_store(&engine, Lsn::MAX)
                     .map_err(|e| format!("post-session verify diverged: {e}"))?;
-                Ok(CaseResult {
-                    fired: plan.fired(),
-                    fired_event: plan.fired_event(),
-                    path,
-                    corruption_detected,
-                    repairs: engine.stats().repairs,
-                    transient_retries: engine.stats().transient_retries,
-                    quarantined_after: engine.quarantined_pages().len(),
-                })
+                (path, corruption_detected)
             }
             Some(e) if e.is_injected_crash() => {
                 // The process model died at the armed event. Volatile state
@@ -537,15 +516,7 @@ impl TortureRunner {
                 oracle
                     .verify_store(&engine, durable)
                     .map_err(|e| format!("post-crash verify diverged: {e}"))?;
-                Ok(CaseResult {
-                    fired: true,
-                    fired_event: plan.fired_event(),
-                    path,
-                    corruption_detected,
-                    repairs: engine.stats().repairs,
-                    transient_retries: engine.stats().transient_retries,
-                    quarantined_after: engine.quarantined_pages().len(),
-                })
+                (path, corruption_detected)
             }
             Some(e) if is_media_failure(&e) => {
                 // A read hit the failed medium while the process stayed up:
@@ -561,18 +532,20 @@ impl TortureRunner {
                 oracle
                     .verify_store(&engine, Lsn::MAX)
                     .map_err(|e| format!("post-media-failure verify diverged: {e}"))?;
-                Ok(CaseResult {
-                    fired: true,
-                    fired_event: plan.fired_event(),
-                    path: RecoveryPath::MediaRecovery,
-                    corruption_detected: false,
-                    repairs: engine.stats().repairs,
-                    transient_retries: engine.stats().transient_retries,
-                    quarantined_after: engine.quarantined_pages().len(),
-                })
+                (RecoveryPath::MediaRecovery, false)
             }
-            Some(e) => Err(format!("unexpected failure under {kind:?}: {e}")),
-        }
+            Some(e) => return Err(format!("unexpected failure under {kind:?}: {e}")),
+        };
+        Ok(CaseResult {
+            fired: faulted || plan.fired(),
+            fired_event: plan.fired_event(),
+            path,
+            corruption_detected,
+            repairs: engine.stats().repairs,
+            transient_retries: engine.stats().transient_retries,
+            quarantined_after: engine.quarantined_pages().len(),
+            witness: Witness::new(), // replaced by `run_case`
+        })
     }
 
     /// A sweep: count events, sample at most `max_points` indices, and run

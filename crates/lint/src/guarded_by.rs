@@ -10,8 +10,8 @@
 //!   be dominated by that guard) or one of the lock-free contracts
 //!   `immutable` (set at construction, never written), `atomic` (the field
 //!   is atomics all the way down — pass 7 audits the orderings), or
-//!   `unit-local` (owned by exactly one thread at a time; the dynamic
-//!   witness checks this with `access_exclusive`); or
+//!   `unit-local` (owned by exactly one thread at a time, e.g. state
+//!   reached only through `&mut self` of a per-thread value); or
 //! - an **inferred** guard: if every in-file access to the field is
 //!   dominated by the same sibling lock, the pass infers `guarded-by` of
 //!   that lock silently.
@@ -28,9 +28,9 @@
 //! `crates/lint/race_ratchet.tsv` alongside the count of lock-free field
 //! contracts — both counts only go down.
 //!
-//! The static map this pass builds is cross-validated at runtime by the
-//! Eraser-style witness in `lob-pagestore::witness`: the two must agree on
-//! the hot structs (see `witness::CONTRACTS` and the agreement test).
+//! The static map this pass builds is pinned for the hot structs by the
+//! workspace test's contract table; ThreadSanitizer (`scripts/tsan.sh`)
+//! checks the races the discipline is meant to prevent.
 
 use crate::lexer::{SourceFile, Tok};
 use crate::structs::{parse_structs, FieldKind, ImplSpan, StructDef};

@@ -31,13 +31,11 @@
 //!   never silently discarded (`let _ =`, trailing `.ok()`, `unwrap_or`
 //!   swallowing, `if let Ok` with no else).
 //!
-//! Two of the static maps are cross-validated at runtime by witnesses in
-//! `lob-pagestore` (`witness` feature): the guarded-by map against the
-//! Eraser-style lock-set witness (`witness::CONTRACTS`), and the
-//! durability contract table against the ordering witness
-//! (`witness::ORDER_CONTRACTS`) armed in the parallel drills and the
-//! torture runner. Both agreements are asserted row-for-row in the
-//! workspace test.
+//! The durability contract table is cross-validated at runtime by the
+//! ordering witness in `lob-pagestore` (`witness::ORDER_CONTRACTS`), which
+//! every drill case runs under; the guarded-by map is pinned against the
+//! hot structs' expected contracts. Both agreements are asserted
+//! row-for-row in the workspace test.
 //!
 //! The whole analyzer runs as `cargo test -p lob-lint` (tier-1) and as a
 //! dedicated CI job. Violations are justified in place with

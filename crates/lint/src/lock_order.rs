@@ -196,8 +196,7 @@ impl Config {
                     method: "changed_count",
                     lock: "backup/coordinator.changed",
                 },
-                // The group-commit log's guard helpers (witness
-                // instrumentation lives inside them) and the public
+                // The group-commit log's guard helpers and the public
                 // methods that acquire the wrapped manager internally —
                 // surfaced so any caller-side lock held across them joins
                 // the graph.

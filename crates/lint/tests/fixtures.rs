@@ -161,8 +161,8 @@ fn lock_chain_fixture_resolves_the_accessor_and_detects_the_cycle() {
 
 #[test]
 fn bad_guarded_fixture_yields_exact_diagnostics() {
-    // The static twin of `tests/race_witness.rs`'s dynamic fixture: the
-    // unlocked `hits` access is the one the witness catches at runtime.
+    // The unlocked `hits` access empties the field's lock-set: the one
+    // broken-discipline shape pass 6 must reject.
     let f = fixture("crates/fx/src/bad_guarded.rs", "bad_guarded.rs");
     let diags = guarded_by::check(&[f], &guarded_by::Config::bare());
     assert_eq!(

@@ -1,6 +1,6 @@
 //! Fixture: an Arc-shared lock-owning struct with a broken lock
-//! discipline — the same shape `tests/race_witness.rs` drives
-//! dynamically against the Eraser-style witness.
+//! discipline — `bump` takes the gate, `bump_unlocked` touches the
+//! same field without it.
 
 use std::sync::{Arc, Mutex};
 

@@ -219,19 +219,42 @@ fn lint_index_sites_are_burned_down() {
     }
 }
 
+/// The pinned guarded-by contracts of the hot structs, as
+/// `(struct, field, spec)` rows.
+const CONTRACTS: &[(&str, &str, &str)] = &[
+    ("StableStore", "config", "immutable"),
+    ("StableStore", "partitions", "lock"),
+    ("StableStore", "stats", "atomic"),
+    ("StableStore", "hook", "lock"),
+    ("BackupCoordinator", "domains", "immutable"),
+    ("BackupCoordinator", "by_partition", "immutable"),
+    ("BackupCoordinator", "changed", "lock"),
+    ("BackupCoordinator", "stats", "atomic"),
+    ("BackupCoordinator", "hook", "lock"),
+    ("ProgressTracker", "state", "lock"),
+    ("GroupReplay", "store", "immutable"),
+    ("GroupReplay", "batch", "immutable"),
+    ("GroupReplay", "table", "unit-local"),
+    ("GroupReplay", "dirty", "unit-local"),
+    ("GroupCommitLog", "manager", "lock"),
+    ("GroupCommitLog", "state", "lock"),
+    ("ShardedCache", "shards", "lock"),
+    ("EngineService", "domains", "lock"),
+    ("EngineService", "meta", "lock"),
+];
+
 #[test]
-fn static_map_agrees_with_the_dynamic_witness_contracts() {
-    // The agreement contract (DESIGN.md §5.11): every row the runtime
-    // witness enforces must be exactly what the static pass infers from
-    // the same sources. A drifted annotation, a renamed field, or a freshly
-    // unguarded access breaks this before the drills ever run.
+fn static_map_agrees_with_the_pinned_contracts() {
+    // The agreement contract (DESIGN.md §5.11): the static pass must infer
+    // exactly the pinned rows from the sources. A drifted annotation, a
+    // renamed field, or a freshly unguarded access breaks this.
     let map = guarded_by::guarded_map(&sources(), &guarded_by::Config::workspace());
-    for (s, field, spec) in lob_pagestore::witness::CONTRACTS {
+    for (s, field, spec) in CONTRACTS {
         let got = map.get(*s).and_then(|fields| fields.get(*field));
         assert_eq!(
             got.map(String::as_str),
             Some(*spec),
-            "witness contract ({s}, {field}, {spec}) disagrees with the static map: {:?}",
+            "pinned contract ({s}, {field}, {spec}) disagrees with the static map: {:?}",
             map.get(*s)
         );
     }

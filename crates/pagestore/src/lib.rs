@@ -37,8 +37,8 @@
 //! * [`stats`] — I/O accounting shared by stores.
 //! * [`fault`] — deterministic fault injection: the [`FaultHook`] consulted
 //!   by every I/O site in the system.
-//! * [`witness`] — the Eraser-style dynamic lock-set witness
-//!   cross-validating `lob-lint`'s static guarded-by map (compiled under
+//! * [`witness`] — the case-scoped runtime ordering witness, the dynamic
+//!   twin of `lob-lint`'s durability pass (compiled under
 //!   `cfg(any(test, feature = "witness"))`, no-op stubs otherwise).
 
 pub mod fault;

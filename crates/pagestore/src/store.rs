@@ -274,19 +274,11 @@ impl StableStore {
 
     /// Install (or clear) the fault hook consulted before every page write.
     pub fn set_fault_hook(&self, hook: Option<FaultHook>) {
-        let mut g = self.hook.write();
-        let _w = crate::witness::hold("pagestore/store.hook");
-        crate::witness::access("StableStore.hook");
-        *g = hook;
+        *self.hook.write() = hook;
     }
 
     fn consult(&self, ev: IoEvent, page: Option<PageId>) -> FaultVerdict {
-        let hook = {
-            let g = self.hook.read();
-            let _w = crate::witness::hold("pagestore/store.hook");
-            crate::witness::access("StableStore.hook");
-            g.clone()
-        };
+        let hook = self.hook.read().clone();
         match hook {
             Some(h) => h(ev, page),
             None => FaultVerdict::Proceed,
@@ -324,8 +316,6 @@ impl StableStore {
                 // stored bytes (checksums stay the intended values, so the
                 // mismatch is detected below, never silently returned).
                 let mut guard = part.write();
-                let _w = crate::witness::hold("pagestore/store.partitions");
-                crate::witness::access("StableStore.partitions");
                 let idx = id.index as usize;
                 if let Some(slot) = guard.pages.get_mut(idx) {
                     let damaged = damage_stored_page(slot, v);
@@ -335,8 +325,6 @@ impl StableStore {
             FaultVerdict::Proceed | FaultVerdict::TornWrite | FaultVerdict::CorruptWrite => {}
         }
         let guard = part.read();
-        let _w = crate::witness::hold("pagestore/store.partitions");
-        crate::witness::access("StableStore.partitions");
         if guard.quarantined.contains(&id.index) {
             return Err(StoreError::Quarantined(id));
         }
@@ -400,8 +388,6 @@ impl StableStore {
         out.reserve((hi - lo) as usize);
         let mut bytes = 0u64;
         let guard = part.read();
-        let _w = crate::witness::hold("pagestore/store.partitions");
-        crate::witness::access("StableStore.partitions");
         // Hoist the emptiness checks: a healthy partition (the common
         // case) skips the per-page quarantine and failed-range probes.
         let quarantine_free = guard.quarantined.is_empty();
@@ -464,8 +450,6 @@ impl StableStore {
         }
         let part = self.part(id.partition)?;
         let mut guard = part.write();
-        let _w = crate::witness::hold("pagestore/store.partitions");
-        crate::witness::access("StableStore.partitions");
         let idx = id.index as usize;
         if idx >= guard.pages.len() {
             return Err(StoreError::NoSuchPage(id));
@@ -566,8 +550,6 @@ impl StableStore {
         let part = self.part(pid)?;
         let n = pages.len() as u32;
         let mut guard = part.write();
-        let _w = crate::witness::hold("pagestore/store.partitions");
-        crate::witness::access("StableStore.partitions");
         if (lo as usize) + (n as usize) > guard.pages.len() {
             return Err(StoreError::NoSuchPage(PageId::new(
                 pid.0,
@@ -602,8 +584,6 @@ impl StableStore {
     pub fn page_lsn(&self, id: PageId) -> Result<crate::Lsn, StoreError> {
         let part = self.part(id.partition)?;
         let guard = part.read();
-        let _w = crate::witness::hold("pagestore/store.partitions");
-        crate::witness::access("StableStore.partitions");
         if guard.quarantined.contains(&id.index) {
             return Err(StoreError::Quarantined(id));
         }

@@ -1,94 +1,33 @@
-//! An Eraser-style dynamic lock-set witness.
+//! The runtime ordering witness.
 //!
-//! The static guarded-by pass in `lob-lint` infers which lock protects each
-//! shared field by reading the source. This module is the *dynamic* half of
-//! that contract: instrumented acquisition sites push the lock they hold
-//! onto a thread-local stack, instrumented accesses intersect the set of
-//! *candidate* locks for their site with the locks currently held, and a
-//! site whose candidate set goes **empty** while shared between threads is
-//! a witnessed race — reported by [`take_violations`] and failed on by the
-//! parallel drills and `tests/race_witness.rs`.
+//! The paper's correctness argument is an ordering argument: log before
+//! install, copy before the cursor moves. [`ORDER_CONTRACTS`] states it as
+//! `(consumer, requires)` event pairs, mirrored row-for-row by `lob-lint`'s
+//! static `durability` pass (the agreement is asserted in the lint workspace
+//! test). Instrumented I/O sites call [`io_order`] with their event name; a
+//! consumer observed before any occurrence of its required generator is a
+//! witnessed ordering violation.
 //!
-//! State machine per site (classic Eraser, per Savage et al.):
+//! A [`Witness`] is a value owned by one drill case. The case runs its body
+//! as `w.run(|| …)`, which makes `w` the calling thread's current witness for
+//! the body's duration; [`io_order`] reports to the current thread's witness
+//! and does nothing on a thread that has none. Threads the case spawns carry
+//! it explicitly: the spawn site captures [`current`] and the thread body
+//! runs under [`within`]. There is no arming and no nesting, so two cases in
+//! one process — libtest's default — never see each other's events.
 //!
-//! - **Virgin** → first access moves to **Exclusive(tid)**: one thread has
-//!   touched the site; no lock discipline is required yet.
-//! - **Exclusive(tid)** → an access from a *different* thread moves to
-//!   **Shared** and initializes the candidate set to the locks held at
-//!   that moment.
-//! - **Shared** → every access intersects the candidate set with the held
-//!   set; an empty result records a violation (once per site).
-//!
-//! [`access_exclusive`] covers the `unit-local` contract instead: the site
-//! is keyed by a unit id from [`new_unit`], and any second thread touching
-//! the same unit is an immediate violation — no lock can excuse it.
+//! The seen-set is per witness, not per thread: the parallel drills force
+//! the log on the coordinator thread while worker threads install pages,
+//! which is exactly the discipline the paper requires.
 //!
 //! The witness compiles to no-ops unless `cfg(any(test, feature =
-//! "witness"))`; with the feature on, a disarmed witness costs one atomic
-//! load per access probe and a thread-local push/pop per acquisition. `lob-harness` enables the feature, so any
-//! workspace-level build carries the instrumented paths, while
-//! `cargo test -p lob-pagestore` alone still exercises the real registry
-//! (the `test` cfg).
-//!
-//! Accepted approximation (documented in DESIGN.md §5.11): the registry's
-//! own mutex is not itself an instrumented lock, so it never appears in
-//! candidate sets, and `hold`/`access` calls cannot deadlock against
-//! instrumented locks because the registry lock is never held across user
-//! code.
-//!
-//! # The ordering witness
-//!
-//! The same registry carries a second, independent check: the paper's
-//! log-before-install discipline as *event ordering* contracts
-//! ([`ORDER_CONTRACTS`], mirrored row-for-row by `lob-lint`'s static
-//! `durability` pass — the agreement is asserted in the lint workspace
-//! test). Instrumented I/O sites call [`io_order`] with their event name;
-//! a consumer event observed before any occurrence of its required
-//! generator event *since arming* is a witnessed ordering violation,
-//! drained separately via [`take_order_violations`] so lock-set
-//! assertions in tests running in the same process are never polluted by
-//! ordering traffic (and vice versa).
-//!
-//! The seen-since-arm set is deliberately **global**, not per-thread: the
-//! parallel drills force the log from the coordinator thread while worker
-//! threads install pages, which is exactly the discipline the paper
-//! requires — per-thread tracking would flag it. Arming is
-//! **depth-counted** ([`arm`]/[`disarm`] nest): concurrent armed cases in
-//! one test process must not reset the global seen-set mid-case, so only
-//! the outermost `arm` resets the registry and only the matching final
-//! `disarm` stops recording.
-
-/// Declared guarded-by contracts for the hot structs, as
-/// `(struct, field, spec)` rows. The static pass's inferred map must agree
-/// with every row (see the agreement test in `lob-lint`); the dynamic
-/// registry checks the `lock` rows via [`access`] and the `unit-local`
-/// rows via [`access_exclusive`].
-pub const CONTRACTS: &[(&str, &str, &str)] = &[
-    ("StableStore", "config", "immutable"),
-    ("StableStore", "partitions", "lock"),
-    ("StableStore", "stats", "atomic"),
-    ("StableStore", "hook", "lock"),
-    ("BackupCoordinator", "domains", "immutable"),
-    ("BackupCoordinator", "by_partition", "immutable"),
-    ("BackupCoordinator", "changed", "lock"),
-    ("BackupCoordinator", "stats", "atomic"),
-    ("BackupCoordinator", "hook", "lock"),
-    ("ProgressTracker", "state", "lock"),
-    ("GroupReplay", "store", "immutable"),
-    ("GroupReplay", "batch", "immutable"),
-    ("GroupReplay", "table", "unit-local"),
-    ("GroupReplay", "dirty", "unit-local"),
-    ("GroupReplay", "unit", "immutable"),
-    ("GroupCommitLog", "manager", "lock"),
-    ("GroupCommitLog", "state", "lock"),
-    ("ShardedCache", "shards", "lock"),
-    ("EngineService", "domains", "lock"),
-    ("EngineService", "meta", "lock"),
-];
+//! "witness"))`: [`current`] is then always `None`, [`within`] just runs its
+//! body, and [`io_order`] is empty. `lob-harness` enables the feature, so
+//! every workspace-level test build carries the probes.
 
 /// Declared durability-ordering contracts, as `(consumer, requires)` rows:
-/// the consumer event must never be the first of the pair observed since
-/// arming. These rows mirror the `// lint: durability(X requires Y)`
+/// the consumer event must never be the first of the pair a witness
+/// observes. These rows mirror the `// lint: durability(X requires Y)`
 /// declarations the static pass verifies on the CFG — `lob-lint`'s
 /// workspace test asserts the two tables agree row-for-row.
 ///
@@ -118,428 +57,196 @@ pub const ORDER_CONTRACTS: &[(&str, &str)] = &[
 #[cfg(any(test, feature = "witness"))]
 mod imp {
     use parking_lot::Mutex;
-    use std::cell::{Cell, RefCell};
+    use std::cell::RefCell;
     use std::collections::{BTreeMap, BTreeSet};
-    use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    static ARMED: AtomicBool = AtomicBool::new(false); // lint: atomic(seqcst)
-    static ARM_DEPTH: AtomicU32 = AtomicU32::new(0); // lint: atomic(seqcst)
-    static NEXT_THREAD: AtomicU64 = AtomicU64::new(1); // lint: atomic(seqcst)
-    static NEXT_UNIT: AtomicU64 = AtomicU64::new(1); // lint: atomic(seqcst)
+    #[derive(Default)]
+    struct State {
+        /// Events observed so far, by kind: the seen-set and the event
+        /// counts in one map.
+        seen: BTreeMap<&'static str, u64>,
+        /// Consumer kinds already reported, so a hot loop reports once.
+        reported: BTreeSet<&'static str>,
+        violations: Vec<String>,
+    }
+
+    /// One case's ordering witness. Cloning shares it: every clone reports
+    /// into the same seen-set.
+    #[derive(Clone, Default)]
+    pub struct Witness(Arc<Mutex<State>>);
 
     thread_local! {
-        // lint:allow(atomics) thread-local lock stack is single-threaded by construction
-        static HELD: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-        // lint:allow(atomics) thread-local id cache is single-threaded by construction
-        static TID: Cell<u64> = const { Cell::new(0) };
+        // lint:allow(atomics) the current-witness slot is per thread by construction
+        static CURRENT: RefCell<Option<Witness>> = const { RefCell::new(None) };
     }
 
-    /// Eraser state for one site.
-    enum SiteState {
-        Exclusive(u64),
-        Shared(BTreeSet<&'static str>),
-    }
+    impl Witness {
+        /// A fresh witness that has seen nothing.
+        pub fn new() -> Witness {
+            Witness::default()
+        }
 
-    struct Registry {
-        sites: BTreeMap<&'static str, SiteState>,
-        /// `unit-local` sites: (site, unit) → owning thread.
-        units: BTreeMap<(&'static str, u64), u64>,
-        violations: Vec<String>,
-        /// Sites already reported, so a hot loop logs once.
-        reported: BTreeSet<String>,
-        events: u64,
-        /// Ordering witness: event kinds observed since arming (global
-        /// across threads — see the module docs for why).
-        order_seen: BTreeSet<&'static str>,
-        /// Consumer events already reported, so a hot loop logs once.
-        order_reported: BTreeSet<&'static str>,
-        /// Ordering violations, drained separately from lock-set ones.
-        order_violations: Vec<String>,
-        order_events: u64,
-    }
+        /// Run `body` with this witness current on the calling thread.
+        pub fn run<R>(&self, body: impl FnOnce() -> R) -> R {
+            within(Some(self.clone()), body)
+        }
 
-    static REGISTRY: Mutex<Option<Registry>> = Mutex::new(None);
+        /// Ordering events observed so far.
+        pub fn events(&self) -> u64 {
+            self.0.lock().seen.values().sum()
+        }
 
-    fn tid() -> u64 {
-        TID.with(|t| {
-            if t.get() == 0 {
-                t.set(NEXT_THREAD.fetch_add(1, Ordering::SeqCst));
-            }
-            t.get()
-        })
-    }
+        /// Events of one kind observed so far.
+        pub fn count(&self, event: &str) -> u64 {
+            self.0.lock().seen.get(event).copied().unwrap_or(0)
+        }
 
-    /// RAII handle for an instrumented lock acquisition.
-    pub struct Held {
-        lock: &'static str,
-    }
+        /// Drain recorded violations (empty when every consumer event was
+        /// preceded by its required generator).
+        pub fn take_violations(&self) -> Vec<String> {
+            std::mem::take(&mut self.0.lock().violations)
+        }
 
-    impl Drop for Held {
-        fn drop(&mut self) {
-            HELD.with(|h| {
-                let mut h = h.borrow_mut();
-                if let Some(pos) = h.iter().rposition(|l| *l == self.lock) {
-                    h.remove(pos);
+        fn record(&self, event: &'static str) {
+            let mut st = self.0.lock();
+            for (consumer, requires) in super::ORDER_CONTRACTS {
+                if *consumer == event
+                    && !st.seen.contains_key(requires)
+                    && st.reported.insert(event)
+                {
+                    st.violations.push(format!(
+                        "ordering witness: `{event}` observed before any `{requires}` — \
+                         the log-before-install discipline was violated"
+                    ));
                 }
-            });
+            }
+            *st.seen.entry(event).or_insert(0) += 1;
         }
     }
 
-    /// Arm the witness. Arming nests: only the outermost `arm` (depth
-    /// 0 → 1) resets the site state and the ordering seen-set — a reset in
-    /// the middle of a concurrently armed case would fabricate ordering
-    /// violations. Depth transitions happen under the registry lock so an
-    /// `arm`/`disarm` race cannot observe a half-reset registry.
-    pub fn arm() {
-        let mut reg = REGISTRY.lock();
-        if ARM_DEPTH.fetch_add(1, Ordering::SeqCst) == 0 {
-            *reg = Some(Registry {
-                sites: BTreeMap::new(),
-                units: BTreeMap::new(),
-                violations: Vec::new(),
-                reported: BTreeSet::new(),
-                events: 0,
-                order_seen: BTreeSet::new(),
-                order_reported: BTreeSet::new(),
-                order_violations: Vec::new(),
-                order_events: 0,
-            });
-            ARMED.store(true, Ordering::SeqCst);
+    /// Prints the per-kind event counts.
+    impl std::fmt::Debug for Witness {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_map().entries(self.0.lock().seen.iter()).finish()
         }
     }
 
-    /// Disarm without reading the violations (they stay until re-armed).
-    /// Recording only stops when the outermost `arm` is matched (depth
-    /// 1 → 0); an unmatched `disarm` is a no-op.
-    pub fn disarm() {
-        let _reg = REGISTRY.lock();
-        let prev = ARM_DEPTH.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |d| d.checked_sub(1));
-        if prev == Ok(1) {
-            ARMED.store(false, Ordering::SeqCst);
+    /// The calling thread's current witness, for a spawn site to hand to
+    /// the thread it starts.
+    pub fn current() -> Option<Witness> {
+        CURRENT.with(|c| c.borrow().clone())
+    }
+
+    /// Run `body` with `witness` current on the calling thread, restoring
+    /// the previous one afterwards (also on unwind).
+    pub fn within<R>(witness: Option<Witness>, body: impl FnOnce() -> R) -> R {
+        struct Restore(Option<Witness>);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                let prev = self.0.take();
+                CURRENT.with(|c| *c.borrow_mut() = prev);
+            }
         }
-    }
-
-    /// Whether the witness is currently recording.
-    pub fn enabled() -> bool {
-        ARMED.load(Ordering::SeqCst)
-    }
-
-    /// Number of access events recorded since the last [`arm`].
-    pub fn events() -> u64 {
-        REGISTRY.lock().as_ref().map(|r| r.events).unwrap_or(0)
-    }
-
-    /// Drain recorded violations (empty when the discipline held).
-    pub fn take_violations() -> Vec<String> {
-        REGISTRY
-            .lock()
-            .as_mut()
-            .map(|r| std::mem::take(&mut r.violations))
-            .unwrap_or_default()
-    }
-
-    /// Number of ordering events recorded since the last outermost
-    /// [`arm`].
-    pub fn order_events() -> u64 {
-        REGISTRY
-            .lock()
-            .as_ref()
-            .map(|r| r.order_events)
-            .unwrap_or(0)
-    }
-
-    /// Drain recorded ordering violations (empty when every consumer
-    /// event was preceded by its required generator).
-    pub fn take_order_violations() -> Vec<String> {
-        REGISTRY
-            .lock()
-            .as_mut()
-            .map(|r| std::mem::take(&mut r.order_violations))
-            .unwrap_or_default()
+        let _restore = Restore(CURRENT.with(|c| c.replace(witness)));
+        body()
     }
 
     /// Record an I/O ordering event by kind (a name from
-    /// [`super::ORDER_CONTRACTS`]). A consumer event whose required
-    /// generator has not been seen since arming is a violation, reported
-    /// once per consumer kind.
+    /// [`super::ORDER_CONTRACTS`]) with the current thread's witness. A
+    /// consumer event whose required generator that witness has not seen
+    /// is a violation, reported once per consumer kind.
     pub fn io_order(event: &'static str) {
-        if !ARMED.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut guard = REGISTRY.lock();
-        let Some(reg) = guard.as_mut() else { return };
-        reg.order_events += 1;
-        for (consumer, requires) in super::ORDER_CONTRACTS {
-            if *consumer == event
-                && !reg.order_seen.contains(requires)
-                && reg.order_reported.insert(event)
-            {
-                reg.order_violations.push(format!(
-                    "ordering witness: `{event}` observed before any `{requires}` since arm — \
-                     the log-before-install discipline was violated"
-                ));
-            }
-        }
-        reg.order_seen.insert(event);
-    }
-
-    /// Record that `lock` is held until the returned guard drops. Call at
-    /// the acquisition site, *after* the real lock is taken.
-    ///
-    /// The held stack is maintained even while disarmed: if it were gated
-    /// on [`enabled`], an [`arm`] landing between a real acquisition and
-    /// its access probe would observe an artificially empty held set and
-    /// report a phantom race.
-    pub fn hold(lock: &'static str) -> Held {
-        HELD.with(|h| h.borrow_mut().push(lock));
-        Held { lock }
-    }
-
-    /// Record an access to the shared site `site` under the current
-    /// thread's held-lock set.
-    pub fn access(site: &'static str) {
-        if !ARMED.load(Ordering::SeqCst) {
-            return;
-        }
-        let me = tid();
-        let held: BTreeSet<&'static str> = HELD.with(|h| h.borrow().iter().copied().collect());
-        let mut guard = REGISTRY.lock();
-        let Some(reg) = guard.as_mut() else { return };
-        reg.events += 1;
-        match reg.sites.get_mut(site) {
-            None => {
-                reg.sites.insert(site, SiteState::Exclusive(me));
-            }
-            Some(SiteState::Exclusive(owner)) => {
-                if *owner != me {
-                    // Second thread: the discipline starts now, seeded with
-                    // what this thread holds.
-                    reg.sites.insert(site, SiteState::Shared(held));
-                }
-            }
-            Some(SiteState::Shared(candidates)) => {
-                let next: BTreeSet<&'static str> =
-                    candidates.intersection(&held).copied().collect();
-                if next.is_empty() && reg.reported.insert(site.to_string()) {
-                    reg.violations.push(format!(
-                        "lock-set for `{site}` went empty: shared access with held set {:?}",
-                        held
-                    ));
-                }
-                *candidates = next;
-            }
-        }
-    }
-
-    /// A fresh unit id for a `unit-local` contract holder.
-    pub fn new_unit() -> u64 {
-        NEXT_UNIT.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Record an access to unit-local state: `site` instance `unit` must
-    /// only ever be touched by one thread.
-    pub fn access_exclusive(site: &'static str, unit: u64) {
-        if !ARMED.load(Ordering::SeqCst) {
-            return;
-        }
-        let me = tid();
-        let mut guard = REGISTRY.lock();
-        let Some(reg) = guard.as_mut() else { return };
-        reg.events += 1;
-        let owner = reg.units.entry((site, unit)).or_insert(me);
-        if *owner != me {
-            let key = format!("{site}#{unit}");
-            if reg.reported.insert(key) {
-                reg.violations.push(format!(
-                    "unit-local `{site}` unit {unit} touched by two threads ({} then {me})",
-                    *owner
-                ));
-            }
+        if let Some(w) = current() {
+            w.record(event);
         }
     }
 }
 
 #[cfg(any(test, feature = "witness"))]
-pub use imp::{
-    access, access_exclusive, arm, disarm, enabled, events, hold, io_order, new_unit, order_events,
-    take_order_violations, take_violations, Held,
-};
+pub use imp::{current, io_order, within, Witness};
 
 #[cfg(not(any(test, feature = "witness")))]
 mod stub {
-    /// No-op guard (witness compiled out).
-    pub struct Held;
+    /// Uninhabited: with the witness compiled out no thread has one.
+    pub enum Witness {}
 
-    /// No-op (witness compiled out).
+    /// Always `None` (witness compiled out).
     #[inline(always)]
-    pub fn arm() {}
-    /// No-op (witness compiled out).
-    #[inline(always)]
-    pub fn disarm() {}
-    /// Always false (witness compiled out).
-    #[inline(always)]
-    pub fn enabled() -> bool {
-        false
+    pub fn current() -> Option<Witness> {
+        None
     }
-    /// Always zero (witness compiled out).
+
+    /// Runs `body` (witness compiled out).
     #[inline(always)]
-    pub fn events() -> u64 {
-        0
+    pub fn within<R>(_witness: Option<Witness>, body: impl FnOnce() -> R) -> R {
+        body()
     }
-    /// Always empty (witness compiled out).
-    #[inline(always)]
-    pub fn take_violations() -> Vec<String> {
-        Vec::new()
-    }
-    /// Always zero (witness compiled out).
-    #[inline(always)]
-    pub fn order_events() -> u64 {
-        0
-    }
-    /// Always empty (witness compiled out).
-    #[inline(always)]
-    pub fn take_order_violations() -> Vec<String> {
-        Vec::new()
-    }
+
     /// No-op (witness compiled out).
     #[inline(always)]
     pub fn io_order(_event: &'static str) {}
-    /// No-op guard (witness compiled out).
-    #[inline(always)]
-    pub fn hold(_lock: &'static str) -> Held {
-        Held
-    }
-    /// No-op (witness compiled out).
-    #[inline(always)]
-    pub fn access(_site: &'static str) {}
-    /// Always zero (witness compiled out).
-    #[inline(always)]
-    pub fn new_unit() -> u64 {
-        0
-    }
-    /// No-op (witness compiled out).
-    #[inline(always)]
-    pub fn access_exclusive(_site: &'static str, _unit: u64) {}
 }
 
 #[cfg(not(any(test, feature = "witness")))]
-pub use stub::{
-    access, access_exclusive, arm, disarm, enabled, events, hold, io_order, new_unit, order_events,
-    take_order_violations, take_violations, Held,
-};
+pub use stub::{current, io_order, within, Witness};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The registry is process-global, so tests that arm/disarm must not
-    /// interleave.
-    static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-
-    #[test]
-    fn exclusive_then_shared_discipline() {
-        let _serial = TEST_LOCK.lock();
-        arm();
-        // One thread alone never trips the discipline.
-        access("T.f");
-        access("T.f");
-        // A second thread holding the right lock keeps the candidate set
-        // alive; dropping the lock and touching again empties it.
-        std::thread::spawn(|| {
-            let _g = hold("T.lock");
-            access("T.f");
-        })
-        .join()
-        .unwrap();
-        assert!(take_violations().is_empty());
-        // First thread now touches without the lock → intersection empties.
-        access("T.f");
-        let v = take_violations();
-        assert_eq!(v.len(), 1, "violations: {v:?}");
-        assert!(v[0].contains("T.f"));
-        disarm();
-    }
-
-    #[test]
-    fn unit_local_single_owner() {
-        let _serial = TEST_LOCK.lock();
-        arm();
-        let unit = new_unit();
-        access_exclusive("G.table", unit);
-        access_exclusive("G.table", unit);
-        assert!(take_violations().is_empty());
-        std::thread::spawn(move || access_exclusive("G.table", unit))
-            .join()
-            .unwrap();
-        let v = take_violations();
-        assert_eq!(v.len(), 1, "violations: {v:?}");
-        disarm();
-    }
-
-    #[test]
-    fn disarmed_probes_are_free_of_effects() {
-        let _serial = TEST_LOCK.lock();
-        arm();
-        disarm();
-        let baseline = events();
-        let order_baseline = order_events();
-        let _g = hold("X.lock");
-        access("X.f");
-        access_exclusive("X.g", new_unit());
-        io_order("PageWrite");
-        assert_eq!(events(), baseline);
-        assert_eq!(order_events(), order_baseline);
-    }
-
-    /// Store/engine unit tests in this crate run in parallel with these
-    /// tests and also hit `io_order` probes while we are armed, so
-    /// ordering assertions must be robust to foreign traffic: the clean
-    /// case seeds the generator first (making any later consumer legal no
-    /// matter who emits it), and the teeth case filters violations by the
-    /// event it provoked.
     #[test]
     fn consumer_after_generator_is_clean() {
-        let _serial = TEST_LOCK.lock();
-        arm();
-        io_order("LogForce");
-        io_order("PageRead");
-        io_order("BackupCopy");
-        io_order("PageFlush");
-        io_order("PageWrite");
-        io_order("CursorAdvance");
-        let v = take_order_violations();
-        assert!(v.is_empty(), "violations: {v:?}");
-        disarm();
+        let w = Witness::new();
+        w.run(|| {
+            for event in [
+                "LogForce",
+                "PageRead",
+                "BackupCopy",
+                "PageFlush",
+                "PageWrite",
+                "CursorAdvance",
+            ] {
+                io_order(event);
+            }
+        });
+        assert!(w.take_violations().is_empty());
+        assert_eq!(w.events(), 6);
     }
 
     #[test]
     fn consumer_before_generator_is_flagged_once() {
-        let _serial = TEST_LOCK.lock();
-        arm();
-        io_order("CursorAdvance");
-        io_order("CursorAdvance");
-        let v = take_order_violations();
-        let cursor: Vec<&String> = v.iter().filter(|m| m.contains("CursorAdvance")).collect();
-        assert_eq!(cursor.len(), 1, "violations: {v:?}");
-        assert!(cursor.first().is_some_and(|m| m.contains("BackupCopy")));
-        disarm();
+        let w = Witness::new();
+        w.run(|| {
+            io_order("CursorAdvance");
+            io_order("CursorAdvance");
+        });
+        let v = w.take_violations();
+        assert_eq!(v.len(), 1, "violations: {v:?}");
+        assert!(v[0].contains("CursorAdvance") && v[0].contains("BackupCopy"));
+        assert_eq!(w.count("CursorAdvance"), 2);
     }
 
     #[test]
-    fn nested_arm_does_not_reset_the_seen_set() {
-        let _serial = TEST_LOCK.lock();
-        arm();
-        io_order("LogForce");
-        // A second armed case starting in parallel must not erase the
-        // force already seen by the first.
-        arm();
+    fn probes_report_only_to_the_current_threads_witness() {
+        let w = Witness::new();
+        // No witness on this thread yet: the probe is dropped.
         io_order("PageWrite");
-        disarm();
-        assert!(enabled(), "outer arm still holds");
-        let v = take_order_violations();
-        let wr: Vec<&String> = v.iter().filter(|m| m.contains("PageWrite")).collect();
-        assert!(wr.is_empty(), "violations: {v:?}");
-        disarm();
-        assert!(!enabled());
+        w.run(|| {
+            // A thread started without the witness does not report to it…
+            std::thread::spawn(|| io_order("PageWrite")).join().unwrap();
+            // …one that carries it does.
+            let carried = current();
+            std::thread::spawn(move || within(carried, || io_order("LogForce")))
+                .join()
+                .unwrap();
+            io_order("PageWrite");
+        });
+        // The witness is no longer current once `run` returns.
+        io_order("PageFlush");
+        assert!(current().is_none());
+        assert!(w.take_violations().is_empty());
+        assert_eq!((w.count("LogForce"), w.count("PageWrite")), (1, 1));
+        assert_eq!(w.events(), 2);
     }
 }

@@ -337,10 +337,6 @@ pub(crate) struct GroupReplay<'a> {
     table: FxHashMap<PageId, PageSlot>,
     // lint: guarded-by(unit-local) one replay unit = one worker thread
     dirty: usize,
-    /// Witness identity: the lock-set witness verifies that exactly one
-    /// thread ever touches this replay's table/dirty state.
-    // lint: guarded-by(immutable) witness unit id is fixed at construction
-    unit: u64,
 }
 
 impl<'a> GroupReplay<'a> {
@@ -352,13 +348,11 @@ impl<'a> GroupReplay<'a> {
             batch: batch.max(1),
             table: FxHashMap::with_capacity_and_hasher(pages_hint, Default::default()),
             dirty: 0,
-            unit: lob_pagestore::witness::new_unit(),
         }
     }
 
     /// The slot for `id`, faulted in from the store on first touch.
     fn slot(&mut self, id: PageId) -> Result<&mut PageSlot, RedoError> {
-        lob_pagestore::witness::access_exclusive("GroupReplay.table", self.unit);
         match self.table.entry(id) {
             Entry::Occupied(e) => Ok(e.into_mut()),
             Entry::Vacant(v) => {
@@ -374,7 +368,6 @@ impl<'a> GroupReplay<'a> {
 
     /// Record a replayed write; drains when `batch` dirty pages pend.
     pub(crate) fn set(&mut self, id: PageId, lsn: Lsn, data: Bytes) -> Result<(), RedoError> {
-        lob_pagestore::witness::access_exclusive("GroupReplay.table", self.unit);
         match self.table.entry(id) {
             Entry::Occupied(mut e) => {
                 let slot = e.get_mut();
@@ -405,7 +398,6 @@ impl<'a> GroupReplay<'a> {
     /// logged value is aliased, never re-derived — replaying `W_P` is an
     /// install, not a re-computation. Returns whether the page was written.
     fn install_if_newer(&mut self, id: PageId, lsn: Lsn, value: &Bytes) -> Result<bool, RedoError> {
-        lob_pagestore::witness::access_exclusive("GroupReplay.table", self.unit);
         let written = match self.table.entry(id) {
             Entry::Occupied(mut e) => {
                 let slot = e.get_mut();
@@ -450,7 +442,6 @@ impl<'a> GroupReplay<'a> {
     /// Install every dirty slot as contiguous runs. Slots stay resident
     /// (now clean) so later records still read locally.
     pub(crate) fn drain(&mut self) -> Result<(), RedoError> {
-        lob_pagestore::witness::access_exclusive("GroupReplay.table", self.unit);
         if self.dirty == 0 {
             return Ok(());
         }
@@ -629,31 +620,12 @@ pub fn parallel_redo_scan(
         let mut handles = Vec::with_capacity(queues.len());
         for queue in &queues {
             let plan = &plan;
-            handles.push(
-                scope.spawn(move || -> (usize, Result<RedoOutcome, RedoError>) {
-                    let mut total = RedoOutcome::default();
-                    let mut first_unit = usize::MAX;
-                    for &ui in queue {
-                        first_unit = first_unit.min(ui);
-                        let Some(unit) = plan.units().get(ui) else {
-                            continue;
-                        };
-                        // Walks the indices in place — no per-unit record
-                        // clone.
-                        let result = replay_grouped(
-                            unit.indices().iter().filter_map(|&i| records.get(i)),
-                            store,
-                            batch,
-                            unit.pages().len(),
-                        );
-                        match result {
-                            Ok(out) => accumulate(&mut total, out),
-                            Err(e) => return (ui, Err(e)),
-                        }
-                    }
-                    (first_unit, Ok(total))
-                }),
-            );
+            let witness = lob_pagestore::witness::current();
+            handles.push(scope.spawn(move || {
+                lob_pagestore::witness::within(witness, || {
+                    replay_queue(queue, plan, records, store, batch)
+                })
+            }));
         }
         for h in handles {
             results.push(h.join().unwrap_or((
@@ -673,6 +645,38 @@ pub fn parallel_redo_scan(
         accumulate(&mut total, r?);
     }
     Ok(total)
+}
+
+/// One redo worker's share: replay its queue of units in order. Returns the
+/// first unit it owns with the summed outcome, or the failing unit with its
+/// error.
+fn replay_queue(
+    queue: &[usize],
+    plan: &ReplayPlan,
+    records: &[LogRecord],
+    store: &StableStore,
+    batch: usize,
+) -> (usize, Result<RedoOutcome, RedoError>) {
+    let mut total = RedoOutcome::default();
+    let mut first_unit = usize::MAX;
+    for &ui in queue {
+        first_unit = first_unit.min(ui);
+        let Some(unit) = plan.units().get(ui) else {
+            continue;
+        };
+        // Walks the indices in place — no per-unit record clone.
+        let result = replay_grouped(
+            unit.indices().iter().filter_map(|&i| records.get(i)),
+            store,
+            batch,
+            unit.pages().len(),
+        );
+        match result {
+            Ok(out) => accumulate(&mut total, out),
+            Err(e) => return (ui, Err(e)),
+        }
+    }
+    (first_unit, Ok(total))
 }
 
 /// Install a backup image's pages with up to `config.workers` workers,
@@ -732,11 +736,9 @@ pub fn parallel_install_image(
         let mut handles = Vec::with_capacity(lanes);
         for queue in &mut queues {
             let install = &install;
-            handles.push(scope.spawn(move || -> Result<(), RedoError> {
-                for spec in queue.iter_mut() {
-                    install(spec)?;
-                }
-                Ok(())
+            let witness = lob_pagestore::witness::current();
+            handles.push(scope.spawn(move || {
+                lob_pagestore::witness::within(witness, || queue.iter_mut().try_for_each(install))
             }));
         }
         for h in handles {

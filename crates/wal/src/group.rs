@@ -129,17 +129,11 @@ impl GroupCommitLog {
     }
 
     fn manager_guard(&self) -> MutexGuard<'_, LogManager> {
-        let g = self.manager.lock();
-        let _held = lob_pagestore::witness::hold("wal/group.manager");
-        lob_pagestore::witness::access("GroupCommitLog.manager");
-        g
+        self.manager.lock()
     }
 
     fn state_guard(&self) -> MutexGuard<'_, GroupState> {
-        let g = self.state.lock();
-        let _held = lob_pagestore::witness::hold("wal/group.state");
-        lob_pagestore::witness::access("GroupCommitLog.state");
-        g
+        self.state.lock()
     }
 
     /// Append a record; returns its LSN. Volatile until a force covers it.

@@ -22,9 +22,9 @@ lint:
 ratchet:
     LOB_LINT_UPDATE_RATCHET=1 cargo test --release -p lob-lint --test workspace
 
-# The dynamic race witness over the threaded drills.
+# The runtime ordering witness over the drill runners.
 witness:
-    cargo test --release -q -p lob-harness --test race_witness
+    cargo test --release -q -p lob-harness --test order_witness
 
 # The repo benchmark's self-check: 1/50-size smoke of all four workloads,
 # BENCHMARK.json == manifest, same-seed determinism (see benchmark/README.md).

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # ThreadSanitizer sweep over the threaded drills (DESIGN.md §5.11).
 #
-# TSan cross-validates the Eraser-style lock witness: the witness checks
-# the *locking discipline* (candidate lock-sets), TSan checks the actual
-# happens-before races the discipline is meant to prevent. It requires a
+# TSan is the dynamic half of lob-lint's guarded-by pass (pass 6): the pass
+# checks the *locking discipline* lexically, TSan checks the actual
+# happens-before races the discipline is meant to prevent, over the
+# parallel sweep and the parallel restore/redo paths. It requires a
 # nightly toolchain with the rust-src component (for -Zbuild-std); when
 # that is unavailable (offline runners, stable-only images) the script
 # skips with exit 0 so CI treats it as best-effort, not a failure.
@@ -12,7 +13,7 @@ set -u
 cd "$(dirname "$0")/.."
 
 if ! rustup toolchain list 2>/dev/null | grep -q nightly; then
-    echo "tsan: no nightly toolchain installed — skipping (witness tests still cover the drills)"
+    echo "tsan: no nightly toolchain installed — skipping"
     exit 0
 fi
 if ! rustup component list --toolchain nightly 2>/dev/null \
@@ -22,10 +23,10 @@ if ! rustup component list --toolchain nightly 2>/dev/null \
 fi
 
 host=$(rustc -vV | sed -n 's/^host: //p')
-echo "tsan: running race_witness + parallel drills under ThreadSanitizer ($host)"
+echo "tsan: running the parallel backup and recovery drills under ThreadSanitizer ($host)"
 RUSTFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target "$host" \
-    -p lob-harness --test race_witness --test parallel_backup -- --test-threads=1
+    -p lob-harness --test parallel_backup --test parallel_recovery
 status=$?
 if [ $status -ne 0 ]; then
     echo "tsan: FAILED (exit $status)"

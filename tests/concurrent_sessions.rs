@@ -5,10 +5,10 @@
 //! ([`lob_harness::sessions`]):
 //!
 //! * **Race grid** — sessions × partitions × [`FlushPolicy`] cells, each
-//!   run threaded with the Eraser-style lock-set witness and the
-//!   durability-order witness armed, a live domain-0 backup sweep racing
-//!   the writers, and the surviving store byte-verified against the
-//!   sequential shadow oracle (per-session logs merged in LSN order).
+//!   run threaded under its own durability-order witness, a live domain-0
+//!   backup sweep racing the writers, and the surviving store
+//!   byte-verified against the sequential shadow oracle (per-session logs
+//!   merged in LSN order).
 //! * **Crash-during-group-commit torture** — a crash injected at the
 //!   `k`-th `LogForce` consult, i.e. inside the group leader's force
 //!   while followers are parked on the completion condvar. Every armed
@@ -20,19 +20,9 @@
 
 use lob_core::FlushPolicy;
 use lob_harness::{SessionDrillConfig, SessionDrillRunner};
-use std::sync::Mutex;
-
-/// The witness registry is process-global, so tests that arm/disarm it
-/// must not interleave within this binary.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 #[test]
 fn race_grid_under_armed_witnesses() {
-    let _serial = serial();
     let mut cells = 0u32;
     for &sessions in &[2usize, 4] {
         for &partitions in &[1u32, 2, 4] {
@@ -52,7 +42,7 @@ fn race_grid_under_armed_witnesses() {
                 );
                 assert!(!report.injected_crash);
                 assert!(
-                    report.witness_events > 0,
+                    report.witness.events() > 0,
                     "witness observed nothing — instrumentation missing?"
                 );
                 assert!(
@@ -68,7 +58,6 @@ fn race_grid_under_armed_witnesses() {
 
 #[test]
 fn group_commit_batches_forces_across_sessions() {
-    let _serial = serial();
     // Same work, group window closed vs open: the open window must not
     // change correctness (both cells verify against the oracle) and must
     // not *increase* the number of device forces.
@@ -92,7 +81,6 @@ fn group_commit_batches_forces_across_sessions() {
 
 #[test]
 fn crash_during_group_commit_recovers_and_verifies() {
-    let _serial = serial();
     let mut fired = 0u32;
     // Crash at the k-th LogForce consult — early forces land inside the
     // first group commits (followers parked on the completion condvar),
@@ -117,7 +105,6 @@ fn crash_during_group_commit_recovers_and_verifies() {
 
 #[test]
 fn torture_arm_holds_under_both_flush_policies() {
-    let _serial = serial();
     for policy in [FlushPolicy::Exact, FlushPolicy::Group] {
         let mut cfg = SessionDrillConfig::quick(2, 2, 0xF1);
         cfg.flush_policy = policy;

@@ -5,9 +5,11 @@
 //! declared requirement (`witness::ORDER_CONTRACTS`) on every CFG path;
 //! `lob_pagestore::witness::io_order` checks the same discipline at
 //! runtime. This test drives the real engine paths — a parallel backup
-//! sweep and a single-threaded torture case — with the witness armed and
-//! demands zero ordering violations, then proves the witness has teeth by
-//! installing a page with no log force at all and requiring a violation.
+//! sweep and a single-threaded torture case — each under its own witness
+//! and demands zero ordering violations, shows that concurrent cases in
+//! one process never see each other's events, then proves the witness has
+//! teeth by installing a page with no log force at all and requiring a
+//! violation.
 //!
 //! The install-before-force fixture here mirrors the *static* fixture
 //! `crates/lint/tests/fixtures/bad_durability.rs`: the same shape is
@@ -17,39 +19,34 @@ use lob_harness::{
     DrillPath, FaultKind, ParallelDrillConfig, ParallelDrillRunner, TortureConfig, TortureRunner,
     TortureWorkload,
 };
-use lob_pagestore::{witness, Lsn, Page, PageId, PartitionSpec, StableStore, StoreConfig};
-use std::sync::Mutex;
+use lob_pagestore::witness::{io_order, Witness};
+use lob_pagestore::{Lsn, Page, PageId, PartitionSpec, StableStore, StoreConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier};
 
-/// The witness registry is process-global, so tests that arm/disarm it
-/// must not interleave within this binary.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+fn tiny_store() -> StableStore {
+    StableStore::new(StoreConfig { page_size: 8 }, &[PartitionSpec { pages: 4 }])
 }
 
 #[test]
 fn parallel_sweep_observes_the_declared_order() {
-    let _serial = serial();
-    // `run_case` arms the witness itself and fails the case on any
+    // `run_case` runs under its own witness and fails the case on any
     // ordering violation; a clean sweep therefore *is* the
-    // log-before-install assertion. The registry outlives the disarm (it
-    // is only reset on the next outermost arm), so the event count read
-    // here proves the probes actually fired during the sweep.
+    // log-before-install assertion. The event count proves the probes
+    // actually fired during the sweep.
     let runner = ParallelDrillRunner::new(ParallelDrillConfig::small(0x0D0E));
     let case = runner.run_case(FaultKind::CountOnly).unwrap();
     assert_eq!(case.path, DrillPath::CleanSweep);
     assert!(
-        witness::order_events() > 10,
-        "parallel sweep recorded only {} ordering events — probes missing?",
-        witness::order_events()
+        case.witness.events() > 10,
+        "parallel sweep recorded only {:?} — probes missing?",
+        case.witness
     );
 }
 
 #[test]
 fn torture_case_observes_the_declared_order() {
-    let _serial = serial();
-    // The single-threaded runner arms the same witness: a concurrent
+    // The single-threaded runner uses the same witness: a concurrent
     // backup under injected crash points must still force the log before
     // every install and copy before every cursor advance.
     let cfg = TortureConfig::small(0x0D0E, TortureWorkload::BackupConcurrent);
@@ -57,39 +54,95 @@ fn torture_case_observes_the_declared_order() {
     let case = runner.run_case(FaultKind::CountOnly).unwrap();
     assert!(!case.fired);
     assert!(
-        witness::order_events() > 10,
-        "torture case recorded only {} ordering events — probes missing?",
-        witness::order_events()
+        case.witness.events() > 10,
+        "torture case recorded only {:?} — probes missing?",
+        case.witness
     );
 }
 
 #[test]
-fn install_before_force_is_caught_dynamically() {
-    let _serial = serial();
-    // The teeth test: write a page straight into the stable store with no
-    // log force since arming. Statically this same shape is the
-    // `flush_backwards` fixture; dynamically the `PageWrite` probe must
-    // flag it exactly once per consumer kind.
-    let store = StableStore::new(StoreConfig { page_size: 8 }, &[PartitionSpec { pages: 4 }]);
-    witness::arm();
-    store
-        .write_page(PageId::new(0, 0), Page::new(Lsn(1), vec![7u8; 8].into()))
-        .unwrap();
-    store
-        .write_page(PageId::new(0, 1), Page::new(Lsn(2), vec![9u8; 8].into()))
-        .unwrap();
-    let violations: Vec<String> = witness::take_order_violations()
+fn concurrent_cases_do_not_cross_talk() {
+    // Two witnessed drill cases on two threads while a third, unwitnessed
+    // thread keeps installing pages with no log force. Neither case may
+    // see the stray installs, nor each other's events. The cases start
+    // only once the stray writer is writing, and their prefill is long
+    // enough that its installs land before each case's first log force.
+    let running = Arc::new(Barrier::new(2));
+    let stop = Arc::new(AtomicBool::new(false));
+    let noise = {
+        let (running, stop) = (Arc::clone(&running), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let store = tiny_store();
+            let mut writes = 0u64;
+            loop {
+                let page = Page::new(Lsn(writes + 1), vec![7u8; 8].into());
+                store
+                    .write_page(PageId::new(0, (writes % 4) as u32), page)
+                    .unwrap();
+                writes += 1;
+                if writes == 1 {
+                    running.wait();
+                }
+                if stop.load(Ordering::SeqCst) {
+                    return writes;
+                }
+                std::thread::yield_now();
+            }
+        })
+    };
+    running.wait();
+    let cases: Vec<_> = [0x0C01u64, 0x0C02]
         .into_iter()
-        .filter(|v| v.contains("PageWrite"))
+        .map(|seed| {
+            std::thread::spawn(move || {
+                let cfg = ParallelDrillConfig {
+                    pages_per_partition: 256,
+                    ..ParallelDrillConfig::small(seed)
+                };
+                ParallelDrillRunner::new(cfg).run_case(FaultKind::CountOnly)
+            })
+        })
         .collect();
-    witness::disarm();
+    let results: Vec<_> = cases.into_iter().map(|h| h.join().unwrap()).collect();
+    stop.store(true, Ordering::SeqCst);
+    assert!(noise.join().unwrap() > 1, "the stray writer stalled");
+    for result in results {
+        let case = result.unwrap();
+        assert_eq!(case.path, DrillPath::CleanSweep);
+        // Only sweep worker threads copy pages, so a non-zero count shows
+        // the witness was carried across the spawn.
+        assert!(
+            case.witness.count("BackupCopy") > 0,
+            "no BackupCopy reached the case's witness: {:?}",
+            case.witness
+        );
+    }
+}
+
+#[test]
+fn install_before_force_is_caught_dynamically() {
+    // The teeth test: write a page straight into the stable store with no
+    // log force. Statically this same shape is the `flush_backwards`
+    // fixture; dynamically the `PageWrite` probe must flag it exactly
+    // once per consumer kind.
+    let store = tiny_store();
+    let witness = Witness::new();
+    witness.run(|| {
+        store
+            .write_page(PageId::new(0, 0), Page::new(Lsn(1), vec![7u8; 8].into()))
+            .unwrap();
+        store
+            .write_page(PageId::new(0, 1), Page::new(Lsn(2), vec![9u8; 8].into()))
+            .unwrap();
+    });
+    let violations = witness.take_violations();
     assert_eq!(
         violations.len(),
         1,
         "expected one report per consumer kind: {violations:?}"
     );
     assert!(
-        violations[0].contains("LogForce"),
+        violations[0].contains("PageWrite") && violations[0].contains("LogForce"),
         "unexpected report: {}",
         violations[0]
     );
@@ -97,19 +150,17 @@ fn install_before_force_is_caught_dynamically() {
 
 #[test]
 fn install_after_force_is_clean() {
-    let _serial = serial();
-    // Control: the identical install is legal once any log force has been
-    // observed since arming — the witness tracks order, not mere use.
-    let store = StableStore::new(StoreConfig { page_size: 8 }, &[PartitionSpec { pages: 4 }]);
-    witness::arm();
-    witness::io_order("LogForce");
-    store
-        .write_page(PageId::new(0, 0), Page::new(Lsn(1), vec![7u8; 8].into()))
-        .unwrap();
-    let violations: Vec<String> = witness::take_order_violations()
-        .into_iter()
-        .filter(|v| v.contains("PageWrite"))
-        .collect();
-    witness::disarm();
+    // Control: the identical install is legal once the witness has seen
+    // any log force — it tracks order, not mere use.
+    let store = tiny_store();
+    let witness = Witness::new();
+    witness.run(|| {
+        io_order("LogForce");
+        store
+            .write_page(PageId::new(0, 0), Page::new(Lsn(1), vec![7u8; 8].into()))
+            .unwrap();
+    });
+    let violations = witness.take_violations();
     assert!(violations.is_empty(), "witness flagged: {violations:?}");
+    assert_eq!(witness.count("PageWrite"), 1);
 }
