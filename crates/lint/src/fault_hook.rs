@@ -151,7 +151,7 @@ pub const REGISTRY: &[Site] = &[
         func: "append",
         events: &[],
         coverage: Coverage::Delegated,
-        note: "raw frame write; only reachable via LogManager::force, which consults per frame",
+        note: "one frame with its header from the stack; only reachable via LogManager::force, which consults per frame",
     },
     Site {
         file: "wal/src/store.rs",
@@ -162,24 +162,31 @@ pub const REGISTRY: &[Site] = &[
     },
     Site {
         file: "wal/src/store.rs",
+        func: "write_tail",
+        events: &[],
+        coverage: Coverage::Delegated,
+        note: "the one raw frame write, at the trusted end, cut back off on failure; only reachable via append and append_batch, i.e. via LogManager::force",
+    },
+    Site {
+        file: "wal/src/store.rs",
         func: "truncate",
         events: &[],
         coverage: Coverage::Delegated,
-        note: "low-water bookkeeping; only reachable via LogManager::truncate, which consults",
+        note: "moves the truncation point and trims the file store's scan index to the last entry at or below it; only reachable via LogManager::truncate, which consults",
     },
     Site {
         file: "wal/src/store.rs",
         func: "frames_from",
         events: &[],
         coverage: Coverage::Delegated,
-        note: "raw frame read; reachable via LogManager::frames_from, which consults once per scan (scan_from included), and the from_existing bootstrap, which runs before any hook exists",
+        note: "raw frame read from the scan index's first offset to the trusted end; only reachable via LogManager::frames_from, which consults once per scan (scan_from included)",
     },
     Site {
         file: "wal/src/store.rs",
         func: "open",
         events: &[],
         coverage: Coverage::Delegated,
-        note: "bootstrap byte count of an existing log file; runs before any engine or hook exists",
+        note: "bootstrap of an existing log file: verifies and indexes every frame and cuts a torn or corrupt tail off (a write before any engine or hook exists)",
     },
     Site {
         file: "pagestore/src/store.rs",
@@ -211,8 +218,10 @@ const PRIMITIVES: &[&str] = &[
     ".store.truncate(",
     // Raw log-frame read (the durable suffix scan).
     ".store.frames_from(",
-    // Raw file slurp in the log store implementations.
+    // Raw file reads in the log store implementations: the whole-file
+    // bootstrap and the live-log suffix.
     "file.read_to_end(",
+    "file.read_exact(",
     // Page-slot store in a partition guard.
     "guard.pages[",
 ];

@@ -118,10 +118,10 @@ impl LogManager {
 
     /// A log manager resuming over an existing durable store (e.g. a log
     /// file surviving a process restart): the durable LSN and the LSN
-    /// counter are recovered from the store's frames.
+    /// counter resume from the store's last trusted frame
+    /// ([`LogStore::durable_lsn`]).
     pub fn from_existing(store: Box<dyn LogStore>) -> Result<LogManager, LogError> {
-        let frames = store.frames_from(Lsn::NULL)?;
-        let durable = frames.last().map(|(l, _)| *l).unwrap_or(Lsn::NULL);
+        let durable = store.durable_lsn()?;
         Ok(LogManager {
             store,
             tail: Vec::new(),

@@ -10,11 +10,18 @@
 //! single input word always changes the sum: every single-bit flip is
 //! caught. A frame whose sum no longer matches ends the trusted prefix —
 //! the frames after it are never returned, and a torn file tail is dropped.
+//!
+//! The prefix rule covers every frame a scan can return. A file scan
+//! verifies every frame from the index entry at or below the truncation
+//! point, so a corrupt frame at or above that point still ends it, and
+//! [`FileLogStore::open`] runs the rule over the whole file. Only frames
+//! below the truncation point, which no scan may return, can go unread.
 
 use bytes::Bytes;
 use lob_pagestore::Lsn;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::Path;
 
 /// A durable, append-only store of encoded log frames.
@@ -57,6 +64,16 @@ pub trait LogStore: Send {
 
     /// Total bytes of durable frames currently held.
     fn durable_bytes(&self) -> u64;
+
+    /// LSN of the last trusted durable frame ([`Lsn::NULL`] if none) — where
+    /// [`crate::LogManager::from_existing`] resumes. The default scans;
+    /// [`FileLogStore`] knows it from the pass `open` already made.
+    fn durable_lsn(&self) -> std::io::Result<Lsn> {
+        Ok(self
+            .frames_from(Lsn::NULL)?
+            .last()
+            .map_or(Lsn::NULL, |(lsn, _)| *lsn))
+    }
 }
 
 /// Outcome of a [`LogStore::append_batch`]: the durable prefix length and
@@ -205,16 +222,70 @@ fn frame_checksum(lsn: Lsn, frame: &[u8]) -> u64 {
         .fold(h, |h, &b| feed(h, u64::from(b)))
 }
 
+/// Bytes of the `[u32 len][u64 checksum][u64 lsn]` header before each frame
+/// in a [`FileLogStore`] file.
+const HEADER: usize = 20;
+
+/// Bytes of frames between consecutive entries of a [`FileLogStore`]'s scan
+/// index — the most a scan reads below the truncation point.
+const INDEX_STRIDE: u64 = 64 * 1024;
+
+/// The file header of one frame.
+fn frame_header(lsn: Lsn, frame: &[u8]) -> [u8; HEADER] {
+    let fields = (frame.len() as u32)
+        .to_le_bytes()
+        .into_iter()
+        .chain(frame_checksum(lsn, frame).to_le_bytes())
+        .chain(lsn.raw().to_le_bytes());
+    let mut hdr = [0u8; HEADER];
+    for (slot, byte) in hdr.iter_mut().zip(fields) {
+        *slot = byte;
+    }
+    hdr
+}
+
+/// The trusted frames of `buf`, framed bytes starting at a frame boundary:
+/// each frame's LSN and the byte range of its body, in file order. The walk
+/// ends at the first torn or checksum-bad frame.
+fn trusted_frames(buf: &[u8]) -> impl Iterator<Item = (Lsn, Range<usize>)> + '_ {
+    let mut off = 0usize;
+    std::iter::from_fn(move || {
+        let len = le_u32(buf, off)? as usize;
+        let (sum, lsn) = (le_u64(buf, off + 4)?, Lsn(le_u64(buf, off + 12)?));
+        let body = off + HEADER..(off + HEADER).checked_add(len)?;
+        if frame_checksum(lsn, buf.get(body.clone())?) != sum {
+            return None;
+        }
+        off = body.end;
+        Some((lsn, body))
+    })
+}
+
 /// File-backed log store: frames appended to a single file as
-/// `[u32 len][u64 checksum][u64 lsn][frame]`. A torn or corrupt tail frame
-/// is detected by checksum and dropped on scan.
+/// `[u32 len][u64 checksum][u64 lsn][frame]`. [`FileLogStore::open`]
+/// verifies the whole file once and cuts it at the end of its trusted
+/// prefix, so a torn or corrupt tail never sits in front of later appends.
 ///
-/// Truncation is logical (a low-water LSN filtered on scan); real systems
-/// recycle log files, which adds nothing to the protocol being studied.
+/// A sparse in-memory index maps the first LSN of every ≥ 64 KiB stretch
+/// of frames to its byte offset. Truncation moves the truncation point and
+/// trims the index to the last entry at or below it; a scan seeks to that
+/// entry and reads the rest of the file in one read, so it costs the live
+/// log, not the file. Truncated frames stay in the file:
+/// `lob_core::Engine::open_existing` rebuilds the formatted in-memory
+/// database by replaying the whole file, so unlinking them would lose
+/// pages on restart until the database itself is persistent.
 pub struct FileLogStore {
     file: File,
-    low_water: Lsn,
+    /// `(first LSN, byte offset)` of one frame per ≥ [`INDEX_STRIDE`] bytes
+    /// of frames, ascending. The first entry is at or below the truncation
+    /// point; the index is empty exactly when the file holds no frame.
+    index: Vec<(Lsn, u64)>,
+    /// Frames below this LSN are never returned.
+    truncation: Lsn,
+    /// Length of the trusted frames: where the next frame is written.
     bytes: u64,
+    /// LSN of the last trusted frame.
+    last: Lsn,
     /// When set, every append/batch ends with `fsync` (`File::sync_data`),
     /// so "durable" means *on the platter*, not merely in the OS page
     /// cache. Off by default: the simulation's drills model durability
@@ -233,25 +304,37 @@ impl FileLogStore {
             .read(true)
             .truncate(true)
             .open(path)?;
-        Ok(FileLogStore {
-            file,
-            low_water: Lsn::NULL,
-            bytes: 0,
-            sync_on_flush: false,
-        })
+        Ok(FileLogStore::over(file))
     }
 
-    /// Open an existing log file for scanning and further appends.
+    /// Open an existing log file for scanning and further appends. The
+    /// whole file is verified and indexed in one pass and cut at the end of
+    /// its trusted prefix, so the next append lands right behind the last
+    /// good frame instead of behind a torn one no scan would get past.
     pub fn open(path: &Path) -> std::io::Result<FileLogStore> {
-        let mut file = OpenOptions::new().read(true).append(true).open(path)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut buf = Vec::new();
         file.read_to_end(&mut buf)?;
-        Ok(FileLogStore {
+        let mut store = FileLogStore::over(file);
+        for (lsn, body) in trusted_frames(&buf) {
+            store.note_frame(lsn, body.len());
+        }
+        if store.bytes < buf.len() as u64 {
+            store.file.set_len(store.bytes)?;
+        }
+        Ok(store)
+    }
+
+    /// An empty store over `file`, which holds no trusted frame yet.
+    fn over(file: File) -> FileLogStore {
+        FileLogStore {
             file,
-            low_water: Lsn::NULL,
-            bytes: buf.len() as u64,
+            index: Vec::new(),
+            truncation: Lsn::NULL,
+            bytes: 0,
+            last: Lsn::NULL,
             sync_on_flush: false,
-        })
+        }
     }
 
     /// Enable or disable fsync-on-append (see [`FileLogStore`] field docs).
@@ -259,25 +342,48 @@ impl FileLogStore {
         self.sync_on_flush = on;
     }
 
-    fn maybe_sync(&self) -> std::io::Result<()> {
-        if self.sync_on_flush {
-            self.file.sync_data()?;
+    /// Count one frame of `len` body bytes written at the trusted end,
+    /// indexing it if it starts a new [`INDEX_STRIDE`].
+    fn note_frame(&mut self, lsn: Lsn, len: usize) {
+        if self
+            .index
+            .last()
+            .map_or(true, |&(_, at)| self.bytes - at >= INDEX_STRIDE)
+        {
+            self.index.push((lsn, self.bytes));
         }
-        Ok(())
+        self.bytes += (HEADER + len) as u64;
+        self.last = lsn;
+    }
+
+    /// Write `parts` at the trusted end and flush (and fsync, if set). A
+    /// failed write is cut back off, best effort, so no frame of it
+    /// survives past the trusted end into the next `open`; the next write
+    /// starts at the trusted end either way.
+    fn write_tail(&mut self, parts: &[&[u8]]) -> std::io::Result<()> {
+        let end = self.bytes;
+        let written = self
+            .file
+            .seek(SeekFrom::Start(end))
+            .and_then(|_| parts.iter().try_for_each(|part| self.file.write_all(part)))
+            .and_then(|()| self.file.flush())
+            .and_then(|()| {
+                if self.sync_on_flush {
+                    self.file.sync_data()?;
+                }
+                Ok(())
+            });
+        if written.is_err() {
+            let _ = self.file.set_len(end);
+        }
+        written
     }
 }
 
 impl LogStore for FileLogStore {
     fn append(&mut self, lsn: Lsn, frame: Bytes) -> std::io::Result<()> {
-        let mut hdr = Vec::with_capacity(20);
-        hdr.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        hdr.extend_from_slice(&frame_checksum(lsn, &frame).to_le_bytes());
-        hdr.extend_from_slice(&lsn.raw().to_le_bytes());
-        self.file.write_all(&hdr)?;
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
-        self.maybe_sync()?;
-        self.bytes += (hdr.len() + frame.len()) as u64;
+        self.write_tail(&[&frame_header(lsn, &frame), &frame])?;
+        self.note_frame(lsn, frame.len());
         Ok(())
     }
 
@@ -285,29 +391,22 @@ impl LogStore for FileLogStore {
         // The group commit: every frame of the force is framed into one
         // arena and hits the file with a single write + flush, instead of
         // a write/write/flush round per frame.
-        let total: usize = frames.iter().map(|(_, f)| f.len() + 20).sum();
+        let total: usize = frames.iter().map(|(_, f)| f.len() + HEADER).sum();
         let mut arena = Vec::with_capacity(total);
         for (lsn, frame) in frames {
-            arena.extend_from_slice(&(frame.len() as u32).to_le_bytes());
-            arena.extend_from_slice(&frame_checksum(*lsn, frame).to_le_bytes());
-            arena.extend_from_slice(&lsn.raw().to_le_bytes());
+            arena.extend_from_slice(&frame_header(*lsn, frame));
             arena.extend_from_slice(frame);
         }
-        if let Err(e) = self
-            .file
-            .write_all(&arena)
-            .and_then(|()| self.file.flush())
-            .and_then(|()| self.maybe_sync())
-        {
-            // The batch failed as a unit: no frame of it is trusted
-            // durable. A torn arena tail on disk is dropped by the scan's
-            // per-frame checksum, exactly like a torn single append.
+        if let Err(e) = self.write_tail(&[&arena]) {
+            // The batch failed as a unit: no frame of it is trusted durable.
             return BatchAppend {
                 appended: 0,
                 error: Some(e),
             };
         }
-        self.bytes += arena.len() as u64;
+        for (lsn, frame) in frames {
+            self.note_frame(*lsn, frame.len());
+        }
         BatchAppend {
             appended: frames.len(),
             error: None,
@@ -315,42 +414,52 @@ impl LogStore for FileLogStore {
     }
 
     fn frames_from(&self, from: Lsn) -> std::io::Result<Vec<(Lsn, Bytes)>> {
-        use std::io::Seek;
-        let mut file = self.file.try_clone()?;
-        file.seek(std::io::SeekFrom::Start(0))?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
-        let mut out = Vec::new();
-        let mut off = 0usize;
-        // A torn header at the tail ends the scan.
-        while let (Some(len), Some(ck), Some(raw)) = (
-            le_u32(&buf, off),
-            le_u64(&buf, off + 4),
-            le_u64(&buf, off + 12),
-        ) {
-            let lsn = Lsn(raw);
-            let body_start = off + 20;
-            let Some(frame) = buf.get(body_start..body_start + len as usize) else {
-                break; // torn tail
-            };
-            if frame_checksum(lsn, frame) != ck {
-                break; // corrupt tail
-            }
-            if lsn >= from && lsn >= self.low_water {
-                out.push((lsn, Bytes::copy_from_slice(frame)));
-            }
-            off = body_start + len as usize;
-        }
-        Ok(out)
+        // Start at the first index entry, at or below the truncation point,
+        // and verify every frame from there on.
+        let Some(&(_, start)) = self.index.first() else {
+            return Ok(Vec::new());
+        };
+        let mut buf = vec![0u8; (self.bytes - start) as usize];
+        let mut file = &self.file;
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(&mut buf)?;
+        let keep = from.max(self.truncation);
+        let kept: Vec<(Lsn, Range<usize>)> = trusted_frames(&buf)
+            .filter(|(lsn, _)| *lsn >= keep)
+            .collect();
+        let (Some((_, first)), Some((_, last))) = (kept.first(), kept.last()) else {
+            return Ok(Vec::new());
+        };
+        // One buffer shared by every returned frame. The vendored
+        // `Bytes::from(Vec)` copies too, so copying just the returned span
+        // costs no more and keeps the frames below `from` from being pinned
+        // by them.
+        let base = first.start;
+        let shared = Bytes::copy_from_slice(buf.get(base..last.end).unwrap_or_default());
+        Ok(kept
+            .into_iter()
+            .map(|(lsn, body)| {
+                let frame = shared.get(body.start - base..body.end - base);
+                (lsn, shared.slice_ref(frame.unwrap_or_default()))
+            })
+            .collect())
     }
 
     fn truncate(&mut self, before: Lsn) -> std::io::Result<()> {
-        self.low_water = self.low_water.max(before);
+        self.truncation = self.truncation.max(before);
+        let at_or_below = self
+            .index
+            .partition_point(|(lsn, _)| *lsn <= self.truncation);
+        self.index.drain(..at_or_below.saturating_sub(1));
         Ok(())
     }
 
     fn durable_bytes(&self) -> u64 {
         self.bytes
+    }
+
+    fn durable_lsn(&self) -> std::io::Result<Lsn> {
+        Ok(self.last)
     }
 }
 
@@ -605,6 +714,227 @@ mod tests {
         assert_eq!(r.appended, 0);
         assert!(r.error.is_none());
         assert_eq!(s.durable_bytes(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn append_after_reopening_a_torn_tail_is_scanned() {
+        let dir = std::env::temp_dir().join(format!("lob-wal-retorn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("retorn.wal");
+        {
+            let mut s = FileLogStore::create(&path).unwrap();
+            s.append(Lsn(1), Bytes::from_static(b"good")).unwrap();
+            s.append(Lsn(2), Bytes::from_static(b"willtear")).unwrap();
+        }
+        let data = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &data[..data.len() - 2]).unwrap();
+        let mut s = FileLogStore::open(&path).unwrap();
+        assert_eq!(s.durable_lsn().unwrap(), Lsn(1));
+        // LSN 2 never became durable, so it is appended again — and must
+        // land right behind LSN 1, not behind the torn bytes.
+        s.append(Lsn(2), Bytes::from_static(b"again")).unwrap();
+        for s in [s, FileLogStore::open(&path).unwrap()] {
+            let all = s.frames_from(Lsn::NULL).unwrap();
+            assert_eq!(lsns(&all), vec![Lsn(1), Lsn(2)]);
+            assert_eq!(&all[1].1[..], b"again");
+            assert_eq!(s.durable_bytes(), (2 * HEADER + 4 + 5) as u64);
+        }
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            (2 * HEADER + 4 + 5) as u64
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The scan before the index, kept as the differential oracle: read the
+    /// whole file from offset 0, verify every frame from the front, and
+    /// copy out each one at or above `max(from, truncation)`.
+    fn reference_scan(path: &Path, from: Lsn, truncation: Lsn) -> Vec<(Lsn, Bytes)> {
+        let buf = std::fs::read(path).unwrap();
+        let mut out = Vec::new();
+        let mut off = 0usize;
+        // A torn header at the tail ends the scan.
+        while let (Some(len), Some(ck), Some(raw)) = (
+            le_u32(&buf, off),
+            le_u64(&buf, off + 4),
+            le_u64(&buf, off + 12),
+        ) {
+            let lsn = Lsn(raw);
+            let body_start = off + 20;
+            let Some(frame) = buf.get(body_start..body_start + len as usize) else {
+                break; // torn tail
+            };
+            if frame_checksum(lsn, frame) != ck {
+                break; // corrupt tail
+            }
+            if lsn >= from && lsn >= truncation {
+                out.push((lsn, Bytes::copy_from_slice(frame)));
+            }
+            off = body_start + len as usize;
+        }
+        out
+    }
+
+    fn random_frame(rng: &mut rand::rngs::SmallRng, max_len: usize) -> Bytes {
+        use rand::Rng;
+        let len = rng.gen_range(0..=max_len);
+        Bytes::from((0..len).map(|_| rng.gen::<u8>()).collect::<Vec<u8>>())
+    }
+
+    #[test]
+    fn indexed_scan_matches_the_whole_file_reference() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let dir = std::env::temp_dir().join(format!("lob-wal-diff-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("diff.wal");
+        let (mut scans, mut skipping_scans) = (0u32, 0u32);
+        for seed in 0..16u64 {
+            let mut rng = SmallRng::seed_from_u64(0x5CA7 ^ seed);
+            let mut store = FileLogStore::create(&path).unwrap();
+            // LSNs rise with gaps, as a crash-lost tail leaves them.
+            let mut next = 1u64;
+            let mut truncation = Lsn::NULL;
+            for step in 0..60 {
+                match rng.gen_range(0..10u32) {
+                    0..=2 => {
+                        let frame = random_frame(&mut rng, 2000);
+                        store.append(Lsn(next), frame).unwrap();
+                        next += rng.gen_range(1..=3u64);
+                    }
+                    3..=5 => {
+                        let n = rng.gen_range(1..=64usize);
+                        let batch: Vec<(Lsn, Bytes)> = (0..n)
+                            .map(|_| {
+                                let lsn = Lsn(next);
+                                next += rng.gen_range(1..=3u64);
+                                (lsn, random_frame(&mut rng, 2000))
+                            })
+                            .collect();
+                        let r = store.append_batch(&batch);
+                        assert!(r.error.is_none() && r.appended == n);
+                    }
+                    6 => {
+                        let to = Lsn(rng.gen_range(truncation.raw()..=next));
+                        store.truncate(to).unwrap();
+                        truncation = truncation.max(to);
+                    }
+                    7 => {
+                        // A restart forgets the truncation point.
+                        drop(store);
+                        store = FileLogStore::open(&path).unwrap();
+                        truncation = Lsn::NULL;
+                    }
+                    _ => {
+                        let from = Lsn(rng.gen_range(truncation.raw()..=next + 1));
+                        let got = store.frames_from(from).unwrap();
+                        let want = reference_scan(&path, from, truncation);
+                        assert!(
+                            got == want,
+                            "seed {seed} step {step}: scan from {from:?} (truncation \
+                             {truncation:?}) returned {:?}, reference {:?}",
+                            lsns(&got),
+                            lsns(&want)
+                        );
+                        scans += 1;
+                        if store.index.first().is_some_and(|&(_, at)| at > 0) {
+                            skipping_scans += 1;
+                        }
+                    }
+                }
+                let all = reference_scan(&path, Lsn::NULL, Lsn::NULL);
+                let last = all.last().map_or(Lsn::NULL, |(lsn, _)| *lsn);
+                assert_eq!(
+                    store.durable_lsn().unwrap(),
+                    last,
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    store.durable_bytes(),
+                    std::fs::metadata(&path).unwrap().len(),
+                    "seed {seed} step {step}"
+                );
+            }
+        }
+        assert!(scans >= 100, "{scans} scans");
+        assert!(
+            skipping_scans >= scans / 4,
+            "only {skipping_scans} of {scans} scans started past the file's first frame"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn live_corruption_stops_a_scan_only_where_the_scan_reads() {
+        use std::io::{Seek, SeekFrom, Write};
+        let dir = std::env::temp_dir().join(format!("lob-wal-live-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("live.wal");
+        // 200 frames of 1000 bytes: index entries every 65th frame.
+        let frames: Vec<(Lsn, Bytes)> = (1..=200u64)
+            .map(|i| (Lsn(i), Bytes::from(vec![i as u8; 1000])))
+            .collect();
+        let mut s = FileLogStore::create(&path).unwrap();
+        for chunk in frames.chunks(25) {
+            assert_eq!(s.append_batch(chunk).appended, chunk.len());
+        }
+        let body = |lsn: u64| (lsn - 1) * (HEADER as u64 + 1000) + HEADER as u64;
+        let flip = |lsn: u64| {
+            let mut f = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+                .unwrap();
+            let at = body(lsn) + 500;
+            let mut byte = [0u8];
+            f.seek(SeekFrom::Start(at)).unwrap();
+            f.read_exact(&mut byte).unwrap();
+            f.seek(SeekFrom::Start(at)).unwrap();
+            f.write_all(&[byte[0] ^ 0x10]).unwrap();
+        };
+        let live = |from: u64, to: u64| -> Vec<Lsn> { (from..=to).map(Lsn).collect() };
+        s.truncate(Lsn(150)).unwrap();
+        let start = s.index[0];
+        assert!(start.0 < Lsn(150) && start.1 > body(10), "{start:?}");
+
+        // Below the scan's start entry: never read, so the live log scans
+        // in full — where the whole-file scan returned nothing.
+        flip(10);
+        assert_eq!(lsns(&s.frames_from(Lsn(150)).unwrap()), live(150, 200));
+        assert!(reference_scan(&path, Lsn(150), Lsn(150)).is_empty());
+        flip(10);
+
+        // At or above the truncation point: the scan stops there, exactly
+        // as the whole-file scan does.
+        flip(170);
+        assert_eq!(lsns(&s.frames_from(Lsn(150)).unwrap()), live(150, 169));
+        assert_eq!(
+            s.frames_from(Lsn(160)).unwrap(),
+            reference_scan(&path, Lsn(160), Lsn(150))
+        );
+        assert!(s.frames_from(Lsn(171)).unwrap().is_empty());
+        flip(170);
+
+        // Between the start entry and the truncation point: read, so
+        // verified, so a stop.
+        let read_below = start.0.raw() + 1;
+        flip(read_below);
+        assert!(s.frames_from(Lsn(150)).unwrap().is_empty());
+        flip(read_below);
+        assert_eq!(lsns(&s.frames_from(Lsn(150)).unwrap()), live(150, 200));
+
+        // A restart verifies the whole file again and cuts it at the first
+        // bad frame, wherever it lies.
+        flip(10);
+        drop(s);
+        let s = FileLogStore::open(&path).unwrap();
+        assert_eq!(lsns(&s.frames_from(Lsn::NULL).unwrap()), live(1, 9));
+        assert_eq!(s.durable_lsn().unwrap(), Lsn(9));
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            body(10) - HEADER as u64
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,8 +10,10 @@
 # manifest's run_seconds: pair i uses seed 1000+i on both sides and the side
 # that goes first alternates. For every end-to-end metric it prints both
 # medians, both quartile pairs and how many pairs the change won (a tie
-# counts for neither side). Exits non-zero if any run is incorrect or fails
-# an operation. Everything it writes is under target/, which is gitignored.
+# counts for neither side). Each run's per-round table is kept as
+# target/bench_pairs/out_<side>/rounds-<workload>-<seed>.tsv. Exits non-zero
+# if any run is incorrect or fails an operation. Everything it writes is
+# under target/, which is gitignored.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -57,6 +59,7 @@ def run(side, workload, seed):
         capture_output=True, text=True, env={**os.environ, "LOB_BENCH_OUT": out})
     if p.returncode != 0:
         sys.exit(f"bench_pairs.sh: {side} {workload} seed {seed} exited {p.returncode}\n{p.stderr[-2000:]}")
+    os.replace(f"{out}/rounds-{workload}.tsv", f"{out}/rounds-{workload}-{seed}.tsv")
     result = json.loads(p.stdout.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
         sys.exit(f"bench_pairs.sh: {side} {workload} seed {seed}: correct={result['correct']}, "

@@ -212,6 +212,52 @@ fn file_backed_log_full_cycle_with_backup() {
 }
 
 #[test]
+fn commit_after_restarting_over_a_torn_log_tail_survives_a_crash() {
+    let dir = std::env::temp_dir().join(format!("lob-it-torn-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("torn.wal");
+    let config = EngineConfig {
+        log: LogBacking::File(path.clone()),
+        ..EngineConfig::single(64, 128)
+    };
+    let write = |e: &mut Engine, page: u32, byte: u8| {
+        e.execute(OpBody::PhysicalWrite {
+            target: PageId::new(0, page),
+            value: Bytes::from(vec![byte; 128]),
+        })
+        .unwrap();
+    };
+    {
+        let mut e = Engine::new(config.clone()).unwrap();
+        write(&mut e, 0, 1);
+        write(&mut e, 1, 2);
+        e.force_log().unwrap();
+    }
+    // The process died mid-write of the last frame.
+    let data = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &data[..data.len() - 2]).unwrap();
+
+    let mut e = Engine::open_existing(config).unwrap();
+    e.recover().unwrap();
+    assert_eq!(e.store().read_page(PageId::new(0, 0)).unwrap().data()[0], 1);
+    assert!(e
+        .store()
+        .read_page(PageId::new(0, 1))
+        .unwrap()
+        .lsn()
+        .is_null());
+    // A commit after the restart is durable, so a crash must not lose it.
+    write(&mut e, 2, 3);
+    e.force_log().unwrap();
+    e.crash();
+    e.recover().unwrap();
+    let page = e.store().read_page(PageId::new(0, 2)).unwrap();
+    assert!(!page.lsn().is_null(), "the forced write was not replayed");
+    assert_eq!(page.data()[0], 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn flush_oldest_interacts_with_backup_protocol() {
     // Background flushing during a backup must take the same Iw/oF
     // decisions as explicit flushes.
