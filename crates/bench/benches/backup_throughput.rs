@@ -112,7 +112,7 @@ fn parallel_backup(batch: u32) {
 }
 
 fn offline_backup() {
-    let (mut engine, _oracle, _gen) = prefilled_engine(
+    let (engine, _oracle, _gen) = prefilled_engine(
         PAGES,
         PAGE_SIZE,
         Discipline::General,

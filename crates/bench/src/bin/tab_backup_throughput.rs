@@ -110,7 +110,7 @@ fn run_strategy(name: &'static str, policy: BackupPolicy, discipline: Discipline
 }
 
 fn run_offline() -> Row {
-    let (mut engine, _oracle, _gen) = lob_bench::prefilled_engine(
+    let (engine, _oracle, _gen) = lob_bench::prefilled_engine(
         PAGES,
         PAGE_SIZE,
         Discipline::General,

@@ -125,7 +125,9 @@ mod tests {
         let (engine, oracle, _) =
             prefilled_engine(16, 64, Discipline::General, BackupPolicy::Protocol, 1);
         assert_eq!(engine.cache().dirty_count(), 0);
-        assert!(engine.graph().is_empty());
+        assert!(engine
+            .with_graph(lob_core::DomainId(0), |g| g.is_empty())
+            .unwrap());
         assert_eq!(oracle.len(), 16);
         assert!(oracle.verify_store(&engine, lob_core::Lsn::MAX).is_ok());
     }

@@ -33,7 +33,9 @@
 
 use bytes::Bytes;
 use lob_ops::{OpError, PageReader};
-use lob_pagestore::{FaultHook, FaultVerdict, IoEvent, Lsn, Page, PageId, StableStore, StoreError};
+use lob_pagestore::{
+    FaultHook, FaultVerdict, IoEvent, Lsn, Page, PageId, PartitionId, StableStore, StoreError,
+};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -516,6 +518,25 @@ impl CacheManager {
         }
     }
 
+    /// Drop every frame of one partition, dirty or not (its medium was
+    /// replaced: nothing cached for it is current any more).
+    pub fn clear_partition(&mut self, partition: PartitionId) {
+        let ids: Vec<PageId> = self
+            .frames
+            .keys()
+            .filter(|id| id.partition == partition)
+            .copied()
+            .collect();
+        for id in ids {
+            if let Some(f) = self.frames.remove(&id) {
+                self.dirty.remove(&(f.rlsn, id));
+                if let Some(r) = &mut self.recency {
+                    r.remove(f.node);
+                }
+            }
+        }
+    }
+
     /// Drop a clean page from the cache. A dirty page is refused with
     /// [`CacheError::Dirty`]; a page that is not resident is already gone.
     pub fn evict(&mut self, id: PageId) -> Result<(), CacheError> {
@@ -711,6 +732,26 @@ mod tests {
         assert!(c.is_resident(pid(1)), "dirty page survives");
         assert!(c.is_resident(pid(2)));
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn clear_partition_drops_only_that_partition() {
+        let s = StableStore::new(
+            StoreConfig { page_size: SIZE },
+            &[
+                lob_pagestore::PartitionSpec { pages: 4 },
+                lob_pagestore::PartitionSpec { pages: 4 },
+            ],
+        );
+        let mut c = CacheManager::with_capacity(Some(8));
+        c.put_dirty(PageId::new(0, 0), page(1, 1));
+        c.put_dirty(PageId::new(1, 0), page(2, 1));
+        c.get(PageId::new(1, 1), &s).unwrap();
+        c.clear_partition(PartitionId(1));
+        assert_eq!(c.resident_count(), 1);
+        assert_eq!(c.dirty_pages_by_rlsn(), vec![(PageId::new(0, 0), Lsn(1))]);
+        c.get(PageId::new(1, 1), &s).unwrap();
+        assert_eq!(c.resident_count(), 2, "the recency list took the page back");
     }
 
     #[test]

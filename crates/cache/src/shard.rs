@@ -21,7 +21,7 @@
 //! so shard locks cannot deadlock against each other or anything else.
 
 use crate::{CacheError, CacheManager, CacheStats};
-use lob_pagestore::{FaultHook, Lsn, Page, PageId, StableStore};
+use lob_pagestore::{FaultHook, Lsn, Page, PageId, PartitionId, StableStore};
 use parking_lot::{Mutex, MutexGuard};
 
 /// A page cache sharded by page-id hash. See the module docs.
@@ -73,12 +73,13 @@ impl ShardedCache {
     /// (construction guarantees at least one shard and the index is
     /// reduced mod the length) but kept typed: no panics on this path.
     fn lock_shard(&self, id: PageId) -> Result<MutexGuard<'_, CacheManager>, CacheError> {
-        let idx = (Self::hash(id) as usize) % self.shards.len().max(1);
-        Ok(self
-            .shards
-            .get(idx)
-            .ok_or(CacheError::NotResident(id))?
-            .lock())
+        let shard = match self.shards.as_slice() {
+            [only] => only,
+            shards => shards
+                .get(Self::hash(id) as usize % shards.len().max(1))
+                .ok_or(CacheError::NotResident(id))?,
+        };
+        Ok(shard.lock())
     }
 
     /// Install (or clear) the fault hook on every shard.
@@ -195,6 +196,18 @@ impl ShardedCache {
         for s in &self.shards {
             s.lock().clear();
         }
+    }
+
+    /// Drop every frame of one partition (its medium was replaced).
+    pub fn clear_partition(&self, partition: PartitionId) {
+        for s in &self.shards {
+            s.lock().clear_partition(partition);
+        }
+    }
+
+    /// Drop a clean page (see [`CacheManager::evict`]).
+    pub fn evict(&self, id: PageId) -> Result<(), CacheError> {
+        self.lock_shard(id)?.evict(id)
     }
 
     /// Summed statistics across shards.

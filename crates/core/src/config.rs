@@ -41,8 +41,9 @@ pub enum LogBacking {
     /// simulated crash, which only discards the unforced tail).
     Memory,
     /// A real append-only file with checksummed framing and torn-tail
-    /// detection. [`crate::Engine::open_existing`] can resume from it
-    /// after a process restart.
+    /// detection. [`crate::EngineService::open_existing`] (and
+    /// [`crate::Engine::open_existing`]) can resume from it after a process
+    /// restart.
     File(PathBuf),
 }
 
@@ -162,18 +163,20 @@ pub struct EngineConfig {
     /// Durable log backing.
     pub log: LogBacking,
     /// Commit batching: flush policy, group-commit window, fsync
-    /// discipline.
+    /// discipline. [`crate::Engine`] is one session, so its core keeps the
+    /// gather window closed whatever the window fields say; the flush
+    /// policy and fsync discipline apply to both fronts.
     pub commit: CommitConfig,
     /// Backup sweep batching defaults.
     pub sweep: SweepConfig,
-    /// Shards of the concurrent page cache used by
-    /// [`crate::EngineService`] (clamped to at least 1). The single-owner
-    /// [`crate::Engine`] ignores this — its cache needs no lock at all.
+    /// Shards of the page cache of a [`crate::EngineService`] (clamped to
+    /// at least 1). [`crate::Engine`] ignores this: one session contends
+    /// for no shard, so its core has exactly one.
     pub cache_shards: usize,
     /// Restore and redo knobs for every crash and media recovery
-    /// ([`crate::Engine::recover`], [`crate::Engine::media_recover`] and
-    /// their variants, [`crate::EngineService::recover`]): replay workers
-    /// and pages per group install. The default is one worker draining
+    /// ([`crate::EngineService::recover`],
+    /// [`crate::EngineService::media_recover`] and their variants): replay
+    /// workers and pages per group install. The default is one worker draining
     /// whole-hot-set batches.
     pub recovery: RecoveryConfig,
 }

@@ -1,242 +1,71 @@
-//! The engine.
+//! The one-session engine.
 
-use crate::config::{BackupPolicy, Discipline, EngineConfig, FlushPolicy, LogBacking, Tracking};
 use crate::error::EngineError;
-use crate::stats::EngineStats;
-use bytes::Bytes;
-use lob_backup::{
-    BackupCatalog, BackupCoordinator, BackupError, BackupImage, BackupRun, DomainId, ParallelSweep,
-    RunConfig, SuccessorTable,
-};
-use lob_cache::{CacheError, CacheManager, CacheReader};
-use lob_ops::{OpBody, OpError, TreeForm};
-use lob_pagestore::{
-    CorruptionEntry, Lsn, Page, PageId, PageImage, PartitionId, StableStore, StoreConfig,
-    StoreError,
-};
-use lob_recovery::repair::{
-    archive_closure, dependency_closure, replay_closure, BackoffSchedule, RepairReport, RetryCost,
-};
-use lob_recovery::{
-    parallel_install_image, parallel_redo_scan, InstantRestore, InstantStats, NodeId,
-    RecoveryConfig, RedoOutcome, WriteGraph,
-};
-use lob_wal::{FileLogStore, LogError, LogManager, LogRecord, RecordBody};
+use crate::service::{lift_cache_err, lift_store_err, EngineService, REPAIR_FETCH_ATTEMPTS};
+use crate::stats::Stat;
+use crate::EngineConfig;
+use lob_backup::{BackupError, BackupImage, BackupRun};
+use lob_cache::{CacheError, ShardedCache};
+use lob_ops::{OpBody, OpError};
+use lob_pagestore::{Lsn, Page, PageId, PageImage, PartitionId, StoreError};
+use lob_recovery::{InstantRestore, InstantStats};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::BTreeSet;
+use std::ops::Deref;
 use std::sync::Arc;
-
-/// Attempts per faultable read when the medium reports *transient* I/O
-/// errors: the first try plus three retries, spaced by the deterministic
-/// [`BackoffSchedule`] (virtual ticks — repair never consults a clock).
-const REPAIR_FETCH_ATTEMPTS: u32 = 4;
 
 /// Bound on heal-and-retry rounds for one engine-level read before the
 /// underlying error propagates to the caller (each round either retries a
 /// transient error or repairs one damaged page).
 const HEAL_ROUNDS: u32 = 6;
 
-/// The engine: executes logged operations against the cache, flushes in
-/// write-graph order with the paper's backup coordination, recovers from
-/// crashes and media failures.
+/// The engine as one session: a facade over an [`EngineService`] core
+/// built for a single caller — one cache shard, a closed gather window —
+/// so nobody contends for a shard or joins its commit group, and every
+/// force is exactly the one the WAL rule asks for.
 ///
-/// Single ownership, single writer: one thread drives the engine. The
-/// pieces that backup threads touch concurrently — the stable store and the
-/// backup coordinator — are `Arc`-shared and internally synchronized (the
-/// store's per-partition page lock; the coordinator's backup latches).
+/// Every verb the engine shares with the service is the core's, reached
+/// through `Deref`. The facade adds what only a single owner can do:
+///
+/// * **self-healing**: with a backup generation registered in the
+///   [`EngineService::catalog`], reads, executes and sweep steps retry
+///   transient I/O errors and repair detected damage online
+///   ([`EngineService::repair_page`]) before retrying;
+/// * **instant restore**: during an epoch, reads, writes and sweep steps
+///   gate on their own segment's prioritized restore while
+///   [`Engine::instant_restore_step`] sweeps the rest.
 pub struct Engine {
-    config: EngineConfig,
-    store: Arc<StableStore>,
-    log: LogManager,
-    cache: CacheManager,
-    graph: WriteGraph,
-    coordinator: Arc<BackupCoordinator>,
-    succ: SuccessorTable,
-    next_free: Vec<u32>,
-    next_backup_id: u64,
-    /// Backups whose media-recovery log suffix must be retained:
-    /// `(backup_id, start_lsn)`.
-    retained: Vec<(u64, Lsn)>,
-    /// Changed-page sets taken by in-flight backups (full backups consume
-    /// their domain's changed pages; incremental backups use them as the
-    /// copy filter), restored if the backup aborts.
-    taken_changed: Vec<(u64, HashSet<PageId>)>,
-    /// Images of in-progress linked-flush backups (flushes mirror into
-    /// them).
-    linked_images: Vec<(u64, Arc<Mutex<PageImage>>)>,
-    /// Registered backup generations — the chain online repair draws from.
-    /// While it is empty, self-healing is disengaged and every read path
-    /// behaves exactly as it did before the repair subsystem existed.
-    catalog: Arc<BackupCatalog>,
+    core: Arc<EngineService>,
     /// The in-flight instant-restore epoch, if media recovery is serving
-    /// in degraded mode. While `Some`, reads and writes gate on their own
-    /// segment's restore ([`Engine::ensure_segment`]); `None` is normal
-    /// operation.
+    /// in degraded mode; `None` is normal operation.
     instant: Option<InstantRestore>,
-    /// The installed fault hook, kept so a mid-epoch
-    /// [`Engine::install_fault_hook`] can re-fan it into the scheduler.
-    hook: Option<lob_pagestore::FaultHook>,
-    stats: EngineStats,
+}
+
+impl Deref for Engine {
+    type Target = EngineService;
+
+    fn deref(&self) -> &EngineService {
+        &self.core
+    }
 }
 
 impl Engine {
     /// Build an engine (fresh, formatted database).
     pub fn new(config: EngineConfig) -> Result<Engine, EngineError> {
-        let (store, coordinator) = open_store(&config)?;
-        let log = match &config.log {
-            LogBacking::Memory => LogManager::in_memory(),
-            LogBacking::File(path) => LogManager::new(Box::new(
-                FileLogStore::create(path).map_err(lob_wal::LogError::Io)?,
-            )),
-        };
-        let next_free = vec![0; config.partitions.len()];
-        Ok(Engine {
-            graph: WriteGraph::new(config.graph_mode),
-            cache: CacheManager::with_capacity(config.cache_capacity),
-            log,
-            coordinator,
-            succ: SuccessorTable::new(),
-            next_free,
-            next_backup_id: 1,
-            retained: Vec::new(),
-            taken_changed: Vec::new(),
-            linked_images: Vec::new(),
-            catalog: Arc::new(BackupCatalog::new()),
-            instant: None,
-            hook: None,
-            stats: EngineStats::default(),
-            store,
-            config,
-        })
+        Ok(Engine::over(EngineService::build(config, false, true)?))
     }
 
-    /// Resume from an existing log file after a process restart: the
-    /// stable database starts formatted (the "disk" of this simulation is
-    /// in memory), and [`Engine::recover`] rebuilds it by replaying the
-    /// entire surviving log.
+    /// Resume from an existing log file after a process restart (see
+    /// [`EngineService::open_existing`]); [`EngineService::recover`]
+    /// rebuilds `S` by replaying the entire surviving log.
     pub fn open_existing(config: EngineConfig) -> Result<Engine, EngineError> {
-        let LogBacking::File(path) = config.log.clone() else {
-            return Err(EngineError::Discipline(
-                "open_existing requires a file-backed log".into(),
-            ));
-        };
-        let mut engine = Engine::new(EngineConfig {
-            log: LogBacking::Memory, // placeholder, replaced below
-            ..config.clone()
-        })?;
-        let store = FileLogStore::open(&path).map_err(lob_wal::LogError::Io)?;
-        engine.log = LogManager::from_existing(Box::new(store))?;
-        engine.config = config;
-        // Rebuild the retained-backup set from the surviving BackupBegin
-        // records, so the media barrier keeps protecting every backup's
-        // log suffix across the restart. (Superseded backups are released
-        // explicitly with [`Engine::release_backup`], exactly as before
-        // the restart.)
-        for rec in engine.log.scan_from(engine.log.truncation())? {
-            if let RecordBody::BackupBegin {
-                backup_id,
-                start_lsn,
-            } = rec.body
-            {
-                engine.retained.push((backup_id, start_lsn));
-                engine.next_backup_id = engine.next_backup_id.max(backup_id + 1);
-            }
-        }
-        engine.refresh_media_barrier();
-        Ok(engine)
+        Ok(Engine::over(EngineService::build(config, true, true)?))
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The stable database (shared with backup threads).
-    pub fn store(&self) -> &Arc<StableStore> {
-        &self.store
-    }
-
-    /// The backup coordinator (shared with backup threads).
-    pub fn coordinator(&self) -> &Arc<BackupCoordinator> {
-        &self.coordinator
-    }
-
-    /// The log manager.
-    pub fn log(&self) -> &LogManager {
-        &self.log
-    }
-
-    /// The cache manager.
-    pub fn cache(&self) -> &CacheManager {
-        &self.cache
-    }
-
-    /// The live write graph.
-    pub fn graph(&self) -> &WriteGraph {
-        &self.graph
-    }
-
-    /// Engine statistics. `iwof_bytes` is derived from the log's
-    /// identity-write accounting.
-    pub fn stats(&self) -> EngineStats {
-        let mut s = self.stats;
-        s.iwof_bytes = self.log.stats().identity_bytes();
-        s
-    }
-
-    /// Allocate a fresh (never-updated) page in `partition` — the `new`
-    /// object of a write-new tree operation.
-    pub fn alloc_page(&mut self, partition: PartitionId) -> Result<PageId, EngineError> {
-        let idx = partition.0 as usize;
-        let total = self
-            .store
-            .page_count(partition)
-            .map_err(EngineError::Store)?;
-        let next = self.next_free.get_mut(idx).ok_or(EngineError::Store(
-            lob_pagestore::StoreError::NoSuchPartition(partition),
-        ))?;
-        if *next >= total {
-            return Err(EngineError::Internal(format!(
-                "partition {partition} is full ({total} pages)"
-            )));
-        }
-        let id = PageId {
-            partition,
-            index: *next,
-        };
-        *next += 1;
-        Ok(id)
-    }
-
-    /// Mark low page indexes as pre-allocated (workloads that address pages
-    /// directly call this so `alloc_page` hands out fresh ones).
-    pub fn reserve_pages(&mut self, partition: PartitionId, upto: u32) {
-        if let Some(n) = self.next_free.get_mut(partition.0 as usize) {
-            *n = (*n).max(upto);
-        }
-    }
-
-    /// Current value of a page (read through the cache).
-    ///
-    /// With at least one backup generation registered in the
-    /// [`Engine::catalog`], a failed read *self-heals*: transient I/O
-    /// errors are retried under the deterministic backoff schedule, and
-    /// detected damage (checksum mismatch, single-page media failure, an
-    /// already-quarantined slot) triggers an online [`Engine::repair_page`]
-    /// before the read is retried. With an empty catalog the error
-    /// propagates untouched (quarantined slots as the typed
-    /// [`EngineError::Quarantined`]).
-    pub fn read_page(&mut self, id: PageId) -> Result<Page, EngineError> {
-        // Degraded mode: during an instant-restore epoch a read blocks
-        // only on its *own* segment's (prioritized) restore, never on the
-        // whole device — that is the bounded-degradation contract.
-        if self.instant.is_some() {
-            self.ensure_segment(id.partition)?;
-        }
-        match self.cache.get(id, &self.store) {
-            Ok(p) => Ok(p),
-            Err(CacheError::Store(e)) if self.self_healing() => self.read_page_healing(id, e),
-            Err(e) => Err(lift_cache_err(e)),
+    fn over(core: EngineService) -> Engine {
+        Engine {
+            core: Arc::new(core),
+            instant: None,
         }
     }
 
@@ -244,7 +73,28 @@ impl Engine {
     /// registered). While false, every read path behaves exactly as it did
     /// before the repair subsystem existed.
     fn self_healing(&self) -> bool {
-        !self.catalog.is_empty()
+        !self.catalog().is_empty()
+    }
+
+    /// Current value of a page (read through the cache).
+    ///
+    /// With at least one backup generation registered, a failed read
+    /// *self-heals*: transient I/O errors are retried under the
+    /// deterministic backoff schedule, and detected damage (checksum
+    /// mismatch, single-page media failure, an already-quarantined slot)
+    /// triggers an online [`EngineService::repair_page`] before the read is
+    /// retried. With an empty catalog the error propagates untouched
+    /// (quarantined slots as the typed [`EngineError::Quarantined`]).
+    pub fn read_page(&mut self, id: PageId) -> Result<Page, EngineError> {
+        // Degraded mode: during an instant-restore epoch a read blocks
+        // only on its *own* segment's (prioritized) restore, never on the
+        // whole device — that is the bounded-degradation contract.
+        self.ensure_segment(id.partition)?;
+        match self.cache().get(id, self.store()) {
+            Ok(p) => Ok(p),
+            Err(CacheError::Store(e)) if self.self_healing() => self.read_page_healing(id, e),
+            Err(e) => Err(lift_cache_err(e)),
+        }
     }
 
     /// Heal-and-retry loop behind [`Engine::read_page`]: classify the
@@ -263,7 +113,7 @@ impl Engine {
                     }
                     // Virtual wait: the delay is accounted, never slept.
                     let _ticks = backoff.delay_ticks(transient_attempts - 1);
-                    self.stats.transient_retries += 1;
+                    self.bump(Stat::transient_retries, 1);
                 }
                 StoreError::Corrupt(p)
                 | StoreError::MediaFailure(p)
@@ -272,7 +122,7 @@ impl Engine {
                 }
                 e => return Err(lift_store_err(e)),
             }
-            match self.cache.get(id, &self.store) {
+            match self.cache().get(id, self.store()) {
                 Ok(p) => return Ok(p),
                 Err(CacheError::Store(e)) => err = e,
                 Err(e) => return Err(lift_cache_err(e)),
@@ -281,20 +131,8 @@ impl Engine {
         Err(lift_store_err(err))
     }
 
-    fn check_discipline(&mut self, body: &OpBody) -> Result<(), EngineError> {
-        confined_domain(
-            &self.coordinator,
-            body,
-            "per-partition tracking requires partition-confined operations",
-        )?;
-        check_discipline(self.config.discipline, body, |p| {
-            Ok(self.cache.page_lsn(p, &self.store)?)
-        })
-    }
-
-    /// Execute a logged operation: evaluate it against the cache, append
-    /// its log record, install the results in the cache (dirty), and update
-    /// the write graph and successor metadata. Returns the record's LSN.
+    /// Execute a logged operation ([`EngineService::execute`]). Returns the
+    /// record's LSN.
     ///
     /// With a non-empty backup-generation catalog, a read-set page whose
     /// fetch fails with detectable damage is repaired online and the
@@ -317,11 +155,11 @@ impl Engine {
             }
         }
         if !self.self_healing() {
-            return self.execute_once(body);
+            return self.core.execute(body);
         }
         let mut rounds = 0u32;
         loop {
-            match self.execute_once(body.clone()) {
+            match self.core.execute(body.clone()) {
                 Err(EngineError::Op(OpError::ReadFailed { page, cause }))
                     if rounds < HEAL_ROUNDS =>
                 {
@@ -347,7 +185,7 @@ impl Engine {
     fn heal_store_err(&mut self, e: StoreError) -> Result<(), EngineError> {
         match e {
             StoreError::Transient(_) => {
-                self.stats.transient_retries += 1;
+                self.bump(Stat::transient_retries, 1);
                 Ok(())
             }
             StoreError::Corrupt(p) | StoreError::MediaFailure(p) | StoreError::Quarantined(p) => {
@@ -363,490 +201,14 @@ impl Engine {
     /// retry, detected damage repairs from the backup chain, and anything
     /// else surfaces the original evaluation failure.
     fn heal_readset_page(&mut self, page: PageId, cause: String) -> Result<(), EngineError> {
-        match self.store.read_page(page) {
+        match self.store().read_page(page) {
             // Readable now (the failure was transient, or the evaluation
             // read raced a fault the probe did not draw): just retry.
             Ok(_) => Ok(()),
-            Err(StoreError::Transient(_)) => {
-                self.stats.transient_retries += 1;
-                Ok(())
-            }
-            Err(StoreError::Corrupt(p))
-            | Err(StoreError::MediaFailure(p))
-            | Err(StoreError::Quarantined(p)) => {
-                self.repair_page(p)?;
-                Ok(())
-            }
             Err(StoreError::InjectedCrash) => Err(EngineError::Store(StoreError::InjectedCrash)),
+            Err(e) if is_healable_read_err(&e) => self.heal_store_err(e),
             Err(_) => Err(EngineError::Op(OpError::ReadFailed { page, cause })),
         }
-    }
-
-    fn execute_once(&mut self, body: OpBody) -> Result<Lsn, EngineError> {
-        body.validate()?;
-        self.check_discipline(&body)?;
-        // Evaluate first (no state change on failure).
-        let outputs = {
-            let mut reader = CacheReader::new(&mut self.cache, &self.store);
-            body.apply(&mut reader)?
-        };
-        for (pid, bytes) in &outputs {
-            if bytes.len() != self.config.page_size {
-                return Err(EngineError::Internal(format!(
-                    "operation produced {} bytes for {pid}, page size is {}",
-                    bytes.len(),
-                    self.config.page_size
-                )));
-            }
-        }
-        let lsn = self.log.append(RecordBody::Op(body.clone()));
-        for (pid, bytes) in outputs {
-            self.cache.put_dirty(pid, Page::new(lsn, bytes));
-        }
-        self.graph.add_op(lsn, &body);
-        let coord = &self.coordinator;
-        self.succ.note_op(&body, |p| coord.pos(p));
-        self.stats.ops_executed += 1;
-        Ok(lsn)
-    }
-
-    /// The LSN a WAL-required force actually targets, per the configured
-    /// [`FlushPolicy`]: exactly `required`, or the whole appended tail
-    /// (`Lsn::MAX`) so pending records ride along in one group commit.
-    /// Forcing beyond `required` is always WAL-correct — it only makes
-    /// records durable early.
-    fn force_target(&self, required: Lsn) -> Lsn {
-        match self.config.commit.flush_policy {
-            FlushPolicy::Exact => required,
-            FlushPolicy::Group => Lsn::MAX,
-        }
-    }
-
-    /// Install one write-graph node (it must have no predecessors): decide
-    /// Iw/oF per object under the backup latch, log identity writes where
-    /// required, flush the node's `vars` to `S` (WAL-protocol-checked), and
-    /// remove the node. This is the cache-management algorithm of §3.5.
-    fn install_one_node(&mut self, node: NodeId) -> Result<(), EngineError> {
-        let vars: Vec<PageId> = self.graph.vars(node)?.to_vec();
-        // WAL rule for steals: if a blind write emptied (part of) this
-        // node's vars, the thief's record must be durable before the node
-        // installs — otherwise a crash leaves the stolen object's value
-        // with no source (not in S, not regenerable: the replay inputs may
-        // already be overwritten in S by the time recovery runs).
-        let wal_floor = self.graph.wal_floor(node)?;
-        if vars.is_empty() {
-            self.log.force(self.force_target(wal_floor))?;
-            self.graph.install_node(node)?;
-            self.stats.nodes_installed_free += 1;
-            return Ok(());
-        }
-
-        // Take the backup latch (share mode) for the affected domains; the
-        // classification stays valid until we drop it, after the flush.
-        let latch = self.coordinator.latch_for(&vars);
-
-        // Decide which objects need Iw/oF.
-        let mut iwof: Vec<PageId> = Vec::new();
-        if self.config.policy == BackupPolicy::Protocol {
-            for &v in &vars {
-                let needs = match self.config.discipline {
-                    Discipline::PageOriented => false,
-                    Discipline::General => latch.decide_general(v),
-                    Discipline::Tree => latch.decide_tree(v, self.succ.get(v)),
-                };
-                if needs {
-                    iwof.push(v);
-                }
-            }
-        }
-
-        // Log identity writes. Each steals its object from `node` into a
-        // fresh single-object node (installed below, by the same flush).
-        let mut identity_nodes: Vec<(PageId, NodeId)> = Vec::new();
-        for &v in &iwof {
-            let value: Bytes = self
-                .cache
-                .peek(v)
-                .ok_or_else(|| EngineError::Internal(format!("iwof target {v} not resident")))?
-                .data()
-                .clone();
-            let body = OpBody::IdentityWrite { target: v, value };
-            let ilsn = self.log.append(RecordBody::Op(body.clone()));
-            self.stats.iwof_records += 1;
-            let n = self.graph.add_op(ilsn, &body);
-            // The page now carries the identity write's LSN; its redo can
-            // start at the identity record (rLSN advance, §3.2).
-            let page = self
-                .cache
-                .peek(v)
-                .ok_or_else(|| {
-                    EngineError::Internal(format!("page {v} not resident at identity write"))
-                })?
-                .with_lsn(ilsn);
-            self.cache.put_dirty(v, page);
-            self.cache.advance_rlsn(v, ilsn);
-            identity_nodes.push((v, n));
-        }
-
-        // WAL protocol: force the log up to the newest pageLSN we are about
-        // to write, then flush all vars (the paper flushes X to S even when
-        // it was Iw/oF-logged, §3.5).
-        let max_lsn = vars
-            .iter()
-            .filter_map(|&v| self.cache.peek(v).map(|p| p.lsn()))
-            .max()
-            .unwrap_or(Lsn::NULL);
-        self.log.force(self.force_target(max_lsn.max(wal_floor)))?;
-        self.cache
-            .write_out(&vars, &self.store, self.log.durable_lsn())?;
-        self.stats.pages_flushed += vars.len() as u64;
-
-        // Mirror into any in-progress linked-flush backups, and feed the
-        // incremental changed-set.
-        for &v in &vars {
-            self.coordinator.note_flushed(v);
-        }
-        if !self.linked_images.is_empty() {
-            for (_, img) in &self.linked_images {
-                let mut g = img.lock();
-                for &v in &vars {
-                    if let Some(p) = self.cache.peek(v) {
-                        // lint:allow(durability-order) linked image mirrors the page just flushed, read from the cache, not the store
-                        g.put(v, p.clone());
-                    }
-                }
-            }
-        }
-
-        // The flush installed the node's remaining ops and every identity
-        // write.
-        self.graph.install_node(node)?;
-        self.stats.nodes_flushed += 1;
-        for (v, n) in identity_nodes {
-            // The identity node may still exist (it does unless it was the
-            // same node — impossible: identity writes never merge).
-            self.graph.install_node(n)?;
-            let _ = v;
-        }
-        for &v in &vars {
-            self.succ.clear(v);
-        }
-        drop(latch);
-        Ok(())
-    }
-
-    /// Flush the node holding `page` (and, first, all its write-graph
-    /// ancestors). No-op if the page is clean.
-    pub fn flush_page(&mut self, page: PageId) -> Result<(), EngineError> {
-        let Some(node) = self.graph.node_of(page) else {
-            if self.cache.is_dirty(page) {
-                return Err(EngineError::Internal(format!(
-                    "dirty page {page} not owned by any write-graph node"
-                )));
-            }
-            return Ok(());
-        };
-        let plan = self.graph.flush_plan(node)?;
-        for n in plan {
-            self.install_one_node(n)?;
-        }
-        Ok(())
-    }
-
-    /// Flush every dirty page (in write-graph order) until the graph is
-    /// empty, then advance the log truncation point.
-    pub fn flush_all(&mut self) -> Result<(), EngineError> {
-        loop {
-            let frontier = self.graph.frontier();
-            if frontier.is_empty() {
-                break;
-            }
-            for node in frontier {
-                self.install_one_node(node)?;
-            }
-        }
-        if self.cache.dirty_count() != 0 {
-            return Err(EngineError::Internal(
-                "dirty pages remain after the write graph drained".into(),
-            ));
-        }
-        self.truncate_log()?;
-        Ok(())
-    }
-
-    /// Durably force every appended log record (a commit point: operations
-    /// logged so far survive a crash).
-    pub fn force_log(&mut self) -> Result<(), EngineError> {
-        self.log.force_all()?;
-        Ok(())
-    }
-
-    /// Flush up to `budget` dirty pages, oldest rLSN first (the classic
-    /// background-checkpointing policy: it advances the log truncation
-    /// point fastest), then truncate the log. Returns the number of pages
-    /// that were dirty before the call and are clean after it.
-    pub fn flush_oldest(&mut self, budget: usize) -> Result<usize, EngineError> {
-        let victims = self.cache.dirty_pages_by_rlsn();
-        let mut cleaned = 0;
-        for (page, _) in victims.into_iter().take(budget) {
-            if self.cache.is_dirty(page) {
-                self.flush_page(page)?;
-                cleaned += 1;
-            }
-        }
-        self.truncate_log()?;
-        Ok(cleaned)
-    }
-
-    /// The redo scan start point: the earliest LSN crash recovery could
-    /// need. This is also the media-recovery start point a backup records
-    /// when it begins (§1.2).
-    pub fn redo_scan_start(&self) -> Lsn {
-        let graph_min = self.graph.min_uninstalled_lsn();
-        let cache_min = self.cache.min_dirty_rlsn();
-        match (graph_min, cache_min) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => self.log.next_lsn(),
-        }
-    }
-
-    /// Advance the log truncation point as far as crash recovery and
-    /// retained backups permit.
-    pub fn truncate_log(&mut self) -> Result<Lsn, EngineError> {
-        let bound = self.redo_scan_start();
-        Ok(self.log.truncate(bound)?)
-    }
-
-    // ------------------------------------------------------------------
-    // Crash recovery
-    // ------------------------------------------------------------------
-
-    /// Install (or clear) a fault hook on every I/O site the engine owns
-    /// or shares: the stable store (page writes), the log manager (forces
-    /// and frame appends), the cache (flush decisions), and the backup
-    /// coordinator (sweep copies). One hook observes the system-wide
-    /// deterministic I/O event stream.
-    pub fn install_fault_hook(&mut self, hook: Option<lob_pagestore::FaultHook>) {
-        self.store.set_fault_hook(hook.clone());
-        self.log.set_fault_hook(hook.clone());
-        self.cache.set_fault_hook(hook.clone());
-        self.coordinator.set_fault_hook(hook.clone());
-        self.catalog.set_fault_hook(hook.clone());
-        if let Some(r) = self.instant.as_mut() {
-            r.set_fault_hook(hook.clone());
-        }
-        self.hook = hook;
-    }
-
-    /// Crash: all volatile state (cache, write graph, successor table, the
-    /// unforced log tail, in-flight backup trackers and the changed-page
-    /// set) is lost. Call [`Engine::recover`] next.
-    pub fn crash(&mut self) {
-        self.log.crash();
-        self.cache.clear();
-        self.graph = WriteGraph::new(self.config.graph_mode);
-        self.succ.clear_all();
-        self.taken_changed.clear();
-        self.linked_images.clear();
-        // The backup coordinator's trackers and changed set live in the
-        // same process: any in-flight sweep dies with it.
-        self.coordinator.reset_volatile();
-        // The instant-restore scheduler is volatile too; its on-disk
-        // progress is exactly the cleared failure flags, so a reboot
-        // re-enters through [`Engine::recover_instant`].
-        self.instant = None;
-    }
-
-    /// Crash recovery: roll the surviving log suffix forward over `S`
-    /// with the workers/batch knobs from [`EngineConfig::recovery`].
-    pub fn recover(&mut self) -> Result<RedoOutcome, EngineError> {
-        self.parallel_recover_with(self.config.recovery)
-    }
-
-    /// [`Engine::recover`] with explicit knobs. The recovered state and
-    /// the returned [`RedoOutcome`] are the same in every configuration
-    /// (the harness byte-checks each recovery against the record-at-a-time
-    /// reference scan).
-    pub fn parallel_recover_with(
-        &mut self,
-        recovery: RecoveryConfig,
-    ) -> Result<RedoOutcome, EngineError> {
-        self.run_recovery(None, None, Lsn::MAX, recovery)
-    }
-
-    /// The one recovery body (DESIGN.md §5.10). Media recovery — an
-    /// `image` supplies the seed — forces the log, drops every piece of
-    /// volatile state and replaces the failed media first; crash redo
-    /// starts from what [`Engine::crash`] left. Then: install the seed
-    /// pages, roll the filtered suffix forward, reseed the allocator.
-    fn run_recovery(
-        &mut self,
-        image: Option<&BackupImage>,
-        partition: Option<PartitionId>,
-        upto: Lsn,
-        recovery: RecoveryConfig,
-    ) -> Result<RedoOutcome, EngineError> {
-        if let Some(image) = image {
-            image.check_restorable()?;
-            self.log.force_all()?;
-            self.cache.clear();
-            self.graph = WriteGraph::new(self.config.graph_mode);
-            self.succ.clear_all();
-            for p in (0..self.config.partitions.len() as u32).map(PartitionId) {
-                if partition.map_or(true, |only| only == p) {
-                    self.store.clear_failures(p)?;
-                }
-            }
-        }
-        let outcome = self.restore_and_redo(&self.store, image, partition, upto, recovery)?;
-        self.reseed_allocator()?;
-        if image.is_some() {
-            self.stats.media_recoveries += 1;
-        } else {
-            self.stats.recoveries += 1;
-            self.truncate_log()?;
-        }
-        Ok(outcome)
-    }
-
-    /// Install `image`'s pages into `store` (all of them, or one
-    /// `partition`'s; with no image this is crash redo and `S` is its own
-    /// seed), then roll the log forward from the seed's start LSN through
-    /// the batched replay, keeping only records at or below `upto` and,
-    /// for a partition restore, operations touching that partition.
-    fn restore_and_redo(
-        &self,
-        store: &StableStore,
-        image: Option<&BackupImage>,
-        partition: Option<PartitionId>,
-        upto: Lsn,
-        recovery: RecoveryConfig,
-    ) -> Result<RedoOutcome, EngineError> {
-        let from = match image {
-            None => self.log.truncation(),
-            Some(image) => {
-                match partition {
-                    None => parallel_install_image(&image.pages, store, recovery)?,
-                    Some(only) => {
-                        parallel_install_image(&image.pages.partition(only), store, recovery)?
-                    }
-                };
-                image.start_lsn
-            }
-        };
-        let mut records = self.log.scan_from(from)?;
-        records.retain(|r| {
-            r.lsn <= upto
-                && partition.map_or(true, |only| match &r.body {
-                    // The LSN test would make replaying the rest harmless;
-                    // restricting the scan shows the §6.3 point: the
-                    // partition is the recovery unit.
-                    RecordBody::Op(op) => op
-                        .writeset()
-                        .iter()
-                        .chain(op.readset().iter())
-                        .any(|p| p.partition == only),
-                    _ => false,
-                })
-        });
-        Ok(parallel_redo_scan(&records, store, recovery)?)
-    }
-
-    fn reseed_allocator(&mut self) -> Result<(), EngineError> {
-        for (p, slot) in self.next_free.iter_mut().enumerate() {
-            let hw = self.store.high_water(PartitionId(p as u32))?;
-            let floor = hw.map_or(0, |h| h + 1);
-            *slot = (*slot).max(floor);
-        }
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Backups
-    // ------------------------------------------------------------------
-
-    /// Take the changed-page set for `domain`, restoring out-of-domain
-    /// pages immediately (they belong to other domains' next backups).
-    fn take_domain_changed(&mut self, domain: DomainId) -> HashSet<PageId> {
-        let changed = self.coordinator.take_changed();
-        let (in_dom, out_dom): (HashSet<PageId>, HashSet<PageId>) = changed
-            .into_iter()
-            .partition(|p| self.coordinator.domain_of(p.partition) == Some(domain));
-        self.coordinator.restore_changed(out_dom);
-        in_dom
-    }
-
-    fn begin_backup_inner(
-        &mut self,
-        domain: DomainId,
-        steps: u32,
-        incremental: bool,
-        base: Option<u64>,
-    ) -> Result<BackupRun, EngineError> {
-        // Both full and incremental backups consume the domain's changed
-        // set: a full backup supersedes it (every page is captured at or
-        // after this point, and flushes during the window are re-noted); an
-        // incremental backup copies exactly it.
-        let changed = self.take_domain_changed(domain);
-        let backup_id = self.next_backup_id;
-        let start_lsn = self.redo_scan_start();
-        let cfg = RunConfig {
-            domain,
-            steps,
-            filter: incremental.then(|| changed.clone()),
-            base,
-        };
-        let run = match BackupRun::begin(&self.coordinator, cfg, backup_id, start_lsn) {
-            Ok(r) => r,
-            Err(e) => {
-                self.coordinator.restore_changed(changed);
-                return Err(EngineError::Backup(e));
-            }
-        };
-        self.taken_changed.push((backup_id, changed));
-        self.next_backup_id += 1;
-        self.log.append(RecordBody::BackupBegin {
-            backup_id,
-            start_lsn,
-        });
-        self.log.force_all()?;
-        self.retained.push((backup_id, start_lsn));
-        self.refresh_media_barrier();
-        self.stats.backups_begun += 1;
-        Ok(run)
-    }
-
-    fn refresh_media_barrier(&mut self) {
-        let barrier = self.retained.iter().map(|&(_, l)| l).min();
-        self.log.set_media_barrier(barrier);
-    }
-
-    /// Begin an on-line backup of domain 0 in `steps` steps (the common
-    /// single-domain case).
-    pub fn begin_backup(&mut self, steps: u32) -> Result<BackupRun, EngineError> {
-        self.begin_backup_inner(DomainId(0), steps, false, None)
-    }
-
-    /// Begin an on-line backup of a specific domain.
-    pub fn begin_backup_of(
-        &mut self,
-        domain: DomainId,
-        steps: u32,
-    ) -> Result<BackupRun, EngineError> {
-        self.begin_backup_inner(domain, steps, false, None)
-    }
-
-    /// Begin an incremental backup: copy only pages flushed to `S` since
-    /// the last completed backup, on top of `base`.
-    pub fn begin_incremental_backup(
-        &mut self,
-        domain: DomainId,
-        steps: u32,
-        base: &BackupImage,
-    ) -> Result<BackupRun, EngineError> {
-        self.begin_backup_inner(domain, steps, true, Some(base.backup_id))
     }
 
     /// Advance an on-line backup by one step (copy + cursor advance).
@@ -859,15 +221,15 @@ impl Engine {
 
     /// Advance an on-line backup by one step, copying up to `batch`
     /// contiguous pages per store round-trip
-    /// ([`lob_backup::BackupRun::step_batch`]).
+    /// ([`EngineService::backup_step_batch`]), healing what its copy reads
+    /// hit.
     pub fn backup_step_batch(
         &mut self,
         run: &mut BackupRun,
         batch: u32,
     ) -> Result<bool, EngineError> {
         if !self.self_healing() {
-            self.stats.sweep_batches += 1;
-            return Ok(run.step_batch(&self.coordinator, &self.store, batch)?);
+            return self.core.backup_step_batch(run, batch);
         }
         // A sweep copy read can hit detectable damage just like any other
         // read. A failed step leaves the cursor and tracker untouched, so
@@ -876,854 +238,91 @@ impl Engine {
         let mut rounds = 0u32;
         let mut transient_attempts = 0u32;
         loop {
-            self.stats.sweep_batches += 1;
-            match run.step_batch(&self.coordinator, &self.store, batch) {
-                Err(BackupError::Store(StoreError::Transient(p))) => {
+            let e = match self.core.backup_step_batch(run, batch) {
+                Err(EngineError::Backup(BackupError::Store(e))) => e,
+                r => return r,
+            };
+            match e {
+                StoreError::Transient(p) => {
                     let backoff = self.repair_backoff(p);
                     transient_attempts += 1;
                     if transient_attempts >= backoff.max_attempts {
                         return Err(EngineError::Store(StoreError::Transient(p)));
                     }
                     let _ticks = backoff.delay_ticks(transient_attempts - 1);
-                    self.stats.transient_retries += 1;
+                    self.bump(Stat::transient_retries, 1);
                 }
                 // During an instant-restore epoch a sweep copy that lands
                 // on a failed segment waits for that segment's restore
                 // (prioritized), not a single-page repair — the whole
                 // partition is coming back anyway. This is what keeps
                 // `backup_step` working mid-epoch.
-                Err(BackupError::Store(StoreError::MediaFailure(p)))
-                    if self.instant.is_some() && rounds < HEAL_ROUNDS =>
-                {
+                StoreError::MediaFailure(p) if self.instant.is_some() && rounds < HEAL_ROUNDS => {
                     rounds += 1;
                     self.ensure_segment(p.partition)?;
                 }
-                Err(BackupError::Store(
-                    StoreError::Corrupt(p)
-                    | StoreError::MediaFailure(p)
-                    | StoreError::Quarantined(p),
-                )) if rounds < HEAL_ROUNDS => {
+                StoreError::Corrupt(p)
+                | StoreError::MediaFailure(p)
+                | StoreError::Quarantined(p)
+                    if rounds < HEAL_ROUNDS =>
+                {
                     rounds += 1;
                     self.repair_page(p)?;
                 }
-                r => return Ok(r?),
+                e => return Err(EngineError::Backup(BackupError::Store(e))),
             }
         }
     }
 
-    /// Back up every domain concurrently — the paper's partition-parallel
-    /// scheme (§3.4): one sweep worker thread per coordinator domain, each
-    /// copying up to `batch` contiguous pages per store round-trip, `steps`
-    /// progress steps per domain.
-    ///
-    /// The engine thread blocks for the duration (the sweep reads `S`
-    /// directly, so nothing here executes operations meanwhile — drive
-    /// [`Engine::backup_step_batch`] per run instead when the workload must
-    /// interleave on this thread; with real concurrent writers the workers
-    /// race them exactly as §3.4 intends). On success every domain's image
-    /// is returned, `BackupEnd`-logged, in domain order. A domain that
-    /// fails its sweep is healed and finished on this thread when
-    /// self-healing is engaged and the error is repairable; otherwise
-    /// every other domain is aborted and the first error surfaces.
+    /// [`EngineService::parallel_backup`], healing on this thread: a domain
+    /// whose sweep fails with repairable damage is finished through
+    /// [`Engine::backup_step_batch`] when self-healing is engaged; any
+    /// other failure aborts every domain and surfaces.
     pub fn parallel_backup(
         &mut self,
         steps: u32,
         batch: u32,
     ) -> Result<Vec<BackupImage>, EngineError> {
-        let mut runs = Vec::with_capacity(self.coordinator.domain_count() as usize);
-        for d in 0..self.coordinator.domain_count() {
-            match self.begin_backup_inner(DomainId(d), steps, false, None) {
-                Ok(r) => runs.push(r),
-                Err(e) => {
-                    for r in runs {
-                        self.abort_backup(r);
-                    }
-                    return Err(e);
-                }
+        let core = Arc::clone(&self.core);
+        core.parallel_backup_with(steps, batch, |run, e| {
+            if !self.self_healing() || !is_healable_backup_error(&e) {
+                return Err(EngineError::Backup(e));
             }
-        }
-        let reports = ParallelSweep::sweep(&self.coordinator, &self.store, runs, batch);
-        let mut finished: Vec<BackupRun> = Vec::with_capacity(reports.len());
-        let mut failure: Option<EngineError> = None;
-        for rep in reports {
-            self.stats.sweep_batches += rep.batches;
-            self.stats.sweep_workers += 1;
-            match (rep.outcome, rep.run) {
-                (Ok(()), Some(run)) => finished.push(run),
-                (Err(e), Some(mut run)) => {
-                    // The worker parked its run (cursor and tracker held).
-                    // If the damage is repairable, heal and finish the
-                    // domain on this thread through the step heal loop.
-                    if self.self_healing() && Engine::is_healable_backup_error(&e) {
-                        match self.finish_run_healing(&mut run, batch) {
-                            Ok(()) => {
-                                finished.push(run);
-                                continue;
-                            }
-                            Err(e2) => {
-                                self.abort_backup(run);
-                                if failure.is_none() {
-                                    failure = Some(e2);
-                                }
-                                continue;
-                            }
-                        }
-                    }
-                    self.abort_backup(run);
-                    if failure.is_none() {
-                        failure = Some(EngineError::Backup(e));
-                    }
-                }
-                (outcome, None) => {
-                    // The worker panicked and took its run with it: reset
-                    // the domain by hand (tracker, changed set, retention).
-                    if let Ok(t) = self.coordinator.tracker(rep.domain) {
-                        if t.is_active() {
-                            t.finish();
-                        }
-                    }
-                    if let Some(i) = self
-                        .taken_changed
-                        .iter()
-                        .position(|(id, _)| *id == rep.backup_id)
-                    {
-                        let (_, changed) = self.taken_changed.swap_remove(i);
-                        self.coordinator.restore_changed(changed);
-                    }
-                    self.release_backup(rep.backup_id);
-                    if failure.is_none() {
-                        failure = Some(EngineError::Backup(match outcome {
-                            Err(e) => e,
-                            Ok(()) => BackupError::BadState("sweep worker lost its run".into()),
-                        }));
-                    }
-                }
-            }
-        }
-        if let Some(e) = failure {
-            for run in finished {
-                self.abort_backup(run);
-            }
-            return Err(e);
-        }
-        finished.sort_by_key(|r| r.domain().0);
-        let mut images = Vec::with_capacity(finished.len());
-        for run in finished {
-            images.push(self.complete_backup(run)?);
-        }
-        Ok(images)
-    }
-
-    /// Whether a parked sweep error is one the step heal loop can repair.
-    fn is_healable_backup_error(e: &BackupError) -> bool {
-        matches!(
-            e,
-            BackupError::Store(
-                StoreError::Transient(_)
-                    | StoreError::Corrupt(_)
-                    | StoreError::MediaFailure(_)
-                    | StoreError::Quarantined(_),
-            )
-        )
-    }
-
-    /// Drive a parked run to completion through the healing step loop.
-    fn finish_run_healing(&mut self, run: &mut BackupRun, batch: u32) -> Result<(), EngineError> {
-        while !self.backup_step_batch(run, batch)? {}
-        Ok(())
-    }
-
-    /// Complete a finished backup run: logs `BackupEnd` and returns the
-    /// image. The image's log suffix stays retained until
-    /// [`Engine::release_backup`].
-    pub fn complete_backup(&mut self, run: BackupRun) -> Result<BackupImage, EngineError> {
-        let backup_id = run.backup_id();
-        let mut image = run.into_image()?;
-        self.log.append(RecordBody::BackupEnd { backup_id });
-        self.log.force_all()?;
-        image.end_lsn = self.log.durable_lsn();
-        self.taken_changed.retain(|(id, _)| *id != backup_id);
-        self.stats.backups_completed += 1;
-        Ok(image)
-    }
-
-    /// Abort an in-flight backup run: the tracker deactivates, the log
-    /// suffix is released, and (for incremental runs) the changed-page set
-    /// is merged back.
-    pub fn abort_backup(&mut self, run: BackupRun) {
-        let backup_id = run.backup_id();
-        run.abort(&self.coordinator);
-        if let Some(i) = self
-            .taken_changed
-            .iter()
-            .position(|(id, _)| *id == backup_id)
-        {
-            let (_, changed) = self.taken_changed.swap_remove(i);
-            self.coordinator.restore_changed(changed);
-        }
-        self.release_backup(backup_id);
-    }
-
-    /// Stop retaining log records for a backup (it was superseded or
-    /// discarded). Allows the log to truncate past its start LSN.
-    pub fn release_backup(&mut self, backup_id: u64) {
-        self.retained.retain(|&(id, _)| id != backup_id);
-        self.refresh_media_barrier();
-    }
-
-    /// An off-line backup: quiesce (flush everything), then snapshot. The
-    /// availability cost is the point of comparison; correctness is
-    /// trivial.
-    pub fn offline_backup(&mut self) -> Result<BackupImage, EngineError> {
-        self.flush_all()?;
-        let pages = self.store.snapshot()?;
-        let backup_id = self.next_backup_id;
-        self.next_backup_id += 1;
-        let start_lsn = self.log.next_lsn();
-        self.retained.push((backup_id, start_lsn));
-        self.refresh_media_barrier();
-        self.stats.backups_begun += 1;
-        self.stats.backups_completed += 1;
-        Ok(BackupImage {
-            backup_id,
-            start_lsn,
-            end_lsn: start_lsn,
-            pages,
-            complete: true,
-            incremental: false,
-            base: None,
+            while !self.backup_step_batch(run, batch)? {}
+            Ok(())
         })
     }
 
-    // ------------------------------------------------------------------
-    // Linked-flush backup (the "completely unrealistic" baseline of §1.3)
-    // ------------------------------------------------------------------
-
-    /// Begin a linked-flush backup: pages are copied from `S` through the
-    /// engine (serialized with operation execution), and every flush during
-    /// the window is synchronously mirrored into the image.
-    pub fn begin_linked_backup(&mut self) -> Result<LinkedBackupRun, EngineError> {
-        let backup_id = self.next_backup_id;
-        self.next_backup_id += 1;
-        let start_lsn = self.redo_scan_start();
-        self.log.append(RecordBody::BackupBegin {
-            backup_id,
-            start_lsn,
-        });
-        self.log.force_all()?;
-        self.retained.push((backup_id, start_lsn));
-        self.refresh_media_barrier();
-        self.stats.backups_begun += 1;
-        let image = Arc::new(Mutex::new(PageImage::new()));
-        self.linked_images.push((backup_id, Arc::clone(&image)));
-        let mut todo = Vec::new();
-        for p in 0..self.config.partitions.len() as u32 {
-            let n = self.store.page_count(PartitionId(p))?;
-            for i in 0..n {
-                todo.push(PageId::new(p, i));
-            }
+    /// Install (or clear) a fault hook on every I/O site
+    /// ([`EngineService::install_fault_hook`]), the in-flight epoch's
+    /// scheduler included.
+    pub fn install_fault_hook(&mut self, hook: Option<lob_pagestore::FaultHook>) {
+        if let Some(r) = self.instant.as_mut() {
+            r.set_fault_hook(hook.clone());
         }
-        Ok(LinkedBackupRun {
-            backup_id,
-            start_lsn,
-            todo,
-            cursor: 0,
-            image,
-        })
+        self.core.install_fault_hook(hook);
     }
 
-    /// Copy up to `pages` pages for a linked backup. Returns `true` when
-    /// the sweep has covered every page.
-    pub fn linked_step(
-        &mut self,
-        run: &mut LinkedBackupRun,
-        pages: usize,
-    ) -> Result<bool, EngineError> {
-        let end = (run.cursor + pages).min(run.todo.len());
-        let mut img = run.image.lock();
-        for i in run.cursor..end {
-            let id = run.todo[i];
-            // Copy the *stable* version: the image mirrors S exactly
-            // (flushes during the window also land in the image).
-            if !img.contains(id) {
-                let page = self.store.read_page(id)?;
-                img.put(id, page);
-            }
-        }
-        drop(img);
-        run.cursor = end;
-        Ok(run.cursor == run.todo.len())
-    }
-
-    /// Complete a linked backup.
-    pub fn complete_linked_backup(
-        &mut self,
-        run: LinkedBackupRun,
-    ) -> Result<BackupImage, EngineError> {
-        if run.cursor != run.todo.len() {
-            return Err(EngineError::Backup(lob_backup::BackupError::BadState(
-                "linked backup incomplete".into(),
-            )));
-        }
-        self.linked_images.retain(|(id, _)| *id != run.backup_id);
-        self.log.append(RecordBody::BackupEnd {
-            backup_id: run.backup_id,
-        });
-        self.log.force_all()?;
-        self.stats.backups_completed += 1;
-        let pages = Arc::try_unwrap(run.image)
-            .map(|m| m.into_inner())
-            .unwrap_or_else(|arc| arc.lock().clone());
-        Ok(BackupImage {
-            backup_id: run.backup_id,
-            start_lsn: run.start_lsn,
-            end_lsn: self.log.durable_lsn(),
-            pages,
-            complete: true,
-            incremental: false,
-            base: None,
-        })
-    }
-
-    // ------------------------------------------------------------------
-    // Media recovery
-    // ------------------------------------------------------------------
-
-    /// Full media recovery: discard volatile state, replace the failed
-    /// media, restore every page from the backup image, and roll forward
-    /// from the image's start LSN to the current end of the log, with the
-    /// workers/batch knobs from [`EngineConfig::recovery`].
-    pub fn media_recover(&mut self, image: &BackupImage) -> Result<RedoOutcome, EngineError> {
-        self.parallel_restore_with(image, self.config.recovery)
-    }
-
-    /// [`Engine::media_recover`] with explicit knobs. The recovered state
-    /// is the same in every configuration.
-    pub fn parallel_restore_with(
-        &mut self,
-        image: &BackupImage,
-        recovery: RecoveryConfig,
-    ) -> Result<RedoOutcome, EngineError> {
-        self.run_recovery(Some(image), None, Lsn::MAX, recovery)
-    }
-
-    /// Catalog-sourced restore: fetch the newest registered backup
-    /// generation (whole-image batched fetch, checksum-verified) and
-    /// [`Engine::media_recover`] from it. This is the operational "the
-    /// medium died, recover from whatever backups we hold" entry point.
-    pub fn parallel_restore_latest(&mut self) -> Result<RedoOutcome, EngineError> {
-        self.parallel_restore_latest_with(self.config.recovery)
-    }
-
-    /// [`Engine::parallel_restore_latest`] with explicit recovery knobs.
-    pub fn parallel_restore_latest_with(
-        &mut self,
-        recovery: RecoveryConfig,
-    ) -> Result<RedoOutcome, EngineError> {
-        let newest = self.catalog.generations().first().copied().ok_or_else(|| {
-            EngineError::Backup(BackupError::BadState(
-                "no backup generation registered to restore from".into(),
-            ))
-        })?;
-        let image = self
-            .catalog
-            .fetch_image(newest)
-            .map_err(EngineError::Backup)?;
-        self.parallel_restore_with(&image, recovery)
-    }
-
-    /// Point-in-time media recovery (paper §1: roll forward "to some
-    /// designated earlier time", and §6.3's application-error discussion):
-    /// restore from the image, then replay only records with `lsn <= upto`.
-    ///
-    /// Because the fuzzy sweep may capture page states from anywhere inside
-    /// the backup window and redo can never roll *backwards*, the target
-    /// must be at or after the image's completion frontier
-    /// ([`BackupImage::end_lsn`]).
-    pub fn media_recover_to(
-        &mut self,
-        image: &BackupImage,
-        upto: Lsn,
-    ) -> Result<RedoOutcome, EngineError> {
-        if upto < image.end_lsn {
-            return Err(EngineError::Discipline(format!(
-                "point-in-time target {upto} precedes the backup's completion frontier {}; a fuzzy backup cannot be rolled back",
-                image.end_lsn
-            )));
-        }
-        self.run_recovery(Some(image), None, upto, self.config.recovery)
-    }
-
-    /// Install the operations pending on `page` **without flushing it**
-    /// (paper §5.3: "Extra logging can also substitute for flushing. Should
-    /// X be dirty in the cache, but hot, ... logging it to install its
-    /// update operations in S treats S the way we have been treating B.").
-    ///
-    /// Every object in the node's flush set is identity-logged (advancing
-    /// its rLSN so the log can truncate past the installed operations); the
-    /// page stays dirty and hot in the cache. Ancestor nodes are installed
-    /// first, normally (they must reach `S` in write-graph order anyway).
-    pub fn install_without_flush(&mut self, page: PageId) -> Result<(), EngineError> {
-        let Some(node) = self.graph.node_of(page) else {
-            return Ok(()); // nothing pending
-        };
-        let plan = self.graph.flush_plan(node)?;
-        let (ancestors, target) = plan.split_at(plan.len() - 1);
-        for &n in ancestors {
-            self.install_one_node(n)?;
-        }
-        let node = target[0];
-        let vars: Vec<PageId> = self.graph.vars(node)?.to_vec();
-        for &v in &vars {
-            let value: Bytes = self
-                .cache
-                .peek(v)
-                .ok_or_else(|| EngineError::Internal(format!("hot page {v} not resident")))?
-                .data()
-                .clone();
-            let body = OpBody::IdentityWrite { target: v, value };
-            let ilsn = self.log.append(RecordBody::Op(body.clone()));
-            self.stats.iwof_records += 1;
-            // The identity write steals `v` into its own single-object
-            // node, which stays in the graph until `v` is eventually
-            // flushed; meanwhile the logged value covers recovery and the
-            // rLSN advances.
-            self.graph.add_op(ilsn, &body);
-            let fresh = self
-                .cache
-                .peek(v)
-                .ok_or_else(|| {
-                    EngineError::Internal(format!("page {v} not resident at identity write"))
-                })?
-                .with_lsn(ilsn);
-            self.cache.put_dirty(v, fresh);
-            self.cache.advance_rlsn(v, ilsn);
-        }
-        // All objects stolen: the node installs without any page write.
-        self.graph.install_node(node)?;
-        self.stats.nodes_installed_free += 1;
-        self.log.force_all()?;
-        Ok(())
-    }
-
-    /// Audit a backup: restore it into a scratch store, roll it forward
-    /// over the live log, and compare every page against the engine's
-    /// current logical state (cache over store). Returns the mismatching
-    /// pages (empty = the backup is good).
-    ///
-    /// This is the operational "can I actually recover from this?" check a
-    /// production system runs before trusting an image.
-    pub fn audit_backup(&mut self, image: &BackupImage) -> Result<Vec<PageId>, EngineError> {
-        image.check_restorable()?;
-        let scratch = StableStore::new(
-            StoreConfig {
-                page_size: self.config.page_size,
-            },
-            &self.config.partitions,
-        );
-        self.restore_and_redo(&scratch, Some(image), None, Lsn::MAX, self.config.recovery)?;
-        let mut mismatches = Vec::new();
-        for p in 0..self.config.partitions.len() as u32 {
-            let n = self.store.page_count(PartitionId(p))?;
-            for i in 0..n {
-                let id = PageId::new(p, i);
-                let live = self.cache.get(id, &self.store)?;
-                let recovered = scratch.read_page(id)?;
-                if live.data() != recovered.data() {
-                    mismatches.push(id);
-                }
-            }
-        }
-        Ok(mismatches)
-    }
-
-    /// Partition-grained media recovery (§6.3): restore only the failed
-    /// partition's pages, then roll forward the operations touching it.
-    /// Sound only when operations are partition-confined, i.e. under
-    /// per-partition tracking.
-    pub fn media_recover_partition(
-        &mut self,
-        image: &BackupImage,
-        partition: PartitionId,
-    ) -> Result<RedoOutcome, EngineError> {
-        if !matches!(self.config.tracking, Tracking::PerPartition) {
-            return Err(EngineError::Discipline(
-                "partition media recovery requires per-partition tracking \
-                 (operations confined to one partition)"
-                    .into(),
-            ));
-        }
-        self.run_recovery(Some(image), Some(partition), Lsn::MAX, self.config.recovery)
-    }
-
-    // ------------------------------------------------------------------
-    // Self-healing media recovery (online repair from the backup chain)
-    // ------------------------------------------------------------------
-
-    /// The backup-generation catalog (shared with repair drills). Empty
-    /// catalog = self-healing disengaged.
-    pub fn catalog(&self) -> &Arc<BackupCatalog> {
-        &self.catalog
-    }
-
-    /// Register a completed backup image as the newest repair generation.
-    /// From this point on, reads self-heal (see [`Engine::read_page`]).
-    pub fn register_backup_generation(&mut self, image: BackupImage) -> Result<(), EngineError> {
-        Ok(self.catalog.register(image)?)
-    }
-
-    /// Retire a generation from the repair catalog, returning its image.
-    pub fn retire_backup_generation(&mut self, backup_id: u64) -> Result<BackupImage, EngineError> {
-        Ok(self.catalog.retire(backup_id)?)
-    }
-
-    /// Pages currently held out of service awaiting repair.
-    pub fn quarantined_pages(&self) -> Vec<PageId> {
-        self.store.quarantined_pages()
-    }
-
-    /// The deterministic backoff schedule for reads involving `id`: seeded
-    /// from the page identity, so drills replay identically and distinct
-    /// pages jitter differently. Never consults a clock.
-    fn repair_backoff(&self, id: PageId) -> BackoffSchedule {
-        let seed = 0x10B_5EED ^ (u64::from(id.partition.0) << 32) ^ u64::from(id.index);
-        BackoffSchedule::new(seed, REPAIR_FETCH_ATTEMPTS)
-    }
-
-    /// Repair one damaged page online, while every other page keeps
-    /// serving.
-    ///
-    /// The page is quarantined first (no reader may see the bad bytes
-    /// while repair runs; the scrub evidence, if any, is captured before
-    /// that). Then:
-    ///
-    /// * If the cache holds a **dirty** copy, that copy is newer than
-    ///   anything any backup holds — the normal write-graph-ordered flush
-    ///   installs it, and the full overwrite heals the slot.
-    /// * Otherwise the page's current value is regenerated from the backup
-    ///   chain: for each generation, newest first, compute the
-    ///   **dependency closure** of the page over the generation's log
-    ///   suffix, fetch backup-vintage copies of the whole closure
-    ///   (checksum-verified; transient errors retried under the
-    ///   deterministic backoff), replay the closure-filtered suffix into a
-    ///   **scratch** target, and install only the regenerated target page.
-    ///   Replaying into a scratch — never `S` itself — keeps repair atomic
-    ///   with respect to a concurrently running backup sweep: no
-    ///   rolled-back intermediate state ever exists in `S`. A corrupt,
-    ///   missing, or log-truncated generation fails over to the next older
-    ///   one.
-    ///
-    /// The log is forced first, so every record the closure replay uses —
-    /// and therefore every value repair installs into `S` — is durable
-    /// (WAL holds). Since a clean page's logged writers are all installed,
-    /// the replay regenerates exactly the value `S` held before the
-    /// damage: repair never moves `S` ahead of the write-graph order.
-    ///
-    /// If every generation is exhausted the page *stays quarantined* and
-    /// the typed [`EngineError::Unrepairable`] is returned; other pages
-    /// and partitions keep serving.
-    pub fn repair_page(&mut self, id: PageId) -> Result<RepairReport, EngineError> {
-        // Scrub evidence first — verify_page consults no fault event and
-        // skips quarantined slots, so capture it before quarantining.
-        let corruption = self.store.verify_page(id)?;
-        self.store.quarantine_page(id)?;
-        self.stats.quarantines += 1;
-
-        if self.cache.is_dirty(id) {
-            // The cache holds the newest value; flush it through the
-            // normal path (ancestors first, WAL-checked). Generation 0 in
-            // the report means "healed from the resident dirty copy".
-            self.store.clear_page_failure(id)?;
-            self.flush_page(id)?;
-            self.stats.repairs += 1;
-            return Ok(RepairReport {
-                page: id,
-                closure: vec![id],
-                generation_used: 0,
-                generations_tried: Vec::new(),
-                start_lsn: Lsn::NULL,
-                records_replayed: 0,
-                records_scanned: 0,
-                index_used: false,
-                retries: 0,
-                backoff_ticks: 0,
-                corruption,
-            });
-        }
-
-        let mut cost = RetryCost::default();
-        let report = self.repair_from_chain(id, corruption, &mut cost);
-        self.stats.transient_retries += u64::from(cost.retries);
-        report
-    }
-
-    /// The backup-chain half of [`Engine::repair_page`]: walk the
-    /// generations newest first until one regenerates `id`. `cost`
-    /// accumulates every retried fetch, also when the walk fails.
-    fn repair_from_chain(
-        &mut self,
-        id: PageId,
-        corruption: Option<CorruptionEntry>,
-        cost: &mut RetryCost,
-    ) -> Result<RepairReport, EngineError> {
-        self.log.force_all()?;
-        let backoff = self.repair_backoff(id);
-        let mut generations_tried = Vec::new();
-        'generations: for backup_id in self.catalog.generations() {
-            generations_tried.push(backup_id);
-            let start_lsn = self.catalog.start_lsn(backup_id)?;
-            // A generation with a page-indexed archive serves the closure
-            // from sorted per-page runs instead of a full suffix scan —
-            // fewer records examined, and the report's telemetry says so.
-            // Archive corruption or exhausted retries fall back to the
-            // scan of the *same* generation.
-            let indexed = if self.catalog.has_archive(backup_id) {
-                self.archive_closure(backup_id, id, &backoff, cost)?
-            } else {
-                None
-            };
-            let (records, closure, records_scanned, index_used) = match indexed {
-                Some((records, closure, scanned)) => {
-                    self.stats.repair_index_hits += 1;
-                    (records, closure, scanned, true)
-                }
-                None => {
-                    // The generation's media-recovery log suffix. A
-                    // truncated suffix means the generation was released —
-                    // fail over (older generations need even earlier
-                    // records, but the uniform loop keeps the report
-                    // honest about what was tried).
-                    let scan =
-                        backoff.retry(cost, is_transient_log, || self.log.scan_from(start_lsn));
-                    let records = match scan {
-                        Ok(records) => records,
-                        Err(LogError::Truncated { .. }) => {
-                            self.stats.repair_fallbacks += 1;
-                            continue 'generations;
-                        }
-                        Err(e) => return Err(EngineError::Log(e)),
-                    };
-                    let targets: BTreeSet<PageId> = [id].into();
-                    let closure = dependency_closure(&records, &targets);
-                    let scanned = records.len() as u64;
-                    (records, closure, scanned, false)
-                }
-            };
-            // Backup-vintage copies of the whole closure, from this
-            // generation only (mixing generations would mix vintages).
-            let mut seed_pages: BTreeMap<PageId, Page> = BTreeMap::new();
-            for &p in &closure {
-                let fetched = backoff.retry(cost, BackupError::is_transient, || {
-                    self.catalog.fetch_page(backup_id, p)
-                });
-                match fetched {
-                    Ok(page) => seed_pages.insert(p, page),
-                    Err(
-                        BackupError::TransientImage { .. }
-                        | BackupError::CorruptImage { .. }
-                        | BackupError::MissingPage { .. },
-                    ) => {
-                        self.stats.repair_fallbacks += 1;
-                        continue 'generations;
-                    }
-                    Err(e) => return Err(EngineError::Backup(e)),
-                };
-            }
-            let (outcome, mut pages) = replay_closure(seed_pages, &records, &closure)?;
-            let repaired = pages.remove(&id).ok_or_else(|| {
-                EngineError::Internal(format!("repair replay lost target page {id}"))
-            })?;
-            // A resident clean copy is the last flushed state — exactly
-            // what the closure replay rebuilds. Disagreement is a bug.
-            if let Some(cached) = self.cache.peek(id) {
-                if cached.data() != repaired.data() {
-                    return Err(EngineError::Internal(format!(
-                        "repair of {id} disagrees with the clean cached copy"
-                    )));
-                }
-            }
-            // Install: clear a single-page failure marker (replacement
-            // sector), overwrite (the full write heals the quarantine),
-            // and verify the slot end-to-end — page_lsn re-checks failure,
-            // quarantine, and checksum without drawing a fault event.
-            self.store.clear_page_failure(id)?;
-            self.store.write_page(id, repaired.clone())?;
-            let lsn = self.store.page_lsn(id)?;
-            if lsn != repaired.lsn() {
-                return Err(EngineError::Internal(format!(
-                    "repaired page {id} reads back pageLSN {lsn}, expected {}",
-                    repaired.lsn()
-                )));
-            }
-            self.stats.repairs += 1;
-            return Ok(RepairReport {
-                page: id,
-                closure: closure.into_iter().collect(),
-                generation_used: backup_id,
-                generations_tried,
-                start_lsn,
-                records_replayed: outcome.replayed,
-                records_scanned,
-                index_used,
-                retries: cost.retries,
-                backoff_ticks: cost.backoff_ticks,
-                corruption,
-            });
-        }
-        // Every generation exhausted: the page stays quarantined so no
-        // reader ever sees the damaged bytes. A future generation, a full
-        // overwrite, or media recovery can still bring it back.
-        Err(EngineError::Unrepairable(id))
-    }
-
-    /// Repair every damaged or quarantined page of one partition (scrub
-    /// plus quarantine set), one online repair each. Other partitions are
-    /// untouched — the partition is the paper's §6.3 recovery unit, and
-    /// this is its online analogue.
-    pub fn repair_partition(
-        &mut self,
-        partition: PartitionId,
-    ) -> Result<Vec<RepairReport>, EngineError> {
-        let scrub = self.store.verify_pages();
-        let mut targets: BTreeSet<PageId> = scrub
-            .pages()
-            .into_iter()
-            .filter(|p| p.partition == partition)
-            .collect();
-        targets.extend(
-            self.store
-                .quarantined_pages()
-                .into_iter()
-                .filter(|p| p.partition == partition),
-        );
-        let mut reports = Vec::with_capacity(targets.len());
-        for id in targets {
-            reports.push(self.repair_page(id)?);
-        }
-        Ok(reports)
-    }
-
-    /// The dependency closure of `target` over one generation's
-    /// page-indexed archive: catch the archive up to the durable log end,
-    /// then walk the closure over per-page runs
-    /// ([`lob_recovery::repair::archive_closure`]). Returns the merged
-    /// closure-filtered suffix, the closure, and the number of records
-    /// examined — or `None` to fall back to the full-suffix scan of the
-    /// same generation (a corrupt run, exhausted retries, or a truncated
-    /// catch-up suffix; an injected crash propagates).
-    #[allow(clippy::type_complexity)]
-    fn archive_closure(
-        &mut self,
-        backup_id: u64,
-        target: PageId,
-        backoff: &BackoffSchedule,
-        cost: &mut RetryCost,
-    ) -> Result<Option<(Vec<LogRecord>, BTreeSet<PageId>, u64)>, EngineError> {
-        // Catch up first: records past the watermark are indexed now, so
-        // the runs cover the full durable suffix. A truncated tail means
-        // the archive fell behind a released suffix — scan path's problem.
-        let from = match self.catalog.archive_watermark(backup_id)? {
-            Some(w) => w,
-            None => return Ok(None),
-        };
-        let tail = match backoff.retry(cost, is_transient_log, || self.log.frames_from(from)) {
-            Ok(tail) => tail,
-            Err(LogError::Transient | LogError::Truncated { .. }) => {
-                self.stats.repair_index_fallbacks += 1;
-                return Ok(None);
-            }
-            Err(e) => return Err(EngineError::Log(e)),
-        };
-        // The catch-up indexes each record once per generation — amortized
-        // maintenance, not per-repair examination — so it stays out of
-        // `records_scanned` (the suffix scan re-examines its records on
-        // every repair; that asymmetry is the point of the telemetry).
-        self.catalog.extend_archive(backup_id, &tail)?;
-
-        let catalog = &self.catalog;
-        let mut scanned = 0u64;
-        // One archive run (`Some(page)`) or the control run (`None`).
-        let mut fetch = |page: Option<PageId>| {
-            let run = backoff.retry(cost, BackupError::is_transient, || match page {
-                Some(id) => catalog.fetch_records(backup_id, id),
-                None => catalog.fetch_control_records(backup_id),
-            })?;
-            scanned += run.len() as u64;
-            Ok(run)
-        };
-        let walked = fetch(None).and_then(|control| {
-            let own = fetch(Some(target))?;
-            archive_closure([target].into(), vec![(target, own)], control, |id| {
-                fetch(Some(id))
-            })
-        });
-        match walked {
-            Ok((records, closure)) => Ok(Some((records, closure, scanned))),
-            Err(
-                BackupError::TransientArchive { .. }
-                | BackupError::CorruptArchive { .. }
-                | BackupError::NoArchive(_),
-            ) => {
-                self.stats.repair_index_fallbacks += 1;
-                Ok(None)
-            }
-            Err(e) => Err(EngineError::Backup(e)),
-        }
+    /// Crash ([`EngineService::crash`]). The instant-restore scheduler is
+    /// volatile too; its on-disk progress is exactly the cleared failure
+    /// flags, so a reboot re-enters through [`Engine::recover_instant`].
+    pub fn crash(&mut self) {
+        self.core.crash();
+        self.instant = None;
     }
 
     // ------------------------------------------------------------------
     // Instant restore (serve during media recovery)
     // ------------------------------------------------------------------
 
-    /// Catch one generation's page-indexed archive up to the durable end
-    /// of the log: force, read the log's frames from the archive's
-    /// watermark (its start LSN if no archive exists yet — this call
-    /// *creates* the archive), and index them — the archive shares the
-    /// log's frame buffers, nothing is decoded into owned records or
-    /// re-encoded. Returns the new watermark. Backups keep their archives
-    /// current by calling this as the log grows; instant restore calls it
-    /// for every archived generation when an epoch begins.
-    pub fn extend_backup_archive(&mut self, backup_id: u64) -> Result<Lsn, EngineError> {
-        self.log.force_all()?;
-        let from = match self.catalog.archive_watermark(backup_id)? {
-            Some(w) => w,
-            None => self.catalog.start_lsn(backup_id)?,
-        };
-        let frames = self.log.frames_from(from)?;
-        Ok(self.catalog.extend_archive(backup_id, &frames)?)
-    }
-
-    /// Catch every archived generation's archive up to the durable log
-    /// end; a catalog with no archive at all gets one built on the newest
-    /// generation (the full suffix is indexed in one pass).
-    fn catch_up_archives(&mut self) -> Result<(), EngineError> {
-        let gens = self.catalog.generations();
-        if gens.is_empty() {
-            return Err(EngineError::Backup(BackupError::BadState(
-                "no backup generation registered to restore from".into(),
-            )));
-        }
-        if gens.iter().any(|&g| self.catalog.has_archive(g)) {
-            for backup_id in gens {
-                if self.catalog.has_archive(backup_id) {
-                    self.extend_backup_archive(backup_id)?;
-                }
-            }
-        } else if let Some(&newest) = gens.first() {
-            self.extend_backup_archive(newest)?;
-        }
-        Ok(())
-    }
-
     /// Begin an instant-restore epoch over the current failure set: the
     /// engine keeps serving *during* media recovery. Every failed
     /// partition becomes a restore segment; reads and writes gate on
-    /// their own segment's prioritized restore
-    /// ([`Engine::ensure_segment`] inside [`Engine::read_page`] and
-    /// [`Engine::execute`]) while [`Engine::instant_restore_step`] sweeps
-    /// the rest in the background. The epoch closes itself when the last
-    /// segment comes back (the drills byte-compare every close against a
-    /// sequential reference restore: `lob_harness::verify_epoch_close`).
+    /// their own segment's prioritized restore while
+    /// [`Engine::instant_restore_step`] sweeps the rest in the background.
+    /// The epoch closes itself when the last segment comes back (the
+    /// drills byte-compare every close against a sequential reference
+    /// restore: `lob_harness::verify_epoch_close`).
     pub fn begin_instant_restore(&mut self) -> Result<(), EngineError> {
         self.start_instant_epoch(false)
     }
@@ -1734,8 +333,9 @@ impl Engine {
     /// correctly-versioned — page set, and the flush-order rule bounds
     /// every store page LSN by the durable end, so unconditional
     /// re-install of the full replay is sound). Call after
-    /// [`Engine::crash`] instead of [`Engine::recover`] when an epoch was
-    /// in flight; normal redo is subsumed by the full re-derivation.
+    /// [`Engine::crash`] instead of [`EngineService::recover`] when an
+    /// epoch was in flight; normal redo is subsumed by the full
+    /// re-derivation.
     pub fn recover_instant(&mut self) -> Result<(), EngineError> {
         self.start_instant_epoch(true)
     }
@@ -1750,20 +350,19 @@ impl Engine {
         }
         self.catch_up_archives()?;
         if all_segments {
-            self.stats.instant_reboots += 1;
-            self.stats.recoveries += 1;
+            self.bump(Stat::instant_reboots, 1);
+            self.bump(Stat::recoveries, 1);
         }
         let r = InstantRestore::begin(
-            Arc::clone(&self.store),
-            Arc::clone(&self.catalog),
-            self.config.recovery.batch.max(1),
+            Arc::clone(self.store()),
+            Arc::clone(self.catalog()),
+            self.config().recovery.batch.max(1),
             0x1257_C0DE,
             REPAIR_FETCH_ATTEMPTS,
-            self.hook.clone(),
+            self.fault_hook(),
             all_segments,
-        )
-        .map_err(EngineError::from)?;
-        self.stats.instant_epochs += 1;
+        )?;
+        self.bump(Stat::instant_epochs, 1);
         self.instant = Some(r);
         // Nothing failed → the epoch completes right away.
         self.maybe_complete_instant()
@@ -1798,7 +397,7 @@ impl Engine {
         let Some(r) = self.instant.as_mut() else {
             return Ok(());
         };
-        r.ensure(p).map_err(EngineError::from)?;
+        r.ensure(p)?;
         self.maybe_complete_instant()
     }
 
@@ -1810,8 +409,8 @@ impl Engine {
         let Some(r) = self.instant.as_mut() else {
             return Ok(None);
         };
-        let stepped = r.step().map_err(EngineError::from)?;
-        if stepped.is_none() && self.instant.as_ref().is_some_and(|r| !r.finished()) {
+        let stepped = r.step()?;
+        if stepped.is_none() && !r.finished() {
             return Err(EngineError::Internal(
                 "instant-restore queue drained with segments still failed".into(),
             ));
@@ -1839,127 +438,14 @@ impl Engine {
             return Ok(());
         };
         let s = r.stats();
-        self.stats.instant_completions += 1;
-        self.stats.instant_on_demand += s.on_demand_restores;
-        self.stats.instant_swept += s.sweep_restores;
-        self.stats.transient_retries += s.transient_retries;
-        self.stats.media_recoveries += 1;
+        self.bump(Stat::instant_completions, 1);
+        self.bump(Stat::instant_on_demand, s.on_demand_restores);
+        self.bump(Stat::instant_swept, s.sweep_restores);
+        self.bump(Stat::transient_retries, s.transient_retries);
+        self.bump(Stat::media_recoveries, 1);
         self.reseed_allocator()?;
         self.truncate_log()?;
         Ok(())
-    }
-}
-
-/// Domain confinement: every page `body` reads or writes must lie in one
-/// and the same backup-order domain, which is returned (`None` for an
-/// operation touching no page). `requirement` ends the message when it
-/// spans two.
-pub(crate) fn confined_domain(
-    coordinator: &BackupCoordinator,
-    body: &OpBody,
-    requirement: &str,
-) -> Result<Option<DomainId>, EngineError> {
-    let mut domain: Option<DomainId> = None;
-    let mut violation: Option<String> = None;
-    let mut visit = |page: PageId| {
-        if violation.is_some() {
-            return;
-        }
-        match (coordinator.domain_of(page.partition), domain) {
-            (None, _) => {
-                violation = Some(format!("page {page} is outside every backup-order domain"));
-            }
-            (Some(d), None) => domain = Some(d),
-            (Some(d), Some(prev)) if prev == d => {}
-            (Some(d), Some(prev)) => {
-                violation = Some(format!(
-                    "operation spans backup domains {prev:?} and {d:?}; {requirement}"
-                ));
-            }
-        }
-    };
-    body.for_each_read(&mut visit);
-    body.for_each_write(&mut visit);
-    match violation {
-        Some(msg) => Err(EngineError::Discipline(msg)),
-        None => Ok(domain),
-    }
-}
-
-/// The stable store and the backup coordinator an [`EngineConfig`]
-/// describes: a fresh formatted `S`, and one backup-order domain over all
-/// partitions or one per partition, per [`Tracking`].
-pub(crate) fn open_store(
-    config: &EngineConfig,
-) -> Result<(Arc<StableStore>, Arc<BackupCoordinator>), EngineError> {
-    let store = Arc::new(StableStore::new(
-        StoreConfig {
-            page_size: config.page_size,
-        },
-        &config.partitions,
-    ));
-    let parts_with_sizes = |ids: &[PartitionId]| -> Result<Vec<(PartitionId, u32)>, EngineError> {
-        ids.iter().map(|&p| Ok((p, store.page_count(p)?))).collect()
-    };
-    let coordinator = match &config.tracking {
-        Tracking::Sequential(order) => {
-            if order.len() != config.partitions.len() {
-                return Err(EngineError::Discipline(format!(
-                    "sequential tracking order lists {} partitions, store has {}",
-                    order.len(),
-                    config.partitions.len()
-                )));
-            }
-            BackupCoordinator::sequential(parts_with_sizes(order)?)
-        }
-        Tracking::PerPartition => {
-            let all: Vec<PartitionId> = (0..config.partitions.len() as u32)
-                .map(PartitionId)
-                .collect();
-            BackupCoordinator::per_partition(parts_with_sizes(&all)?)
-        }
-    };
-    Ok((store, Arc::new(coordinator)))
-}
-
-/// Whether `body` belongs to the operation class `discipline` admits.
-/// `page_lsn` is consulted only for a tree write-new target, which must
-/// be a never-updated page.
-pub(crate) fn check_discipline(
-    discipline: Discipline,
-    body: &OpBody,
-    page_lsn: impl FnOnce(PageId) -> Result<Lsn, EngineError>,
-) -> Result<(), EngineError> {
-    match discipline {
-        Discipline::General => Ok(()),
-        Discipline::PageOriented => {
-            if body.class().is_page_oriented() {
-                Ok(())
-            } else {
-                Err(EngineError::Discipline(format!(
-                    "{} is a logical operation; engine is page-oriented",
-                    body.label()
-                )))
-            }
-        }
-        Discipline::Tree => match body.tree_form() {
-            Some(TreeForm::PageOriented { .. }) | Some(TreeForm::ReadExtra { .. }) => Ok(()),
-            Some(TreeForm::WriteNew { new, .. }) => {
-                let lsn = page_lsn(new)?;
-                if lsn.is_null() {
-                    Ok(())
-                } else {
-                    Err(EngineError::Discipline(format!(
-                        "write-new target {new} was already updated (pageLSN {lsn}); \
-                         tree operations may only initialize fresh objects"
-                    )))
-                }
-            }
-            None => Err(EngineError::Discipline(format!(
-                "{} does not fit the tree-operation discipline",
-                body.label()
-            ))),
-        },
     }
 }
 
@@ -1975,32 +461,36 @@ fn is_healable_read_err(e: &StoreError) -> bool {
     )
 }
 
-fn is_transient_log(e: &LogError) -> bool {
-    matches!(e, LogError::Transient)
+/// Whether a parked sweep error is one the step heal loop can repair.
+fn is_healable_backup_error(e: &BackupError) -> bool {
+    matches!(e, BackupError::Store(s) if is_healable_read_err(s))
 }
 
-/// Surface quarantine as its typed engine error; everything else wraps.
-pub(crate) fn lift_store_err(e: StoreError) -> EngineError {
-    match e {
-        StoreError::Quarantined(p) => EngineError::Quarantined(p),
-        e => EngineError::Store(e),
-    }
-}
-
-pub(crate) fn lift_cache_err(e: CacheError) -> EngineError {
-    match e {
-        CacheError::Store(s) => lift_store_err(s),
-        e => EngineError::Cache(e),
+/// Mirror just-flushed pages into every in-progress linked-flush backup
+/// image, from the cache.
+pub(crate) fn mirror_linked(
+    images: &[(u64, Arc<Mutex<PageImage>>)],
+    vars: &[PageId],
+    cache: &ShardedCache,
+) {
+    for (_, img) in images {
+        let mut g = img.lock();
+        for &v in vars {
+            if let Some(p) = cache.peek(v) {
+                // lint:allow(durability-order) linked image mirrors the page just flushed, read from the cache, not the store
+                g.put(v, p);
+            }
+        }
     }
 }
 
 /// An in-progress linked-flush backup (baseline).
 pub struct LinkedBackupRun {
-    backup_id: u64,
-    start_lsn: Lsn,
-    todo: Vec<PageId>,
-    cursor: usize,
-    image: Arc<Mutex<PageImage>>,
+    pub(crate) backup_id: u64,
+    pub(crate) start_lsn: Lsn,
+    pub(crate) todo: Vec<PageId>,
+    pub(crate) cursor: usize,
+    pub(crate) image: Arc<Mutex<PageImage>>,
 }
 
 impl LinkedBackupRun {
@@ -2019,11 +509,19 @@ impl LinkedBackupRun {
         self.todo.len()
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Discipline, Tracking};
+    use bytes::Bytes;
+    use lob_backup::DomainId;
     use lob_ops::LogicalOp;
+    use lob_pagestore::{StableStore, StoreConfig};
+    use lob_recovery::RecoveryConfig;
+
+    fn graph_is_empty(e: &Engine) -> bool {
+        e.with_graph(DomainId(0), |g| g.is_empty()).unwrap()
+    }
 
     fn pid(i: u32) -> PageId {
         PageId::new(0, i)
@@ -2053,7 +551,7 @@ mod tests {
         let lsn = e.execute(phys(0, 7)).unwrap();
         assert_eq!(lsn, Lsn(1));
         assert!(e.cache().is_dirty(pid(0)));
-        assert_eq!(e.graph().node_count(), 1);
+        assert_eq!(e.with_graph(DomainId(0), |g| g.node_count()).unwrap(), 1);
         assert_eq!(e.read_page(pid(0)).unwrap().data()[0], 7);
         // Not yet in S.
         assert!(e.store().read_page(pid(0)).unwrap().lsn().is_null());
@@ -2065,7 +563,7 @@ mod tests {
         e.execute(phys(0, 7)).unwrap();
         e.flush_page(pid(0)).unwrap();
         assert!(!e.cache().is_dirty(pid(0)));
-        assert!(e.graph().is_empty());
+        assert!(graph_is_empty(&e));
         assert_eq!(e.store().read_page(pid(0)).unwrap().data()[0], 7);
         assert_eq!(e.stats().pages_flushed, 1);
     }
@@ -2082,7 +580,7 @@ mod tests {
         e.flush_page(pid(0)).unwrap();
         assert_eq!(e.store().read_page(pid(1)).unwrap().data()[0], 1);
         assert_eq!(e.store().read_page(pid(0)).unwrap().data()[0], 2);
-        assert!(e.graph().is_empty());
+        assert!(graph_is_empty(&e));
     }
 
     #[test]
@@ -2130,7 +628,7 @@ mod tests {
             e.execute(copy(i, i + 8)).unwrap();
         }
         e.flush_all().unwrap();
-        assert!(e.graph().is_empty());
+        assert!(graph_is_empty(&e));
         assert_eq!(e.cache().dirty_count(), 0);
         assert_eq!(e.log().truncation(), e.log().next_lsn());
     }
@@ -2175,7 +673,7 @@ mod tests {
 
     #[test]
     fn alloc_pages_are_fresh_and_sequential() {
-        let mut e = engine();
+        let e = engine();
         let a = e.alloc_page(PartitionId(0)).unwrap();
         let b = e.alloc_page(PartitionId(0)).unwrap();
         assert_eq!(a, pid(0));
@@ -2312,7 +810,7 @@ mod tests {
         e.execute(phys(0, 1)).unwrap();
         e.flush_all().unwrap();
         let run = e.begin_backup(2).unwrap();
-        let start = e.log().media_barrier().unwrap();
+        let start = e.log().with_manager(|m| m.media_barrier()).unwrap();
         e.execute(phys(1, 1)).unwrap();
         e.flush_all().unwrap();
         assert!(
@@ -2321,7 +819,7 @@ mod tests {
         );
         e.abort_backup(run);
         e.flush_all().unwrap();
-        assert!(e.log().media_barrier().is_none());
+        assert!(e.log().with_manager(|m| m.media_barrier()).is_none());
     }
 
     #[test]
@@ -2548,8 +1046,57 @@ mod tests {
     }
 
     #[test]
+    fn partition_media_recovery_keeps_other_partitions_updates() {
+        let mut e = Engine::new(EngineConfig {
+            partitions: vec![PartitionSpec { pages: 8 }; 2],
+            tracking: Tracking::PerPartition,
+            ..EngineConfig::small()
+        })
+        .unwrap();
+        let image = e.offline_backup().unwrap();
+        // Unflushed updates in both partitions, then partition 1 fails.
+        e.execute(page_at(0, 2, 0x20)).unwrap();
+        e.execute(page_at(1, 5, 0x15)).unwrap();
+        e.force_log().unwrap();
+        e.store().fail_partition(PartitionId(1)).unwrap();
+        e.media_recover_partition(&image, PartitionId(1)).unwrap();
+        assert_eq!(e.read_page(PageId::new(1, 5)).unwrap().data()[0], 0x15);
+        assert_eq!(e.read_page(PageId::new(0, 2)).unwrap().data()[0], 0x20);
+        // Partition 0's update is still owed to S, so truncation keeps it.
+        e.truncate_log().unwrap();
+        e.crash();
+        e.recover().unwrap();
+        assert_eq!(e.read_page(PageId::new(0, 2)).unwrap().data()[0], 0x20);
+    }
+
+    #[test]
+    fn a_synced_file_log_fsyncs_on_force_fresh_and_reopened() {
+        let dir = std::env::temp_dir().join(format!("lob-fsync-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let config = EngineConfig {
+            log: crate::config::LogBacking::File(dir.join("engine.wal")),
+            commit: crate::config::CommitConfig {
+                sync_file_log: true,
+                ..Default::default()
+            },
+            ..EngineConfig::small()
+        };
+        for reopen in [false, true] {
+            let mut e = if reopen {
+                Engine::open_existing(config.clone()).unwrap()
+            } else {
+                Engine::new(config.clone()).unwrap()
+            };
+            e.execute(phys(0, 7)).unwrap();
+            e.force_log().unwrap();
+            assert!(e.log().stats().fsyncs > 0, "reopened: {reopen}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn partition_recovery_requires_per_partition_tracking() {
-        let mut e = engine();
+        let e = engine();
         let img = e.offline_backup().unwrap();
         assert!(matches!(
             e.media_recover_partition(&img, PartitionId(0)),
@@ -2591,7 +1138,7 @@ mod tests {
             RecoveryConfig::new(2, 8),
             RecoveryConfig::new(4, 64),
         ] {
-            let mut par = crashed_session();
+            let par = crashed_session();
             let got = par.parallel_recover_with(recovery).unwrap();
             assert_eq!(got, want, "{recovery:?}");
             for i in 0..64u32 {
@@ -2621,7 +1168,7 @@ mod tests {
             .map(|i| e.read_page(pid(i)).unwrap().data().clone())
             .collect();
         e.store().fail_partition(PartitionId(0)).unwrap();
-        e.cache.clear();
+        e.cache().clear();
         let out = e
             .parallel_restore_latest_with(RecoveryConfig::new(4, 8))
             .unwrap();
@@ -2638,7 +1185,7 @@ mod tests {
 
     #[test]
     fn parallel_restore_latest_requires_a_generation() {
-        let mut e = engine();
+        let e = engine();
         assert!(matches!(
             e.parallel_restore_latest(),
             Err(EngineError::Backup(BackupError::BadState(_)))
@@ -2685,7 +1232,7 @@ mod tests {
         let mut e = engine();
         e.execute(phys(0, 7)).unwrap();
         e.flush_all().unwrap();
-        e.cache.evict(pid(0)).unwrap();
+        e.cache().evict(pid(0)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(0), FaultVerdict::CorruptRead)));
         assert!(matches!(
             e.read_page(pid(0)),
@@ -2694,7 +1241,7 @@ mod tests {
         e.install_fault_hook(None);
         // And quarantine surfaces as its typed error, not a repair.
         e.store().quarantine_page(pid(0)).unwrap();
-        e.cache.evict(pid(0)).unwrap();
+        e.cache().evict(pid(0)).unwrap();
         assert!(matches!(
             e.read_page(pid(0)),
             Err(EngineError::Quarantined(p)) if p == pid(0)
@@ -2704,7 +1251,7 @@ mod tests {
     #[test]
     fn corrupt_read_self_heals_from_the_backup_chain() {
         let (mut e, gen) = healing_engine();
-        e.cache.evict(pid(3)).unwrap();
+        e.cache().evict(pid(3)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(3), FaultVerdict::CorruptRead)));
         let page = e.read_page(pid(3)).unwrap();
         assert_eq!(page.data()[0], 4, "healed read returns the current value");
@@ -2719,7 +1266,7 @@ mod tests {
     #[test]
     fn transient_read_retries_without_repair() {
         let (mut e, _) = healing_engine();
-        e.cache.evict(pid(2)).unwrap();
+        e.cache().evict(pid(2)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(2), FaultVerdict::TransientRead)));
         let page = e.read_page(pid(2)).unwrap();
         assert_eq!(page.data()[0], 3);
@@ -2736,7 +1283,7 @@ mod tests {
         e.execute(phys(0, 0xEE)).unwrap();
         e.flush_all().unwrap();
         let want = e.read_page(pid(9)).unwrap().data().clone();
-        e.cache.evict(pid(9)).unwrap();
+        e.cache().evict(pid(9)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(9), FaultVerdict::TornRead)));
         let healed = e.read_page(pid(9)).unwrap();
         assert_eq!(healed.data(), &want);
@@ -2774,7 +1321,7 @@ mod tests {
         let (mut e, gen) = healing_engine();
         // Rot the only generation's copy of page 5: no good copy survives.
         e.catalog().tamper_page(gen, pid(5)).unwrap();
-        e.cache.evict(pid(5)).unwrap();
+        e.cache().evict(pid(5)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(5), FaultVerdict::CorruptRead)));
         assert!(matches!(
             e.read_page(pid(5)),
@@ -2805,7 +1352,7 @@ mod tests {
     fn execute_heals_damaged_readset_pages() {
         let (mut e, _) = healing_engine();
         // Bounded cache forces the evaluation to re-read page 0 from S.
-        e.cache.evict(pid(0)).unwrap();
+        e.cache().evict(pid(0)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(0), FaultVerdict::CorruptRead)));
         let lsn = e.execute(copy(0, 10)).unwrap();
         assert!(!lsn.is_null());
@@ -2854,7 +1401,7 @@ mod tests {
         let mut run = e.begin_backup(4).unwrap();
         e.backup_step(&mut run).unwrap();
         // …heal a page in the already-copied region mid-sweep…
-        e.cache.evict(pid(0)).unwrap();
+        e.cache().evict(pid(0)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(0), FaultVerdict::CorruptRead)));
         assert_eq!(e.read_page(pid(0)).unwrap().data()[0], 1);
         e.install_fault_hook(None);
@@ -2872,7 +1419,7 @@ mod tests {
         // Damage surfaces under the sweep's own copy read of page 2: the
         // step fails, the engine repairs the page, and the retried step
         // (cursor untouched) re-copies identical bytes.
-        e.cache.evict(pid(2)).unwrap();
+        e.cache().evict(pid(2)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(2), FaultVerdict::CorruptRead)));
         let mut run = e.begin_backup(2).unwrap();
         while !e.backup_step(&mut run).unwrap() {}
@@ -3153,8 +1700,8 @@ mod tests {
             e.store().quarantine_page(pid(1)).unwrap();
             e
         };
-        let mut indexed = mk(true);
-        let mut scanned = mk(false);
+        let indexed = mk(true);
+        let scanned = mk(false);
         let ri = indexed.repair_page(pid(1)).unwrap();
         let rs = scanned.repair_page(pid(1)).unwrap();
         assert!(ri.index_used);

@@ -52,11 +52,14 @@
 //!
 //! ## Module map
 //!
-//! * [`engine`] — [`Engine`]: operation execution, write-graph-ordered
-//!   flushing with the §3.5 (general) and §4.2 (tree) Iw/oF decisions,
-//!   crash recovery, on-line/incremental/offline backup, media recovery,
-//!   and the two broken-by-design baselines (naive fuzzy dump and linked
-//!   flush) used by the experiments.
+//! * [`service`] — [`EngineService`], the one engine core: operation
+//!   execution, write-graph-ordered flushing with the §3.5 (general) and
+//!   §4.2 (tree) Iw/oF decisions, crash and media recovery, on-line,
+//!   incremental, offline, parallel and linked-flush backups, online
+//!   repair and the media-log archive — each verb in one body, behind
+//!   per-domain locks — and the [`Session`] handles threads drive it with.
+//! * [`engine`] — [`Engine`], the one-session facade over that core: the
+//!   heal-and-retry loops and the instant-restore epoch.
 //! * [`config`] — [`EngineConfig`], [`Discipline`], [`Tracking`],
 //!   [`BackupPolicy`], [`FlushPolicy`].
 //! * [`error`] — [`EngineError`].

@@ -1,67 +1,79 @@
-//! # Concurrent multi-session engine front-end
+//! # The engine core
 //!
-//! [`EngineService`] is the engine as a *service*: one shared instance
-//! hands out cheap [`Session`] handles that many threads drive
-//! concurrently. Where [`crate::Engine`] is single-owner (`&mut self`
-//! everywhere), the service shards its mutable state by the axis the
-//! paper already partitions work on — the backup coordinator's domains
-//! (§3.4) — so sessions touching disjoint domains never serialize on an
-//! engine-global lock:
+//! [`EngineService`] is the one engine: it executes logged operations,
+//! flushes in write-graph order with the paper's backup coordination,
+//! takes backups, and recovers from crashes and media failures. Every verb
+//! has one body here. Two fronts drive it:
+//!
+//! * [`Session`] handles, cheap clones that many threads drive
+//!   concurrently over one `Arc<EngineService>`;
+//! * [`crate::Engine`], the one-session facade, which adds the
+//!   heal-and-retry loops and the instant-restore epoch on top.
+//!
+//! The core shards its mutable state by the axis the paper already
+//! partitions work on — the backup coordinator's domains (§3.4) — so
+//! sessions touching disjoint domains never serialize on an engine-global
+//! lock:
 //!
 //! * the page cache is a [`ShardedCache`] (per-shard locks keyed by a
 //!   page-id hash);
-//! * the write graph, successor table, and page allocator are
-//!   **per-domain**, each behind its own lock;
+//! * the write graph, successor table, page allocator and linked-flush
+//!   images are **per-domain**, each domain behind its own lock;
 //! * log appends and forces go through the [`GroupCommitLog`]
 //!   group-commit scheduler, so concurrent commits share force (and, on a
 //!   sync-enabled file log, `fsync`) round-trips;
-//! * the stable store and backup coordinator are the same internally
-//!   synchronized `Arc`-shared structures backup worker threads already
-//!   race against.
+//! * the stable store, the backup coordinator and the backup-generation
+//!   catalog are internally synchronized `Arc`-shared structures that
+//!   backup worker threads race against.
 //!
-//! Backup sweeps keep running under concurrent write load exactly as they
-//! do against the single-threaded engine: a sweep reads `S` under the
-//! store's partition locks and the tracker's latch, neither of which a
-//! session's domain lock nests inside.
+//! A backup sweep reads `S` under the store's partition locks and the
+//! tracker's latch, neither of which a session's domain lock nests inside,
+//! so sweeps keep running under concurrent write load.
 //!
 //! ## Lock order
 //!
 //! `meta` → `domains[_]` → tracker latch → group-commit `state` →
 //! group-commit `manager` → cache shard → store partition. Leaf locks
-//! (cache shards, store partitions, the coordinator's changed-set and
-//! hook mutexes) are acquired one at a time with nothing taken inside
-//! them. The static lock-order pass checks the aliased prefix of this
-//! chain stays acyclic.
-//!
-//! ## Scope
-//!
-//! The service covers the concurrent hot paths: execute, read, flush,
-//! force, crash/recover, and the on-line backup cycle. The repair /
-//! instant-restore / linked-flush subsystems stay on the single-threaded
-//! [`crate::Engine`] — they operate on the same shared store, catalog,
-//! and coordinator layers, so a deployment runs them from one maintenance
-//! thread while sessions keep executing (see DESIGN.md §5.14).
+//! (cache shards, store partitions, linked-flush images, the coordinator's
+//! changed-set and hook mutexes) are acquired one at a time with nothing
+//! taken inside them. The static lock-order pass checks the aliased prefix
+//! of this chain stays acyclic.
 
-use crate::config::{BackupPolicy, Discipline, EngineConfig, FlushPolicy, LogBacking};
-use crate::engine::{check_discipline, confined_domain, lift_cache_err, open_store};
+use crate::config::{BackupPolicy, Discipline, EngineConfig, FlushPolicy, LogBacking, Tracking};
+use crate::engine::{mirror_linked, LinkedBackupRun};
 use crate::error::EngineError;
-use crate::stats::EngineStats;
+use crate::stats::{EngineStats, Stat, STATS};
 use bytes::Bytes;
-use lob_backup::{BackupCoordinator, BackupImage, BackupRun, DomainId, RunConfig, SuccessorTable};
-use lob_cache::ShardedCache;
-use lob_ops::{OpBody, OpError, PageReader};
-use lob_pagestore::{Lsn, Page, PageId, PartitionId, StableStore};
-use lob_recovery::{parallel_redo_scan, NodeId, RedoOutcome, WriteGraph};
-use lob_wal::{FileLogStore, GroupCommitLog, LogManager, RecordBody};
+use lob_backup::{
+    BackupCatalog, BackupCoordinator, BackupError, BackupImage, BackupRun, DomainId, ParallelSweep,
+    RunConfig, SuccessorTable,
+};
+use lob_cache::{CacheError, ShardedCache};
+use lob_ops::{OpBody, OpError, PageReader, TreeForm};
+use lob_pagestore::{
+    CorruptionEntry, Lsn, Page, PageId, PageImage, PartitionId, StableStore, StoreConfig,
+    StoreError,
+};
+use lob_recovery::repair::{
+    archive_closure, dependency_closure, replay_closure, BackoffSchedule, RepairReport, RetryCost,
+};
+use lob_recovery::{
+    parallel_install_image, parallel_redo_scan, NodeId, RecoveryConfig, RedoOutcome, WriteGraph,
+};
+use lob_wal::{FileLogStore, GroupCommitLog, LogError, LogManager, LogRecord, RecordBody};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Per-domain mutable state: the §3.5 machinery that used to live on the
-/// single-owner engine, now instantiated once per backup domain so
-/// domain-disjoint sessions proceed in parallel.
+/// Attempts per faultable read when the medium reports *transient* I/O
+/// errors: the first try plus three retries, spaced by the deterministic
+/// [`BackoffSchedule`] (virtual ticks — repair never consults a clock).
+pub(crate) const REPAIR_FETCH_ATTEMPTS: u32 = 4;
+
+/// Per-domain mutable state: the §3.5 machinery, instantiated once per
+/// backup domain so domain-disjoint sessions proceed in parallel.
 struct DomainState {
     /// Write graph of uninstalled operations in this domain.
     graph: WriteGraph,
@@ -69,6 +81,18 @@ struct DomainState {
     succ: SuccessorTable,
     /// Next never-updated page index per partition of this domain.
     next_free: BTreeMap<PartitionId, u32>,
+    /// Images of in-progress linked-flush backups; this domain's flushes
+    /// mirror into them.
+    linked: Vec<(u64, Arc<Mutex<PageImage>>)>,
+}
+
+impl DomainState {
+    /// Drop the volatile §3.5 state (crash, or the domain's media was
+    /// replaced).
+    fn reset(&mut self, config: &EngineConfig) {
+        self.graph = WriteGraph::new(config.graph_mode);
+        self.succ.clear_all();
+    }
 }
 
 /// Cross-domain bookkeeping: backup identity, retention, and the
@@ -78,28 +102,17 @@ struct ServiceMeta {
     next_backup_id: u64,
     /// Backups whose media-recovery log suffix must be retained.
     retained: Vec<(u64, Lsn)>,
-    /// Changed-page sets taken by in-flight backups, restored on abort.
+    /// Changed-page sets taken by in-flight backups (full backups consume
+    /// their domain's changed pages; incremental backups use them as the
+    /// copy filter), restored if the backup aborts.
     taken_changed: Vec<(u64, HashSet<PageId>)>,
     hook: Option<lob_pagestore::FaultHook>,
 }
 
-/// Monotone activity counters, updated lock-free from any session.
-#[derive(Default)]
-struct Counters {
-    ops_executed: AtomicU64,         // lint: atomic(relaxed-counter)
-    iwof_records: AtomicU64,         // lint: atomic(relaxed-counter)
-    nodes_flushed: AtomicU64,        // lint: atomic(relaxed-counter)
-    nodes_installed_free: AtomicU64, // lint: atomic(relaxed-counter)
-    pages_flushed: AtomicU64,        // lint: atomic(relaxed-counter)
-    recoveries: AtomicU64,           // lint: atomic(relaxed-counter)
-    backups_begun: AtomicU64,        // lint: atomic(relaxed-counter)
-    backups_completed: AtomicU64,    // lint: atomic(relaxed-counter)
-    sweep_batches: AtomicU64,        // lint: atomic(relaxed-counter)
-}
-
-/// The concurrent engine front-end. Construct once, wrap in an [`Arc`],
-/// and hand out [`Session`]s with [`EngineService::session`]. See the
-/// module docs for the sharding and lock-order story.
+/// The engine core. Construct once, wrap in an [`Arc`], and hand out
+/// [`Session`]s with [`EngineService::session`] — or drive it through the
+/// one-session [`crate::Engine`]. See the module docs for the sharding and
+/// lock-order story.
 pub struct EngineService {
     // lint: guarded-by(immutable) set at construction, never reassigned
     config: EngineConfig,
@@ -111,12 +124,14 @@ pub struct EngineService {
     log: GroupCommitLog,
     // lint: guarded-by(immutable) internally synchronized sharded cache
     cache: ShardedCache,
+    // lint: guarded-by(immutable) Arc to an internally synchronized catalog
+    catalog: Arc<BackupCatalog>,
     /// One lock per backup domain, indexed by `DomainId.0`.
     domains: Vec<Mutex<DomainState>>,
     /// Cross-domain backup bookkeeping.
     meta: Mutex<ServiceMeta>,
-    // lint: guarded-by(atomic) monotone counters
-    counters: Counters,
+    /// Monotone activity counters, indexed by [`Stat`].
+    counters: [AtomicU64; STATS], // lint: atomic(relaxed-counter)
 }
 
 /// Reads during operation evaluation go through the sharded cache; every
@@ -143,43 +158,81 @@ impl PageReader for ShardReader<'_> {
 impl EngineService {
     /// Build a service over a fresh, formatted database.
     pub fn new(config: EngineConfig) -> Result<EngineService, EngineError> {
-        let (store, coordinator) = open_store(&config)?;
-        let manager = match &config.log {
-            LogBacking::Memory => LogManager::in_memory(),
-            LogBacking::File(path) => {
-                let mut fs = FileLogStore::create(path).map_err(lob_wal::LogError::Io)?;
-                fs.set_sync(config.commit.sync_file_log);
-                LogManager::new(Box::new(fs))
+        EngineService::build(config, false, false)
+    }
+
+    /// Resume from an existing log file after a process restart: the
+    /// stable database starts formatted (the "disk" of this simulation is
+    /// in memory), and [`EngineService::recover`] rebuilds it by replaying
+    /// the entire surviving log.
+    pub fn open_existing(config: EngineConfig) -> Result<EngineService, EngineError> {
+        EngineService::build(config, true, false)
+    }
+
+    /// The one constructor. `existing` resumes the file log instead of
+    /// creating it. `one_session` builds the core the one-session
+    /// [`crate::Engine`] needs: one cache shard and a closed gather window,
+    /// since nobody can contend for a shard or join a commit group.
+    pub(crate) fn build(
+        config: EngineConfig,
+        existing: bool,
+        one_session: bool,
+    ) -> Result<EngineService, EngineError> {
+        let manager = match (&config.log, existing) {
+            (LogBacking::Memory, false) => LogManager::in_memory(),
+            (LogBacking::Memory, true) => {
+                return Err(EngineError::Discipline(
+                    "open_existing requires a file-backed log".into(),
+                ))
+            }
+            (LogBacking::File(path), _) => {
+                let mut file = if existing {
+                    FileLogStore::open(path)
+                } else {
+                    FileLogStore::create(path)
+                }
+                .map_err(LogError::Io)?;
+                file.set_sync(config.commit.sync_file_log);
+                if existing {
+                    LogManager::from_existing(Box::new(file))?
+                } else {
+                    LogManager::new(Box::new(file))
+                }
             }
         };
-        let log = GroupCommitLog::new(
-            manager,
-            Duration::from_micros(config.commit.group_commit_delay_micros),
-            config.commit.group_commit_count,
-        );
-        let cache = ShardedCache::new(config.cache_shards, config.cache_capacity);
+        let (shards, delay, count) = if one_session {
+            (1, Duration::ZERO, 1)
+        } else {
+            (
+                config.cache_shards,
+                Duration::from_micros(config.commit.group_commit_delay_micros),
+                config.commit.group_commit_count,
+            )
+        };
+        let (store, coordinator) = open_store(&config)?;
         let mut domains: Vec<Mutex<DomainState>> = (0..coordinator.domain_count())
             .map(|_| {
                 Mutex::new(DomainState {
                     graph: WriteGraph::new(config.graph_mode),
                     succ: SuccessorTable::new(),
                     next_free: BTreeMap::new(),
+                    linked: Vec::new(),
                 })
             })
             .collect();
-        for p in 0..config.partitions.len() as u32 {
-            let pid = PartitionId(p);
-            if let Some(d) = coordinator.domain_of(pid) {
+        for p in (0..config.partitions.len() as u32).map(PartitionId) {
+            if let Some(d) = coordinator.domain_of(p) {
                 if let Some(m) = domains.get_mut(d.0 as usize) {
-                    m.get_mut().next_free.insert(pid, 0);
+                    m.get_mut().next_free.insert(p, 0);
                 }
             }
         }
-        Ok(EngineService {
+        let svc = EngineService {
+            log: GroupCommitLog::new(manager, delay, count),
+            cache: ShardedCache::new(shards, config.cache_capacity),
+            catalog: Arc::new(BackupCatalog::new()),
             store,
             coordinator,
-            log,
-            cache,
             domains,
             meta: Mutex::new(ServiceMeta {
                 next_backup_id: 1,
@@ -187,9 +240,30 @@ impl EngineService {
                 taken_changed: Vec::new(),
                 hook: None,
             }),
-            counters: Counters::default(),
+            counters: Default::default(),
             config,
-        })
+        };
+        if existing {
+            // Rebuild the retained-backup set from the surviving
+            // BackupBegin records, so the media barrier keeps protecting
+            // every backup's log suffix across the restart. (Superseded
+            // backups are released explicitly with
+            // [`EngineService::release_backup`], exactly as before the
+            // restart.)
+            let mut meta = svc.lock_meta();
+            for rec in svc.log.scan_from(svc.log.truncation())? {
+                if let RecordBody::BackupBegin {
+                    backup_id,
+                    start_lsn,
+                } = rec.body
+                {
+                    meta.retained.push((backup_id, start_lsn));
+                    meta.next_backup_id = meta.next_backup_id.max(backup_id + 1);
+                }
+            }
+            svc.refresh_media_barrier(&meta);
+        }
+        Ok(svc)
     }
 
     /// A handle for one session of work; clone-free to create, `Send`,
@@ -201,7 +275,7 @@ impl EngineService {
         }
     }
 
-    /// The service configuration.
+    /// The engine configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
@@ -216,7 +290,7 @@ impl EngineService {
         &self.coordinator
     }
 
-    /// The group-commit log scheduler.
+    /// The group-commit log.
     pub fn log(&self) -> &GroupCommitLog {
         &self.log
     }
@@ -226,26 +300,40 @@ impl EngineService {
         &self.cache
     }
 
-    /// Aggregate service statistics in the engine's vocabulary.
+    /// The backup-generation catalog (shared with repair drills). Empty
+    /// catalog = self-healing disengaged.
+    pub fn catalog(&self) -> &Arc<BackupCatalog> {
+        &self.catalog
+    }
+
+    /// Engine statistics. `iwof_bytes` is derived from the log's
+    /// identity-write accounting.
     pub fn stats(&self) -> EngineStats {
         EngineStats {
-            ops_executed: self.counters.ops_executed.load(Ordering::Relaxed),
-            iwof_records: self.counters.iwof_records.load(Ordering::Relaxed),
-            iwof_bytes: self.log.with_manager(|m| m.stats().identity_bytes()),
-            nodes_flushed: self.counters.nodes_flushed.load(Ordering::Relaxed),
-            nodes_installed_free: self.counters.nodes_installed_free.load(Ordering::Relaxed),
-            pages_flushed: self.counters.pages_flushed.load(Ordering::Relaxed),
-            recoveries: self.counters.recoveries.load(Ordering::Relaxed),
-            backups_begun: self.counters.backups_begun.load(Ordering::Relaxed),
-            backups_completed: self.counters.backups_completed.load(Ordering::Relaxed),
-            sweep_batches: self.counters.sweep_batches.load(Ordering::Relaxed),
-            ..EngineStats::default()
+            iwof_bytes: self.log.stats().identity_bytes(),
+            ..EngineStats::load(&self.counters)
         }
     }
 
     /// Durable-log statistics (forces, frames, identity bytes).
     pub fn log_stats(&self) -> lob_wal::LogStats {
-        self.log.with_manager(|m| m.stats().clone())
+        self.log.stats()
+    }
+
+    /// Run `f` over one domain's live write graph.
+    pub fn with_graph<R>(
+        &self,
+        domain: DomainId,
+        f: impl FnOnce(&WriteGraph) -> R,
+    ) -> Result<R, EngineError> {
+        Ok(f(&self.lock_domain(domain)?.graph))
+    }
+
+    /// Count `n` more of `stat`.
+    pub(crate) fn bump(&self, stat: Stat, n: u64) {
+        if let Some(c) = self.counters.get(stat as usize) {
+            c.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     fn lock_domain(&self, d: DomainId) -> Result<MutexGuard<'_, DomainState>, EngineError> {
@@ -256,8 +344,20 @@ impl EngineService {
             .lock())
     }
 
+    /// Every domain lock, in ascending index order.
+    fn lock_domains(&self) -> Vec<MutexGuard<'_, DomainState>> {
+        self.domains.iter().map(|m| m.lock()).collect()
+    }
+
     fn lock_meta(&self) -> MutexGuard<'_, ServiceMeta> {
         self.meta.lock()
+    }
+
+    /// The domain owning `partition`.
+    fn domain_of(&self, partition: PartitionId) -> Result<DomainId, EngineError> {
+        self.coordinator
+            .domain_of(partition)
+            .ok_or(EngineError::Store(StoreError::NoSuchPartition(partition)))
     }
 
     /// The group-commit force: named so the static lock-order pass can
@@ -267,11 +367,11 @@ impl EngineService {
         Ok(self.log.force(upto)?)
     }
 
-    /// See [`crate::Engine::execute`]-adjacent `force_target`: the LSN a
-    /// WAL-required force actually targets under the configured policy.
-    /// The group scheduler's leader always persists the whole appended
-    /// tail either way (always WAL-correct); `Exact` still short-circuits
-    /// when the requirement is already durable.
+    /// The LSN a WAL-required force actually targets, per the configured
+    /// [`FlushPolicy`]: exactly `required`, or the whole appended tail
+    /// (`Lsn::MAX`) so pending records ride along in one group commit.
+    /// Forcing beyond `required` is always WAL-correct — it only makes
+    /// records durable early.
     fn force_target(&self, required: Lsn) -> Lsn {
         match self.config.commit.flush_policy {
             FlushPolicy::Exact => required,
@@ -282,21 +382,18 @@ impl EngineService {
     /// Discipline and confinement check; returns the single domain the
     /// operation touches (domain 0 for page-free operations).
     fn check_discipline(&self, body: &OpBody) -> Result<DomainId, EngineError> {
-        let domain = confined_domain(
-            &self.coordinator,
-            body,
-            "sessions require domain-confined operations",
-        )?;
+        let domain = confined_domain(&self.coordinator, body)?;
         check_discipline(self.config.discipline, body, |p| {
-            self.cache.page_lsn(p, &self.store).map_err(lift_cache_err)
+            Ok(self.cache.page_lsn(p, &self.store)?)
         })?;
         Ok(domain.unwrap_or(DomainId(0)))
     }
 
-    /// Execute a logged operation (see [`crate::Engine::execute`]): the
-    /// session's domain lock serializes same-domain sessions; the log
-    /// append and cache installs are internally synchronized. Returns the
-    /// record's LSN.
+    /// Execute a logged operation: evaluate it against the cache, append
+    /// its log record, install the results in the cache (dirty), and update
+    /// the write graph and successor metadata. The operation's domain lock
+    /// serializes same-domain sessions; the log append and cache installs
+    /// are internally synchronized. Returns the record's LSN.
     pub fn execute(&self, body: OpBody) -> Result<Lsn, EngineError> {
         body.validate()?;
         let domain = self.check_discipline(&body)?;
@@ -327,31 +424,25 @@ impl EngineService {
         dom.graph.add_op(lsn, &body);
         let coord = &self.coordinator;
         dom.succ.note_op(&body, |p| coord.pos(p));
-        self.counters.ops_executed.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::ops_executed, 1);
         Ok(lsn)
     }
 
-    /// Current value of a page (read through the sharded cache).
+    /// Current value of a page (read through the cache).
     pub fn read_page(&self, id: PageId) -> Result<Page, EngineError> {
         self.cache.get(id, &self.store).map_err(lift_cache_err)
     }
 
-    /// Allocate a fresh (never-updated) page in `partition`.
+    /// Allocate a fresh (never-updated) page in `partition` — the `new`
+    /// object of a write-new tree operation.
     pub fn alloc_page(&self, partition: PartitionId) -> Result<PageId, EngineError> {
-        let domain = self
-            .coordinator
-            .domain_of(partition)
-            .ok_or(EngineError::Store(
-                lob_pagestore::StoreError::NoSuchPartition(partition),
-            ))?;
-        let total = self
-            .store
-            .page_count(partition)
-            .map_err(EngineError::Store)?;
+        let domain = self.domain_of(partition)?;
+        let total = self.store.page_count(partition)?;
         let mut dom = self.lock_domain(domain)?;
-        let next = dom.next_free.get_mut(&partition).ok_or(EngineError::Store(
-            lob_pagestore::StoreError::NoSuchPartition(partition),
-        ))?;
+        let next = dom
+            .next_free
+            .get_mut(&partition)
+            .ok_or(EngineError::Store(StoreError::NoSuchPartition(partition)))?;
         if *next >= total {
             return Err(EngineError::Internal(format!(
                 "partition {partition} is full ({total} pages)"
@@ -365,30 +456,44 @@ impl EngineService {
         Ok(id)
     }
 
-    /// Mark low page indexes as pre-allocated.
-    pub fn reserve_pages(&self, partition: PartitionId, upto: u32) -> Result<(), EngineError> {
-        let Some(domain) = self.coordinator.domain_of(partition) else {
-            return Ok(());
+    /// Mark low page indexes as pre-allocated (workloads that address pages
+    /// directly call this so `alloc_page` hands out fresh ones).
+    pub fn reserve_pages(&self, partition: PartitionId, upto: u32) {
+        let Ok(mut dom) = self.domain_of(partition).and_then(|d| self.lock_domain(d)) else {
+            return;
         };
-        let mut dom = self.lock_domain(domain)?;
         if let Some(n) = dom.next_free.get_mut(&partition) {
             *n = (*n).max(upto);
         }
-        Ok(())
     }
 
-    /// Install one write-graph node of `dom` — the §3.5 cache-management
-    /// algorithm, verbatim from [`crate::Engine`] with the shared-state
-    /// substrates swapped in (group force, sharded write-out).
+    /// Raise every allocator past everything `S` holds (after a recovery
+    /// wrote pages the allocator never handed out).
+    pub(crate) fn reseed_allocator(&self) -> Result<(), EngineError> {
+        reseed(&self.store, &mut self.lock_domains())
+    }
+
+    /// Install one write-graph node (it must have no predecessors): decide
+    /// Iw/oF per object under the backup latch, log identity writes where
+    /// required, flush the node's `vars` to `S` (WAL-protocol-checked), and
+    /// remove the node. This is the cache-management algorithm of §3.5.
     fn install_one_node(&self, dom: &mut DomainState, node: NodeId) -> Result<(), EngineError> {
         let vars: Vec<PageId> = dom.graph.vars(node)?.to_vec();
+        // WAL rule for steals: if a blind write emptied (part of) this
+        // node's vars, the thief's record must be durable before the node
+        // installs — otherwise a crash leaves the stolen object's value
+        // with no source (not in S, not regenerable: the replay inputs may
+        // already be overwritten in S by the time recovery runs).
         let wal_floor = dom.graph.wal_floor(node)?;
         if vars.is_empty() {
             return self.install_free_node(dom, node, wal_floor);
         }
 
+        // Take the backup latch (share mode) for the affected domains; the
+        // classification stays valid until we drop it, after the flush.
         let latch = self.coordinator.latch_for(&vars);
 
+        // Decide which objects need Iw/oF.
         let mut iwof: Vec<PageId> = Vec::new();
         if self.config.policy == BackupPolicy::Protocol {
             for &v in &vars {
@@ -403,30 +508,16 @@ impl EngineService {
             }
         }
 
+        // Log identity writes. Each steals its object from `node` into a
+        // fresh single-object node, installed below by the same flush.
         let mut identity_nodes: Vec<NodeId> = Vec::new();
         for &v in &iwof {
-            let value: Bytes = self
-                .cache
-                .peek(v)
-                .ok_or_else(|| EngineError::Internal(format!("iwof target {v} not resident")))?
-                .data()
-                .clone();
-            let body = OpBody::IdentityWrite { target: v, value };
-            let ilsn = self.log.append_record(RecordBody::Op(body.clone()));
-            self.counters.iwof_records.fetch_add(1, Ordering::Relaxed);
-            let n = dom.graph.add_op(ilsn, &body);
-            let page = self
-                .cache
-                .peek(v)
-                .ok_or_else(|| {
-                    EngineError::Internal(format!("page {v} not resident at identity write"))
-                })?
-                .with_lsn(ilsn);
-            self.cache.put_dirty(v, page).map_err(lift_cache_err)?;
-            self.cache.advance_rlsn(v, ilsn);
-            identity_nodes.push(n);
+            identity_nodes.push(self.log_identity_write(dom, v)?);
         }
 
+        // WAL protocol: force the log up to the newest pageLSN we are about
+        // to write, then flush all vars (the paper flushes X to S even when
+        // it was Iw/oF-logged, §3.5).
         let max_lsn = vars
             .iter()
             .filter_map(|&v| self.cache.peek(v).map(|p| p.lsn()))
@@ -436,16 +527,19 @@ impl EngineService {
         self.cache
             .write_out(&vars, &self.store, self.log.durable_lsn())
             .map_err(lift_cache_err)?;
-        self.counters
-            .pages_flushed
-            .fetch_add(vars.len() as u64, Ordering::Relaxed);
+        self.bump(Stat::pages_flushed, vars.len() as u64);
 
+        // Feed the incremental changed-set, and mirror into any
+        // in-progress linked-flush backups.
         for &v in &vars {
             self.coordinator.note_flushed(v);
         }
+        mirror_linked(&dom.linked, &vars, &self.cache);
 
+        // The flush installed the node's remaining ops and every identity
+        // write (identity writes never merge into another node).
         dom.graph.install_node(node)?;
-        self.counters.nodes_flushed.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::nodes_flushed, 1);
         for n in identity_nodes {
             dom.graph.install_node(n)?;
         }
@@ -454,6 +548,27 @@ impl EngineService {
         }
         drop(latch);
         Ok(())
+    }
+
+    /// Log an identity write of resident page `v`: the record steals `v`
+    /// into its own single-object node, and the page's LSN and rLSN move
+    /// to the record (its redo can start there, §3.2). Returns the node.
+    fn log_identity_write(&self, dom: &mut DomainState, v: PageId) -> Result<NodeId, EngineError> {
+        let page = self.cache.peek(v).ok_or_else(|| {
+            EngineError::Internal(format!("identity-write target {v} not resident"))
+        })?;
+        let body = OpBody::IdentityWrite {
+            target: v,
+            value: page.data().clone(),
+        };
+        let ilsn = self.log.append_record(RecordBody::Op(body.clone()));
+        self.bump(Stat::iwof_records, 1);
+        let n = dom.graph.add_op(ilsn, &body);
+        self.cache
+            .put_dirty(v, page.with_lsn(ilsn))
+            .map_err(lift_cache_err)?;
+        self.cache.advance_rlsn(v, ilsn);
+        Ok(n)
     }
 
     /// Install a node whose `vars` emptied (stolen by blind writes): no
@@ -469,21 +584,14 @@ impl EngineService {
     ) -> Result<(), EngineError> {
         self.group_force(self.force_target(wal_floor))?;
         dom.graph.install_node(node)?;
-        self.counters
-            .nodes_installed_free
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::nodes_installed_free, 1);
         Ok(())
     }
 
     /// Flush the node holding `page` (and, first, all its write-graph
     /// ancestors). No-op if the page is clean.
     pub fn flush_page(&self, page: PageId) -> Result<(), EngineError> {
-        let Some(domain) = self.coordinator.domain_of(page.partition) else {
-            return Err(EngineError::Discipline(format!(
-                "page {page} is outside every backup-order domain"
-            )));
-        };
-        let mut dom = self.lock_domain(domain)?;
+        let mut dom = self.lock_domain(self.domain_of(page.partition)?)?;
         let Some(node) = dom.graph.node_of(page) else {
             if self.cache.is_dirty(page) {
                 return Err(EngineError::Internal(format!(
@@ -492,8 +600,7 @@ impl EngineService {
             }
             return Ok(());
         };
-        let plan = dom.graph.flush_plan(node)?;
-        for n in plan {
+        for n in dom.graph.flush_plan(node)? {
             self.install_one_node(&mut dom, n)?;
         }
         Ok(())
@@ -525,112 +632,363 @@ impl EngineService {
         Ok(())
     }
 
-    /// Durably force every appended log record (a group commit the caller
-    /// does not share with anyone — unless someone commits in the window).
+    /// Flush up to `budget` dirty pages, oldest rLSN first (the classic
+    /// background-checkpointing policy: it advances the log truncation
+    /// point fastest), then truncate the log. Returns the number of pages
+    /// that were dirty before the call and are clean after it.
+    pub fn flush_oldest(&self, budget: usize) -> Result<usize, EngineError> {
+        let mut cleaned = 0;
+        for (page, _) in self.cache.dirty_pages_by_rlsn().into_iter().take(budget) {
+            if self.cache.is_dirty(page) {
+                self.flush_page(page)?;
+                cleaned += 1;
+            }
+        }
+        self.truncate_log()?;
+        Ok(cleaned)
+    }
+
+    /// Install the operations pending on `page` **without flushing it**
+    /// (paper §5.3: "Extra logging can also substitute for flushing. Should
+    /// X be dirty in the cache, but hot, ... logging it to install its
+    /// update operations in S treats S the way we have been treating B.").
+    ///
+    /// Every object in the node's flush set is identity-logged (advancing
+    /// its rLSN so the log can truncate past the installed operations); the
+    /// page stays dirty and hot in the cache. Ancestor nodes are installed
+    /// first, normally (they must reach `S` in write-graph order anyway).
+    pub fn install_without_flush(&self, page: PageId) -> Result<(), EngineError> {
+        let mut dom = self.lock_domain(self.domain_of(page.partition)?)?;
+        let Some(node) = dom.graph.node_of(page) else {
+            return Ok(()); // nothing pending
+        };
+        let plan = dom.graph.flush_plan(node)?;
+        let Some((&node, ancestors)) = plan.split_last() else {
+            return Ok(());
+        };
+        for &n in ancestors {
+            self.install_one_node(&mut dom, n)?;
+        }
+        // Each identity write steals its object into its own node, which
+        // stays in the graph until the object is eventually flushed;
+        // meanwhile the logged value covers recovery and the rLSN advances.
+        for v in dom.graph.vars(node)?.to_vec() {
+            self.log_identity_write(&mut dom, v)?;
+        }
+        // All objects stolen: the node installs without any page write.
+        dom.graph.install_node(node)?;
+        self.bump(Stat::nodes_installed_free, 1);
+        self.group_force(Lsn::MAX)
+    }
+
+    /// Durably force every appended log record (a commit point: operations
+    /// logged so far survive a crash).
     pub fn force_log(&self) -> Result<(), EngineError> {
         self.group_force(Lsn::MAX)
     }
 
-    /// The earliest LSN crash recovery could need (see
-    /// [`crate::Engine::redo_scan_start`]), minimized across domains.
+    /// The redo scan start point: the earliest LSN crash recovery could
+    /// need. This is also the media-recovery start point a backup records
+    /// when it begins (§1.2).
     ///
-    /// Holds **every** domain lock at once (ascending index, as in
-    /// [`EngineService::recover`]). `execute` assigns an op's LSN and
-    /// makes it visible (cache dirty entry, write-graph node) all under
-    /// one domain lock, so a lock-one-at-a-time scan could run inside
-    /// that window and see the record in neither structure — and a
-    /// truncation bound computed past it would silently drop a committed
-    /// update from the next crash recovery.
-    pub fn redo_scan_start(&self) -> Result<Lsn, EngineError> {
-        let doms: Vec<MutexGuard<'_, DomainState>> =
-            self.domains.iter().map(|m| m.lock()).collect();
-        Ok(self.scan_floor(&doms))
+    /// Holds **every** domain lock at once. `execute` assigns an op's LSN
+    /// and makes it visible (cache dirty entry, write-graph node) all under
+    /// one domain lock, so a lock-one-at-a-time scan could run inside that
+    /// window and see the record in neither structure — and a truncation
+    /// bound computed past it would silently drop a committed update from
+    /// the next crash recovery.
+    pub fn redo_scan_start(&self) -> Lsn {
+        self.scan_floor(&self.lock_domains())
     }
 
     /// The redo floor over already-held domain guards: the minimum
     /// uninstalled write-graph LSN and dirty-page recovery LSN, else the
-    /// append point (nothing volatile needs redo). Callers hold every
-    /// domain lock, so no record can be appended-but-not-yet-entered
-    /// while this runs.
+    /// append point (nothing volatile needs redo).
     fn scan_floor(&self, doms: &[MutexGuard<'_, DomainState>]) -> Lsn {
-        let mut min: Option<Lsn> = None;
-        for dom in doms.iter() {
-            if let Some(l) = dom.graph.min_uninstalled_lsn() {
-                min = Some(min.map_or(l, |m| m.min(l)));
-            }
-        }
-        if let Some(l) = self.cache.min_dirty_rlsn() {
-            min = Some(min.map_or(l, |m| m.min(l)));
-        }
-        min.unwrap_or_else(|| self.log.next_lsn())
+        doms.iter()
+            .filter_map(|dom| dom.graph.min_uninstalled_lsn())
+            .chain(self.cache.min_dirty_rlsn())
+            .min()
+            .unwrap_or_else(|| self.log.next_lsn())
     }
 
     /// Advance the log truncation point as far as crash recovery and
     /// retained backups permit.
     pub fn truncate_log(&self) -> Result<Lsn, EngineError> {
-        let bound = self.redo_scan_start()?;
+        let bound = self.redo_scan_start();
         Ok(self.log.truncate(bound)?)
     }
 
-    /// Install (or clear) a fault hook on every I/O site the service owns
-    /// or shares (store, log, cache shards, coordinator).
+    // ------------------------------------------------------------------
+    // Crash and media recovery
+    // ------------------------------------------------------------------
+
+    /// Install (or clear) a fault hook on every I/O site the engine owns
+    /// or shares: the stable store (page writes), the log (forces and
+    /// frame appends), the cache (flush decisions), the backup coordinator
+    /// (sweep copies) and the catalog (image and archive reads). One hook
+    /// observes the system-wide deterministic I/O event stream.
     pub fn install_fault_hook(&self, hook: Option<lob_pagestore::FaultHook>) {
         let mut meta = self.lock_meta();
         self.store.set_fault_hook(hook.clone());
         self.log.set_fault_hook(hook.clone());
         self.cache.set_fault_hook(hook.clone());
         self.coordinator.set_fault_hook(hook.clone());
+        self.catalog.set_fault_hook(hook.clone());
         meta.hook = hook;
     }
 
+    /// The installed fault hook.
+    pub(crate) fn fault_hook(&self) -> Option<lob_pagestore::FaultHook> {
+        self.lock_meta().hook.clone()
+    }
+
     /// Crash: all volatile state (cache, write graphs, successor tables,
-    /// the unforced log tail, in-flight backup trackers and the
-    /// changed-page set) is lost. Concurrent sessions' in-flight calls
-    /// finish against pre-crash state or surface typed errors; call
-    /// [`EngineService::recover`] next.
+    /// the unforced log tail, in-flight backup trackers, linked-flush
+    /// images and the changed-page set) is lost. Concurrent sessions'
+    /// in-flight calls finish against pre-crash state or surface typed
+    /// errors; call [`EngineService::recover`] next.
     pub fn crash(&self) {
         let mut meta = self.lock_meta();
-        let mut doms: Vec<MutexGuard<'_, DomainState>> =
-            self.domains.iter().map(|m| m.lock()).collect();
+        let mut doms = self.lock_domains();
         for dom in doms.iter_mut() {
-            dom.graph = WriteGraph::new(self.config.graph_mode);
-            dom.succ.clear_all();
+            dom.reset(&self.config);
+            dom.linked.clear();
         }
         self.log.crash();
         self.cache.clear();
         meta.taken_changed.clear();
+        // The backup coordinator's trackers and changed set live in the
+        // same process: any in-flight sweep dies with it.
         self.coordinator.reset_volatile();
     }
 
     /// Crash recovery: roll the surviving log suffix forward over `S`
-    /// through the batched replay, with the workers/batch knobs from
-    /// [`EngineConfig::recovery`]. Takes every lock — sessions resume
-    /// after.
+    /// with the workers/batch knobs from [`EngineConfig::recovery`].
     pub fn recover(&self) -> Result<RedoOutcome, EngineError> {
+        self.parallel_recover_with(self.config.recovery)
+    }
+
+    /// [`EngineService::recover`] with explicit knobs. The recovered state
+    /// and the returned [`RedoOutcome`] are the same in every
+    /// configuration (the harness byte-checks each recovery against the
+    /// record-at-a-time reference scan).
+    pub fn parallel_recover_with(
+        &self,
+        recovery: RecoveryConfig,
+    ) -> Result<RedoOutcome, EngineError> {
+        self.run_recovery(None, None, Lsn::MAX, recovery)
+    }
+
+    /// The one recovery body (DESIGN.md §5.10), holding every lock.
+    /// Media recovery — an `image` supplies the seed — forces the log,
+    /// drops the volatile state of the replaced media (all of it, or one
+    /// `partition`'s domain and cache frames) and clears the failures
+    /// first; crash redo starts from what [`EngineService::crash`] left.
+    /// Then: install the seed pages, roll the filtered suffix forward,
+    /// reseed the allocators.
+    fn run_recovery(
+        &self,
+        image: Option<&BackupImage>,
+        partition: Option<PartitionId>,
+        upto: Lsn,
+        recovery: RecoveryConfig,
+    ) -> Result<RedoOutcome, EngineError> {
         let _meta = self.lock_meta();
-        let mut doms: Vec<MutexGuard<'_, DomainState>> =
-            self.domains.iter().map(|m| m.lock()).collect();
-        let records = self.log.scan_from(self.log.truncation())?;
-        let outcome = parallel_redo_scan(&records, &self.store, self.config.recovery)?;
-        self.counters.recoveries.fetch_add(1, Ordering::Relaxed);
-        // Reseed the per-domain allocators past everything recovery wrote.
-        for dom in doms.iter_mut() {
-            for (p, slot) in dom.next_free.iter_mut() {
-                let hw = self.store.high_water(*p)?;
-                let floor = hw.map_or(0, |h| h + 1);
-                *slot = (*slot).max(floor);
+        let mut doms = self.lock_domains();
+        if let Some(image) = image {
+            image.check_restorable()?;
+            self.group_force(Lsn::MAX)?;
+            let replaced = |p: PartitionId| partition.map_or(true, |only| only == p);
+            match partition {
+                None => self.cache.clear(),
+                Some(p) => self.cache.clear_partition(p),
+            }
+            for p in (0..self.config.partitions.len() as u32).map(PartitionId) {
+                if replaced(p) {
+                    let d = self.domain_of(p)?;
+                    if let Some(dom) = doms.get_mut(d.0 as usize) {
+                        dom.reset(&self.config);
+                    }
+                    self.store.clear_failures(p)?;
+                }
             }
         }
-        // Truncation bound, computed from the already-held guards (the
-        // graphs are live; re-locking through `redo_scan_start` would
-        // self-deadlock).
-        let bound = self.scan_floor(&doms);
-        self.log.truncate(bound)?;
+        let outcome = self.restore_and_redo(&self.store, image, partition, upto, recovery)?;
+        reseed(&self.store, &mut doms)?;
+        if image.is_some() {
+            self.bump(Stat::media_recoveries, 1);
+        } else {
+            self.bump(Stat::recoveries, 1);
+            // Truncation bound from the already-held guards (re-locking
+            // through `redo_scan_start` would self-deadlock).
+            self.log.truncate(self.scan_floor(&doms))?;
+        }
         Ok(outcome)
     }
 
+    /// Install `image`'s pages into `store` (all of them, or one
+    /// `partition`'s; with no image this is crash redo and `S` is its own
+    /// seed), then roll the log forward from the seed's start LSN through
+    /// the batched replay, keeping only records at or below `upto` and,
+    /// for a partition restore, operations touching that partition.
+    fn restore_and_redo(
+        &self,
+        store: &StableStore,
+        image: Option<&BackupImage>,
+        partition: Option<PartitionId>,
+        upto: Lsn,
+        recovery: RecoveryConfig,
+    ) -> Result<RedoOutcome, EngineError> {
+        let from = match image {
+            None => self.log.truncation(),
+            Some(image) => {
+                match partition {
+                    None => parallel_install_image(&image.pages, store, recovery)?,
+                    Some(only) => {
+                        parallel_install_image(&image.pages.partition(only), store, recovery)?
+                    }
+                };
+                image.start_lsn
+            }
+        };
+        let mut records = self.log.scan_from(from)?;
+        records.retain(|r| {
+            r.lsn <= upto
+                && partition.map_or(true, |only| match &r.body {
+                    // The LSN test would make replaying the rest harmless;
+                    // restricting the scan shows the §6.3 point: the
+                    // partition is the recovery unit.
+                    RecordBody::Op(op) => op
+                        .writeset()
+                        .iter()
+                        .chain(op.readset().iter())
+                        .any(|p| p.partition == only),
+                    _ => false,
+                })
+        });
+        Ok(parallel_redo_scan(&records, store, recovery)?)
+    }
+
+    /// Full media recovery: discard volatile state, replace the failed
+    /// media, restore every page from the backup image, and roll forward
+    /// from the image's start LSN to the current end of the log, with the
+    /// workers/batch knobs from [`EngineConfig::recovery`].
+    pub fn media_recover(&self, image: &BackupImage) -> Result<RedoOutcome, EngineError> {
+        self.parallel_restore_with(image, self.config.recovery)
+    }
+
+    /// [`EngineService::media_recover`] with explicit knobs. The recovered
+    /// state is the same in every configuration.
+    pub fn parallel_restore_with(
+        &self,
+        image: &BackupImage,
+        recovery: RecoveryConfig,
+    ) -> Result<RedoOutcome, EngineError> {
+        self.run_recovery(Some(image), None, Lsn::MAX, recovery)
+    }
+
+    /// Catalog-sourced restore: fetch the newest registered backup
+    /// generation (whole-image batched fetch, checksum-verified) and
+    /// [`EngineService::media_recover`] from it. This is the operational
+    /// "the medium died, recover from whatever backups we hold" entry
+    /// point.
+    pub fn parallel_restore_latest(&self) -> Result<RedoOutcome, EngineError> {
+        self.parallel_restore_latest_with(self.config.recovery)
+    }
+
+    /// [`EngineService::parallel_restore_latest`] with explicit recovery
+    /// knobs.
+    pub fn parallel_restore_latest_with(
+        &self,
+        recovery: RecoveryConfig,
+    ) -> Result<RedoOutcome, EngineError> {
+        let newest = self
+            .catalog
+            .generations()
+            .first()
+            .copied()
+            .ok_or_else(no_generation)?;
+        let image = self.catalog.fetch_image(newest)?;
+        self.parallel_restore_with(&image, recovery)
+    }
+
+    /// Point-in-time media recovery (paper §1: roll forward "to some
+    /// designated earlier time", and §6.3's application-error discussion):
+    /// restore from the image, then replay only records with `lsn <= upto`.
+    ///
+    /// Because the fuzzy sweep may capture page states from anywhere inside
+    /// the backup window and redo can never roll *backwards*, the target
+    /// must be at or after the image's completion frontier
+    /// ([`BackupImage::end_lsn`]).
+    pub fn media_recover_to(
+        &self,
+        image: &BackupImage,
+        upto: Lsn,
+    ) -> Result<RedoOutcome, EngineError> {
+        if upto < image.end_lsn {
+            return Err(EngineError::Discipline(format!(
+                "point-in-time target {upto} precedes the backup's completion frontier {}; a fuzzy backup cannot be rolled back",
+                image.end_lsn
+            )));
+        }
+        self.run_recovery(Some(image), None, upto, self.config.recovery)
+    }
+
+    /// Partition-grained media recovery (§6.3): restore only the failed
+    /// partition's pages, then roll forward the operations touching it.
+    /// Sound only when operations are partition-confined, i.e. under
+    /// per-partition tracking. Every other partition keeps its cached and
+    /// uninstalled updates.
+    pub fn media_recover_partition(
+        &self,
+        image: &BackupImage,
+        partition: PartitionId,
+    ) -> Result<RedoOutcome, EngineError> {
+        if !matches!(self.config.tracking, Tracking::PerPartition) {
+            return Err(EngineError::Discipline(
+                "partition media recovery requires per-partition tracking \
+                 (operations confined to one partition)"
+                    .into(),
+            ));
+        }
+        self.run_recovery(Some(image), Some(partition), Lsn::MAX, self.config.recovery)
+    }
+
+    /// Audit a backup: restore it into a scratch store, roll it forward
+    /// over the live log, and compare every page against the engine's
+    /// current logical state (cache over store). Returns the mismatching
+    /// pages (empty = the backup is good).
+    ///
+    /// This is the operational "can I actually recover from this?" check a
+    /// production system runs before trusting an image.
+    pub fn audit_backup(&self, image: &BackupImage) -> Result<Vec<PageId>, EngineError> {
+        image.check_restorable()?;
+        let scratch = StableStore::new(
+            StoreConfig {
+                page_size: self.config.page_size,
+            },
+            &self.config.partitions,
+        );
+        self.restore_and_redo(&scratch, Some(image), None, Lsn::MAX, self.config.recovery)?;
+        let mut mismatches = Vec::new();
+        for p in 0..self.config.partitions.len() as u32 {
+            for i in 0..self.store.page_count(PartitionId(p))? {
+                let id = PageId::new(p, i);
+                if self.read_page(id)?.data() != scratch.read_page(id)?.data() {
+                    mismatches.push(id);
+                }
+            }
+        }
+        Ok(mismatches)
+    }
+
+    // ------------------------------------------------------------------
+    // Backups
+    // ------------------------------------------------------------------
+
     /// Take the changed-page set for `domain`, restoring out-of-domain
-    /// pages immediately.
+    /// pages immediately (they belong to other domains' next backups).
     fn take_domain_changed(&self, domain: DomainId) -> HashSet<PageId> {
         let changed = self.coordinator.take_changed();
         let (in_dom, out_dom): (HashSet<PageId>, HashSet<PageId>) = changed
@@ -647,7 +1005,7 @@ impl EngineService {
 
     /// Start the tracker run, handing the taken changed-set back to the
     /// coordinator on failure. Kept out of
-    /// [`EngineService::begin_backup_of`] so the restore-on-error path
+    /// [`EngineService::begin_backup_inner`] so the restore-on-error path
     /// never lexically precedes that function's log force (the static
     /// lock-order pass is branch- and drop-insensitive).
     fn begin_run(
@@ -666,21 +1024,9 @@ impl EngineService {
         }
     }
 
-    /// Unwind [`EngineService::begin_backup_of`] when the `BackupBegin`
-    /// force fails: abort the run against the coordinator and hand the
-    /// taken changed-set back (mirroring [`EngineService::abort_backup`];
-    /// nothing is retained yet), so a transient log failure leaves
-    /// neither a phantom active tracker nor a swallowed incremental
-    /// changed-page set behind. Kept out of `begin_backup_of` for the
-    /// same lexical lock-order reason as [`EngineService::begin_run`].
-    fn fail_begun_backup(
-        &self,
-        meta: &mut ServiceMeta,
-        run: BackupRun,
-        err: EngineError,
-    ) -> EngineError {
-        let backup_id = run.backup_id();
-        run.abort(&self.coordinator);
+    /// Hand an in-flight backup's taken changed-set back to the
+    /// coordinator (the backup aborted, or its begin failed).
+    fn restore_taken(&self, meta: &mut ServiceMeta, backup_id: u64) {
         if let Some(i) = meta
             .taken_changed
             .iter()
@@ -689,22 +1035,46 @@ impl EngineService {
             let (_, changed) = meta.taken_changed.swap_remove(i);
             self.coordinator.restore_changed(changed);
         }
+    }
+
+    /// Unwind [`EngineService::begin_backup_inner`] when the `BackupBegin`
+    /// force fails: abort the run against the coordinator and hand the
+    /// taken changed-set back (nothing is retained yet), so a transient
+    /// log failure leaves neither a phantom active tracker nor a swallowed
+    /// incremental changed-page set behind. Kept out of
+    /// `begin_backup_inner` for the same lexical lock-order reason as
+    /// [`EngineService::begin_run`].
+    fn fail_begun_backup(
+        &self,
+        meta: &mut ServiceMeta,
+        run: BackupRun,
+        err: EngineError,
+    ) -> EngineError {
+        let backup_id = run.backup_id();
+        run.abort(&self.coordinator);
+        self.restore_taken(meta, backup_id);
         err
     }
 
-    /// Begin an on-line backup of `domain` in `steps` steps. The returned
-    /// run is driven with [`EngineService::backup_step_batch`] — from this
-    /// or any other thread — while sessions keep executing.
-    pub fn begin_backup_of(&self, domain: DomainId, steps: u32) -> Result<BackupRun, EngineError> {
+    /// The one backup begin. Both full and incremental backups consume the
+    /// domain's changed set: a full backup supersedes it (every page is
+    /// captured at or after this point, and flushes during the window are
+    /// re-noted); an incremental backup copies exactly it.
+    fn begin_backup_inner(
+        &self,
+        domain: DomainId,
+        steps: u32,
+        base: Option<u64>,
+    ) -> Result<BackupRun, EngineError> {
         let mut meta = self.lock_meta();
         let changed = self.take_domain_changed(domain);
         let backup_id = meta.next_backup_id;
-        let start_lsn = self.redo_scan_start()?;
+        let start_lsn = self.redo_scan_start();
         let cfg = RunConfig {
             domain,
             steps,
-            filter: None,
-            base: None,
+            filter: base.map(|_| changed.clone()),
+            base,
         };
         let (run, changed) = self.begin_run(cfg, backup_id, start_lsn, changed)?;
         meta.taken_changed.push((backup_id, changed));
@@ -718,14 +1088,41 @@ impl EngineService {
         }
         meta.retained.push((backup_id, start_lsn));
         self.refresh_media_barrier(&meta);
-        self.counters.backups_begun.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::backups_begun, 1);
         Ok(run)
     }
 
+    /// Begin an on-line backup of domain 0 in `steps` steps (the common
+    /// single-domain case).
+    pub fn begin_backup(&self, steps: u32) -> Result<BackupRun, EngineError> {
+        self.begin_backup_inner(DomainId(0), steps, None)
+    }
+
+    /// Begin an on-line backup of `domain` in `steps` steps. The returned
+    /// run is driven with [`EngineService::backup_step_batch`] — from this
+    /// or any other thread — while sessions keep executing.
+    pub fn begin_backup_of(&self, domain: DomainId, steps: u32) -> Result<BackupRun, EngineError> {
+        self.begin_backup_inner(domain, steps, None)
+    }
+
+    /// Begin an incremental backup: copy only pages flushed to `S` since
+    /// the last completed backup, on top of `base`.
+    pub fn begin_incremental_backup(
+        &self,
+        domain: DomainId,
+        steps: u32,
+        base: &BackupImage,
+    ) -> Result<BackupRun, EngineError> {
+        self.begin_backup_inner(domain, steps, Some(base.backup_id))
+    }
+
     /// Advance an on-line backup by one step, copying up to `batch`
-    /// contiguous pages per store round-trip.
+    /// contiguous pages per store round-trip
+    /// ([`lob_backup::BackupRun::step_batch`]). Between calls, sessions
+    /// are free to execute and flush — that is the "on-line" in on-line
+    /// backup.
     pub fn backup_step_batch(&self, run: &mut BackupRun, batch: u32) -> Result<bool, EngineError> {
-        self.counters.sweep_batches.fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::sweep_batches, 1);
         Ok(run.step_batch(&self.coordinator, &self.store, batch)?)
     }
 
@@ -740,36 +1137,558 @@ impl EngineService {
         self.group_force(Lsn::MAX)?;
         image.end_lsn = self.log.durable_lsn();
         meta.taken_changed.retain(|(id, _)| *id != backup_id);
-        self.counters
-            .backups_completed
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(Stat::backups_completed, 1);
         Ok(image)
     }
 
-    /// Abort an in-flight backup run: tracker deactivates, the log suffix
-    /// is released, the changed-page set merges back.
+    /// Abort an in-flight backup run: the tracker deactivates, the log
+    /// suffix is released, and the changed-page set merges back.
     pub fn abort_backup(&self, run: BackupRun) {
-        let mut meta = self.lock_meta();
         let backup_id = run.backup_id();
         run.abort(&self.coordinator);
-        if let Some(i) = meta
-            .taken_changed
-            .iter()
-            .position(|(id, _)| *id == backup_id)
-        {
-            let (_, changed) = meta.taken_changed.swap_remove(i);
-            self.coordinator.restore_changed(changed);
-        }
+        self.forget_backup(backup_id);
+    }
+
+    /// Hand a backup's changed-page set back and stop retaining its log
+    /// suffix.
+    fn forget_backup(&self, backup_id: u64) {
+        let mut meta = self.lock_meta();
+        self.restore_taken(&mut meta, backup_id);
         meta.retained.retain(|&(id, _)| id != backup_id);
         self.refresh_media_barrier(&meta);
     }
 
-    /// Release a completed backup's retained log suffix (it is superseded
-    /// by a newer backup, or discarded).
+    /// Stop retaining log records for a backup (it was superseded or
+    /// discarded). Allows the log to truncate past its start LSN.
     pub fn release_backup(&self, backup_id: u64) {
         let mut meta = self.lock_meta();
         meta.retained.retain(|&(id, _)| id != backup_id);
         self.refresh_media_barrier(&meta);
+    }
+
+    /// An off-line backup: quiesce (flush everything), then snapshot. The
+    /// availability cost is the point of comparison; correctness is
+    /// trivial.
+    pub fn offline_backup(&self) -> Result<BackupImage, EngineError> {
+        self.flush_all()?;
+        let pages = self.store.snapshot()?;
+        let mut meta = self.lock_meta();
+        let backup_id = meta.next_backup_id;
+        meta.next_backup_id += 1;
+        let start_lsn = self.log.next_lsn();
+        meta.retained.push((backup_id, start_lsn));
+        self.refresh_media_barrier(&meta);
+        self.bump(Stat::backups_begun, 1);
+        self.bump(Stat::backups_completed, 1);
+        Ok(BackupImage {
+            backup_id,
+            start_lsn,
+            end_lsn: start_lsn,
+            pages,
+            complete: true,
+            incremental: false,
+            base: None,
+        })
+    }
+
+    /// Back up every domain concurrently — the paper's partition-parallel
+    /// scheme (§3.4): one sweep worker thread per coordinator domain, each
+    /// copying up to `batch` contiguous pages per store round-trip, `steps`
+    /// progress steps per domain. On success every domain's image is
+    /// returned, `BackupEnd`-logged, in domain order; on the first failure
+    /// every other domain is aborted and the error surfaces.
+    pub fn parallel_backup(&self, steps: u32, batch: u32) -> Result<Vec<BackupImage>, EngineError> {
+        self.parallel_backup_with(steps, batch, |_, e| Err(EngineError::Backup(e)))
+    }
+
+    /// [`EngineService::parallel_backup`] with a say in failed domains: a
+    /// worker that fails parks its run (cursor and tracker held), and
+    /// `finish` either drives that run to its end on this thread or
+    /// returns the error that aborts the whole backup.
+    pub(crate) fn parallel_backup_with(
+        &self,
+        steps: u32,
+        batch: u32,
+        mut finish: impl FnMut(&mut BackupRun, BackupError) -> Result<(), EngineError>,
+    ) -> Result<Vec<BackupImage>, EngineError> {
+        let mut runs = Vec::with_capacity(self.coordinator.domain_count() as usize);
+        for d in 0..self.coordinator.domain_count() {
+            match self.begin_backup_of(DomainId(d), steps) {
+                Ok(r) => runs.push(r),
+                Err(e) => {
+                    for r in runs {
+                        self.abort_backup(r);
+                    }
+                    return Err(e);
+                }
+            }
+        }
+        let reports = ParallelSweep::sweep(&self.coordinator, &self.store, runs, batch);
+        let mut finished: Vec<BackupRun> = Vec::with_capacity(reports.len());
+        let mut failure: Option<EngineError> = None;
+        for rep in reports {
+            self.bump(Stat::sweep_batches, rep.batches);
+            self.bump(Stat::sweep_workers, 1);
+            match (rep.outcome, rep.run) {
+                (Ok(()), Some(run)) => finished.push(run),
+                (Err(e), Some(mut run)) => match finish(&mut run, e) {
+                    Ok(()) => finished.push(run),
+                    Err(e) => {
+                        self.abort_backup(run);
+                        failure.get_or_insert(e);
+                    }
+                },
+                (outcome, None) => {
+                    // The worker panicked and took its run with it: reset
+                    // the domain by hand (tracker, changed set, retention).
+                    if let Ok(t) = self.coordinator.tracker(rep.domain) {
+                        if t.is_active() {
+                            t.finish();
+                        }
+                    }
+                    self.forget_backup(rep.backup_id);
+                    failure.get_or_insert(EngineError::Backup(outcome.err().unwrap_or_else(
+                        || BackupError::BadState("sweep worker lost its run".into()),
+                    )));
+                }
+            }
+        }
+        if let Some(e) = failure {
+            for run in finished {
+                self.abort_backup(run);
+            }
+            return Err(e);
+        }
+        finished.sort_by_key(|r| r.domain().0);
+        finished
+            .into_iter()
+            .map(|run| self.complete_backup(run))
+            .collect()
+    }
+
+    // ------------------------------------------------------------------
+    // Linked-flush backup (the "completely unrealistic" baseline of §1.3)
+    // ------------------------------------------------------------------
+
+    /// Begin a linked-flush backup: pages are copied from `S` through the
+    /// engine, and every flush during the window is synchronously mirrored
+    /// into the image.
+    pub fn begin_linked_backup(&self) -> Result<LinkedBackupRun, EngineError> {
+        let mut meta = self.lock_meta();
+        let backup_id = meta.next_backup_id;
+        meta.next_backup_id += 1;
+        let start_lsn = self.redo_scan_start();
+        self.log.append_record(RecordBody::BackupBegin {
+            backup_id,
+            start_lsn,
+        });
+        self.group_force(Lsn::MAX)?;
+        meta.retained.push((backup_id, start_lsn));
+        self.refresh_media_barrier(&meta);
+        self.bump(Stat::backups_begun, 1);
+        let image = Arc::new(Mutex::new(PageImage::new()));
+        for dom in self.lock_domains().iter_mut() {
+            dom.linked.push((backup_id, Arc::clone(&image)));
+        }
+        let mut todo = Vec::new();
+        for p in 0..self.config.partitions.len() as u32 {
+            todo.extend((0..self.store.page_count(PartitionId(p))?).map(|i| PageId::new(p, i)));
+        }
+        Ok(LinkedBackupRun {
+            backup_id,
+            start_lsn,
+            todo,
+            cursor: 0,
+            image,
+        })
+    }
+
+    /// Copy up to `pages` pages for a linked backup. Returns `true` when
+    /// the sweep has covered every page.
+    pub fn linked_step(
+        &self,
+        run: &mut LinkedBackupRun,
+        pages: usize,
+    ) -> Result<bool, EngineError> {
+        let end = (run.cursor + pages).min(run.todo.len());
+        let mut img = run.image.lock();
+        for &id in run.todo.get(run.cursor..end).unwrap_or_default() {
+            // Copy the *stable* version: the image mirrors S exactly
+            // (flushes during the window also land in the image).
+            if !img.contains(id) {
+                let page = self.store.read_page(id)?;
+                img.put(id, page);
+            }
+        }
+        drop(img);
+        run.cursor = end;
+        Ok(run.cursor == run.todo.len())
+    }
+
+    /// Complete a linked backup.
+    pub fn complete_linked_backup(&self, run: LinkedBackupRun) -> Result<BackupImage, EngineError> {
+        if run.cursor != run.todo.len() {
+            return Err(EngineError::Backup(BackupError::BadState(
+                "linked backup incomplete".into(),
+            )));
+        }
+        for dom in self.lock_domains().iter_mut() {
+            dom.linked.retain(|(id, _)| *id != run.backup_id);
+        }
+        self.log.append_record(RecordBody::BackupEnd {
+            backup_id: run.backup_id,
+        });
+        self.group_force(Lsn::MAX)?;
+        self.bump(Stat::backups_completed, 1);
+        let pages = Arc::try_unwrap(run.image)
+            .map(|m| m.into_inner())
+            .unwrap_or_else(|arc| arc.lock().clone());
+        Ok(BackupImage {
+            backup_id: run.backup_id,
+            start_lsn: run.start_lsn,
+            end_lsn: self.log.durable_lsn(),
+            pages,
+            complete: true,
+            incremental: false,
+            base: None,
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Online repair from the backup chain, and the media-log archive
+    // ------------------------------------------------------------------
+
+    /// Register a completed backup image as the newest repair generation.
+    /// From this point on, [`crate::Engine`] reads self-heal.
+    pub fn register_backup_generation(&self, image: BackupImage) -> Result<(), EngineError> {
+        Ok(self.catalog.register(image)?)
+    }
+
+    /// Retire a generation from the repair catalog, returning its image.
+    pub fn retire_backup_generation(&self, backup_id: u64) -> Result<BackupImage, EngineError> {
+        Ok(self.catalog.retire(backup_id)?)
+    }
+
+    /// Pages currently held out of service awaiting repair.
+    pub fn quarantined_pages(&self) -> Vec<PageId> {
+        self.store.quarantined_pages()
+    }
+
+    /// The deterministic backoff schedule for reads involving `id`: seeded
+    /// from the page identity, so drills replay identically and distinct
+    /// pages jitter differently. Never consults a clock.
+    pub(crate) fn repair_backoff(&self, id: PageId) -> BackoffSchedule {
+        let seed = 0x10B_5EED ^ (u64::from(id.partition.0) << 32) ^ u64::from(id.index);
+        BackoffSchedule::new(seed, REPAIR_FETCH_ATTEMPTS)
+    }
+
+    /// Repair one damaged page online, while every other page keeps
+    /// serving.
+    ///
+    /// The page is quarantined first (no reader may see the bad bytes
+    /// while repair runs; the scrub evidence, if any, is captured before
+    /// that). Then:
+    ///
+    /// * If the cache holds a **dirty** copy, that copy is newer than
+    ///   anything any backup holds — the normal write-graph-ordered flush
+    ///   installs it, and the full overwrite heals the slot.
+    /// * Otherwise the page's current value is regenerated from the backup
+    ///   chain: for each generation, newest first, compute the
+    ///   **dependency closure** of the page over the generation's log
+    ///   suffix, fetch backup-vintage copies of the whole closure
+    ///   (checksum-verified; transient errors retried under the
+    ///   deterministic backoff), replay the closure-filtered suffix into a
+    ///   **scratch** target, and install only the regenerated target page.
+    ///   Replaying into a scratch — never `S` itself — keeps repair atomic
+    ///   with respect to a concurrently running backup sweep: no
+    ///   rolled-back intermediate state ever exists in `S`. A corrupt,
+    ///   missing, or log-truncated generation fails over to the next older
+    ///   one.
+    ///
+    /// The log is forced first, so every record the closure replay uses —
+    /// and therefore every value repair installs into `S` — is durable
+    /// (WAL holds). Since a clean page's logged writers are all installed,
+    /// the replay regenerates exactly the value `S` held before the
+    /// damage: repair never moves `S` ahead of the write-graph order.
+    ///
+    /// If every generation is exhausted the page *stays quarantined* and
+    /// the typed [`EngineError::Unrepairable`] is returned; other pages
+    /// and partitions keep serving.
+    pub fn repair_page(&self, id: PageId) -> Result<RepairReport, EngineError> {
+        // Scrub evidence first — verify_page consults no fault event and
+        // skips quarantined slots, so capture it before quarantining.
+        let corruption = self.store.verify_page(id)?;
+        self.store.quarantine_page(id)?;
+        self.bump(Stat::quarantines, 1);
+
+        if self.cache.is_dirty(id) {
+            // The cache holds the newest value; flush it through the
+            // normal path (ancestors first, WAL-checked). Generation 0 in
+            // the report means "healed from the resident dirty copy".
+            self.store.clear_page_failure(id)?;
+            self.flush_page(id)?;
+            self.bump(Stat::repairs, 1);
+            return Ok(RepairReport {
+                page: id,
+                closure: vec![id],
+                generation_used: 0,
+                generations_tried: Vec::new(),
+                start_lsn: Lsn::NULL,
+                records_replayed: 0,
+                records_scanned: 0,
+                index_used: false,
+                retries: 0,
+                backoff_ticks: 0,
+                corruption,
+            });
+        }
+
+        let mut cost = RetryCost::default();
+        let report = self.repair_from_chain(id, corruption, &mut cost);
+        self.bump(Stat::transient_retries, u64::from(cost.retries));
+        report
+    }
+
+    /// The backup-chain half of [`EngineService::repair_page`]: walk the
+    /// generations newest first until one regenerates `id`. `cost`
+    /// accumulates every retried fetch, also when the walk fails.
+    fn repair_from_chain(
+        &self,
+        id: PageId,
+        corruption: Option<CorruptionEntry>,
+        cost: &mut RetryCost,
+    ) -> Result<RepairReport, EngineError> {
+        self.group_force(Lsn::MAX)?;
+        let backoff = self.repair_backoff(id);
+        let mut generations_tried = Vec::new();
+        'generations: for backup_id in self.catalog.generations() {
+            generations_tried.push(backup_id);
+            let start_lsn = self.catalog.start_lsn(backup_id)?;
+            // A generation with a page-indexed archive serves the closure
+            // from sorted per-page runs instead of a full suffix scan —
+            // fewer records examined, and the report's telemetry says so.
+            // Archive corruption or exhausted retries fall back to the
+            // scan of the *same* generation.
+            let indexed = if self.catalog.has_archive(backup_id) {
+                self.archive_closure(backup_id, id, &backoff, cost)?
+            } else {
+                None
+            };
+            let (records, closure, records_scanned, index_used) = match indexed {
+                Some((records, closure, scanned)) => {
+                    self.bump(Stat::repair_index_hits, 1);
+                    (records, closure, scanned, true)
+                }
+                None => {
+                    // The generation's media-recovery log suffix. A
+                    // truncated suffix means the generation was released —
+                    // fail over (older generations need even earlier
+                    // records, but the uniform loop keeps the report
+                    // honest about what was tried).
+                    let scan =
+                        backoff.retry(cost, is_transient_log, || self.log.scan_from(start_lsn));
+                    let records = match scan {
+                        Ok(records) => records,
+                        Err(LogError::Truncated { .. }) => {
+                            self.bump(Stat::repair_fallbacks, 1);
+                            continue 'generations;
+                        }
+                        Err(e) => return Err(EngineError::Log(e)),
+                    };
+                    let targets: BTreeSet<PageId> = [id].into();
+                    let closure = dependency_closure(&records, &targets);
+                    let scanned = records.len() as u64;
+                    (records, closure, scanned, false)
+                }
+            };
+            // Backup-vintage copies of the whole closure, from this
+            // generation only (mixing generations would mix vintages).
+            let mut seed_pages: BTreeMap<PageId, Page> = BTreeMap::new();
+            for &p in &closure {
+                let fetched = backoff.retry(cost, BackupError::is_transient, || {
+                    self.catalog.fetch_page(backup_id, p)
+                });
+                match fetched {
+                    Ok(page) => seed_pages.insert(p, page),
+                    Err(
+                        BackupError::TransientImage { .. }
+                        | BackupError::CorruptImage { .. }
+                        | BackupError::MissingPage { .. },
+                    ) => {
+                        self.bump(Stat::repair_fallbacks, 1);
+                        continue 'generations;
+                    }
+                    Err(e) => return Err(EngineError::Backup(e)),
+                };
+            }
+            let (outcome, mut pages) = replay_closure(seed_pages, &records, &closure)?;
+            let repaired = pages.remove(&id).ok_or_else(|| {
+                EngineError::Internal(format!("repair replay lost target page {id}"))
+            })?;
+            // A resident clean copy is the last flushed state — exactly
+            // what the closure replay rebuilds. Disagreement is a bug.
+            if let Some(cached) = self.cache.peek(id) {
+                if cached.data() != repaired.data() {
+                    return Err(EngineError::Internal(format!(
+                        "repair of {id} disagrees with the clean cached copy"
+                    )));
+                }
+            }
+            // Install: clear a single-page failure marker (replacement
+            // sector), overwrite (the full write heals the quarantine),
+            // and verify the slot end-to-end — page_lsn re-checks failure,
+            // quarantine, and checksum without drawing a fault event.
+            self.store.clear_page_failure(id)?;
+            self.store.write_page(id, repaired.clone())?;
+            let lsn = self.store.page_lsn(id)?;
+            if lsn != repaired.lsn() {
+                return Err(EngineError::Internal(format!(
+                    "repaired page {id} reads back pageLSN {lsn}, expected {}",
+                    repaired.lsn()
+                )));
+            }
+            self.bump(Stat::repairs, 1);
+            return Ok(RepairReport {
+                page: id,
+                closure: closure.into_iter().collect(),
+                generation_used: backup_id,
+                generations_tried,
+                start_lsn,
+                records_replayed: outcome.replayed,
+                records_scanned,
+                index_used,
+                retries: cost.retries,
+                backoff_ticks: cost.backoff_ticks,
+                corruption,
+            });
+        }
+        // Every generation exhausted: the page stays quarantined so no
+        // reader ever sees the damaged bytes. A future generation, a full
+        // overwrite, or media recovery can still bring it back.
+        Err(EngineError::Unrepairable(id))
+    }
+
+    /// Repair every damaged or quarantined page of one partition (scrub
+    /// plus quarantine set), one online repair each. Other partitions are
+    /// untouched — the partition is the paper's §6.3 recovery unit, and
+    /// this is its online analogue.
+    pub fn repair_partition(
+        &self,
+        partition: PartitionId,
+    ) -> Result<Vec<RepairReport>, EngineError> {
+        let targets: BTreeSet<PageId> = self
+            .store
+            .verify_pages()
+            .pages()
+            .into_iter()
+            .chain(self.store.quarantined_pages())
+            .filter(|p| p.partition == partition)
+            .collect();
+        targets.into_iter().map(|id| self.repair_page(id)).collect()
+    }
+
+    /// The dependency closure of `target` over one generation's
+    /// page-indexed archive: catch the archive up to the durable log end,
+    /// then walk the closure over per-page runs
+    /// ([`lob_recovery::repair::archive_closure`]). Returns the merged
+    /// closure-filtered suffix, the closure, and the number of records
+    /// examined — or `None` to fall back to the full-suffix scan of the
+    /// same generation (a corrupt run, exhausted retries, or a truncated
+    /// catch-up suffix; an injected crash propagates).
+    #[allow(clippy::type_complexity)]
+    fn archive_closure(
+        &self,
+        backup_id: u64,
+        target: PageId,
+        backoff: &BackoffSchedule,
+        cost: &mut RetryCost,
+    ) -> Result<Option<(Vec<LogRecord>, BTreeSet<PageId>, u64)>, EngineError> {
+        // Catch up first: records past the watermark are indexed now, so
+        // the runs cover the full durable suffix. A truncated tail means
+        // the archive fell behind a released suffix — scan path's problem.
+        let from = match self.catalog.archive_watermark(backup_id)? {
+            Some(w) => w,
+            None => return Ok(None),
+        };
+        let tail = match backoff.retry(cost, is_transient_log, || self.log.frames_from(from)) {
+            Ok(tail) => tail,
+            Err(LogError::Transient | LogError::Truncated { .. }) => {
+                self.bump(Stat::repair_index_fallbacks, 1);
+                return Ok(None);
+            }
+            Err(e) => return Err(EngineError::Log(e)),
+        };
+        // The catch-up indexes each record once per generation — amortized
+        // maintenance, not per-repair examination — so it stays out of
+        // `records_scanned` (the suffix scan re-examines its records on
+        // every repair; that asymmetry is the point of the telemetry).
+        self.catalog.extend_archive(backup_id, &tail)?;
+
+        let catalog = &self.catalog;
+        let mut scanned = 0u64;
+        // One archive run (`Some(page)`) or the control run (`None`).
+        let mut fetch = |page: Option<PageId>| {
+            let run = backoff.retry(cost, BackupError::is_transient, || match page {
+                Some(id) => catalog.fetch_records(backup_id, id),
+                None => catalog.fetch_control_records(backup_id),
+            })?;
+            scanned += run.len() as u64;
+            Ok(run)
+        };
+        let walked = fetch(None).and_then(|control| {
+            let own = fetch(Some(target))?;
+            archive_closure([target].into(), vec![(target, own)], control, |id| {
+                fetch(Some(id))
+            })
+        });
+        match walked {
+            Ok((records, closure)) => Ok(Some((records, closure, scanned))),
+            Err(
+                BackupError::TransientArchive { .. }
+                | BackupError::CorruptArchive { .. }
+                | BackupError::NoArchive(_),
+            ) => {
+                self.bump(Stat::repair_index_fallbacks, 1);
+                Ok(None)
+            }
+            Err(e) => Err(EngineError::Backup(e)),
+        }
+    }
+
+    /// Catch one generation's page-indexed archive up to the durable end
+    /// of the log: force, read the log's frames from the archive's
+    /// watermark (its start LSN if no archive exists yet — this call
+    /// *creates* the archive), and index them — the archive shares the
+    /// log's frame buffers, nothing is decoded into owned records or
+    /// re-encoded. Returns the new watermark. Backups keep their archives
+    /// current by calling this as the log grows; instant restore calls it
+    /// for every archived generation when an epoch begins.
+    pub fn extend_backup_archive(&self, backup_id: u64) -> Result<Lsn, EngineError> {
+        self.group_force(Lsn::MAX)?;
+        let from = match self.catalog.archive_watermark(backup_id)? {
+            Some(w) => w,
+            None => self.catalog.start_lsn(backup_id)?,
+        };
+        let frames = self.log.frames_from(from)?;
+        Ok(self.catalog.extend_archive(backup_id, &frames)?)
+    }
+
+    /// Catch every archived generation's archive up to the durable log
+    /// end; a catalog with no archive at all gets one built on the newest
+    /// generation (the full suffix is indexed in one pass).
+    pub(crate) fn catch_up_archives(&self) -> Result<(), EngineError> {
+        let gens = self.catalog.generations();
+        let newest = *gens.first().ok_or_else(no_generation)?;
+        if !gens.iter().any(|&g| self.catalog.has_archive(g)) {
+            self.extend_backup_archive(newest)?;
+            return Ok(());
+        }
+        for backup_id in gens {
+            if self.catalog.has_archive(backup_id) {
+                self.extend_backup_archive(backup_id)?;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -782,6 +1701,157 @@ impl std::fmt::Debug for EngineService {
             self.cache,
             self.log
         )
+    }
+}
+
+/// Raise each held domain's allocator past everything `S` holds.
+fn reseed(
+    store: &StableStore,
+    doms: &mut [MutexGuard<'_, DomainState>],
+) -> Result<(), EngineError> {
+    for dom in doms.iter_mut() {
+        for (p, slot) in dom.next_free.iter_mut() {
+            let floor = store.high_water(*p)?.map_or(0, |h| h + 1);
+            *slot = (*slot).max(floor);
+        }
+    }
+    Ok(())
+}
+
+fn no_generation() -> EngineError {
+    EngineError::Backup(BackupError::BadState(
+        "no backup generation registered to restore from".into(),
+    ))
+}
+
+/// Domain confinement: every page `body` reads or writes must lie in one
+/// and the same backup-order domain, which is returned (`None` for an
+/// operation touching no page).
+fn confined_domain(
+    coordinator: &BackupCoordinator,
+    body: &OpBody,
+) -> Result<Option<DomainId>, EngineError> {
+    let mut domain: Option<DomainId> = None;
+    let mut violation: Option<String> = None;
+    let mut visit = |page: PageId| {
+        if violation.is_some() {
+            return;
+        }
+        match (coordinator.domain_of(page.partition), domain) {
+            (None, _) => {
+                violation = Some(format!("page {page} is outside every backup-order domain"));
+            }
+            (Some(d), None) => domain = Some(d),
+            (Some(d), Some(prev)) if prev == d => {}
+            (Some(d), Some(prev)) => {
+                violation = Some(format!(
+                    "operation spans backup domains {prev:?} and {d:?}; \
+                     operations must be confined to one domain"
+                ));
+            }
+        }
+    };
+    body.for_each_read(&mut visit);
+    body.for_each_write(&mut visit);
+    match violation {
+        Some(msg) => Err(EngineError::Discipline(msg)),
+        None => Ok(domain),
+    }
+}
+
+/// The stable store and the backup coordinator an [`EngineConfig`]
+/// describes: a fresh formatted `S`, and one backup-order domain over all
+/// partitions or one per partition, per [`Tracking`].
+fn open_store(
+    config: &EngineConfig,
+) -> Result<(Arc<StableStore>, Arc<BackupCoordinator>), EngineError> {
+    let store = Arc::new(StableStore::new(
+        StoreConfig {
+            page_size: config.page_size,
+        },
+        &config.partitions,
+    ));
+    let parts_with_sizes = |ids: &[PartitionId]| -> Result<Vec<(PartitionId, u32)>, EngineError> {
+        ids.iter().map(|&p| Ok((p, store.page_count(p)?))).collect()
+    };
+    let coordinator = match &config.tracking {
+        Tracking::Sequential(order) => {
+            if order.len() != config.partitions.len() {
+                return Err(EngineError::Discipline(format!(
+                    "sequential tracking order lists {} partitions, store has {}",
+                    order.len(),
+                    config.partitions.len()
+                )));
+            }
+            BackupCoordinator::sequential(parts_with_sizes(order)?)
+        }
+        Tracking::PerPartition => {
+            let all: Vec<PartitionId> = (0..config.partitions.len() as u32)
+                .map(PartitionId)
+                .collect();
+            BackupCoordinator::per_partition(parts_with_sizes(&all)?)
+        }
+    };
+    Ok((store, Arc::new(coordinator)))
+}
+
+/// Whether `body` belongs to the operation class `discipline` admits.
+/// `page_lsn` is consulted only for a tree write-new target, which must
+/// be a never-updated page.
+fn check_discipline(
+    discipline: Discipline,
+    body: &OpBody,
+    page_lsn: impl FnOnce(PageId) -> Result<Lsn, EngineError>,
+) -> Result<(), EngineError> {
+    match discipline {
+        Discipline::General => Ok(()),
+        Discipline::PageOriented => {
+            if body.class().is_page_oriented() {
+                Ok(())
+            } else {
+                Err(EngineError::Discipline(format!(
+                    "{} is a logical operation; engine is page-oriented",
+                    body.label()
+                )))
+            }
+        }
+        Discipline::Tree => match body.tree_form() {
+            Some(TreeForm::PageOriented { .. }) | Some(TreeForm::ReadExtra { .. }) => Ok(()),
+            Some(TreeForm::WriteNew { new, .. }) => {
+                let lsn = page_lsn(new)?;
+                if lsn.is_null() {
+                    Ok(())
+                } else {
+                    Err(EngineError::Discipline(format!(
+                        "write-new target {new} was already updated (pageLSN {lsn}); \
+                         tree operations may only initialize fresh objects"
+                    )))
+                }
+            }
+            None => Err(EngineError::Discipline(format!(
+                "{} does not fit the tree-operation discipline",
+                body.label()
+            ))),
+        },
+    }
+}
+
+fn is_transient_log(e: &LogError) -> bool {
+    matches!(e, LogError::Transient)
+}
+
+/// Surface quarantine as its typed engine error; everything else wraps.
+pub(crate) fn lift_store_err(e: StoreError) -> EngineError {
+    match e {
+        StoreError::Quarantined(p) => EngineError::Quarantined(p),
+        e => EngineError::Store(e),
+    }
+}
+
+pub(crate) fn lift_cache_err(e: CacheError) -> EngineError {
+    match e {
+        CacheError::Store(s) => lift_store_err(s),
+        e => EngineError::Cache(e),
     }
 }
 

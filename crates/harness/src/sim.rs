@@ -129,7 +129,7 @@ fn engine_for(cfg: &Fig5Config, discipline: Discipline) -> Result<Engine, String
 
 fn finish(
     cfg: &Fig5Config,
-    mut engine: Engine,
+    engine: Engine,
     oracle: &ShadowOracle,
     run: lob_core::BackupRun,
     log_bytes_before: u64,

@@ -15,9 +15,10 @@
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
 
-use lob_core::{BackupImage, BackupRun, Discipline, Engine};
+use lob_core::{BackupImage, BackupRun, Discipline, DomainId, Engine};
 use lob_harness::ShadowOracle;
 use lob_pagestore::{Lsn, PageId};
+use lob_recovery::WriteGraph;
 use lob_wal::encode_record;
 
 use crate::scenario::{Coordination, Scenario};
@@ -313,7 +314,10 @@ impl Replay {
         }
         if coordination == Coordination::Enforced && self.iwof_used < scenario.max_iwof {
             for page in &dirty {
-                if self.engine.graph().node_of(*page).is_some() {
+                let in_graph = self
+                    .engine
+                    .with_graph(DomainId(0), |g| g.node_of(*page).is_some());
+                if in_graph.unwrap_or(false) {
                     out.push(Action::Iwof(*page));
                 }
             }
@@ -397,15 +401,19 @@ impl Replay {
         // page, and the recovery floor. Node ids are allocated in scripted
         // op order, which is identical across all traces with the same
         // `ops_done`, so equal logical graphs serialize equally.
-        let graph = self.engine.graph();
-        push_u64(&mut key, graph.node_count() as u64);
-        for (id, _) in self.stable_pages()? {
-            let tag = format!("{:?}", graph.node_of(id));
-            push_u64(&mut key, tag.len() as u64);
-            key.extend_from_slice(tag.as_bytes());
-        }
-        let floor = format!("{:?}", graph.min_uninstalled_lsn());
-        key.extend_from_slice(floor.as_bytes());
+        let pages = self.stable_pages()?;
+        self.engine
+            .with_graph(DomainId(0), |graph| {
+                push_u64(&mut key, graph.node_count() as u64);
+                for (id, _) in &pages {
+                    let tag = format!("{:?}", graph.node_of(*id));
+                    push_u64(&mut key, tag.len() as u64);
+                    key.extend_from_slice(tag.as_bytes());
+                }
+                let floor = format!("{:?}", graph.min_uninstalled_lsn());
+                key.extend_from_slice(floor.as_bytes());
+            })
+            .map_err(|e| ModelError::new("reading the write graph for state key", e))?;
 
         if let Some(image) = &self.image {
             push_u64(&mut key, image.start_lsn.raw());
@@ -449,7 +457,20 @@ impl Replay {
     /// every variable under the backup latch, exactly as the flush path
     /// itself would.
     fn flushes_independent(&self, coordination: Coordination, p: PageId, q: PageId) -> bool {
-        let graph = self.engine.graph();
+        self.engine
+            .with_graph(DomainId(0), |graph| {
+                self.flushes_independent_in(graph, coordination, p, q)
+            })
+            .unwrap_or(false)
+    }
+
+    fn flushes_independent_in(
+        &self,
+        graph: &WriteGraph,
+        coordination: Coordination,
+        p: PageId,
+        q: PageId,
+    ) -> bool {
         let (Some(np), Some(nq)) = (graph.node_of(p), graph.node_of(q)) else {
             return false;
         };

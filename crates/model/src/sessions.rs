@@ -2,7 +2,7 @@
 //!
 //! The core explorer ([`crate::explorer`]) interleaves one scripted
 //! operation stream with flushes and backup steps against the
-//! single-owner [`lob_core::Engine`]. The threaded drills
+//! one-session [`lob_core::Engine`]. The threaded drills
 //! (`lob_harness::sessions`) race real threads but only *sample*
 //! schedules. This module closes the gap for one genuinely concurrent
 //! interleaving class: **two sessions in disjoint backup domains** of one

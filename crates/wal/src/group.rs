@@ -4,23 +4,25 @@
 //! sessions can append and force concurrently, batching their forces into
 //! group commits: the first session needing durability becomes the
 //! **leader**, waits up to `delay` for up to `count` co-committers to
-//! arrive, then runs **one** [`LogManager::force`] covering the whole
-//! appended tail. Followers park on a condvar and read their outcome from
-//! the published durable watermark.
+//! arrive, then runs **one** [`LogManager::force`] up to the highest LSN
+//! any member of the group asked for. Followers park on a condvar and read
+//! their outcome from the published durable watermark.
 //!
 //! The fault surface is unchanged by construction: the leader's single
 //! `LogManager::force` call is the only path to the store, so each group
 //! pays exactly one `LogForce` consult and one `LogAppend` consult per
-//! frame, identical to a single-threaded force of the same tail. A crash
-//! verdict mid-group fans the typed error out to every waiter whose goal
-//! the round failed to cover.
+//! frame. With the gather window closed and one committer, a force is
+//! exactly `LogManager::force(upto)`: records past `upto` stay volatile.
+//! A crash verdict mid-group fans the typed error out to every waiter
+//! whose goal the round failed to cover.
 //!
 //! Lock order (must stay acyclic with the engine's): `state` before
 //! `manager`. Appends take only `manager`; commit bookkeeping takes only
 //! `state`; the leader takes `state`, then `manager` (via
 //! [`GroupCommitLog::lead_force`]). Nothing ever takes `manager` first.
 
-use crate::{LogError, LogManager, LogRecord, RecordBody};
+use crate::{LogError, LogManager, LogRecord, LogStats, RecordBody};
+use bytes::Bytes;
 use lob_pagestore::Lsn;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,6 +65,9 @@ struct GroupState {
     rounds: u64,
     /// Outcome of the most recent round, `None` on success.
     failure: Option<GroupFailure>,
+    /// Highest LSN (raw) asked for by a committer the next round has not
+    /// taken yet: what the next leader forces up to.
+    target: u64,
     /// LSN ranges `(lo, hi]` wiped by [`GroupCommitLog::crash`]:
     /// appended-but-unforced records lost before any round covered them.
     /// LSNs are never reused and `durable` is monotone, so the ranges are
@@ -145,9 +150,8 @@ impl GroupCommitLog {
     }
 
     /// Group-committed force: durably persist at least every appended
-    /// record with `lsn <= upto`. Equivalent to [`LogManager::force`] of
-    /// the whole appended tail, shared with whichever sessions commit in
-    /// the same window.
+    /// record with `lsn <= upto`, in one [`LogManager::force`] shared with
+    /// whichever sessions commit in the same window.
     pub fn force(&self, upto: Lsn) -> Result<(), LogError> {
         let goal = upto.raw().min(self.appended.load(Ordering::Acquire));
         if self.durable.load(Ordering::Acquire) >= goal
@@ -171,13 +175,16 @@ impl GroupCommitLog {
                 return Err(LogError::InjectedCrash);
             }
             if self.durable.load(Ordering::Acquire) >= goal {
+                lob_pagestore::witness::io_order("LogForce");
                 return Ok(());
             }
+            st.target = st.target.max(upto.raw());
             if !st.leading {
                 st.leading = true;
                 st = self.gather(st);
+                let target = std::mem::take(&mut st.target);
                 drop(st);
-                let outcome = self.lead_force();
+                let outcome = self.lead_force(Lsn(target));
                 let lost =
                     self.publish_round(outcome.as_ref().err().map(GroupFailure::of), upto.raw());
                 if lost {
@@ -189,8 +196,8 @@ impl GroupCommitLog {
                     return Ok(());
                 }
                 // The round did not reach our goal: only a gated/failed
-                // suffix explains that (the leader forces the whole
-                // tail, and a tail wiped by a concurrent crash is a
+                // suffix explains that (the leader forces at least up to
+                // `upto`, and a tail wiped by a concurrent crash is a
                 // hole, caught above).
                 return outcome;
             }
@@ -228,8 +235,13 @@ impl GroupCommitLog {
         st.leading = false;
         st.rounds = st.rounds.wrapping_add(1);
         st.failure = failure;
-        // lint:allow(guarded-by) `st` from state_guard() is held here
-        self.completions.notify_all();
+        // A follower registers in `waiters` under this lock before it
+        // parks, so with none registered there is nobody to wake (and a
+        // lone committer skips the wake-up system call).
+        if st.waiters > 0 {
+            // lint:allow(guarded-by) `st` from state_guard() is held here
+            self.completions.notify_all();
+        }
         in_hole(&st.holes, upto)
     }
 
@@ -254,13 +266,13 @@ impl GroupCommitLog {
         st
     }
 
-    /// The leader's single dispatch: one [`LogManager::force`] over the
-    /// whole tail — one `LogForce` consult per group, per-frame
+    /// The leader's single dispatch: one [`LogManager::force`] up to the
+    /// group's `target` — one `LogForce` consult per group, per-frame
     /// `LogAppend` gating unchanged. Publishes the durable watermark
     /// (even after a partial, fault-gated force).
-    fn lead_force(&self) -> Result<(), LogError> {
+    fn lead_force(&self, target: Lsn) -> Result<(), LogError> {
         let mut m = self.manager_guard();
-        let r = m.force(Lsn::MAX);
+        let r = m.force(target);
         self.durable.store(m.durable_lsn().raw(), Ordering::Release);
         r
     }
@@ -308,6 +320,16 @@ impl GroupCommitLog {
     /// [`LogManager::scan_from`].
     pub fn scan_from(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
         self.manager_guard().scan_from(from)
+    }
+
+    /// All frames with `lsn >= from`. See [`LogManager::frames_from`].
+    pub fn frames_from(&self, from: Lsn) -> Result<Vec<(Lsn, Bytes)>, LogError> {
+        self.manager_guard().frames_from(from)
+    }
+
+    /// Logging statistics (includes volatile appends).
+    pub fn stats(&self) -> LogStats {
+        self.manager_guard().stats().clone()
     }
 
     /// Advance the truncation point (bounded by the media barrier).
@@ -375,8 +397,47 @@ mod tests {
         let l2 = log.append_record(op_body(2));
         assert_eq!(log.durable_lsn(), Lsn::NULL);
         log.force(l1).unwrap();
-        assert_eq!(log.durable_lsn(), l2, "group force covers the whole tail");
+        assert_eq!(
+            log.durable_lsn(),
+            l1,
+            "a lone force covers what it asked for"
+        );
+        log.force_all().unwrap();
+        assert_eq!(log.durable_lsn(), l2);
         assert_eq!(log.unforced(), 0);
+    }
+
+    #[test]
+    fn closed_window_force_is_exactly_the_managers() {
+        // The same tail forced to the same point through a closed-window
+        // group log and through a bare manager: the same durable prefix,
+        // the same volatile rest, the same fault consults in order.
+        let consults = |events: &Arc<Mutex<Vec<IoEvent>>>| -> lob_pagestore::FaultHook {
+            let events = Arc::clone(events);
+            Arc::new(move |ev, _| {
+                events.lock().push(ev);
+                FaultVerdict::Proceed
+            })
+        };
+        let (group_events, bare_events) = (Arc::default(), Arc::default());
+        let log = GroupCommitLog::new(LogManager::in_memory(), Duration::ZERO, 1);
+        let mut bare = LogManager::in_memory();
+        log.set_fault_hook(Some(consults(&group_events)));
+        bare.set_fault_hook(Some(consults(&bare_events)));
+        for i in 1..=5u8 {
+            log.append_record(op_body(i));
+            bare.append(op_body(i));
+        }
+        for upto in [Lsn(2), Lsn(2), Lsn(4)] {
+            log.force(upto).unwrap();
+            bare.force(upto).unwrap();
+            assert_eq!(log.durable_lsn(), upto);
+            assert_eq!(log.durable_lsn(), bare.durable_lsn());
+            assert_eq!(log.unforced(), bare.unforced());
+        }
+        assert_eq!(log.unforced(), 1, "LSN 5 is still volatile");
+        assert_eq!(*group_events.lock(), *bare_events.lock());
+        assert_eq!(log.stats().forces, 2);
     }
 
     #[test]

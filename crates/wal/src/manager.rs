@@ -240,6 +240,7 @@ impl LogManager {
             });
         }
         self.stats.record_force(appended as u64);
+        self.stats.fsyncs += batch.fsyncs;
         self.consume(appended);
         outcome
     }

@@ -21,6 +21,9 @@ pub struct LogStats {
     /// the group-commit batching factor: 1.0 means every record paid a
     /// full force round-trip, higher means forces were amortized.
     pub forced_frames: u64,
+    /// `fsync`s the durable store issued for those forces (a file log with
+    /// sync enabled pays one per force; the in-memory log none).
+    pub fsyncs: u64,
     /// Per-label `(records, bytes)`.
     pub by_label: BTreeMap<&'static str, (u64, u64)>,
 }
@@ -77,6 +80,7 @@ impl LogStats {
             bytes: self.bytes.saturating_sub(earlier.bytes),
             forces: self.forces.saturating_sub(earlier.forces),
             forced_frames: self.forced_frames.saturating_sub(earlier.forced_frames),
+            fsyncs: self.fsyncs.saturating_sub(earlier.fsyncs),
             by_label,
         }
     }

@@ -46,12 +46,14 @@ pub trait LogStore: Send {
             if let Err(e) = self.append(*lsn, frame.clone()) {
                 return BatchAppend {
                     appended: i,
+                    fsyncs: 0,
                     error: Some(e),
                 };
             }
         }
         BatchAppend {
             appended: frames.len(),
+            fsyncs: 0,
             error: None,
         }
     }
@@ -82,6 +84,8 @@ pub trait LogStore: Send {
 pub struct BatchAppend {
     /// Number of leading frames that became durable.
     pub appended: usize,
+    /// `fsync`s issued to make them durable.
+    pub fsyncs: u64,
     /// The I/O error that ended the batch, if it did not complete.
     pub error: Option<std::io::Error>,
 }
@@ -401,6 +405,7 @@ impl LogStore for FileLogStore {
             // The batch failed as a unit: no frame of it is trusted durable.
             return BatchAppend {
                 appended: 0,
+                fsyncs: 0,
                 error: Some(e),
             };
         }
@@ -409,6 +414,7 @@ impl LogStore for FileLogStore {
         }
         BatchAppend {
             appended: frames.len(),
+            fsyncs: u64::from(self.sync_on_flush),
             error: None,
         }
     }

@@ -18,8 +18,14 @@
 //!   interleaves the same scripts identically from the same seed, so any
 //!   grid cell's schedule can be pinned down and replayed.
 
-use lob_core::FlushPolicy;
-use lob_harness::{SessionDrillConfig, SessionDrillRunner};
+use lob_core::{
+    BackupImage, DomainId, EngineConfig, EngineService, FlushPolicy, Lsn, OpBody, PageId,
+    PartitionId, PartitionSpec, Tracking,
+};
+use lob_harness::{SessionDrillConfig, SessionDrillRunner, ShadowOracle, WorkloadGen};
+use lob_pagestore::{FaultVerdict, IoEvent};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 #[test]
 fn race_grid_under_armed_witnesses() {
@@ -115,6 +121,123 @@ fn torture_arm_holds_under_both_flush_policies() {
         assert!(
             report.injected_crash,
             "{policy:?}: crash point 5 should fire"
+        );
+    }
+}
+
+#[test]
+fn service_backs_up_repairs_archives_and_restores_beside_a_live_session() {
+    // A session keeps executing in domain 1 while the main thread runs
+    // the maintenance verbs in domain 0: an incremental backup, an online
+    // repair of a corrupted page, an archive catch-up, and a partition
+    // media recovery. Both partitions must end byte-equal to the shadow.
+    const PAGES: u32 = 16;
+    let svc = Arc::new(
+        EngineService::new(EngineConfig {
+            page_size: 64,
+            partitions: vec![PartitionSpec { pages: PAGES }; 2],
+            tracking: Tracking::PerPartition,
+            ..EngineConfig::small()
+        })
+        .unwrap(),
+    );
+    let mut gen = WorkloadGen::new(0x5E41, 64);
+    let mut logged: Vec<(Lsn, OpBody)> = Vec::new();
+    let run = |body: OpBody, logged: &mut Vec<(Lsn, OpBody)>| {
+        let lsn = svc.execute(body.clone()).unwrap();
+        logged.push((lsn, body));
+    };
+    for p in 0..2 {
+        for i in 0..PAGES {
+            run(gen.physical(PageId::new(p, i)), &mut logged);
+        }
+    }
+    svc.flush_all().unwrap();
+    let mut full = svc.begin_backup_of(DomainId(0), 4).unwrap();
+    while !svc.backup_step_batch(&mut full, 4).unwrap() {}
+    let base = svc.complete_backup(full).unwrap();
+    svc.register_backup_generation(base.clone()).unwrap();
+
+    let mut session_gen = WorkloadGen::new(0x5E42, 64);
+    let session_log = std::thread::scope(|scope| {
+        let session = svc.session();
+        let worker = scope.spawn(move || {
+            let mut mine = Vec::new();
+            for i in 0..96u32 {
+                let body = session_gen.physical(PageId::new(1, i % PAGES));
+                mine.push((session.execute(body.clone()).unwrap(), body));
+                session.commit().unwrap();
+                if i % 16 == 15 {
+                    session.flush_page(PageId::new(1, i % PAGES)).unwrap();
+                }
+            }
+            mine
+        });
+
+        let part0: Vec<PageId> = (0..PAGES).map(|i| PageId::new(0, i)).collect();
+        for &id in &part0[..6] {
+            run(gen.physical(id), &mut logged);
+        }
+        run(gen.mix(&part0, 2, 2), &mut logged);
+        svc.flush_domain(DomainId(0)).unwrap();
+        let mut incr = svc.begin_incremental_backup(DomainId(0), 2, &base).unwrap();
+        while !svc.backup_step_batch(&mut incr, 8).unwrap() {}
+        let incr = svc.complete_backup(incr).unwrap();
+        assert!(incr.incremental && incr.page_count() > 0);
+
+        // Damage one clean page of partition 0 at its next store read,
+        // then heal it from the registered generation.
+        let victim = PageId::new(0, 3);
+        let fired = AtomicBool::new(false);
+        svc.install_fault_hook(Some(Arc::new(move |ev, page| {
+            if ev == IoEvent::PageRead
+                && page == Some(victim)
+                && !fired.swap(true, Ordering::Relaxed)
+            {
+                FaultVerdict::CorruptRead
+            } else {
+                FaultVerdict::Proceed
+            }
+        })));
+        assert!(svc.store().read_page(victim).is_err());
+        svc.install_fault_hook(None);
+        let report = svc.repair_page(victim).unwrap();
+        assert_eq!(report.generation_used, base.backup_id);
+        assert!(svc.store().verify_pages().is_clean());
+
+        assert!(svc.extend_backup_archive(base.backup_id).unwrap() > base.start_lsn);
+        for &id in &part0[6..10] {
+            run(gen.physical(id), &mut logged);
+        }
+        svc.store().fail_partition(PartitionId(0)).unwrap();
+        let image = BackupImage::materialize(&base, &incr).unwrap();
+        svc.media_recover_partition(&image, PartitionId(0)).unwrap();
+        worker.join().unwrap()
+    });
+    logged.extend(session_log);
+    logged.sort_by_key(|(lsn, _)| *lsn);
+    let mut oracle = ShadowOracle::new(64);
+    for (lsn, body) in &logged {
+        oracle.apply(*lsn, body).unwrap();
+    }
+    for p in 0..2 {
+        for i in 0..PAGES {
+            let id = PageId::new(p, i);
+            assert_eq!(
+                svc.read_page(id).unwrap().data(),
+                &oracle.expect_page(id, Lsn::MAX),
+                "page {id}"
+            );
+        }
+    }
+    svc.flush_all().unwrap();
+    svc.crash();
+    svc.recover().unwrap();
+    for (id, want) in oracle.state_at(Lsn::MAX) {
+        assert_eq!(
+            svc.store().read_page(id).unwrap().data(),
+            &want,
+            "page {id}"
         );
     }
 }

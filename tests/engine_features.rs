@@ -188,7 +188,7 @@ fn file_backed_log_full_cycle_with_backup() {
     }
     // Restart: rebuild from the log file, then media-recover from the
     // backup image (its log suffix is in the file).
-    let mut e2 = Engine::open_existing(config).unwrap();
+    let e2 = Engine::open_existing(config).unwrap();
     e2.recover().unwrap();
     assert_eq!(
         e2.store().read_page(PageId::new(0, 2)).unwrap().data()[0],

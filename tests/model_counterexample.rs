@@ -38,7 +38,7 @@ fn run_probes(
     trace: &[Action],
 ) -> (Result<(), String>, Result<(), String>) {
     let explorer = Explorer::new(Scenario::figure1(), coordination);
-    let (mut engine, oracle, image) = explorer.replay(trace).expect("trace replays");
+    let (engine, oracle, image) = explorer.replay(trace).expect("trace replays");
     let image = image.expect("backup completes along this trace");
     engine.media_recover(&image).expect("media recovery runs");
     let media = oracle.verify_store(&engine, Lsn::MAX);

@@ -194,7 +194,7 @@ fn parallel_restore_matches_sequential_media_recovery() {
 /// and recover exactly like the reference restores that image.
 #[test]
 fn catalog_sourced_parallel_restore_uses_the_newest_generation() {
-    let (mut engine, stale) = driven_session(TortureWorkload::General, 0xCA7A);
+    let (engine, stale) = driven_session(TortureWorkload::General, 0xCA7A);
     // Register the stale pre-session image first, then a fresh one: the
     // catalog must hand back the fresh one.
     let fresh = engine.offline_backup().unwrap();
