@@ -88,14 +88,16 @@ pub enum FlushPolicy {
 pub struct CommitConfig {
     /// Force batching policy (see [`FlushPolicy`]).
     pub flush_policy: FlushPolicy,
-    /// How long a group-commit leader waits for co-committers before
-    /// dispatching the group force, in microseconds. `0` disables the
-    /// gather window (each force dispatches immediately, still batching
-    /// whatever is already appended) — also the deterministic setting the
-    /// seeded virtual scheduler requires.
+    /// The longest a group-commit leader waits for co-committers before
+    /// dispatching the group force, in microseconds: a cap, since the
+    /// group also closes once every live [`crate::Session`] has joined
+    /// it. `0` disables the gather window (each force dispatches
+    /// immediately, still batching whatever is already appended) — also
+    /// the deterministic setting the seeded virtual scheduler requires.
     pub group_commit_delay_micros: u64,
-    /// Dispatch the group early once this many committers (leader
-    /// included) are waiting. `<= 1` disables gathering.
+    /// The largest group: dispatch once this many committers (leader
+    /// included) have joined, even if more sessions are live. `<= 1`
+    /// disables gathering.
     pub group_commit_count: u32,
     /// `fsync` the file-backed log on every force, so "durable" means on
     /// the platter rather than in the OS page cache. Ignored for the

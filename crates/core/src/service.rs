@@ -267,12 +267,14 @@ impl EngineService {
     }
 
     /// A handle for one session of work; clone-free to create, `Send`,
-    /// and safe to drive from its own thread.
+    /// and safe to drive from its own thread. The session is a registered
+    /// committer of the group-commit log until its last clone drops.
     pub fn session(self: &Arc<Self>) -> Session {
-        Session {
+        self.log.register();
+        Session(Arc::new(SessionInner {
             svc: Arc::clone(self),
-            logged: Arc::new(AtomicU64::new(Lsn::NULL.raw())),
-        }
+            logged: AtomicU64::new(Lsn::NULL.raw()),
+        }))
     }
 
     /// The engine configuration.
@@ -1864,35 +1866,52 @@ pub(crate) fn lift_cache_err(e: CacheError) -> EngineError {
 /// what the session has logged, so [`Session::commit`] through any clone
 /// covers every record executed through any of them. A fresh session
 /// comes from [`EngineService::session`].
+///
+/// A live session is a member of every commit group: a group closes once
+/// every live session has joined it (or at the `group_commit_count` cap,
+/// or when the `group_commit_delay_micros` window runs out). So a live
+/// session that does not commit — idle, or busy with other work — makes
+/// the others wait out the window; drop it when its work is done.
 #[derive(Clone, Debug)]
-pub struct Session {
+pub struct Session(Arc<SessionInner>);
+
+/// What every clone of one [`Session`] shares; dropping it deregisters the
+/// session from the group-commit log.
+#[derive(Debug)]
+struct SessionInner {
     svc: Arc<EngineService>,
     /// Highest LSN this session's `execute`s returned (raw; 0 before the
     /// first): the record [`Session::commit`] forces.
-    logged: Arc<AtomicU64>, // lint: atomic(acq-rel)
+    logged: AtomicU64, // lint: atomic(acq-rel)
+}
+
+impl Drop for SessionInner {
+    fn drop(&mut self) {
+        self.svc.log.deregister();
+    }
 }
 
 impl Session {
     /// The shared service behind this session.
     pub fn service(&self) -> &Arc<EngineService> {
-        &self.svc
+        &self.0.svc
     }
 
     /// Execute a logged operation. See [`EngineService::execute`].
     pub fn execute(&self, body: OpBody) -> Result<Lsn, EngineError> {
-        let lsn = self.svc.execute(body)?;
-        self.logged.fetch_max(lsn.raw(), Ordering::AcqRel);
+        let lsn = self.0.svc.execute(body)?;
+        self.0.logged.fetch_max(lsn.raw(), Ordering::AcqRel);
         Ok(lsn)
     }
 
     /// Read a page through the shared cache.
     pub fn read_page(&self, id: PageId) -> Result<Page, EngineError> {
-        self.svc.read_page(id)
+        self.0.svc.read_page(id)
     }
 
     /// Flush one page (write-graph-ordered).
     pub fn flush_page(&self, page: PageId) -> Result<(), EngineError> {
-        self.svc.flush_page(page)
+        self.0.svc.flush_page(page)
     }
 
     /// Commit: durably force everything this session has logged — a group
@@ -1900,13 +1919,14 @@ impl Session {
     /// crash wiped that record before any force reached it, the commit
     /// fails with the injected crash instead of reporting durability.
     pub fn commit(&self) -> Result<(), EngineError> {
-        self.svc
-            .group_force(Lsn(self.logged.load(Ordering::Acquire)))
+        self.0
+            .svc
+            .group_force(Lsn(self.0.logged.load(Ordering::Acquire)))
     }
 
     /// Allocate a fresh page.
     pub fn alloc_page(&self, partition: PartitionId) -> Result<PageId, EngineError> {
-        self.svc.alloc_page(partition)
+        self.0.svc.alloc_page(partition)
     }
 }
 
@@ -2054,6 +2074,49 @@ mod tests {
         // `s` executed nothing itself; its clone's lost record is its own.
         assert!(s.commit().is_err());
         assert!(svc.session().commit().is_ok());
+    }
+
+    #[test]
+    fn a_commit_group_waits_only_for_live_sessions() {
+        let window = Duration::from_millis(200);
+        let svc = Arc::new(
+            EngineService::new(EngineConfig {
+                commit: crate::config::CommitConfig {
+                    group_commit_delay_micros: window.as_micros() as u64,
+                    group_commit_count: 8,
+                    ..Default::default()
+                },
+                ..config(1, 16)
+            })
+            .unwrap(),
+        );
+        let commit = |s: &Session, i: u32| {
+            s.execute(insert(PageId::new(0, i % 16), b"k", &[i as u8]))
+                .unwrap();
+            s.commit().unwrap();
+        };
+        let timed = |f: &dyn Fn()| {
+            let start = std::time::Instant::now();
+            f();
+            start.elapsed()
+        };
+        let s = svc.session();
+        let lone = timed(&|| (0..16).for_each(|i| commit(&s, i)));
+        assert!(lone < window, "a lone session waited: {lone:?}");
+
+        // A live session that never commits is still a member of the
+        // group: the committer waits out the window for it.
+        let idle = svc.session();
+        let clone = s.clone();
+        let waited = timed(&|| commit(&clone, 16));
+        assert!(waited >= window, "the idle session was not waited for");
+
+        // Dropping a clone leaves its session registered; dropping the
+        // idle session deregisters it.
+        drop(idle);
+        drop(clone);
+        let again = timed(&|| (17..33).for_each(|i| commit(&s, i)));
+        assert!(again < window, "commits still waited: {again:?}");
     }
 
     #[test]

@@ -238,6 +238,7 @@ const CONTRACTS: &[(&str, &str, &str)] = &[
     ("GroupReplay", "dirty", "unit-local"),
     ("GroupCommitLog", "manager", "lock"),
     ("GroupCommitLog", "state", "lock"),
+    ("GroupCommitLog", "registered", "atomic"),
     ("ShardedCache", "shards", "lock"),
     ("EngineService", "domains", "lock"),
     ("EngineService", "meta", "lock"),

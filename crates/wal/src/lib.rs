@@ -34,7 +34,7 @@ pub mod stats;
 pub mod store;
 
 pub use codec::{decode_record, decode_record_shared, encode_record, AsFrame, CodecError};
-pub use group::GroupCommitLog;
+pub use group::{GatherEnds, GroupCommitLog};
 pub use manager::{LogError, LogManager};
 pub use record::{LogRecord, RecordBody};
 pub use stats::LogStats;
