@@ -76,20 +76,15 @@ impl EngineError {
     /// harness uses this to distinguish "the planned crash point fired"
     /// (expected; proceed to recovery) from real bugs (propagate).
     pub fn is_injected_crash(&self) -> bool {
-        match self {
-            EngineError::Store(StoreError::InjectedCrash) => true,
-            EngineError::Cache(CacheError::Store(StoreError::InjectedCrash)) => true,
-            EngineError::Log(LogError::InjectedCrash) => true,
-            EngineError::Backup(BackupError::InjectedCrash) => true,
-            EngineError::Backup(BackupError::Store(StoreError::InjectedCrash)) => true,
-            // Redo targets stringify their store errors — and a replay
-            // step reading its target wraps that string once more — so
-            // match the marker anywhere in the rendering.
-            EngineError::Redo(e) => e
-                .to_string()
-                .contains(lob_pagestore::fault::INJECTED_CRASH_MSG),
-            _ => false,
-        }
+        matches!(
+            self,
+            EngineError::Store(StoreError::InjectedCrash)
+                | EngineError::Cache(CacheError::Store(StoreError::InjectedCrash))
+                | EngineError::Log(LogError::InjectedCrash)
+                | EngineError::Backup(BackupError::InjectedCrash)
+                | EngineError::Backup(BackupError::Store(StoreError::InjectedCrash))
+                | EngineError::Redo(RedoError::Store(StoreError::InjectedCrash))
+        )
     }
 }
 

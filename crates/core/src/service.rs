@@ -55,12 +55,12 @@ use lob_pagestore::{
     StoreError,
 };
 use lob_recovery::repair::{
-    archive_closure, dependency_closure, replay_closure, BackoffSchedule, RepairReport, RetryCost,
+    regenerate, BackoffSchedule, ClosureSource, FetchCost, RepairReport, Unusable,
 };
 use lob_recovery::{
     parallel_install_image, parallel_redo_scan, NodeId, RecoveryConfig, RedoOutcome, WriteGraph,
 };
-use lob_wal::{FileLogStore, GroupCommitLog, LogError, LogManager, LogRecord, RecordBody};
+use lob_wal::{FileLogStore, GroupCommitLog, LogError, LogManager, RecordBody};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1394,18 +1394,12 @@ impl EngineService {
     /// * If the cache holds a **dirty** copy, that copy is newer than
     ///   anything any backup holds — the normal write-graph-ordered flush
     ///   installs it, and the full overwrite heals the slot.
-    /// * Otherwise the page's current value is regenerated from the backup
-    ///   chain: for each generation, newest first, compute the
-    ///   **dependency closure** of the page over the generation's log
-    ///   suffix, fetch backup-vintage copies of the whole closure
-    ///   (checksum-verified; transient errors retried under the
-    ///   deterministic backoff), replay the closure-filtered suffix into a
-    ///   **scratch** target, and install only the regenerated target page.
-    ///   Replaying into a scratch — never `S` itself — keeps repair atomic
-    ///   with respect to a concurrently running backup sweep: no
-    ///   rolled-back intermediate state ever exists in `S`. A corrupt,
-    ///   missing, or log-truncated generation fails over to the next older
-    ///   one.
+    /// * Otherwise each generation, newest first, regenerates the page
+    ///   ([`lob_recovery::repair::regenerate`]: its dependency closure,
+    ///   backup-vintage copies, a scratch replay) and only the page is
+    ///   installed. No rolled-back state ever exists in `S`, so repair is
+    ///   atomic with respect to a running backup sweep. A corrupt, missing,
+    ///   or log-truncated generation fails over to the next older one.
     ///
     /// The log is forced first, so every record the closure replay uses —
     /// and therefore every value repair installs into `S` — is durable
@@ -1445,7 +1439,7 @@ impl EngineService {
             });
         }
 
-        let mut cost = RetryCost::default();
+        let mut cost = FetchCost::default();
         let report = self.repair_from_chain(id, corruption, &mut cost);
         self.bump(Stat::transient_retries, u64::from(cost.retries));
         report
@@ -1458,72 +1452,56 @@ impl EngineService {
         &self,
         id: PageId,
         corruption: Option<CorruptionEntry>,
-        cost: &mut RetryCost,
+        cost: &mut FetchCost,
     ) -> Result<RepairReport, EngineError> {
         self.group_force(Lsn::MAX)?;
         let backoff = self.repair_backoff(id);
+        let targets: BTreeSet<PageId> = [id].into();
         let mut generations_tried = Vec::new();
-        'generations: for backup_id in self.catalog.generations() {
+        for backup_id in self.catalog.generations() {
             generations_tried.push(backup_id);
             let start_lsn = self.catalog.start_lsn(backup_id)?;
             // A generation with a page-indexed archive serves the closure
             // from sorted per-page runs instead of a full suffix scan —
             // fewer records examined, and the report's telemetry says so.
-            // Archive corruption or exhausted retries fall back to the
-            // scan of the *same* generation.
-            let indexed = if self.catalog.has_archive(backup_id) {
-                self.archive_closure(backup_id, id, &backoff, cost)?
-            } else {
-                None
-            };
-            let (records, closure, records_scanned, index_used) = match indexed {
-                Some((records, closure, scanned)) => {
-                    self.bump(Stat::repair_index_hits, 1);
-                    (records, closure, scanned, true)
+            let fetched_before = cost.records;
+            let mut regen = Err(EngineError::Backup(BackupError::NoArchive(backup_id)));
+            if self.catch_up_archive(backup_id, &backoff, cost)? {
+                let own = |c: &BackupCatalog| Ok(vec![(id, c.fetch_records(backup_id, id)?)]);
+                let source = ClosureSource::Archive(&own);
+                regen = regenerate(&self.catalog, backup_id, &targets, source, &backoff, cost);
+                if unusable(&regen) == Some(Unusable::Archive) {
+                    self.bump(Stat::repair_index_fallbacks, 1);
                 }
-                None => {
-                    // The generation's media-recovery log suffix. A
-                    // truncated suffix means the generation was released —
-                    // fail over (older generations need even earlier
-                    // records, but the uniform loop keeps the report
-                    // honest about what was tried).
-                    let scan =
-                        backoff.retry(cost, is_transient_log, || self.log.scan_from(start_lsn));
-                    let records = match scan {
+            }
+            let index_used = unusable(&regen) != Some(Unusable::Archive);
+            let mut records_scanned = cost.records - fetched_before;
+            if !index_used {
+                // A faulty or missing archive falls back to the scan of the
+                // *same* generation's media-recovery log suffix. A
+                // truncated suffix means the generation was released —
+                // fail over (older generations need even earlier records,
+                // but the uniform loop keeps the report honest about what
+                // was tried).
+                let records =
+                    match backoff.retry(cost, is_transient_log, || self.log.scan_from(start_lsn)) {
                         Ok(records) => records,
                         Err(LogError::Truncated { .. }) => {
                             self.bump(Stat::repair_fallbacks, 1);
-                            continue 'generations;
+                            continue;
                         }
                         Err(e) => return Err(EngineError::Log(e)),
                     };
-                    let targets: BTreeSet<PageId> = [id].into();
-                    let closure = dependency_closure(&records, &targets);
-                    let scanned = records.len() as u64;
-                    (records, closure, scanned, false)
-                }
-            };
-            // Backup-vintage copies of the whole closure, from this
-            // generation only (mixing generations would mix vintages).
-            let mut seed_pages: BTreeMap<PageId, Page> = BTreeMap::new();
-            for &p in &closure {
-                let fetched = backoff.retry(cost, BackupError::is_transient, || {
-                    self.catalog.fetch_page(backup_id, p)
-                });
-                match fetched {
-                    Ok(page) => seed_pages.insert(p, page),
-                    Err(
-                        BackupError::TransientImage { .. }
-                        | BackupError::CorruptImage { .. }
-                        | BackupError::MissingPage { .. },
-                    ) => {
-                        self.bump(Stat::repair_fallbacks, 1);
-                        continue 'generations;
-                    }
-                    Err(e) => return Err(EngineError::Backup(e)),
-                };
+                records_scanned = records.len() as u64;
+                let source = ClosureSource::Suffix(&records);
+                regen = regenerate(&self.catalog, backup_id, &targets, source, &backoff, cost);
             }
-            let (outcome, mut pages) = replay_closure(seed_pages, &records, &closure)?;
+            if unusable(&regen) == Some(Unusable::Image) {
+                self.bump(Stat::repair_fallbacks, 1);
+                continue;
+            }
+            let (outcome, mut pages) = regen?;
+            let closure: Vec<PageId> = pages.keys().copied().collect();
             let repaired = pages.remove(&id).ok_or_else(|| {
                 EngineError::Internal(format!("repair replay lost target page {id}"))
             })?;
@@ -1550,9 +1528,12 @@ impl EngineService {
                 )));
             }
             self.bump(Stat::repairs, 1);
+            if index_used {
+                self.bump(Stat::repair_index_hits, 1);
+            }
             return Ok(RepairReport {
                 page: id,
-                closure: closure.into_iter().collect(),
+                closure,
                 generation_used: backup_id,
                 generations_tried,
                 start_lsn,
@@ -1589,34 +1570,24 @@ impl EngineService {
         targets.into_iter().map(|id| self.repair_page(id)).collect()
     }
 
-    /// The dependency closure of `target` over one generation's
-    /// page-indexed archive: catch the archive up to the durable log end,
-    /// then walk the closure over per-page runs
-    /// ([`lob_recovery::repair::archive_closure`]). Returns the merged
-    /// closure-filtered suffix, the closure, and the number of records
-    /// examined — or `None` to fall back to the full-suffix scan of the
-    /// same generation (a corrupt run, exhausted retries, or a truncated
-    /// catch-up suffix; an injected crash propagates).
-    #[allow(clippy::type_complexity)]
-    fn archive_closure(
+    /// Catch one generation's archive up to the durable log end, so its
+    /// runs cover the suffix a repair replays. `false` sends repair to the
+    /// same generation's suffix scan: no archive, or the catch-up read
+    /// failed (transient, or behind a released suffix).
+    fn catch_up_archive(
         &self,
         backup_id: u64,
-        target: PageId,
         backoff: &BackoffSchedule,
-        cost: &mut RetryCost,
-    ) -> Result<Option<(Vec<LogRecord>, BTreeSet<PageId>, u64)>, EngineError> {
-        // Catch up first: records past the watermark are indexed now, so
-        // the runs cover the full durable suffix. A truncated tail means
-        // the archive fell behind a released suffix — scan path's problem.
-        let from = match self.catalog.archive_watermark(backup_id)? {
-            Some(w) => w,
-            None => return Ok(None),
+        cost: &mut FetchCost,
+    ) -> Result<bool, EngineError> {
+        let Some(from) = self.catalog.archive_watermark(backup_id)? else {
+            return Ok(false);
         };
         let tail = match backoff.retry(cost, is_transient_log, || self.log.frames_from(from)) {
             Ok(tail) => tail,
             Err(LogError::Transient | LogError::Truncated { .. }) => {
                 self.bump(Stat::repair_index_fallbacks, 1);
-                return Ok(None);
+                return Ok(false);
             }
             Err(e) => return Err(EngineError::Log(e)),
         };
@@ -1625,36 +1596,7 @@ impl EngineService {
         // `records_scanned` (the suffix scan re-examines its records on
         // every repair; that asymmetry is the point of the telemetry).
         self.catalog.extend_archive(backup_id, &tail)?;
-
-        let catalog = &self.catalog;
-        let mut scanned = 0u64;
-        // One archive run (`Some(page)`) or the control run (`None`).
-        let mut fetch = |page: Option<PageId>| {
-            let run = backoff.retry(cost, BackupError::is_transient, || match page {
-                Some(id) => catalog.fetch_records(backup_id, id),
-                None => catalog.fetch_control_records(backup_id),
-            })?;
-            scanned += run.len() as u64;
-            Ok(run)
-        };
-        let walked = fetch(None).and_then(|control| {
-            let own = fetch(Some(target))?;
-            archive_closure([target].into(), vec![(target, own)], control, |id| {
-                fetch(Some(id))
-            })
-        });
-        match walked {
-            Ok((records, closure)) => Ok(Some((records, closure, scanned))),
-            Err(
-                BackupError::TransientArchive { .. }
-                | BackupError::CorruptArchive { .. }
-                | BackupError::NoArchive(_),
-            ) => {
-                self.bump(Stat::repair_index_fallbacks, 1);
-                Ok(None)
-            }
-            Err(e) => Err(EngineError::Backup(e)),
-        }
+        Ok(true)
     }
 
     /// Catch one generation's page-indexed archive up to the durable end
@@ -1840,6 +1782,14 @@ fn check_discipline(
 
 fn is_transient_log(e: &LogError) -> bool {
     matches!(e, LogError::Transient)
+}
+
+/// Which of a generation's copies a failed regeneration found unusable.
+fn unusable<T>(regen: &Result<T, EngineError>) -> Option<Unusable> {
+    match regen {
+        Err(EngineError::Backup(e)) => Unusable::of(e),
+        _ => None,
+    }
 }
 
 /// Surface quarantine as its typed engine error; everything else wraps.

@@ -36,7 +36,9 @@
 //! * [`reference`] — the reference recovery: seed pages written one at a
 //!   time, then the record-at-a-time `redo_scan` on a scratch store — the
 //!   differential witness every settled crash, media and instant recovery
-//!   is byte-compared against.
+//!   is byte-compared against. Production replays through the grouped
+//!   body (`lob_recovery::parallel`), so each comparison pits two
+//!   different replay bodies against each other.
 //! * [`refgraph`] — [`ReferenceWriteGraph`]: the whole-graph write-graph
 //!   construction (full Tarjan pass per insertion), the step-by-step
 //!   differential witness for `lob_recovery::WriteGraph`.

@@ -37,15 +37,16 @@
 //! * [`install`] — explicit installation graph and prefix checking, used by
 //!   the property tests to validate that every flush schedule the write
 //!   graph permits installs operations in installation order.
-//! * [`redo`] — the forward redo pass over a log suffix, used both for
-//!   crash recovery of `S` and media roll-forward of a restored backup.
-//! * [`repair`] — online single-page repair: dependency closures over a log
-//!   suffix, scratch closure replay seeded from a backup generation, and a
+//! * [`redo`] — the record-at-a-time redo pass [`redo_scan`]: the
+//!   reference every production replay is byte-compared against.
+//! * [`repair`] — dependency closures, the per-generation regeneration
+//!   step ([`regenerate`]) online repair and instant restore share, and a
 //!   deterministic retry schedule for transient I/O.
-//! * [`parallel`] — partition-parallel restore and redo: a write-graph-aware
-//!   scheduler partitions the log suffix into page-disjoint replay units
-//!   (union-find over touched pages) that replay on concurrent workers,
-//!   with batched group install into the stable store.
+//! * [`parallel`] — the one production replay body (grouped tables,
+//!   store-backed or scratch) and a write-graph-aware scheduler that
+//!   partitions the log suffix into page-disjoint replay units (union-find
+//!   over touched pages) replaying on concurrent workers, with batched
+//!   group install into the stable store.
 //! * [`instant`] — instant restore: partitions become restore segments
 //!   (`Failed → Restoring → Restored`) fed by a generation's page-indexed
 //!   media-log archive; a background sweep restores them in order while a
@@ -67,7 +68,7 @@ pub use parallel::{
 };
 pub use redo::{redo_scan, RedoError, RedoOutcome, RedoTarget, StoreRedoTarget};
 pub use repair::{
-    dependency_closure, records_for_closure, replay_closure, BackoffSchedule, RepairReport,
-    ScratchRedoTarget,
+    dependency_closure, records_for_closure, regenerate, replay_closure, BackoffSchedule,
+    RepairReport,
 };
 pub use writegraph::{GraphMode, NodeId, WriteGraph, WriteGraphError};

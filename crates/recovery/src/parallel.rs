@@ -30,19 +30,22 @@
 //! runs through [`StableStore::write_run`], one lock round-trip and one
 //! checksummed [`Page`] construction per *installed* page instead of per
 //! replayed write. Deferral is invisible to replay because every read
-//! goes through the table. This is the only production replay:
-//! `workers = 1` is the sequential case, and the record-at-a-time
-//! [`crate::redo_scan`] over a [`crate::StoreRedoTarget`] survives as the
-//! reference the differential tests byte-compare every configuration
-//! against.
+//! goes through the table. This is the only production replay body: crash
+//! redo and media roll-forward run it over store-backed tables (`workers =
+//! 1` is the sequential case), repair and instant restore over scratch
+//! tables ([`crate::repair::replay_closure`]). The record-at-a-time
+//! [`crate::redo_scan`] survives as the reference the differential tests
+//! byte-compare every configuration against.
 
 use crate::fxhash::FxHashMap;
-use crate::redo::{anchor_identities, AnchoredIdentity, IdentityAnchors, RedoError, RedoOutcome};
+use crate::redo::{
+    anchor_identities, reapply, AnchoredIdentity, IdentityAnchors, RedoError, RedoOutcome,
+};
 use bytes::Bytes;
-use lob_pagestore::{Lsn, Page, PageId, PageImage, StableStore, StoreError};
+use lob_pagestore::{Lsn, Page, PageId, PageImage, StableStore};
 use lob_wal::{LogRecord, RecordBody};
 use std::collections::hash_map::Entry;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Tuning knobs for restore and redo, carried by `EngineConfig`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -280,10 +283,6 @@ impl ReplayPlan {
     }
 }
 
-fn map_store_err(e: StoreError) -> RedoError {
-    RedoError::Target(e.to_string())
-}
-
 fn write_pending_run(
     store: &StableStore,
     start: Option<PageId>,
@@ -296,7 +295,7 @@ fn write_pending_run(
         Some(s) => store
             // lint:allow(durability-order) restore installs runs from a durable backup image; no log records are at risk
             .write_run(s.partition, s.index, run)
-            .map_err(map_store_err),
+            .map_err(RedoError::from),
         None => Ok(()),
     }
 }
@@ -309,9 +308,23 @@ struct PageSlot {
     dirty: bool,
 }
 
+impl PageSlot {
+    /// A slot holding `page` as the store (or the seed) has it.
+    fn clean(page: &Page) -> PageSlot {
+        PageSlot {
+            lsn: page.lsn(),
+            data: page.data().clone(),
+            dirty: false,
+        }
+    }
+}
+
 /// The grouped replay state for one unit: a local page table the whole
 /// subsequence replays against, with installs deferred and drained as
 /// contiguous runs through [`StableStore::write_run`].
+///
+/// A [`GroupReplay::scratch`] table has no store: a first touch of an
+/// unseeded page is [`RedoError::OutsideClosure`], and it never drains.
 ///
 /// What this saves over a write-through replay, beyond amortizing lock
 /// round-trips:
@@ -330,7 +343,7 @@ struct PageSlot {
 /// drain, so memory stays proportional to the knob.
 pub(crate) struct GroupReplay<'a> {
     // lint: guarded-by(immutable) shared store reference, never reseated
-    store: &'a StableStore,
+    store: Option<&'a StableStore>,
     // lint: guarded-by(immutable) drain threshold is fixed at construction
     batch: usize,
     // lint: guarded-by(unit-local) one replay unit = one worker thread
@@ -344,25 +357,40 @@ impl<'a> GroupReplay<'a> {
     /// unit's distinct pages); `0` means unknown.
     pub(crate) fn new(store: &'a StableStore, batch: usize, pages_hint: usize) -> Self {
         GroupReplay {
-            store,
+            store: Some(store),
             batch: batch.max(1),
             table: FxHashMap::with_capacity_and_hasher(pages_hint, Default::default()),
             dirty: 0,
         }
     }
 
+    /// A scratch table holding exactly `seed`.
+    pub(crate) fn scratch(seed: BTreeMap<PageId, Page>) -> GroupReplay<'static> {
+        let table = seed
+            .iter()
+            .map(|(&id, page)| (id, PageSlot::clean(page)))
+            .collect();
+        GroupReplay {
+            store: None,
+            batch: usize::MAX,
+            table,
+            dirty: 0,
+        }
+    }
+
+    /// The table's pages as replayed (a scratch replay's result).
+    pub(crate) fn into_pages(self) -> BTreeMap<PageId, Page> {
+        self.table
+            .into_iter()
+            .map(|(id, slot)| (id, Page::new(slot.lsn, slot.data)))
+            .collect()
+    }
+
     /// The slot for `id`, faulted in from the store on first touch.
     fn slot(&mut self, id: PageId) -> Result<&mut PageSlot, RedoError> {
         match self.table.entry(id) {
             Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(v) => {
-                let page = self.store.read_page(id).map_err(map_store_err)?;
-                Ok(v.insert(PageSlot {
-                    lsn: page.lsn(),
-                    data: page.data().clone(),
-                    dirty: false,
-                }))
-            }
+            Entry::Vacant(v) => Ok(v.insert(PageSlot::clean(&fault_in(self.store, id)?))),
         }
     }
 
@@ -414,13 +442,9 @@ impl<'a> GroupReplay<'a> {
                 }
             }
             Entry::Vacant(v) => {
-                let page = self.store.read_page(id).map_err(map_store_err)?;
+                let page = fault_in(self.store, id)?;
                 if page.lsn() >= lsn {
-                    v.insert(PageSlot {
-                        lsn: page.lsn(),
-                        data: page.data().clone(),
-                        dirty: false,
-                    });
+                    v.insert(PageSlot::clean(&page));
                     false
                 } else {
                     v.insert(PageSlot {
@@ -442,6 +466,9 @@ impl<'a> GroupReplay<'a> {
     /// Install every dirty slot as contiguous runs. Slots stay resident
     /// (now clean) so later records still read locally.
     pub(crate) fn drain(&mut self) -> Result<(), RedoError> {
+        let Some(store) = self.store else {
+            return Ok(());
+        };
         if self.dirty == 0 {
             return Ok(());
         }
@@ -463,7 +490,7 @@ impl<'a> GroupReplay<'a> {
             let contiguous = matches!(prev, Some(p)
                 if p.partition == id.partition && id.index == p.index + 1);
             if !contiguous {
-                write_pending_run(self.store, start, &mut run)?;
+                write_pending_run(store, start, &mut run)?;
                 start = Some(id);
             }
             // The deferred checksummed Page: one construction per
@@ -471,28 +498,33 @@ impl<'a> GroupReplay<'a> {
             run.push(Page::new(slot.lsn, slot.data.clone()));
             prev = Some(id);
         }
-        write_pending_run(self.store, start, &mut run)?;
+        write_pending_run(store, start, &mut run)?;
         self.dirty = 0;
         Ok(())
     }
 }
 
-/// Replay a record subsequence through a [`GroupReplay`] table. Mirrors
-/// [`crate::redo_scan`] exactly — same identity anchoring (shared
-/// [`anchor_identities`] analysis), same per-page LSN test, same
-/// [`RedoOutcome`] counters — but reads and writes resolve against the
-/// local table instead of store round-trips per record.
-fn replay_grouped<'a, I>(
+/// First touch of `id`: the store's copy, or a scratch table's hard error.
+fn fault_in(store: Option<&StableStore>, id: PageId) -> Result<Page, RedoError> {
+    match store {
+        Some(store) => Ok(store.read_page(id)?),
+        None => Err(RedoError::OutsideClosure(id)),
+    }
+}
+
+/// Replay a record subsequence through a [`GroupReplay`] table, draining
+/// it at the end. Mirrors [`crate::redo_scan`] exactly — same identity
+/// anchoring (shared [`anchor_identities`] analysis), same per-page LSN
+/// test, same [`RedoOutcome`] counters — but reads and writes resolve
+/// against the local table instead of store round-trips per record.
+pub(crate) fn replay_grouped<'a, I>(
     records: I,
-    store: &StableStore,
-    batch: usize,
-    pages_hint: usize,
+    replay: &mut GroupReplay<'_>,
 ) -> Result<RedoOutcome, RedoError>
 where
     I: Iterator<Item = &'a LogRecord> + Clone,
 {
     let IdentityAnchors { at_start, after } = anchor_identities(records.clone());
-    let mut replay = GroupReplay::new(store, batch, pages_hint);
     let mut out = RedoOutcome::default();
 
     fn apply_identity(
@@ -509,7 +541,7 @@ where
         }
         Ok(())
     }
-    apply_identity(&mut replay, &at_start, &mut out)?;
+    apply_identity(replay, &at_start, &mut out)?;
 
     let mut needs: Vec<PageId> = Vec::new();
     let mut writes: Vec<PageId> = Vec::new();
@@ -552,22 +584,7 @@ where
                 break 'one;
             }
             // Re-evaluate the operation against current (local) state.
-            let outputs = {
-                let replay = &mut replay;
-                let mut reader = |id: PageId| -> Result<Bytes, lob_ops::OpError> {
-                    match replay.slot(id) {
-                        Ok(slot) => Ok(slot.data.clone()),
-                        Err(e) => Err(lob_ops::OpError::ReadFailed {
-                            page: id,
-                            cause: e.to_string(),
-                        }),
-                    }
-                };
-                body.apply(&mut reader).map_err(|source| RedoError::Op {
-                    lsn: rec.lsn,
-                    source,
-                })?
-            };
+            let outputs = reapply(body, rec.lsn, |id| Ok(replay.slot(id)?.data.clone()))?;
             for (pid, bytes) in outputs {
                 if needs.contains(&pid) {
                     replay.set(pid, rec.lsn, bytes)?;
@@ -579,7 +596,7 @@ where
         // Identity records anchored here apply regardless of whether the
         // record itself replayed, was skipped, or was an identity record.
         if let Some(items) = after.get(&i) {
-            apply_identity(&mut replay, items, &mut out)?;
+            apply_identity(replay, items, &mut out)?;
         }
     }
     replay.drain()?;
@@ -610,7 +627,7 @@ pub fn parallel_redo_scan(
     let workers = config.workers.max(1);
     let batch = config.batch.max(1);
     if workers == 1 {
-        return replay_grouped(records.iter(), store, batch, 0);
+        return replay_grouped(records.iter(), &mut GroupReplay::new(store, batch, 0));
     }
     let plan = ReplayPlan::build(records);
     let queues = plan.assign(workers);
@@ -628,10 +645,7 @@ pub fn parallel_redo_scan(
             }));
         }
         for h in handles {
-            results.push(h.join().unwrap_or((
-                0,
-                Err(RedoError::Target("parallel redo worker panicked".into())),
-            )));
+            results.push(h.join().unwrap_or((0, Err(RedoError::WorkerPanicked))));
         }
     });
     // Surface the earliest failing unit (plan order) so errors are
@@ -667,9 +681,7 @@ fn replay_queue(
         // Walks the indices in place — no per-unit record clone.
         let result = replay_grouped(
             unit.indices().iter().filter_map(|&i| records.get(i)),
-            store,
-            batch,
-            unit.pages().len(),
+            &mut GroupReplay::new(store, batch, unit.pages().len()),
         );
         match result {
             Ok(out) => accumulate(&mut total, out),
@@ -715,7 +727,7 @@ pub fn parallel_install_image(
     let install = |spec: &mut RunSpec| -> Result<(), RedoError> {
         store
             .write_run(spec.start.partition, spec.start.index, &mut spec.pages)
-            .map_err(map_store_err)
+            .map_err(RedoError::from)
     };
     if workers == 1 {
         for spec in &mut runs {
@@ -742,9 +754,7 @@ pub fn parallel_install_image(
             }));
         }
         for h in handles {
-            results.push(h.join().unwrap_or(Err(RedoError::Target(
-                "parallel restore worker panicked".into(),
-            ))));
+            results.push(h.join().unwrap_or(Err(RedoError::WorkerPanicked)));
         }
     });
     for r in results {
@@ -872,6 +882,38 @@ mod tests {
                     "page {i} workers={workers} batch={batch}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn replay_time_read_crash_surfaces_as_the_store_error() {
+        // copy(0 → 1): the LSN test reads page 1, then the copy's own read
+        // of page 0 — issued from inside the op's `apply` — hits an
+        // injected crash. Both replay bodies must return that store error,
+        // not the op's stringified read failure.
+        let recs = vec![copy(1, 0, 1)];
+        for reference in [false, true] {
+            let s = store(4);
+            s.set_fault_hook(Some(std::sync::Arc::new(|event, page| {
+                if event == lob_pagestore::IoEvent::PageRead && page == Some(pid(0)) {
+                    lob_pagestore::FaultVerdict::Crash
+                } else {
+                    lob_pagestore::FaultVerdict::Proceed
+                }
+            })));
+            let err = if reference {
+                redo_scan(&recs, &mut StoreRedoTarget::new(&s))
+            } else {
+                parallel_redo_scan(&recs, &s, RecoveryConfig::default())
+            }
+            .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RedoError::Store(lob_pagestore::StoreError::InjectedCrash)
+                ),
+                "reference={reference}: {err}"
+            );
         }
     }
 

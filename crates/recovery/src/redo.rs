@@ -1,4 +1,4 @@
-//! The forward redo pass.
+//! The forward redo pass — the reference scan.
 //!
 //! Recovery is a single forward scan over a log suffix. For each operation
 //! record, the **LSN redo test** decides per written page whether to install
@@ -11,12 +11,11 @@
 //! state it saw during normal execution, so replay regenerates its exact
 //! effects.
 //!
-//! The same pass serves both recovery flavours:
-//!
-//! * **crash recovery** — scan from the log truncation point against the
-//!   surviving stable database `S`;
-//! * **media roll-forward** — restore `S` from the backup image, then scan
-//!   from the backup's start LSN.
+//! [`redo_scan`] is the record-at-a-time *reference* form of that pass.
+//! Production replays — crash redo, media roll-forward, closure replay —
+//! run the grouped body of [`crate::parallel`]; the differential tests,
+//! the harness's reference recovery and the benchmark's replay probe run
+//! this one and byte-compare the two.
 
 use bytes::Bytes;
 use lob_ops::OpError;
@@ -27,8 +26,13 @@ use std::fmt;
 /// Errors during redo.
 #[derive(Debug)]
 pub enum RedoError {
-    /// The redo target failed to read or write a page.
-    Target(String),
+    /// The store failed to read or install a page (also a read issued by
+    /// an operation being re-evaluated).
+    Store(StoreError),
+    /// A closure replay touched a page outside its seeded closure.
+    OutsideClosure(PageId),
+    /// A replay or install worker thread panicked.
+    WorkerPanicked,
     /// Re-evaluating an operation failed (should be impossible when flush
     /// order was respected — surfacing it loudly is the point).
     Op {
@@ -42,7 +46,11 @@ pub enum RedoError {
 impl fmt::Display for RedoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RedoError::Target(msg) => write!(f, "redo target error: {msg}"),
+            RedoError::Store(e) => write!(f, "redo store error: {e}"),
+            RedoError::OutsideClosure(id) => {
+                write!(f, "closure replay touched {id} outside the seeded closure")
+            }
+            RedoError::WorkerPanicked => write!(f, "a redo worker panicked"),
             RedoError::Op { lsn, source } => {
                 write!(f, "replay of operation at {lsn} failed: {source}")
             }
@@ -52,8 +60,14 @@ impl fmt::Display for RedoError {
 
 impl std::error::Error for RedoError {}
 
-/// Where redo reads and installs pages. Crash recovery uses
-/// [`StoreRedoTarget`] (write-through to `S`); tests use in-memory targets.
+impl From<StoreError> for RedoError {
+    fn from(e: StoreError) -> Self {
+        RedoError::Store(e)
+    }
+}
+
+/// Where the reference scan reads and installs pages ([`StoreRedoTarget`]
+/// writes through to a [`StableStore`]).
 pub trait RedoTarget {
     /// Current value of a page (payload + pageLSN).
     fn page(&mut self, id: PageId) -> Result<Page, RedoError>;
@@ -72,6 +86,26 @@ pub struct RedoOutcome {
     pub pages_written: u64,
     /// Control records (backup begin/end) encountered.
     pub controls: u64,
+}
+
+/// Re-evaluate `body`, the record at `lsn`, with `read` serving its
+/// reads — both replay bodies' one way to do it. A failed read surfaces as
+/// itself (a store error stays typed), not as the operation's error.
+pub(crate) fn reapply(
+    body: &lob_ops::OpBody,
+    lsn: lob_pagestore::Lsn,
+    mut read: impl FnMut(PageId) -> Result<Bytes, RedoError>,
+) -> Result<Vec<(PageId, Bytes)>, RedoError> {
+    let mut read_err = None;
+    let mut reader = |id: PageId| -> Result<Bytes, OpError> {
+        read(id).map_err(|e| {
+            let cause = e.to_string();
+            read_err = Some(e);
+            OpError::ReadFailed { page: id, cause }
+        })
+    };
+    let outputs = body.apply(&mut reader);
+    outputs.map_err(|source| read_err.unwrap_or(RedoError::Op { lsn, source }))
 }
 
 /// One anchored identity write: target page, carried value, the identity
@@ -206,19 +240,7 @@ pub fn redo_scan(
                 break 'one;
             }
             // Re-evaluate the operation against current state.
-            let mut reader = |id: PageId| -> Result<Bytes, OpError> {
-                match target.page(id) {
-                    Ok(p) => Ok(p.data().clone()),
-                    Err(e) => Err(OpError::ReadFailed {
-                        page: id,
-                        cause: e.to_string(),
-                    }),
-                }
-            };
-            let outputs = body.apply(&mut reader).map_err(|source| RedoError::Op {
-                lsn: rec.lsn,
-                source,
-            })?;
+            let outputs = reapply(body, rec.lsn, |id| Ok(target.page(id)?.data().clone()))?;
             for (pid, bytes) in outputs {
                 if needs.contains(&pid) {
                     target.set_page(pid, Page::new(rec.lsn, bytes))?;
@@ -250,18 +272,14 @@ impl<'a> StoreRedoTarget<'a> {
     }
 }
 
-fn map_store_err(e: StoreError) -> RedoError {
-    RedoError::Target(e.to_string())
-}
-
 impl RedoTarget for StoreRedoTarget<'_> {
     fn page(&mut self, id: PageId) -> Result<Page, RedoError> {
-        self.store.read_page(id).map_err(map_store_err)
+        Ok(self.store.read_page(id)?)
     }
 
     fn set_page(&mut self, id: PageId, page: Page) -> Result<(), RedoError> {
         // lint:allow(durability-order) redo installs only updates already durable in the log it is replaying
-        self.store.write_page(id, page).map_err(map_store_err)
+        Ok(self.store.write_page(id, page)?)
     }
 }
 
@@ -444,7 +462,7 @@ mod tests {
         let mut t = StoreRedoTarget::new(&s);
         assert!(matches!(
             redo_scan(&recs, &mut t),
-            Err(RedoError::Target(_))
+            Err(RedoError::Store(StoreError::MediaFailure(_)))
         ));
     }
 }
