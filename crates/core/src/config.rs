@@ -91,9 +91,14 @@ pub struct CommitConfig {
     /// The longest a group-commit leader waits for co-committers before
     /// dispatching the group force, in microseconds: a cap, since the
     /// group also closes once every live [`crate::Session`] has joined
-    /// it. `0` disables the gather window (each force dispatches
-    /// immediately, still batching whatever is already appended) — also
-    /// the deterministic setting the seeded virtual scheduler requires.
+    /// it. The window also bounds how long a committer waits on the CPU:
+    /// the leader and its followers poll the group between
+    /// `std::thread::yield_now` calls, which hand the CPU to any runnable
+    /// thread, and only a follower whose force outlasts the window parks.
+    /// `0` disables the gather window (each force dispatches
+    /// immediately, still batching whatever is already appended, and
+    /// nothing polls) — also the deterministic setting the seeded virtual
+    /// scheduler requires.
     pub group_commit_delay_micros: u64,
     /// The largest group: dispatch once this many committers (leader
     /// included) have joined, even if more sessions are live. `<= 1`

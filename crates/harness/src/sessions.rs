@@ -26,7 +26,8 @@ use crate::fault::{witnessed, FaultKind, FaultPlan};
 use crate::shadow::ShadowOracle;
 use crate::workload::WorkloadGen;
 use lob_core::{
-    DomainId, EngineConfig, EngineService, FlushPolicy, Lsn, OpBody, PageId, PartitionId, Tracking,
+    DomainId, EngineConfig, EngineService, FlushPolicy, Lsn, OpBody, PageId, PartitionId, Session,
+    Tracking,
 };
 use lob_pagestore::witness::{self, Witness};
 use lob_pagestore::{IoEvent, PartitionSpec};
@@ -261,11 +262,10 @@ impl SessionDrillRunner {
     /// cut short (without error) if the injected crash fires.
     fn session_work(
         cfg: &SessionDrillConfig,
-        svc: &Arc<EngineService>,
+        session: Session,
         t: usize,
         stop: &AtomicBool, // lint: atomic(seqcst)
     ) -> Result<Vec<(Lsn, OpBody)>, String> {
-        let session = svc.session();
         let mut gen = WorkloadGen::new(
             cfg.seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             cfg.page_size,
@@ -389,15 +389,16 @@ impl SessionDrillRunner {
         let mut sweep_outcome: (u32, u64) = (0, 0);
         std::thread::scope(|scope| -> Result<(), String> {
             let mut handles = Vec::new();
-            for t in 0..cfg.sessions {
-                let svc = &svc;
+            // Every session is live before any thread starts work, so a
+            // gather waits for all of them from the first commit on
+            // rather than closing early on whichever threads ran first.
+            let sessions: Vec<Session> = (0..cfg.sessions).map(|_| svc.session()).collect();
+            for (t, session) in sessions.into_iter().enumerate() {
                 let stop = &stop;
                 let w = witness::current();
-                handles.push(
-                    scope.spawn(move || {
-                        witness::within(w, || Self::session_work(cfg, svc, t, stop))
-                    }),
-                );
+                handles.push(scope.spawn(move || {
+                    witness::within(w, || Self::session_work(cfg, session, t, stop))
+                }));
             }
             let sweeper = if cfg.sweep_rounds > 0 {
                 let svc = &svc;

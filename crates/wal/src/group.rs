@@ -5,8 +5,8 @@
 //! group commits: the first session needing durability becomes the
 //! **leader** and gathers co-committers, then runs **one**
 //! [`LogManager::force`] up to the highest LSN any member of the group
-//! asked for. Followers park on a condvar and read their outcome from the
-//! published durable watermark.
+//! asked for. Followers read their outcome from the published durable
+//! watermark.
 //!
 //! The gather closes as soon as the group is full: `count` members, or
 //! every *registered* committer ([`GroupCommitLog::register`]) when fewer
@@ -17,6 +17,15 @@
 //! published is not one. [`GroupCommitLog::gather_ends`]
 //! counts which of the three ended each gather.
 //!
+//! Waits bounded by the window stay on the CPU: the gathering leader and
+//! its followers re-check the group state between
+//! [`std::thread::yield_now`] calls rather than park, so a group pays no
+//! wake-up of a halted CPU. A follower whose round has not published
+//! within `delay` (a long force, such as a real `fsync`) parks on a
+//! condvar for the rest of it; [`GroupCommitLog::parked_waits`] counts
+//! those waits. A closed window (`delay = 0` or `count <= 1`) never
+//! polls: its followers park at once.
+//!
 //! The fault surface is unchanged by construction: the leader's single
 //! `LogManager::force` call is the only path to the store, so each group
 //! pays exactly one `LogForce` consult and one `LogAppend` consult per
@@ -26,9 +35,9 @@
 //! whose goal the round failed to cover.
 //!
 //! Lock order (must stay acyclic with the engine's): `state` before
-//! `manager`. Appends take only `manager`; commit bookkeeping and
-//! (de)registration take only `state`; the leader takes `state`, then
-//! `manager` (via [`GroupCommitLog::lead_force`]). Nothing ever takes
+//! `manager`. Appends take only `manager`; commit bookkeeping takes only
+//! `state`, and (de)registration takes neither; the leader takes `state`,
+//! then `manager` (via [`GroupCommitLog::lead_force`]). Nothing ever takes
 //! `manager` first.
 
 use crate::{LogError, LogManager, LogRecord, LogStats, RecordBody};
@@ -91,8 +100,10 @@ struct GroupState {
     joined: u32,
     /// How every gather so far ended.
     ends: GatherEnds,
-    /// Followers parked on `completions` (leader excluded).
+    /// Followers parked on `completions` right now (leader excluded).
     waiters: u32,
+    /// Follower waits that outlived the window's on-CPU poll and parked.
+    parked: u64,
     /// Completed force rounds (monotone; followers detect "my round ran").
     rounds: u64,
     /// Outcome of the most recent round, `None` on success.
@@ -123,8 +134,6 @@ pub struct GroupCommitLog {
     manager: Mutex<LogManager>,
     /// Leader election and round bookkeeping.
     state: Mutex<GroupState>,
-    // lint: guarded-by(state) waiters park here; waking re-acquires `state`
-    arrivals: Condvar,
     // lint: guarded-by(state) round completions; waking re-acquires `state`
     completions: Condvar,
     // lint: guarded-by(immutable) gather window, fixed at construction
@@ -132,9 +141,8 @@ pub struct GroupCommitLog {
     // lint: guarded-by(immutable) early-dispatch group size, fixed at construction
     count: u32,
     /// Committers registered as members of every group
-    /// ([`GroupCommitLog::register`]). Changed outside `state`, but a
-    /// deregistration re-takes `state` before it wakes the leader, so a
-    /// gathering leader never misses the drop.
+    /// ([`GroupCommitLog::register`]). Changed outside `state`: a
+    /// gathering leader re-reads it on every poll.
     registered: AtomicU32, // lint: atomic(acq-rel)
     /// Published durable watermark (raw LSN), so sessions read commit
     /// outcomes without any lock. Stored only under the `manager` lock,
@@ -162,7 +170,6 @@ impl GroupCommitLog {
         GroupCommitLog {
             manager: Mutex::new(manager),
             state: Mutex::new(GroupState::default()),
-            arrivals: Condvar::new(),
             completions: Condvar::new(),
             delay,
             count,
@@ -179,6 +186,20 @@ impl GroupCommitLog {
 
     fn state_guard(&self) -> MutexGuard<'_, GroupState> {
         self.state.lock()
+    }
+
+    /// Whether forces gather: an open window and room for a group.
+    /// Only a gathering log polls or yields.
+    fn gathers(&self) -> bool {
+        self.count > 1 && !self.delay.is_zero()
+    }
+
+    /// One on-CPU poll step: release `state`, hand the CPU to any
+    /// runnable thread, re-take `state`.
+    fn yield_state<'a>(&'a self, st: MutexGuard<'a, GroupState>) -> MutexGuard<'a, GroupState> {
+        drop(st);
+        std::thread::yield_now();
+        self.state_guard()
     }
 
     /// Append a record; returns its LSN. Volatile until a force covers it.
@@ -241,20 +262,33 @@ impl GroupCommitLog {
                 // hole, caught above).
                 return outcome;
             }
-            // Follow: register, join and wake a gathering leader, park
-            // until the in-flight round publishes.
-            st.waiters += 1;
+            // Follow: join a gathering leader's group, then wait until
+            // the in-flight round publishes — on the CPU for up to one
+            // window, parked after that.
             if st.gathering {
                 st.joined += 1;
-                // lint:allow(guarded-by) `st` from state_guard() is held here
-                self.arrivals.notify_one();
             }
             let entry_round = st.rounds;
-            while st.rounds == entry_round && self.durable.load(Ordering::Acquire) < goal {
-                // lint:allow(guarded-by) waiting yields the held `st` guard
-                st = self.completions.wait(st);
+            let pending = |st: &GroupState| {
+                st.rounds == entry_round && self.durable.load(Ordering::Acquire) < goal
+            };
+            if self.gathers() {
+                let deadline = Instant::now() + self.delay;
+                while pending(&st) && Instant::now() < deadline {
+                    st = self.yield_state(st);
+                }
+                if pending(&st) {
+                    st.parked += 1;
+                }
             }
-            st.waiters -= 1;
+            if pending(&st) {
+                st.waiters += 1;
+                while pending(&st) {
+                    // lint:allow(guarded-by) waiting yields the held `st` guard
+                    st = self.completions.wait(st);
+                }
+                st.waiters -= 1;
+            }
             if in_hole(&st.holes, upto.raw()) {
                 return Err(LogError::InjectedCrash);
             }
@@ -278,9 +312,9 @@ impl GroupCommitLog {
         st.leading = false;
         st.rounds = st.rounds.wrapping_add(1);
         st.failure = failure;
-        // A follower registers in `waiters` under this lock before it
-        // parks, so with none registered there is nobody to wake (and a
-        // lone committer skips the wake-up system call).
+        // A follower counts itself in `waiters` under this lock before it
+        // parks, so with none counted there is nobody to wake (and a round
+        // whose followers all polled skips the wake-up system call).
         if st.waiters > 0 {
             // lint:allow(guarded-by) `st` from state_guard() is held here
             self.completions.notify_all();
@@ -288,11 +322,11 @@ impl GroupCommitLog {
         in_hole(&st.holes, upto)
     }
 
-    /// Leader's gather window: wait up to `delay` until the group is full
-    /// — `count` members, or every registered committer when fewer are
-    /// registered — and count how the gather ended.
-    fn gather<'a>(&self, mut st: MutexGuard<'a, GroupState>) -> MutexGuard<'a, GroupState> {
-        if self.count <= 1 || self.delay.is_zero() {
+    /// Leader's gather window: poll on the CPU for up to `delay` until the
+    /// group is full — `count` members, or every registered committer when
+    /// fewer are registered — and count how the gather ended.
+    fn gather<'a>(&'a self, mut st: MutexGuard<'a, GroupState>) -> MutexGuard<'a, GroupState> {
+        if !self.gathers() {
             return st;
         }
         st.gathering = true;
@@ -310,13 +344,11 @@ impl GroupCommitLog {
                 }
                 break;
             }
-            let now = Instant::now();
-            if now >= deadline {
+            if Instant::now() >= deadline {
                 st.ends.window += 1;
                 break;
             }
-            // lint:allow(guarded-by) waiting yields the held `st` guard
-            st = self.arrivals.wait_timeout(st, deadline - now).0;
+            st = self.yield_state(st);
         }
         st.gathering = false;
         st
@@ -340,22 +372,23 @@ impl GroupCommitLog {
         self.registered.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Deregister a committer registered with [`GroupCommitLog::register`],
-    /// and wake a gathering leader: the group it waits for may now be
-    /// complete.
+    /// Deregister a committer registered with [`GroupCommitLog::register`].
+    /// A gathering leader sees the drop at its next poll: the group it
+    /// waits for may now be complete.
     pub fn deregister(&self) {
         self.registered.fetch_sub(1, Ordering::AcqRel);
-        // Taking `state` orders the drop before the leader's next check of
-        // the group size, so the wake-up cannot fall between its check
-        // and its wait. The lock is taken in place, not through
-        // `state_guard()`, so the guarded-by pass sees it held.
-        let _st = self.state.lock();
-        self.arrivals.notify_one();
     }
 
     /// How the gathers so far ended.
     pub fn gather_ends(&self) -> GatherEnds {
         self.state_guard().ends
+    }
+
+    /// Follower waits so far that outlived the window's on-CPU poll and
+    /// parked until their round published. A closed window polls nothing
+    /// and is not counted.
+    pub fn parked_waits(&self) -> u64 {
+        self.state_guard().parked
     }
 
     /// Force everything appended so far.
@@ -461,7 +494,7 @@ impl std::fmt::Debug for GroupCommitLog {
 mod tests {
     use super::*;
     use lob_pagestore::{FaultVerdict, IoEvent};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Arc;
 
     fn op_body(i: u8) -> RecordBody {
@@ -625,9 +658,14 @@ mod tests {
 
     #[test]
     fn gather_ends_count_how_each_gather_closed() {
-        // The window: a lone leader with nobody registered waits it out.
-        let log = GroupCommitLog::new(LogManager::in_memory(), Duration::from_millis(1), 8);
+        // The window: a lone leader with nobody registered waits it out,
+        // so its force never returns before the window has passed.
+        let delay = Duration::from_millis(1);
+        let log = GroupCommitLog::new(LogManager::in_memory(), delay, 8);
+        let start = Instant::now();
         log.force(log.append_record(op_body(1))).unwrap();
+        let waited = start.elapsed();
+        assert!(waited >= delay, "the lone force returned after {waited:?}");
         let window = GatherEnds {
             window: 1,
             ..GatherEnds::default()
@@ -650,7 +688,7 @@ mod tests {
         assert_eq!(log.gather_ends(), cap);
 
         // Everyone: of two registered committers one forces and the other
-        // leaves; the leaving one wakes the gathering leader, whose group
+        // leaves; the gathering leader sees it leave, and its group
         // (just itself now) is complete.
         let log = GroupCommitLog::new(LogManager::in_memory(), Duration::from_secs(10), 8);
         log.register();
@@ -665,6 +703,59 @@ mod tests {
             ..GatherEnds::default()
         };
         assert_eq!(log.gather_ends(), all);
+    }
+
+    #[test]
+    fn follower_parks_through_a_force_longer_than_the_window() {
+        // The leader's force stalls in the fault hook until the follower's
+        // on-CPU poll has run out and it has parked; the follower must
+        // then get its outcome from the round's publication.
+        let window = Duration::from_millis(1);
+        let log = Arc::new(GroupCommitLog::new(LogManager::in_memory(), window, 2));
+        let forcing = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        {
+            let (forcing, release) = (forcing.clone(), release.clone());
+            log.set_fault_hook(Some(Arc::new(move |ev, _| {
+                if matches!(ev, IoEvent::LogForce) && !forcing.swap(true, Ordering::AcqRel) {
+                    while !release.load(Ordering::Acquire) {
+                        std::thread::sleep(window);
+                    }
+                }
+                FaultVerdict::Proceed
+            })));
+        }
+        // Whether `what` came true within a bound far above any schedule.
+        let came_true = |what: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !what() {
+                if Instant::now() >= deadline {
+                    return false;
+                }
+                std::thread::sleep(window);
+            }
+            true
+        };
+        log.append_record(op_body(1));
+        let l2 = log.append_record(op_body(2));
+        std::thread::scope(|s| {
+            let leader = s.spawn(|| log.force_all());
+            assert!(came_true(&|| forcing.load(Ordering::Acquire)));
+            let follower = s.spawn(|| log.force(l2));
+            let parked = came_true(&|| log.parked_waits() == 1);
+            // Released either way, so a failure cannot hang the scope.
+            release.store(true, Ordering::Release);
+            assert!(parked, "the follower never parked");
+            leader.join().unwrap().unwrap();
+            follower.join().unwrap().unwrap();
+        });
+        assert_eq!(log.durable_lsn(), l2);
+        assert_eq!(
+            log.stats().forces,
+            1,
+            "the follower rode the leader's force"
+        );
+        assert_eq!(log.parked_waits(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   merged in LSN order).
 //! * **Crash-during-group-commit torture** — a crash injected at the
 //!   `k`-th `LogForce` consult, i.e. inside the group leader's force
-//!   while followers are parked on the completion condvar. Every armed
+//!   while followers wait for the round to publish. Every armed
 //!   point must recover to exactly the durable prefix and verify
 //!   byte-for-byte.
 //! * **Deterministic replay** — the seeded [`VirtualScheduler`]
@@ -67,16 +67,34 @@ fn group_commit_batches_forces_across_sessions() {
     // Same work, group window closed vs open: the open window must not
     // change correctness (both cells verify against the oracle) and must
     // not *increase* the number of device forces.
+    //
+    // Each session's commits are sequential, and each commits a record
+    // appended after its previous commit returned, so no force can serve
+    // two commits of one session: the solo arm needs at least one force
+    // per commit of a session. The grouped arm's window is far longer
+    // than the test, so its gathers close only once every live session
+    // has joined, and each force serves one commit of every session —
+    // the minimum. A short window would let a gather close on the timer
+    // whenever a thread is descheduled, and the grouped arm could then
+    // force more often than a lucky solo arm.
+    let base = SessionDrillConfig {
+        sweep_rounds: 0,
+        ..SessionDrillConfig::quick(4, 4, 0x6C)
+    };
     let run = |delay: u64, count: u32| {
-        let mut cfg = SessionDrillConfig::quick(4, 4, 0x6C);
+        let mut cfg = base.clone();
         cfg.group_commit_delay_micros = delay;
         cfg.group_commit_count = count;
-        cfg.sweep_rounds = 0;
         SessionDrillRunner::new(cfg).run().unwrap()
     };
     let solo = run(0, 1);
-    let grouped = run(300, 4);
+    let grouped = run(10_000_000, 4);
     assert_eq!(solo.ops_executed, grouped.ops_executed);
+    let commits_per_session = (base.ops_per_session / base.commit_every) as u64;
+    assert_eq!(
+        grouped.forces, commits_per_session,
+        "every group holds one commit of each session"
+    );
     assert!(
         grouped.forces <= solo.forces,
         "grouping must not add forces: {} (grouped) vs {} (solo)",
@@ -89,7 +107,7 @@ fn group_commit_batches_forces_across_sessions() {
 fn crash_during_group_commit_recovers_and_verifies() {
     let mut fired = 0u32;
     // Crash at the k-th LogForce consult — early forces land inside the
-    // first group commits (followers parked on the completion condvar),
+    // first group commits (followers waiting on the round),
     // later ones inside flushes and sweep begin/complete forces. Points
     // beyond the run's force count simply never fire; the drill then
     // completes and verifies clean, which is also asserted.
