@@ -9,9 +9,9 @@
 //! A plan is used in two passes. First a [`FaultKind::CountOnly`] pass runs
 //! the workload to completion and records the total event count; then the
 //! harness re-runs the identical workload once per chosen index with a real
-//! fault armed, recovers, and verifies against the shadow oracle. Every
-//! drill runner runs each case through `witnessed`, so the ordering
-//! witness watches it too.
+//! fault armed, recovers, and verifies against the shadow oracle. The drill
+//! loop ([`crate::drill`]) runs each case through `witnessed`, so the
+//! ordering witness watches it too.
 
 use lob_pagestore::witness::Witness;
 use lob_pagestore::{FaultHook, FaultVerdict, IoEvent, PageId};
@@ -26,6 +26,10 @@ pub enum FaultKind {
     CountOnly,
     /// Process crash at exactly event `k`.
     CrashAt(u64),
+    /// Process crash right after the op loop's `n`-th operation (0-based):
+    /// a crash point between verbs that the drive takes itself; the hook
+    /// never fires it.
+    CrashAfterOp(u32),
     /// Process crash at the `k`-th occurrence (0-based) of one specific
     /// event kind — e.g. "the first log truncation" — regardless of how
     /// many other events interleave. Used for targeted crash points whose
@@ -95,7 +99,7 @@ impl FaultPlan {
         Arc::new(move |ev: IoEvent, page: Option<PageId>| {
             let idx = state.counter.fetch_add(1, Ordering::SeqCst);
             let verdict = match kind {
-                FaultKind::CountOnly => FaultVerdict::Proceed,
+                FaultKind::CountOnly | FaultKind::CrashAfterOp(_) => FaultVerdict::Proceed,
                 FaultKind::CrashAt(k) => {
                     if idx == k {
                         FaultVerdict::Crash

@@ -6,9 +6,11 @@
 //! does the same job the slow, obviously-correct way: seed pages written
 //! one at a time into a scratch store, then the record-at-a-time
 //! [`redo_scan`] over a write-through [`StoreRedoTarget`]. Every recovery
-//! a drill settles is byte-compared (payload *and* page LSN) against it.
+//! and restore the drill loop ([`crate::drill`]) settles — crash recovery,
+//! restore, the restarted restore and the instant drive's post-epoch
+//! recovery — is byte-compared (payload *and* page LSN) against it.
 
-use lob_core::{BackupImage, Engine, RecoveryConfig, RedoOutcome};
+use lob_core::{BackupImage, EngineService, RecoveryConfig, RedoOutcome};
 use lob_pagestore::{PageImage, StableStore, StoreConfig};
 use lob_recovery::{redo_scan, StoreRedoTarget};
 use lob_wal::LogRecord;
@@ -16,15 +18,15 @@ use lob_wal::LogRecord;
 /// Seed a fresh store of the engine's geometry with `seed`, then replay
 /// `records` over it record by record.
 pub fn reference_replay(
-    engine: &Engine,
+    svc: &EngineService,
     seed: &PageImage,
     records: &[LogRecord],
 ) -> Result<(StableStore, RedoOutcome), String> {
     let scratch = StableStore::new(
         StoreConfig {
-            page_size: engine.config().page_size,
+            page_size: svc.config().page_size,
         },
-        &engine.config().partitions,
+        &svc.config().partitions,
     );
     scratch
         .apply_image(seed)
@@ -36,8 +38,8 @@ pub fn reference_replay(
 
 /// Byte-compare every page (payload and page LSN) of the engine's store
 /// against the reference store.
-pub fn diff_stores(engine: &Engine, reference: &StableStore, when: &str) -> Result<(), String> {
-    let live = engine
+pub fn diff_stores(svc: &EngineService, reference: &StableStore, when: &str) -> Result<(), String> {
+    let live = svc
         .store()
         .snapshot()
         .map_err(|e| format!("{when}: live snapshot failed: {e}"))?;
@@ -69,7 +71,7 @@ pub fn diff_stores(engine: &Engine, reference: &StableStore, when: &str) -> Resu
 /// The engine recovered to `got`; the reference replay produced
 /// `(store, outcome)`. Both must agree.
 fn settle(
-    engine: &Engine,
+    svc: &EngineService,
     got: RedoOutcome,
     (reference, expected): (StableStore, RedoOutcome),
     recovery: RecoveryConfig,
@@ -80,27 +82,27 @@ fn settle(
             "{when}: redo outcome {got:?} != reference {expected:?} under {recovery:?}"
         ));
     }
-    diff_stores(engine, &reference, when)
+    diff_stores(svc, &reference, when)
 }
 
 /// Crash recovery with `recovery` knobs, settled against the reference:
 /// the surviving log suffix is first replayed record by record on a copy
 /// of `S`; the engine must then land on the same bytes and the same
 /// [`RedoOutcome`].
-pub fn recover_checked(engine: &mut Engine, recovery: RecoveryConfig) -> Result<(), String> {
-    let records = engine
+pub fn recover_checked(svc: &EngineService, recovery: RecoveryConfig) -> Result<(), String> {
+    let records = svc
         .log()
-        .scan_from(engine.log().truncation())
+        .scan_from(svc.log().truncation())
         .map_err(|e| format!("reference log scan failed: {e}"))?;
-    let before = engine
+    let before = svc
         .store()
         .snapshot()
         .map_err(|e| format!("pre-recovery snapshot failed: {e}"))?;
-    let reference = reference_replay(engine, &before, &records)?;
-    let got = engine
+    let reference = reference_replay(svc, &before, &records)?;
+    let got = svc
         .parallel_recover_with(recovery)
         .map_err(|e| format!("crash recovery failed: {e}"))?;
-    settle(engine, got, reference, recovery, "post-crash differential")
+    settle(svc, got, reference, recovery, "post-crash differential")
 }
 
 /// Media recovery from `image` with `recovery` knobs, settled against the
@@ -109,23 +111,17 @@ pub fn recover_checked(engine: &mut Engine, recovery: RecoveryConfig) -> Result<
 /// [`RedoOutcome`]. (Media recovery forces but never truncates the log, so
 /// scanning after the fact sees exactly what the engine saw.)
 pub fn restore_checked(
-    engine: &mut Engine,
+    svc: &EngineService,
     image: &BackupImage,
     recovery: RecoveryConfig,
 ) -> Result<(), String> {
-    let got = engine
+    let got = svc
         .parallel_restore_with(image, recovery)
         .map_err(|e| e.to_string())?;
-    let records = engine
+    let records = svc
         .log()
         .scan_from(image.start_lsn)
         .map_err(|e| format!("reference log scan failed: {e}"))?;
-    let reference = reference_replay(engine, &image.pages, &records)?;
-    settle(
-        engine,
-        got,
-        reference,
-        recovery,
-        "post-restore differential",
-    )
+    let reference = reference_replay(svc, &image.pages, &records)?;
+    settle(svc, got, reference, recovery, "post-restore differential")
 }

@@ -1,11 +1,9 @@
-//! End-to-end scenarios: the Figure 1 counterexample and randomized
-//! sessions.
+//! The Figure 1 counterexample, executed. Randomized end-to-end sessions
+//! are the drill loop's [`crate::Drill::session`].
 
-use crate::shadow::ShadowOracle;
-use crate::workload::WorkloadGen;
 use bytes::Bytes;
 use lob_core::{
-    BackupPolicy, Discipline, Engine, EngineConfig, Lsn, OpBody, PageId, PartitionId, RecPage,
+    BackupPolicy, Discipline, Engine, EngineConfig, OpBody, PageId, PartitionId, RecPage,
 };
 use lob_ops::{LogicalOp, PhysioOp};
 
@@ -112,233 +110,10 @@ pub fn fig1_split_scenario(policy: BackupPolicy) -> Result<Fig1Outcome, String> 
     })
 }
 
-/// Configuration of a randomized end-to-end session.
-#[derive(Debug, Clone)]
-pub struct SessionConfig {
-    /// RNG seed — everything else being equal, the session is a pure
-    /// function of it.
-    pub seed: u64,
-    /// Database pages (one partition).
-    pub pages: u32,
-    /// Page size in bytes.
-    pub page_size: usize,
-    /// Operation discipline (drives the generated mix).
-    pub discipline: Discipline,
-    /// Backup policy under test.
-    pub policy: BackupPolicy,
-    /// Operations to execute.
-    pub ops: u32,
-    /// Probability of flushing a random dirty page after each operation.
-    pub flush_prob: f64,
-    /// Steps for the interleaved backup.
-    pub backup_steps: u32,
-    /// Operations before the backup begins.
-    pub backup_start_after: u32,
-    /// Operations between backup steps.
-    pub ops_per_backup_step: u32,
-    /// Crash (and verify recovery) after this many operations, if set.
-    /// The session ends at the crash.
-    pub crash_after: Option<u32>,
-    /// End with a media failure + restore from the session's backup +
-    /// roll-forward, verified against the oracle.
-    pub media_drill: bool,
-}
-
-impl SessionConfig {
-    /// A medium-sized protocol session for the given seed and discipline.
-    pub fn protocol(seed: u64, discipline: Discipline) -> SessionConfig {
-        SessionConfig {
-            seed,
-            pages: 256,
-            page_size: 64,
-            discipline,
-            policy: BackupPolicy::Protocol,
-            ops: 400,
-            flush_prob: 0.4,
-            backup_steps: 4,
-            backup_start_after: 80,
-            ops_per_backup_step: 60,
-            crash_after: None,
-            media_drill: true,
-        }
-    }
-}
-
-/// What a session observed.
-#[derive(Debug, Clone)]
-pub struct SessionReport {
-    /// Identity-write records logged.
-    pub iwof_records: u64,
-    /// Coordinator decisions while a backup was active.
-    pub decisions_active: u64,
-    /// Pages the backup captured.
-    pub backup_pages: u64,
-    /// Whether every requested verification matched the oracle.
-    pub verified: bool,
-    /// Description of the first verification failure.
-    pub failure: Option<String>,
-}
-
-/// Run a randomized session: a seeded workload with interleaved flushes, an
-/// on-line backup, and optional crash / media-failure drills verified
-/// against the shadow oracle.
-pub fn random_session(cfg: &SessionConfig) -> Result<SessionReport, String> {
-    let mut engine = Engine::new(EngineConfig {
-        discipline: cfg.discipline,
-        policy: cfg.policy,
-        ..EngineConfig::single(cfg.pages, cfg.page_size)
-    })
-    .map_err(|e| e.to_string())?;
-    let mut oracle = ShadowOracle::new(cfg.page_size);
-    let mut gen = WorkloadGen::new(cfg.seed, cfg.page_size);
-
-    // Page pools. For the tree discipline, fresh pages come from a
-    // shuffled pool so write-new targets stay uniformly positioned.
-    let all: Vec<PageId> = (0..cfg.pages).map(|i| PageId::new(0, i)).collect();
-    let shuffled = gen.shuffled(&all);
-    let prefill = (cfg.pages as usize / 3).max(8).min(shuffled.len() / 2);
-    let mut used: Vec<PageId> = shuffled[..prefill].to_vec();
-    let mut fresh: Vec<PageId> = shuffled[prefill..].to_vec();
-    for &p in &used.clone() {
-        oracle.execute(&mut engine, gen.physical(p))?;
-    }
-    engine.flush_all().map_err(|e| e.to_string())?;
-
-    let mut run = None;
-    let mut image = None;
-    let mut backup_pages = 0u64;
-    let mut since_step = 0u32;
-    let mut crashed = false;
-    let mut failure: Option<String> = None;
-
-    for opno in 0..cfg.ops {
-        // Generate one operation fitting the discipline.
-        let body = match cfg.discipline {
-            Discipline::PageOriented => {
-                let p = gen_pick(&mut gen, &used);
-                if gen.chance(0.5) {
-                    gen.physio(p)
-                } else {
-                    gen.physical(p)
-                }
-            }
-            Discipline::Tree => {
-                if gen.chance(0.4) && !fresh.is_empty() {
-                    let x = fresh.swap_remove(gen.below(fresh.len()));
-                    let op = gen.copy_to_fresh(&used, x);
-                    used.push(x);
-                    op
-                } else {
-                    let p = gen_pick(&mut gen, &used);
-                    if gen.chance(0.5) {
-                        gen.physio(p)
-                    } else {
-                        gen.physical(p)
-                    }
-                }
-            }
-            Discipline::General => {
-                if gen.chance(0.5) && used.len() >= 4 {
-                    gen.mix(&used, 2, 2)
-                } else {
-                    let p = gen_pick(&mut gen, &used);
-                    if gen.chance(0.5) {
-                        gen.physio(p)
-                    } else {
-                        gen.physical(p)
-                    }
-                }
-            }
-        };
-        oracle.execute(&mut engine, body)?;
-
-        // Random flush pressure.
-        if gen.chance(cfg.flush_prob) {
-            let dirty = engine.cache().dirty_pages();
-            if !dirty.is_empty() {
-                let victim = dirty[gen.below(dirty.len())];
-                engine.flush_page(victim).map_err(|e| e.to_string())?;
-            }
-        }
-
-        // Backup lifecycle.
-        if opno == cfg.backup_start_after {
-            run = Some(
-                engine
-                    .begin_backup(cfg.backup_steps)
-                    .map_err(|e| e.to_string())?,
-            );
-        }
-        if let Some(r) = run.as_mut() {
-            since_step += 1;
-            if since_step >= cfg.ops_per_backup_step {
-                since_step = 0;
-                if engine.backup_step(r).map_err(|e| e.to_string())? {
-                    if let Some(r) = run.take() {
-                        backup_pages = r.pages_copied();
-                        image = Some(engine.complete_backup(r).map_err(|e| e.to_string())?);
-                    }
-                }
-            }
-        }
-
-        // Crash drill.
-        if cfg.crash_after == Some(opno) {
-            let durable = engine.log().durable_lsn();
-            if let Some(r) = run.take() {
-                let id = r.backup_id();
-                r.abort(engine.coordinator());
-                engine.release_backup(id);
-            }
-            engine.crash();
-            engine.recover().map_err(|e| e.to_string())?;
-            if let Err(e) = oracle.verify_store(&engine, durable) {
-                failure = Some(format!("crash recovery mismatch: {e}"));
-            }
-            crashed = true;
-            break;
-        }
-    }
-
-    // Finish an unfinished backup.
-    if let Some(mut r) = run.take() {
-        while !engine.backup_step(&mut r).map_err(|e| e.to_string())? {}
-        backup_pages = r.pages_copied();
-        image = Some(engine.complete_backup(r).map_err(|e| e.to_string())?);
-    }
-
-    let (decisions_active, _, _, _, _, _) = engine.coordinator().stats().snapshot();
-    let iwof_records = engine.stats().iwof_records;
-
-    // Media drill: lose the medium, restore, roll forward, compare.
-    if cfg.media_drill && !crashed && failure.is_none() {
-        let image = image.ok_or("media drill requires a completed backup")?;
-        engine
-            .store()
-            .fail_partition(PartitionId(0))
-            .map_err(|e| e.to_string())?;
-        engine.media_recover(&image).map_err(|e| e.to_string())?;
-        if let Err(e) = oracle.verify_store(&engine, Lsn::MAX) {
-            failure = Some(format!("media recovery mismatch: {e}"));
-        }
-    }
-
-    Ok(SessionReport {
-        iwof_records,
-        decisions_active,
-        backup_pages,
-        verified: failure.is_none(),
-        failure,
-    })
-}
-
-fn gen_pick(gen: &mut WorkloadGen, pages: &[PageId]) -> PageId {
-    pages[gen.below(pages.len())]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Drill, FaultKind, Path};
 
     #[test]
     fn fig1_naive_fuzzy_dump_loses_the_split() {
@@ -364,14 +139,13 @@ mod tests {
             Discipline::General,
         ] {
             for seed in [1u64, 2, 3] {
-                let cfg = SessionConfig::protocol(seed, discipline);
-                let rep = random_session(&cfg).unwrap();
-                assert!(
-                    rep.verified,
-                    "{discipline:?} seed {seed}: {:?}",
-                    rep.failure
+                let case = Drill::session(seed, discipline).case(FaultKind::CountOnly);
+                assert_eq!(
+                    case.path,
+                    Ok(Path::Clean),
+                    "{discipline:?} seed {seed}: {case}"
                 );
-                assert!(rep.backup_pages > 0);
+                assert!(case.counters.backup_pages > 0);
             }
         }
     }
@@ -379,21 +153,17 @@ mod tests {
     #[test]
     fn crash_sessions_verify() {
         for seed in [11u64, 12] {
-            let mut cfg = SessionConfig::protocol(seed, Discipline::General);
-            cfg.crash_after = Some(200);
-            cfg.media_drill = false;
-            let rep = random_session(&cfg).unwrap();
-            assert!(rep.verified, "seed {seed}: {:?}", rep.failure);
+            let case = Drill::session(seed, Discipline::General).case(FaultKind::CrashAfterOp(200));
+            assert_eq!(case.path, Ok(Path::Crash), "seed {seed}: {case}");
         }
     }
 
     #[test]
     fn page_oriented_sessions_never_need_iwof() {
-        let cfg = SessionConfig::protocol(5, Discipline::PageOriented);
-        let rep = random_session(&cfg).unwrap();
-        assert!(rep.verified);
+        let case = Drill::session(5, Discipline::PageOriented).case(FaultKind::CountOnly);
+        assert!(case.path.is_ok(), "{case}");
         assert_eq!(
-            rep.iwof_records, 0,
+            case.counters.stats.iwof_records, 0,
             "conventional fuzzy dump: no extra logging for page-oriented ops"
         );
     }

@@ -1,7 +1,7 @@
 //! The shadow oracle: ground truth for recovery correctness.
 
 use bytes::Bytes;
-use lob_core::{Engine, Lsn, OpBody, PageId};
+use lob_core::{Engine, EngineService, Lsn, OpBody, PageId};
 use lob_ops::OpError;
 use std::collections::BTreeMap;
 
@@ -146,10 +146,10 @@ impl ShadowOracle {
     /// Verify that the engine's stable database matches the oracle at the
     /// given log prefix, for every page the oracle ever saw written.
     /// Returns a description of the first mismatch.
-    pub fn verify_store(&self, engine: &Engine, upto: Lsn) -> Result<(), String> {
+    pub fn verify_store(&self, svc: &EngineService, upto: Lsn) -> Result<(), String> {
         let expect = self.state_at(upto);
         for (id, want) in &expect {
-            let got = engine
+            let got = svc
                 .store()
                 .read_page(*id)
                 .map_err(|e| format!("reading {id} from S: {e}"))?;

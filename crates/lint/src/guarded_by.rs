@@ -22,7 +22,8 @@
 //! resets at every `spawn(` boundary (a closure body starts with no locks
 //! held — exactly the blind spot that makes data races in
 //! `thread::spawn`/scoped-worker closures, the `backup/parallel.rs` /
-//! `recovery/parallel.rs` / `harness/parallel.rs` paths this pass exists
+//! `recovery/parallel.rs` paths and the harness's sweep and session
+//! threads (`harness/parallel.rs`, `harness/sessions.rs`) this pass exists
 //! for). Intentional lock-free reads are silenced per-site with
 //! `// lint:allow(guarded-by) <reason>` and ratcheted in
 //! `crates/lint/race_ratchet.tsv` alongside the count of lock-free field

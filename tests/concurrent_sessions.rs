@@ -1,14 +1,14 @@
 //! Multi-session races over the concurrent [`EngineService`] front-end
 //! (DESIGN.md §5.14).
 //!
-//! Three layers of evidence, all on the same drill machinery
-//! ([`lob_harness::sessions`]):
+//! Three layers of evidence, all on the drill loop
+//! ([`lob_harness::Drill::sessions`], [`lob_harness::sessions`]):
 //!
 //! * **Race grid** — sessions × partitions × [`FlushPolicy`] cells, each
 //!   run threaded under its own durability-order witness, a live domain-0
 //!   backup sweep racing the writers, and the surviving store
 //!   byte-verified against the sequential shadow oracle (per-session logs
-//!   merged in LSN order).
+//!   merged in LSN order) and every recovery against the reference replay.
 //! * **Crash-during-group-commit torture** — a crash injected at the
 //!   `k`-th `LogForce` consult, i.e. inside the group leader's force
 //!   while followers wait for the round to publish. Every armed
@@ -22,7 +22,7 @@ use lob_core::{
     BackupImage, DomainId, EngineConfig, EngineService, FlushPolicy, Lsn, OpBody, PageId,
     PartitionId, PartitionSpec, Tracking,
 };
-use lob_harness::{SessionDrillConfig, SessionDrillRunner, ShadowOracle, WorkloadGen};
+use lob_harness::{Drill, FaultKind, Path, ShadowOracle, WorkloadGen};
 use lob_pagestore::{FaultVerdict, IoEvent};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -33,26 +33,24 @@ fn race_grid_under_armed_witnesses() {
     for &sessions in &[2usize, 4] {
         for &partitions in &[1u32, 2, 4] {
             for policy in [FlushPolicy::Exact, FlushPolicy::Group] {
-                let mut cfg = SessionDrillConfig::quick(sessions, partitions, 0xA0 + cells as u64);
-                cfg.flush_policy = policy;
-                let report = SessionDrillRunner::new(cfg).run().unwrap_or_else(|e| {
-                    panic!(
-                        "cell (sessions={sessions}, partitions={partitions}, \
-                             {policy:?}) failed: {e}"
-                    )
-                });
+                let mut drill = Drill::sessions(sessions, partitions, 0xA0 + cells as u64);
+                drill.commit.flush_policy = policy;
+                let cell =
+                    format!("cell (sessions={sessions}, partitions={partitions}, {policy:?})");
+                let case = drill.case(FaultKind::CountOnly);
+                assert_eq!(case.path, Ok(Path::Clean), "{cell}: {case}");
                 assert_eq!(
-                    report.ops_executed,
+                    case.counters.stats.ops_executed,
                     (sessions * 64) as u64,
-                    "cell (sessions={sessions}, partitions={partitions}, {policy:?})"
+                    "{cell}"
                 );
-                assert!(!report.injected_crash);
+                assert!(case.fired.is_none());
                 assert!(
-                    report.witness.events() > 0,
+                    case.witness.events() > 0,
                     "witness observed nothing — instrumentation missing?"
                 );
                 assert!(
-                    report.backups_completed >= 1,
+                    case.counters.stats.backups_completed >= 1,
                     "the live sweep should complete at least one round"
                 );
                 cells += 1;
@@ -77,20 +75,23 @@ fn group_commit_batches_forces_across_sessions() {
     // the minimum. A short window would let a gather close on the timer
     // whenever a thread is descheduled, and the grouped arm could then
     // force more often than a lucky solo arm.
-    let base = SessionDrillConfig {
-        sweep_rounds: 0,
-        ..SessionDrillConfig::quick(4, 4, 0x6C)
+    let base = Drill {
+        backup_steps: 0,
+        ..Drill::sessions(4, 4, 0x6C)
     };
     let run = |delay: u64, count: u32| {
-        let mut cfg = base.clone();
-        cfg.group_commit_delay_micros = delay;
-        cfg.group_commit_count = count;
-        SessionDrillRunner::new(cfg).run().unwrap()
+        let mut drill = base.clone();
+        drill.commit.group_commit_delay_micros = delay;
+        drill.commit.group_commit_count = count;
+        let case = drill.case(FaultKind::CountOnly);
+        assert_eq!(case.path, Ok(Path::Clean), "{case}");
+        case.counters
     };
     let solo = run(0, 1);
     let grouped = run(10_000_000, 4);
-    assert_eq!(solo.ops_executed, grouped.ops_executed);
-    let commits_per_session = (base.ops_per_session / base.commit_every) as u64;
+    assert_eq!(solo.stats.ops_executed, grouped.stats.ops_executed);
+    // Sessions commit every 4 operations.
+    let commits_per_session = u64::from(base.ops / 4);
     assert_eq!(
         grouped.forces, commits_per_session,
         "every group holds one commit of each session"
@@ -112,12 +113,10 @@ fn crash_during_group_commit_recovers_and_verifies() {
     // beyond the run's force count simply never fire; the drill then
     // completes and verifies clean, which is also asserted.
     for &k in &[0u64, 1, 2, 4, 8, 16, 64] {
-        let mut cfg = SessionDrillConfig::quick(3, 3, 0xC0DE ^ k);
-        cfg.crash_at_force = Some(k);
-        let report = SessionDrillRunner::new(cfg)
-            .run()
-            .unwrap_or_else(|e| panic!("crash point {k} failed: {e}"));
-        if report.injected_crash {
+        let case =
+            Drill::sessions(3, 3, 0xC0DE ^ k).case(FaultKind::CrashAtEvent(IoEvent::LogForce, k));
+        assert!(case.path.is_ok(), "crash point {k} failed: {case}");
+        if case.fired.is_some() {
             fired += 1;
         }
     }
@@ -130,14 +129,12 @@ fn crash_during_group_commit_recovers_and_verifies() {
 #[test]
 fn torture_arm_holds_under_both_flush_policies() {
     for policy in [FlushPolicy::Exact, FlushPolicy::Group] {
-        let mut cfg = SessionDrillConfig::quick(2, 2, 0xF1);
-        cfg.flush_policy = policy;
-        cfg.crash_at_force = Some(5);
-        let report = SessionDrillRunner::new(cfg)
-            .run()
-            .unwrap_or_else(|e| panic!("{policy:?} torture failed: {e}"));
+        let mut drill = Drill::sessions(2, 2, 0xF1);
+        drill.commit.flush_policy = policy;
+        let case = drill.case(FaultKind::CrashAtEvent(IoEvent::LogForce, 5));
+        assert!(case.path.is_ok(), "{policy:?} torture failed: {case}");
         assert!(
-            report.injected_crash,
+            case.fired.is_some(),
             "{policy:?}: crash point 5 should fire"
         );
     }

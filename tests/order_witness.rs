@@ -15,10 +15,7 @@
 //! `crates/lint/tests/fixtures/bad_durability.rs`: the same shape is
 //! caught by pass 9 at lint time and by the ordering witness at run time.
 
-use lob_harness::{
-    DrillPath, FaultKind, ParallelDrillConfig, ParallelDrillRunner, TortureConfig, TortureRunner,
-    TortureWorkload,
-};
+use lob_harness::{Drill, FaultKind, Path};
 use lob_pagestore::witness::{io_order, Witness};
 use lob_pagestore::{Lsn, Page, PageId, PartitionSpec, StableStore, StoreConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -30,13 +27,12 @@ fn tiny_store() -> StableStore {
 
 #[test]
 fn parallel_sweep_observes_the_declared_order() {
-    // `run_case` runs under its own witness and fails the case on any
-    // ordering violation; a clean sweep therefore *is* the
-    // log-before-install assertion. The event count proves the probes
-    // actually fired during the sweep.
-    let runner = ParallelDrillRunner::new(ParallelDrillConfig::small(0x0D0E));
-    let case = runner.run_case(FaultKind::CountOnly).unwrap();
-    assert_eq!(case.path, DrillPath::CleanSweep);
+    // A case runs under its own witness and diverges on any ordering
+    // violation; a clean sweep therefore *is* the log-before-install
+    // assertion. The event count proves the probes actually fired during
+    // the sweep.
+    let case = Drill::sweeps(0x0D0E).case(FaultKind::CountOnly);
+    assert_eq!(case.path, Ok(Path::Clean));
     assert!(
         case.witness.events() > 10,
         "parallel sweep recorded only {:?} — probes missing?",
@@ -46,13 +42,11 @@ fn parallel_sweep_observes_the_declared_order() {
 
 #[test]
 fn torture_case_observes_the_declared_order() {
-    // The single-threaded runner uses the same witness: a concurrent
-    // backup under injected crash points must still force the log before
-    // every install and copy before every cursor advance.
-    let cfg = TortureConfig::small(0x0D0E, TortureWorkload::BackupConcurrent);
-    let runner = TortureRunner::new(cfg);
-    let case = runner.run_case(FaultKind::CountOnly).unwrap();
-    assert!(!case.fired);
+    // The single-threaded op loop runs under the same witness: a
+    // concurrent backup under injected crash points must still force the
+    // log before every install and copy before every cursor advance.
+    let case = Drill::backup(0x0D0E).case(FaultKind::CountOnly);
+    assert_eq!(case.path, Ok(Path::Clean));
     assert!(
         case.witness.events() > 10,
         "torture case recorded only {:?} — probes missing?",
@@ -95,20 +89,20 @@ fn concurrent_cases_do_not_cross_talk() {
         .into_iter()
         .map(|seed| {
             std::thread::spawn(move || {
-                let cfg = ParallelDrillConfig {
-                    pages_per_partition: 256,
-                    ..ParallelDrillConfig::small(seed)
+                let drill = Drill {
+                    pages: 256,
+                    prefill: 256,
+                    ..Drill::sweeps(seed)
                 };
-                ParallelDrillRunner::new(cfg).run_case(FaultKind::CountOnly)
+                drill.case(FaultKind::CountOnly)
             })
         })
         .collect();
     let results: Vec<_> = cases.into_iter().map(|h| h.join().unwrap()).collect();
     stop.store(true, Ordering::SeqCst);
     assert!(noise.join().unwrap() > 1, "the stray writer stalled");
-    for result in results {
-        let case = result.unwrap();
-        assert_eq!(case.path, DrillPath::CleanSweep);
+    for case in results {
+        assert_eq!(case.path, Ok(Path::Clean));
         // Only sweep worker threads copy pages, so a non-zero count shows
         // the witness was carried across the spawn.
         assert!(

@@ -6,9 +6,7 @@ use lob_core::{
     BackupPolicy, Discipline, DomainId, Engine, EngineConfig, FlushPolicy, GraphMode, LogBacking,
     Lsn, PageId, PartitionId, PartitionSpec, Tracking,
 };
-use lob_harness::{
-    combine_images, ParallelDrillConfig, ParallelDrillRunner, ShadowOracle, WorkloadGen,
-};
+use lob_harness::{combine_images, Drill, FaultKind, ShadowOracle, WorkloadGen};
 use std::sync::Arc;
 
 const PARTITIONS: u32 = 4;
@@ -195,13 +193,15 @@ fn group_force_policy_amortizes_forces_and_stays_recoverable() {
 
 #[test]
 fn parallel_drill_smoke_with_at_least_two_workers() {
-    let runner = ParallelDrillRunner::new(ParallelDrillConfig {
+    use FaultKind::{CorruptWriteAt, CrashAt, MediaFailAt};
+    let drill = Drill {
         partitions: 2,
-        ..ParallelDrillConfig::small(5)
-    });
-    assert!(runner.config().partitions >= 2);
-    let report = runner.drill(4).unwrap();
-    assert!(report.divergences.is_empty(), "{:?}", report.divergences);
-    assert_eq!(report.cases, 4);
-    assert!(report.faults_fired > 0);
+        ..Drill::sweeps(5)
+    };
+    let report = drill
+        .sweep(&[CrashAt, MediaFailAt, CorruptWriteAt], 4)
+        .unwrap();
+    assert!(report.divergences().is_empty(), "{report}");
+    assert_eq!(report.cases.len(), 4);
+    assert!(report.fired() > 0);
 }

@@ -10,9 +10,7 @@
 
 use lob_core::{BackupImage, Discipline, Engine, EngineConfig, RecoveryConfig};
 use lob_harness::reference::{diff_stores, recover_checked, reference_replay, restore_checked};
-use lob_harness::{
-    sample_indices, TortureConfig, TortureReport, TortureRunner, TortureWorkload, WorkloadGen,
-};
+use lob_harness::{Drill, FaultKind, Path, Report, WorkloadGen};
 use lob_pagestore::{PageId, PartitionId};
 
 const PAGES: u32 = 64;
@@ -22,11 +20,9 @@ const OPS: u32 = 80;
 /// Drive one deterministic seeded session (everything is a pure function
 /// of `seed`), leaving the engine *running* — callers crash or fail it as
 /// the scenario demands. Returns the pre-session off-line backup image.
-fn driven_session(workload: TortureWorkload, seed: u64) -> (Engine, BackupImage) {
-    let discipline = match workload {
-        TortureWorkload::Tree => Discipline::Tree,
-        _ => Discipline::General,
-    };
+///
+/// `backup` runs an on-line backup during the session (general ops).
+fn driven_session(discipline: Discipline, backup: bool, seed: u64) -> (Engine, BackupImage) {
     let mut engine = Engine::new(EngineConfig {
         discipline,
         ..EngineConfig::single(PAGES, PAGE_SIZE)
@@ -46,8 +42,8 @@ fn driven_session(workload: TortureWorkload, seed: u64) -> (Engine, BackupImage)
 
     let mut run = None;
     for opno in 0..OPS {
-        let body = match workload {
-            TortureWorkload::Tree => {
+        let body = match discipline {
+            Discipline::Tree => {
                 if gen.chance(0.4) && !fresh.is_empty() {
                     let x = fresh.swap_remove(gen.below(fresh.len()));
                     let op = gen.copy_to_fresh(&used, x);
@@ -62,7 +58,7 @@ fn driven_session(workload: TortureWorkload, seed: u64) -> (Engine, BackupImage)
                     }
                 }
             }
-            TortureWorkload::General | TortureWorkload::BackupConcurrent => {
+            _ => {
                 if gen.chance(0.5) && used.len() >= 4 {
                     gen.mix(&used, 2, 2)
                 } else {
@@ -87,7 +83,7 @@ fn driven_session(workload: TortureWorkload, seed: u64) -> (Engine, BackupImage)
             engine.force_log().unwrap();
         }
 
-        if workload == TortureWorkload::BackupConcurrent {
+        if backup {
             if opno == 8 {
                 run = Some(engine.begin_backup(4).unwrap());
             }
@@ -107,10 +103,10 @@ fn driven_session(workload: TortureWorkload, seed: u64) -> (Engine, BackupImage)
 /// Crash a session and recover it with `rc`; the recovered store and the
 /// `RedoOutcome` must equal the reference scan's over the same crashed
 /// store and log suffix.
-fn crash_and_compare(workload: TortureWorkload, seed: u64, rc: RecoveryConfig) {
-    let (mut engine, _) = driven_session(workload, seed);
+fn crash_and_compare(discipline: Discipline, backup: bool, seed: u64, rc: RecoveryConfig) {
+    let (mut engine, _) = driven_session(discipline, backup, seed);
     engine.crash();
-    recover_checked(&mut engine, rc).unwrap_or_else(|e| panic!("{workload:?} {rc:?}: {e}"));
+    recover_checked(&engine, rc).unwrap_or_else(|e| panic!("{discipline:?} {rc:?}: {e}"));
     assert_eq!(engine.stats().recoveries, 1);
 }
 
@@ -130,7 +126,8 @@ const KNOB_GRID: [(usize, usize); 9] = [
 fn general_workload_parallel_recovery_matches_sequential_across_the_grid() {
     for (workers, batch) in KNOB_GRID {
         crash_and_compare(
-            TortureWorkload::General,
+            Discipline::General,
+            false,
             0x6E4E,
             RecoveryConfig::new(workers, batch),
         );
@@ -141,7 +138,8 @@ fn general_workload_parallel_recovery_matches_sequential_across_the_grid() {
 fn tree_workload_parallel_recovery_matches_sequential_across_the_grid() {
     for (workers, batch) in KNOB_GRID {
         crash_and_compare(
-            TortureWorkload::Tree,
+            Discipline::Tree,
+            false,
             0x72EE,
             RecoveryConfig::new(workers, batch),
         );
@@ -152,7 +150,8 @@ fn tree_workload_parallel_recovery_matches_sequential_across_the_grid() {
 fn backup_concurrent_parallel_recovery_matches_sequential_across_the_grid() {
     for (workers, batch) in KNOB_GRID {
         crash_and_compare(
-            TortureWorkload::BackupConcurrent,
+            Discipline::General,
+            true,
             0xBAC6,
             RecoveryConfig::new(workers, batch),
         );
@@ -164,13 +163,13 @@ fn backup_concurrent_parallel_recovery_matches_sequential_across_the_grid() {
 /// separate code path — land on the reference on every workload shape.
 #[test]
 fn default_and_worker1_batch1_match_the_reference() {
-    for workload in [
-        TortureWorkload::General,
-        TortureWorkload::Tree,
-        TortureWorkload::BackupConcurrent,
+    for (discipline, backup) in [
+        (Discipline::General, false),
+        (Discipline::Tree, false),
+        (Discipline::General, true),
     ] {
-        crash_and_compare(workload, 0x1B1, RecoveryConfig::default());
-        crash_and_compare(workload, 0x1B1, RecoveryConfig::new(1, 1));
+        crash_and_compare(discipline, backup, 0x1B1, RecoveryConfig::default());
+        crash_and_compare(discipline, backup, 0x1B1, RecoveryConfig::new(1, 1));
     }
 }
 
@@ -181,9 +180,9 @@ fn default_and_worker1_batch1_match_the_reference() {
 fn parallel_restore_matches_sequential_media_recovery() {
     for (workers, batch) in [(1, 1), (1, 4096), (2, 8), (4, 64)] {
         let rc = RecoveryConfig::new(workers, batch);
-        let (mut engine, image) = driven_session(TortureWorkload::BackupConcurrent, 0x4E57);
+        let (engine, image) = driven_session(Discipline::General, true, 0x4E57);
         engine.store().fail_partition(PartitionId(0)).unwrap();
-        restore_checked(&mut engine, &image, rc)
+        restore_checked(&engine, &image, rc)
             .unwrap_or_else(|e| panic!("restore workers={workers} batch={batch}: {e}"));
         assert_eq!(engine.stats().media_recoveries, 1);
     }
@@ -194,7 +193,7 @@ fn parallel_restore_matches_sequential_media_recovery() {
 /// and recover exactly like the reference restores that image.
 #[test]
 fn catalog_sourced_parallel_restore_uses_the_newest_generation() {
-    let (engine, stale) = driven_session(TortureWorkload::General, 0xCA7A);
+    let (engine, stale) = driven_session(Discipline::General, false, 0xCA7A);
     // Register the stale pre-session image first, then a fresh one: the
     // catalog must hand back the fresh one.
     let fresh = engine.offline_backup().unwrap();
@@ -218,55 +217,61 @@ fn catalog_sourced_parallel_restore_uses_the_newest_generation() {
 // with the engine's recovery.
 // ---------------------------------------------------------------------
 
-fn assert_no_divergence(label: &str, report: &TortureReport) {
+fn assert_no_divergence(label: &str, report: &Report) {
+    let divergences = report.divergences();
     assert!(
-        report.divergences.is_empty(),
+        divergences.is_empty(),
         "{label}: {} divergence(s):\n{}",
-        report.divergences.len(),
-        report.divergences.join("\n")
+        divergences.len(),
+        divergences.join("\n")
     );
+}
+
+/// One crash sweep of the torture suite, re-run under `rc`.
+fn parallel_crash_sweep(drill: Drill, rc: RecoveryConfig, max_points: usize) -> Report {
+    let report = Drill {
+        recovery: rc,
+        ..drill
+    }
+    .sweep(&[FaultKind::CrashAt], max_points)
+    .unwrap();
+    assert_no_divergence(&format!("{rc:?}"), &report);
+    assert_eq!(report.fired(), report.cases.len());
+    assert!(report.count(Path::Crash) > 0);
+    report
 }
 
 #[test]
 fn parallel_crash_sweep_general_ops_matches_the_oracle_at_every_point() {
-    let runner = TortureRunner::new(TortureConfig::parallel(
-        0xA11CE,
-        TortureWorkload::General,
-        RecoveryConfig::new(4, 8),
-    ));
-    let report = runner.crash_sweep(100).unwrap();
-    assert_no_divergence("parallel general crash sweep", &report);
-    assert!(report.crash_points.len() >= 70);
-    assert_eq!(report.faults_fired, report.cases);
-    assert!(report.crash_recoveries > 0);
+    let drill = Drill::ops(0xA11CE, Discipline::General);
+    assert!(
+        parallel_crash_sweep(drill, RecoveryConfig::new(4, 8), 100)
+            .cases
+            .len()
+            >= 70
+    );
 }
 
 #[test]
 fn parallel_crash_sweep_tree_ops_matches_the_oracle_at_every_point() {
-    let runner = TortureRunner::new(TortureConfig::parallel(
-        0xB0B,
-        TortureWorkload::Tree,
-        RecoveryConfig::new(2, 64),
-    ));
-    let report = runner.crash_sweep(100).unwrap();
-    assert_no_divergence("parallel tree crash sweep", &report);
-    assert!(report.crash_points.len() >= 70);
-    assert_eq!(report.faults_fired, report.cases);
-    assert!(report.crash_recoveries > 0);
+    let drill = Drill::ops(0xB0B, Discipline::Tree);
+    assert!(
+        parallel_crash_sweep(drill, RecoveryConfig::new(2, 64), 100)
+            .cases
+            .len()
+            >= 70
+    );
 }
 
 #[test]
 fn parallel_crash_sweep_backup_concurrent_matches_the_oracle_at_every_point() {
-    let runner = TortureRunner::new(TortureConfig::parallel(
-        0xCAFE,
-        TortureWorkload::BackupConcurrent,
-        RecoveryConfig::new(4, 1),
-    ));
-    let report = runner.crash_sweep(110).unwrap();
-    assert_no_divergence("parallel backup-concurrent crash sweep", &report);
-    assert!(report.crash_points.len() >= 80);
-    assert_eq!(report.faults_fired, report.cases);
-    assert!(report.crash_recoveries > 0);
+    let drill = Drill::backup(0xCAFE);
+    assert!(
+        parallel_crash_sweep(drill, RecoveryConfig::new(4, 1), 110)
+            .cases
+            .len()
+            >= 80
+    );
 }
 
 /// The three parallel sweeps above arm the same seeds and point budgets as
@@ -276,18 +281,19 @@ fn parallel_crash_sweep_backup_concurrent_matches_the_oracle_at_every_point() {
 #[test]
 fn parallel_sweeps_rerun_at_least_280_crash_points() {
     let mut total = 0;
-    for (seed, workload, max_points) in [
-        (0xA11CE, TortureWorkload::General, 100),
-        (0xB0B, TortureWorkload::Tree, 100),
-        (0xCAFE, TortureWorkload::BackupConcurrent, 110),
+    for (drill, max_points) in [
+        (Drill::ops(0xA11CE, Discipline::General), 100),
+        (Drill::ops(0xB0B, Discipline::Tree), 100),
+        (Drill::backup(0xCAFE), 110),
     ] {
-        let runner = TortureRunner::new(TortureConfig::parallel(
-            seed,
-            workload,
-            RecoveryConfig::new(4, 8),
-        ));
-        let events = runner.count_events().unwrap();
-        total += sample_indices(events, max_points).len();
+        let rc = RecoveryConfig::new(4, 8);
+        let events = Drill {
+            recovery: rc,
+            ..drill
+        }
+        .case(FaultKind::CountOnly)
+        .events;
+        total += lob_harness::sample_indices(events, max_points).len();
     }
     assert!(
         total >= 280,
@@ -301,21 +307,20 @@ fn parallel_sweeps_rerun_at_least_280_crash_points() {
 /// the reference.
 #[test]
 fn interrupted_parallel_restore_is_restartable() {
-    let runner = TortureRunner::new(TortureConfig::parallel(
-        0x2E57,
-        TortureWorkload::BackupConcurrent,
-        RecoveryConfig::new(4, 8),
-    ));
-    let report = runner.restore_crash_drill(30).unwrap();
+    let drill = Drill {
+        recovery: RecoveryConfig::new(4, 8),
+        ..Drill::restore(0x2E57)
+    };
+    let report = drill.sweep(&[FaultKind::CrashAt], 30).unwrap();
     assert_no_divergence("parallel restore crash drill", &report);
     assert!(
-        report.crash_points.len() >= 20,
+        report.cases.len() >= 20,
         "the restore must expose enough I/O events to torture (got {} over {})",
-        report.crash_points.len(),
+        report.cases.len(),
         report.events_total
     );
-    assert!(report.faults_fired > 0, "restores must be interrupted");
-    assert!(report.media_recoveries > 0, "restarts must converge");
+    assert!(report.fired() > 0, "restores must be interrupted");
+    assert!(report.count(Path::Media) > 0, "restarts must converge");
 }
 
 /// Parallel sweeps stay reproducible per seed: recovery itself runs
@@ -323,12 +328,8 @@ fn interrupted_parallel_restore_is_restartable() {
 /// perturbs which events exist or which faults fire.
 #[test]
 fn parallel_sweeps_are_reproducible_per_seed() {
-    let cfg = TortureConfig::parallel(99, TortureWorkload::General, RecoveryConfig::new(4, 8));
-    let a = TortureRunner::new(cfg.clone()).crash_sweep(12).unwrap();
-    let b = TortureRunner::new(cfg).crash_sweep(12).unwrap();
-    assert_eq!(a.events_total, b.events_total);
-    assert_eq!(a.crash_points, b.crash_points);
-    assert_eq!(a.fired_events, b.fired_events);
-    assert_eq!(a.crash_recoveries, b.crash_recoveries);
-    assert_eq!(a.media_recoveries, b.media_recoveries);
+    let drill = Drill::ops(99, Discipline::General);
+    let a = parallel_crash_sweep(drill.clone(), RecoveryConfig::new(4, 8), 12);
+    let b = parallel_crash_sweep(drill, RecoveryConfig::new(4, 8), 12);
+    assert_eq!(a.to_string(), b.to_string());
 }
