@@ -22,6 +22,12 @@ lint:
 ratchet:
     LOB_LINT_UPDATE_RATCHET=1 cargo test --release -p lob-lint --test workspace
 
+# Rerun the 11 deterministic experiment binaries and diff each output
+# against results/ (the CI `test` job's results step). `just results --bless`
+# rewrites the pinned files instead.
+results *args:
+    bash scripts/check_results.sh {{args}}
+
 # The runtime ordering witness over the drill runners.
 witness:
     cargo test --release -q -p lob-harness --test order_witness
