@@ -13,7 +13,7 @@ const PAGE_SIZE: usize = 512;
 const PARTITIONS: u32 = 4;
 
 fn online_backup(policy: BackupPolicy, discipline: Discipline) {
-    let (mut engine, _oracle, mut gen) = prefilled_engine(PAGES, PAGE_SIZE, discipline, policy, 7);
+    let (engine, _oracle, mut gen) = prefilled_engine(PAGES, PAGE_SIZE, discipline, policy, 7);
     let pages: Vec<PageId> = (0..PAGES).map(|i| PageId::new(0, i)).collect();
     let mut run = engine.begin_backup(16).expect("begin");
     loop {
@@ -42,7 +42,7 @@ fn online_backup(policy: BackupPolicy, discipline: Discipline) {
 }
 
 fn linked_backup() {
-    let (mut engine, _oracle, mut gen) = prefilled_engine(
+    let (engine, _oracle, mut gen) = prefilled_engine(
         PAGES,
         PAGE_SIZE,
         Discipline::General,
@@ -73,7 +73,7 @@ fn linked_backup() {
 /// contiguous pages per store-lock round-trip, same interleaved update
 /// workload as `online_backup`.
 fn batched_backup(batch: u32) {
-    let (mut engine, _oracle, mut gen) = prefilled_engine(
+    let (engine, _oracle, mut gen) = prefilled_engine(
         PAGES,
         PAGE_SIZE,
         Discipline::General,
@@ -104,7 +104,7 @@ fn batched_backup(batch: u32) {
 /// Partition-parallel sweep (§3.4): one worker thread per domain, batched
 /// copies, over a quiesced multi-partition database of the same total size.
 fn parallel_backup(batch: u32) {
-    let (mut engine, _oracle, _gen) =
+    let (engine, _oracle, _gen) =
         prefilled_multi_engine(PARTITIONS, PAGES / PARTITIONS, PAGE_SIZE, 7);
     let images = engine.parallel_backup(8, batch).expect("parallel backup");
     let copied: u32 = images.iter().map(|i| i.page_count() as u32).sum();

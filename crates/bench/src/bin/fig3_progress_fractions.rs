@@ -18,7 +18,7 @@ fn main() {
     println!("Figure 3 — Done/Doubt/Pend fractions per backup step (measured vs model)");
     println!();
     for n in [4u32, 8] {
-        let (mut engine, _oracle, _gen) =
+        let (engine, _oracle, _gen) =
             lob_bench::prefilled_engine(pages, 64, Discipline::General, BackupPolicy::Protocol, 7);
         let mut run = engine.begin_backup(n).expect("begin");
         let mut t = Table::new(vec![

@@ -17,7 +17,7 @@ fn run(duty_pct: u32) -> (f64, f64) {
     const PAGES: u32 = 2048;
     const STEPS: u32 = 8;
     const TOTAL_FLUSHES: u32 = 8192;
-    let (mut engine, mut oracle, mut gen) = {
+    let (engine, mut oracle, mut gen) = {
         let (e, o, g) = lob_bench::prefilled_engine(
             PAGES,
             64,
@@ -50,7 +50,7 @@ fn run(duty_pct: u32) -> (f64, f64) {
             }
             oracle
                 .execute(
-                    &mut engine,
+                    &engine,
                     lob_core::OpBody::Logical(lob_core::LogicalOp::Mix {
                         reads: vec![r],
                         writes: vec![x],

@@ -15,7 +15,7 @@ use lob_harness::Table;
 
 fn run(skew_pages: u32, updates: u32) -> (u64, u64, u64, bool) {
     const PAGES: u32 = 4096;
-    let (mut engine, mut oracle, mut gen) = lob_bench::prefilled_engine(
+    let (engine, mut oracle, mut gen) = lob_bench::prefilled_engine(
         PAGES,
         256,
         Discipline::General,
@@ -33,7 +33,7 @@ fn run(skew_pages: u32, updates: u32) -> (u64, u64, u64, bool) {
     for _ in 0..updates {
         let p = hot[gen.below(hot.len())];
         let op = gen.physio(p);
-        oracle.execute(&mut engine, op).expect("op");
+        oracle.execute(&engine, op).expect("op");
         if gen.chance(0.7) {
             engine.flush_page(p).expect("flush");
         }

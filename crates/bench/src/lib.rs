@@ -37,13 +37,13 @@ pub mod zipf;
 fn prefill(config: EngineConfig, seed: u64) -> Result<(Engine, ShadowOracle, WorkloadGen), String> {
     let page_size = config.page_size;
     let specs = config.partitions.clone();
-    let mut engine = Engine::new(config).map_err(|e| format!("engine config: {e}"))?;
+    let engine = Engine::new(config).map_err(|e| format!("engine config: {e}"))?;
     let mut oracle = ShadowOracle::new(page_size);
     let mut gen = WorkloadGen::new(seed, page_size);
     for (p, spec) in specs.iter().enumerate() {
         for i in 0..spec.pages {
             let op = gen.physical(PageId::new(p as u32, i));
-            oracle.execute(&mut engine, op)?;
+            oracle.execute(&engine, op)?;
         }
     }
     engine

@@ -1,469 +1,42 @@
-//! The one-session engine.
+//! The one-session engine, and the linked-flush baseline's run.
 
 use crate::error::EngineError;
-use crate::service::{lift_cache_err, lift_store_err, EngineService, REPAIR_FETCH_ATTEMPTS};
-use crate::stats::Stat;
+use crate::service::EngineService;
 use crate::EngineConfig;
-use lob_backup::{BackupError, BackupImage, BackupRun};
-use lob_cache::{CacheError, ShardedCache};
-use lob_ops::{OpBody, OpError};
-use lob_pagestore::{Lsn, Page, PageId, PageImage, PartitionId, StoreError};
-use lob_recovery::{InstantRestore, InstantStats};
+use lob_cache::ShardedCache;
+use lob_pagestore::{Lsn, PageId, PageImage};
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// Bound on heal-and-retry rounds for one engine-level read before the
-/// underlying error propagates to the caller (each round either retries a
-/// transient error or repairs one damaged page).
-const HEAL_ROUNDS: u32 = 6;
-
-/// The engine as one session: a facade over an [`EngineService`] core
-/// built for a single caller — one cache shard, a closed gather window —
-/// so nobody contends for a shard or joins its commit group, and every
-/// force is exactly the one the WAL rule asks for.
-///
-/// Every verb the engine shares with the service is the core's, reached
-/// through `Deref`. The facade adds what only a single owner can do:
-///
-/// * **self-healing**: with a backup generation registered in the
-///   [`EngineService::catalog`], reads, executes and sweep steps retry
-///   transient I/O errors and repair detected damage online
-///   ([`EngineService::repair_page`]) before retrying;
-/// * **instant restore**: during an epoch, reads, writes and sweep steps
-///   gate on their own segment's prioritized restore while
-///   [`Engine::instant_restore_step`] sweeps the rest.
-pub struct Engine {
-    core: Arc<EngineService>,
-    /// The in-flight instant-restore epoch, if media recovery is serving
-    /// in degraded mode; `None` is normal operation.
-    instant: Option<InstantRestore>,
-}
+/// The engine as one session: an [`EngineService`] built for a single
+/// caller — one cache shard, a closed gather window — so nobody contends
+/// for a shard or joins its commit group, and every force is exactly the
+/// one the WAL rule asks for. Every verb, self-healing and instant restore
+/// included, is the service's, reached through `Deref`; the inner handle
+/// is the same service a harness or a [`crate::Session`] can share.
+pub struct Engine(pub Arc<EngineService>);
 
 impl Deref for Engine {
     type Target = EngineService;
 
     fn deref(&self) -> &EngineService {
-        &self.core
+        &self.0
     }
 }
 
 impl Engine {
     /// Build an engine (fresh, formatted database).
     pub fn new(config: EngineConfig) -> Result<Engine, EngineError> {
-        Ok(Engine::over(EngineService::build(config, false, true)?))
+        Ok(Engine(Arc::new(EngineService::build(config, false, true)?)))
     }
 
     /// Resume from an existing log file after a process restart (see
     /// [`EngineService::open_existing`]); [`EngineService::recover`]
     /// rebuilds `S` by replaying the entire surviving log.
     pub fn open_existing(config: EngineConfig) -> Result<Engine, EngineError> {
-        Ok(Engine::over(EngineService::build(config, true, true)?))
+        Ok(Engine(Arc::new(EngineService::build(config, true, true)?)))
     }
-
-    fn over(core: EngineService) -> Engine {
-        Engine {
-            core: Arc::new(core),
-            instant: None,
-        }
-    }
-
-    /// Whether online repair is engaged (at least one generation
-    /// registered). While false, every read path behaves exactly as it did
-    /// before the repair subsystem existed.
-    fn self_healing(&self) -> bool {
-        !self.catalog().is_empty()
-    }
-
-    /// Current value of a page (read through the cache).
-    ///
-    /// With at least one backup generation registered, a failed read
-    /// *self-heals*: transient I/O errors are retried under the
-    /// deterministic backoff schedule, and detected damage (checksum
-    /// mismatch, single-page media failure, an already-quarantined slot)
-    /// triggers an online [`EngineService::repair_page`] before the read is
-    /// retried. With an empty catalog the error propagates untouched
-    /// (quarantined slots as the typed [`EngineError::Quarantined`]).
-    pub fn read_page(&mut self, id: PageId) -> Result<Page, EngineError> {
-        // Degraded mode: during an instant-restore epoch a read blocks
-        // only on its *own* segment's (prioritized) restore, never on the
-        // whole device — that is the bounded-degradation contract.
-        self.ensure_segment(id.partition)?;
-        match self.cache().get(id, self.store()) {
-            Ok(p) => Ok(p),
-            Err(CacheError::Store(e)) if self.self_healing() => self.read_page_healing(id, e),
-            Err(e) => Err(lift_cache_err(e)),
-        }
-    }
-
-    /// Heal-and-retry loop behind [`Engine::read_page`]: classify the
-    /// store error, fix what is fixable, re-read. Bounded by
-    /// [`HEAL_ROUNDS`]; anything unfixable propagates typed.
-    fn read_page_healing(&mut self, id: PageId, first: StoreError) -> Result<Page, EngineError> {
-        let backoff = self.repair_backoff(id);
-        let mut err = first;
-        let mut transient_attempts = 0u32;
-        for _ in 0..HEAL_ROUNDS {
-            match err {
-                StoreError::Transient(p) => {
-                    transient_attempts += 1;
-                    if transient_attempts >= backoff.max_attempts {
-                        return Err(EngineError::Store(StoreError::Transient(p)));
-                    }
-                    // Virtual wait: the delay is accounted, never slept.
-                    let _ticks = backoff.delay_ticks(transient_attempts - 1);
-                    self.bump(Stat::transient_retries, 1);
-                }
-                StoreError::Corrupt(p)
-                | StoreError::MediaFailure(p)
-                | StoreError::Quarantined(p) => {
-                    self.repair_page(p)?;
-                }
-                e => return Err(lift_store_err(e)),
-            }
-            match self.cache().get(id, self.store()) {
-                Ok(p) => return Ok(p),
-                Err(CacheError::Store(e)) => err = e,
-                Err(e) => return Err(lift_cache_err(e)),
-            }
-        }
-        Err(lift_store_err(err))
-    }
-
-    /// Execute a logged operation ([`EngineService::execute`]). Returns the
-    /// record's LSN.
-    ///
-    /// With a non-empty backup-generation catalog, a read-set page whose
-    /// fetch fails with detectable damage is repaired online and the
-    /// evaluation retried (evaluation precedes the log append, so a retry
-    /// never double-logs). Transient read errors retry the same way. The
-    /// engine never aborts an operation over a repairable page.
-    pub fn execute(&mut self, body: OpBody) -> Result<Lsn, EngineError> {
-        // Degraded mode: every segment the operation touches (read set
-        // and write set) must be servable before evaluation — each gates
-        // on its own restore only.
-        if self.instant.is_some() {
-            let parts: BTreeSet<PartitionId> = body
-                .readset()
-                .into_iter()
-                .chain(body.writeset())
-                .map(|p| p.partition)
-                .collect();
-            for p in parts {
-                self.ensure_segment(p)?;
-            }
-        }
-        if !self.self_healing() {
-            return self.core.execute(body);
-        }
-        let mut rounds = 0u32;
-        loop {
-            match self.core.execute(body.clone()) {
-                Err(EngineError::Op(OpError::ReadFailed { page, cause }))
-                    if rounds < HEAL_ROUNDS =>
-                {
-                    rounds += 1;
-                    self.heal_readset_page(page, cause)?;
-                }
-                // A store-level read failure that surfaced outside operation
-                // evaluation (e.g. the tree discipline's pageLSN probe of a
-                // write-new target) heals the same way.
-                Err(EngineError::Cache(CacheError::Store(e)))
-                    if rounds < HEAL_ROUNDS && is_healable_read_err(&e) =>
-                {
-                    rounds += 1;
-                    self.heal_store_err(e)?;
-                }
-                r => return r,
-            }
-        }
-    }
-
-    /// Heal one classified store read error: transient errors count a
-    /// retry, detected damage repairs from the backup chain.
-    fn heal_store_err(&mut self, e: StoreError) -> Result<(), EngineError> {
-        match e {
-            StoreError::Transient(_) => {
-                self.bump(Stat::transient_retries, 1);
-                Ok(())
-            }
-            StoreError::Corrupt(p) | StoreError::MediaFailure(p) | StoreError::Quarantined(p) => {
-                self.repair_page(p)?;
-                Ok(())
-            }
-            e => Err(lift_store_err(e)),
-        }
-    }
-
-    /// Classify a failed read-set page by probing `S` directly (typed
-    /// errors, no string matching) and heal: transient errors count a
-    /// retry, detected damage repairs from the backup chain, and anything
-    /// else surfaces the original evaluation failure.
-    fn heal_readset_page(&mut self, page: PageId, cause: String) -> Result<(), EngineError> {
-        match self.store().read_page(page) {
-            // Readable now (the failure was transient, or the evaluation
-            // read raced a fault the probe did not draw): just retry.
-            Ok(_) => Ok(()),
-            Err(StoreError::InjectedCrash) => Err(EngineError::Store(StoreError::InjectedCrash)),
-            Err(e) if is_healable_read_err(&e) => self.heal_store_err(e),
-            Err(_) => Err(EngineError::Op(OpError::ReadFailed { page, cause })),
-        }
-    }
-
-    /// Advance an on-line backup by one step (copy + cursor advance).
-    /// Between calls, the engine is free to execute and flush — that is the
-    /// "on-line" in on-line backup. One page per store round-trip:
-    /// [`Engine::backup_step_batch`] with a batch of 1.
-    pub fn backup_step(&mut self, run: &mut BackupRun) -> Result<bool, EngineError> {
-        self.backup_step_batch(run, 1)
-    }
-
-    /// Advance an on-line backup by one step, copying up to `batch`
-    /// contiguous pages per store round-trip
-    /// ([`EngineService::backup_step_batch`]), healing what its copy reads
-    /// hit.
-    pub fn backup_step_batch(
-        &mut self,
-        run: &mut BackupRun,
-        batch: u32,
-    ) -> Result<bool, EngineError> {
-        if !self.self_healing() {
-            return self.core.backup_step_batch(run, batch);
-        }
-        // A sweep copy read can hit detectable damage just like any other
-        // read. A failed step leaves the cursor and tracker untouched, so
-        // repair-and-retry is safe: already-copied pages are re-put with
-        // identical bytes.
-        let mut rounds = 0u32;
-        let mut transient_attempts = 0u32;
-        loop {
-            let e = match self.core.backup_step_batch(run, batch) {
-                Err(EngineError::Backup(BackupError::Store(e))) => e,
-                r => return r,
-            };
-            match e {
-                StoreError::Transient(p) => {
-                    let backoff = self.repair_backoff(p);
-                    transient_attempts += 1;
-                    if transient_attempts >= backoff.max_attempts {
-                        return Err(EngineError::Store(StoreError::Transient(p)));
-                    }
-                    let _ticks = backoff.delay_ticks(transient_attempts - 1);
-                    self.bump(Stat::transient_retries, 1);
-                }
-                // During an instant-restore epoch a sweep copy that lands
-                // on a failed segment waits for that segment's restore
-                // (prioritized), not a single-page repair — the whole
-                // partition is coming back anyway. This is what keeps
-                // `backup_step` working mid-epoch.
-                StoreError::MediaFailure(p) if self.instant.is_some() && rounds < HEAL_ROUNDS => {
-                    rounds += 1;
-                    self.ensure_segment(p.partition)?;
-                }
-                StoreError::Corrupt(p)
-                | StoreError::MediaFailure(p)
-                | StoreError::Quarantined(p)
-                    if rounds < HEAL_ROUNDS =>
-                {
-                    rounds += 1;
-                    self.repair_page(p)?;
-                }
-                e => return Err(EngineError::Backup(BackupError::Store(e))),
-            }
-        }
-    }
-
-    /// [`EngineService::parallel_backup`], healing on this thread: a domain
-    /// whose sweep fails with repairable damage is finished through
-    /// [`Engine::backup_step_batch`] when self-healing is engaged; any
-    /// other failure aborts every domain and surfaces.
-    pub fn parallel_backup(
-        &mut self,
-        steps: u32,
-        batch: u32,
-    ) -> Result<Vec<BackupImage>, EngineError> {
-        let core = Arc::clone(&self.core);
-        core.parallel_backup_with(steps, batch, |run, e| {
-            if !self.self_healing() || !is_healable_backup_error(&e) {
-                return Err(EngineError::Backup(e));
-            }
-            while !self.backup_step_batch(run, batch)? {}
-            Ok(())
-        })
-    }
-
-    /// Install (or clear) a fault hook on every I/O site
-    /// ([`EngineService::install_fault_hook`]), the in-flight epoch's
-    /// scheduler included.
-    pub fn install_fault_hook(&mut self, hook: Option<lob_pagestore::FaultHook>) {
-        if let Some(r) = self.instant.as_mut() {
-            r.set_fault_hook(hook.clone());
-        }
-        self.core.install_fault_hook(hook);
-    }
-
-    /// Crash ([`EngineService::crash`]). The instant-restore scheduler is
-    /// volatile too; its on-disk progress is exactly the cleared failure
-    /// flags, so a reboot re-enters through [`Engine::recover_instant`].
-    pub fn crash(&mut self) {
-        self.core.crash();
-        self.instant = None;
-    }
-
-    // ------------------------------------------------------------------
-    // Instant restore (serve during media recovery)
-    // ------------------------------------------------------------------
-
-    /// Begin an instant-restore epoch over the current failure set: the
-    /// engine keeps serving *during* media recovery. Every failed
-    /// partition becomes a restore segment; reads and writes gate on
-    /// their own segment's prioritized restore while
-    /// [`Engine::instant_restore_step`] sweeps the rest in the background.
-    /// The epoch closes itself when the last segment comes back (the
-    /// drills byte-compare every close against a sequential reference
-    /// restore: `lob_harness::verify_epoch_close`).
-    pub fn begin_instant_restore(&mut self) -> Result<(), EngineError> {
-        self.start_instant_epoch(false)
-    }
-
-    /// Reboot re-entry after a crash mid-epoch: every partition becomes a
-    /// `Failed` segment re-derived from archive plus image (a crash may
-    /// have left any partition with a half-installed — but always
-    /// correctly-versioned — page set, and the flush-order rule bounds
-    /// every store page LSN by the durable end, so unconditional
-    /// re-install of the full replay is sound). Call after
-    /// [`Engine::crash`] instead of [`EngineService::recover`] when an
-    /// epoch was in flight; normal redo is subsumed by the full
-    /// re-derivation.
-    pub fn recover_instant(&mut self) -> Result<(), EngineError> {
-        self.start_instant_epoch(true)
-    }
-
-    /// Catch the archives up and start an epoch over the failed partitions
-    /// — or, for the reboot re-entry, over `all_segments`.
-    fn start_instant_epoch(&mut self, all_segments: bool) -> Result<(), EngineError> {
-        if self.instant.is_some() {
-            return Err(EngineError::Discipline(
-                "an instant-restore epoch is already active".into(),
-            ));
-        }
-        self.catch_up_archives()?;
-        if all_segments {
-            self.bump(Stat::instant_reboots, 1);
-            self.bump(Stat::recoveries, 1);
-        }
-        let r = InstantRestore::begin(
-            Arc::clone(self.store()),
-            Arc::clone(self.catalog()),
-            self.config().recovery.batch.max(1),
-            0x1257_C0DE,
-            REPAIR_FETCH_ATTEMPTS,
-            self.fault_hook(),
-            all_segments,
-        )?;
-        self.bump(Stat::instant_epochs, 1);
-        self.instant = Some(r);
-        // Nothing failed → the epoch completes right away.
-        self.maybe_complete_instant()
-    }
-
-    /// Whether an instant-restore epoch is in flight.
-    pub fn instant_restore_active(&self) -> bool {
-        self.instant.is_some()
-    }
-
-    /// The in-flight epoch's state for one segment (`None` outside an
-    /// epoch or for an unknown partition).
-    pub fn instant_segment_state(&self, p: PartitionId) -> Option<lob_recovery::SegmentState> {
-        self.instant.as_ref().and_then(|r| r.segment_state(p))
-    }
-
-    /// Segments not yet restored (0 outside an epoch).
-    pub fn instant_pending(&self) -> usize {
-        self.instant.as_ref().map_or(0, |r| r.pending())
-    }
-
-    /// The in-flight epoch's counters (`None` outside an epoch).
-    pub fn instant_restore_stats(&self) -> Option<InstantStats> {
-        self.instant.as_ref().map(|r| r.stats())
-    }
-
-    /// Gate one partition on its segment's restore during an epoch; a
-    /// no-op in normal operation. A request against a not-yet-restored
-    /// segment jumps the sweep queue (foreground priority) and blocks
-    /// only for that one segment's restore.
-    fn ensure_segment(&mut self, p: PartitionId) -> Result<(), EngineError> {
-        let Some(r) = self.instant.as_mut() else {
-            return Ok(());
-        };
-        r.ensure(p)?;
-        self.maybe_complete_instant()
-    }
-
-    /// One background sweep step of the in-flight epoch: restore the next
-    /// queued segment. Returns the segment restored, or `None` when no
-    /// epoch is active. The engine thread interleaves these with
-    /// foreground work — that is the "serving during recovery".
-    pub fn instant_restore_step(&mut self) -> Result<Option<PartitionId>, EngineError> {
-        let Some(r) = self.instant.as_mut() else {
-            return Ok(None);
-        };
-        let stepped = r.step()?;
-        if stepped.is_none() && !r.finished() {
-            return Err(EngineError::Internal(
-                "instant-restore queue drained with segments still failed".into(),
-            ));
-        }
-        self.maybe_complete_instant()?;
-        Ok(stepped)
-    }
-
-    /// Drive the background sweep until the epoch completes. Drill and
-    /// bench convenience.
-    pub fn instant_restore_drain(&mut self) -> Result<(), EngineError> {
-        while self.instant.is_some() {
-            self.instant_restore_step()?;
-        }
-        Ok(())
-    }
-
-    /// If every segment is restored, fold the epoch's counters into the
-    /// engine stats and return to normal operation.
-    fn maybe_complete_instant(&mut self) -> Result<(), EngineError> {
-        if !self.instant.as_ref().is_some_and(|r| r.finished()) {
-            return Ok(());
-        }
-        let Some(r) = self.instant.take() else {
-            return Ok(());
-        };
-        let s = r.stats();
-        self.bump(Stat::instant_completions, 1);
-        self.bump(Stat::instant_on_demand, s.on_demand_restores);
-        self.bump(Stat::instant_swept, s.sweep_restores);
-        self.bump(Stat::transient_retries, s.transient_retries);
-        self.bump(Stat::media_recoveries, 1);
-        self.reseed_allocator()?;
-        self.truncate_log()?;
-        Ok(())
-    }
-}
-
-/// Whether a store error is one the self-healing read path can fix (retry
-/// or online repair) rather than a structural failure.
-fn is_healable_read_err(e: &StoreError) -> bool {
-    matches!(
-        e,
-        StoreError::Transient(_)
-            | StoreError::Corrupt(_)
-            | StoreError::MediaFailure(_)
-            | StoreError::Quarantined(_)
-    )
-}
-
-/// Whether a parked sweep error is one the step heal loop can repair.
-fn is_healable_backup_error(e: &BackupError) -> bool {
-    matches!(e, BackupError::Store(s) if is_healable_read_err(s))
 }
 
 /// Mirror just-flushed pages into every in-progress linked-flush backup
@@ -509,14 +82,15 @@ impl LinkedBackupRun {
         self.todo.len()
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Discipline, Tracking};
     use bytes::Bytes;
-    use lob_backup::DomainId;
-    use lob_ops::LogicalOp;
-    use lob_pagestore::{StableStore, StoreConfig};
+    use lob_backup::{BackupError, BackupImage, DomainId};
+    use lob_ops::{LogicalOp, OpBody};
+    use lob_pagestore::{PartitionId, StableStore, StoreConfig};
     use lob_recovery::RecoveryConfig;
 
     fn graph_is_empty(e: &Engine) -> bool {
@@ -547,7 +121,7 @@ mod tests {
 
     #[test]
     fn execute_dirties_and_tracks() {
-        let mut e = engine();
+        let e = engine();
         let lsn = e.execute(phys(0, 7)).unwrap();
         assert_eq!(lsn, Lsn(1));
         assert!(e.cache().is_dirty(pid(0)));
@@ -559,7 +133,7 @@ mod tests {
 
     #[test]
     fn flush_page_installs_and_persists() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 7)).unwrap();
         e.flush_page(pid(0)).unwrap();
         assert!(!e.cache().is_dirty(pid(0)));
@@ -570,7 +144,7 @@ mod tests {
 
     #[test]
     fn flush_respects_write_graph_order() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 1)).unwrap();
         e.flush_page(pid(0)).unwrap();
         // copy(0 → 1), then overwrite 0: node(1) must flush before node(0).
@@ -585,7 +159,7 @@ mod tests {
 
     #[test]
     fn crash_before_flush_recovers_via_log() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 9)).unwrap();
         e.execute(copy(0, 1)).unwrap();
         e.force_log().unwrap();
@@ -599,7 +173,7 @@ mod tests {
 
     #[test]
     fn crash_loses_unforced_tail() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 9)).unwrap();
         // Not forced: the operation is lost at the crash.
         e.crash();
@@ -610,7 +184,7 @@ mod tests {
 
     #[test]
     fn wal_protocol_is_automatic_on_flush() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 9)).unwrap();
         // flush_page forces the log itself; no explicit force needed.
         e.flush_page(pid(0)).unwrap();
@@ -622,7 +196,7 @@ mod tests {
 
     #[test]
     fn flush_all_drains_and_truncates() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..8 {
             e.execute(phys(i, i as u8)).unwrap();
             e.execute(copy(i, i + 8)).unwrap();
@@ -635,7 +209,7 @@ mod tests {
 
     #[test]
     fn tree_discipline_enforced() {
-        let mut e = Engine::new(EngineConfig {
+        let e = Engine::new(EngineConfig {
             discipline: Discipline::Tree,
             ..EngineConfig::small()
         })
@@ -659,7 +233,7 @@ mod tests {
 
     #[test]
     fn page_oriented_discipline_rejects_logical() {
-        let mut e = Engine::new(EngineConfig {
+        let e = Engine::new(EngineConfig {
             discipline: Discipline::PageOriented,
             ..EngineConfig::small()
         })
@@ -684,7 +258,7 @@ mod tests {
 
     #[test]
     fn online_backup_with_iwof_supports_media_recovery() {
-        let mut e = engine();
+        let e = engine();
         // Dirty some state and flush it so S has content.
         for i in 0..8 {
             e.execute(phys(i, i as u8 + 1)).unwrap();
@@ -716,7 +290,7 @@ mod tests {
 
     #[test]
     fn offline_backup_restores_exactly() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..4 {
             e.execute(phys(i, 0xA0 + i as u8)).unwrap();
         }
@@ -732,7 +306,7 @@ mod tests {
 
     #[test]
     fn linked_backup_mirrors_flushes() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..4 {
             e.execute(phys(i, 1 + i as u8)).unwrap();
         }
@@ -757,7 +331,7 @@ mod tests {
 
     #[test]
     fn incremental_backup_copies_only_changes() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..8 {
             e.execute(phys(i, 1)).unwrap();
         }
@@ -789,7 +363,7 @@ mod tests {
 
     #[test]
     fn abort_restores_incremental_changed_set() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 1)).unwrap();
         e.flush_all().unwrap();
         let mut run = e.begin_backup(1).unwrap();
@@ -806,7 +380,7 @@ mod tests {
 
     #[test]
     fn media_barrier_prevents_truncating_backup_log() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 1)).unwrap();
         e.flush_all().unwrap();
         let run = e.begin_backup(2).unwrap();
@@ -824,7 +398,7 @@ mod tests {
 
     #[test]
     fn install_without_flush_advances_truncation() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 1)).unwrap();
         e.execute(copy(0, 1)).unwrap();
         let before = e.truncate_log().unwrap();
@@ -844,7 +418,7 @@ mod tests {
 
     #[test]
     fn audit_backup_detects_good_and_stale_images() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..4 {
             e.execute(phys(i, i as u8 + 1)).unwrap();
         }
@@ -875,7 +449,7 @@ mod tests {
 
     #[test]
     fn point_in_time_recovery_stops_at_target() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..4 {
             e.execute(phys(i, 1)).unwrap();
         }
@@ -915,13 +489,13 @@ mod tests {
             ..EngineConfig::small()
         };
         {
-            let mut e = Engine::new(config.clone()).unwrap();
+            let e = Engine::new(config.clone()).unwrap();
             e.execute(phys(0, 7)).unwrap();
             e.execute(copy(0, 1)).unwrap();
             e.force_log().unwrap();
             // Process "dies" here: nothing flushed to S.
         }
-        let mut e2 = Engine::open_existing(config).unwrap();
+        let e2 = Engine::open_existing(config).unwrap();
         e2.recover().unwrap();
         assert_eq!(e2.store().read_page(pid(0)).unwrap().data()[0], 7);
         assert_eq!(e2.store().read_page(pid(1)).unwrap().data()[0], 7);
@@ -933,7 +507,7 @@ mod tests {
 
     #[test]
     fn flush_oldest_advances_truncation_fastest() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..6 {
             e.execute(phys(i, 1)).unwrap();
         }
@@ -958,7 +532,7 @@ mod tests {
         // A's readset must force B's record first — otherwise a crash
         // leaves Y with no value anywhere (not in S; A's replay reads the
         // overwritten input; B's record is lost).
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 1)).unwrap(); // input page 0
         e.flush_all().unwrap();
         // A: reads {0}, writes {1, 2}.
@@ -1002,7 +576,7 @@ mod tests {
         // is logged (at flush time) *after* an operation that read the
         // value it carries; replay must apply it at the covered write, not
         // at its own LSN.
-        let mut e = engine();
+        let e = engine();
         for i in 0..4 {
             e.execute(phys(i, i as u8 + 1)).unwrap();
         }
@@ -1047,7 +621,7 @@ mod tests {
 
     #[test]
     fn partition_media_recovery_keeps_other_partitions_updates() {
-        let mut e = Engine::new(EngineConfig {
+        let e = Engine::new(EngineConfig {
             partitions: vec![PartitionSpec { pages: 8 }; 2],
             tracking: Tracking::PerPartition,
             ..EngineConfig::small()
@@ -1082,7 +656,7 @@ mod tests {
             ..EngineConfig::small()
         };
         for reopen in [false, true] {
-            let mut e = if reopen {
+            let e = if reopen {
                 Engine::open_existing(config.clone()).unwrap()
             } else {
                 Engine::new(config.clone()).unwrap()
@@ -1107,7 +681,7 @@ mod tests {
     /// One deterministic session, crashed: every knob setting must recover
     /// it to the bytes and outcome of the record-at-a-time reference scan.
     fn crashed_session() -> Engine {
-        let mut e = engine();
+        let e = engine();
         for i in 0..6 {
             e.execute(phys(i, i as u8 + 1)).unwrap();
         }
@@ -1154,7 +728,7 @@ mod tests {
 
     #[test]
     fn parallel_restore_latest_uses_the_newest_generation() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..6 {
             e.execute(phys(i, i as u8 + 1)).unwrap();
         }
@@ -1217,7 +791,7 @@ mod tests {
     /// An engine with 8 flushed pages and an offline backup registered as
     /// the newest repair generation.
     fn healing_engine() -> (Engine, u64) {
-        let mut e = engine();
+        let e = engine();
         for i in 0..8 {
             e.execute(phys(i, i as u8 + 1)).unwrap();
         }
@@ -1229,7 +803,7 @@ mod tests {
 
     #[test]
     fn empty_catalog_leaves_read_errors_untouched() {
-        let mut e = engine();
+        let e = engine();
         e.execute(phys(0, 7)).unwrap();
         e.flush_all().unwrap();
         e.cache().evict(pid(0)).unwrap();
@@ -1250,7 +824,7 @@ mod tests {
 
     #[test]
     fn corrupt_read_self_heals_from_the_backup_chain() {
-        let (mut e, gen) = healing_engine();
+        let (e, gen) = healing_engine();
         e.cache().evict(pid(3)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(3), FaultVerdict::CorruptRead)));
         let page = e.read_page(pid(3)).unwrap();
@@ -1265,7 +839,7 @@ mod tests {
 
     #[test]
     fn transient_read_retries_without_repair() {
-        let (mut e, _) = healing_engine();
+        let (e, _) = healing_engine();
         e.cache().evict(pid(2)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(2), FaultVerdict::TransientRead)));
         let page = e.read_page(pid(2)).unwrap();
@@ -1276,7 +850,7 @@ mod tests {
 
     #[test]
     fn repair_page_rebuilds_logical_closure_value() {
-        let (mut e, gen) = healing_engine();
+        let (e, gen) = healing_engine();
         // Post-backup logical history: copy 0 → 9, then overwrite 0. The
         // closure of 9 must pull in 0's *backup-vintage* copy, not current.
         e.execute(copy(0, 9)).unwrap();
@@ -1293,7 +867,7 @@ mod tests {
 
     #[test]
     fn repair_falls_back_to_an_older_good_generation() {
-        let mut e = engine();
+        let e = engine();
         for i in 0..8 {
             e.execute(phys(i, 1)).unwrap();
         }
@@ -1318,7 +892,7 @@ mod tests {
 
     #[test]
     fn unrepairable_page_stays_quarantined_without_poisoning_others() {
-        let (mut e, gen) = healing_engine();
+        let (e, gen) = healing_engine();
         // Rot the only generation's copy of page 5: no good copy survives.
         e.catalog().tamper_page(gen, pid(5)).unwrap();
         e.cache().evict(pid(5)).unwrap();
@@ -1340,7 +914,7 @@ mod tests {
 
     #[test]
     fn dirty_page_repairs_from_the_cache_not_the_chain() {
-        let (mut e, _) = healing_engine();
+        let (e, _) = healing_engine();
         e.execute(phys(6, 0x66)).unwrap(); // dirty in cache
         let report = e.repair_page(pid(6)).unwrap();
         assert_eq!(report.generation_used, 0, "healed from the dirty copy");
@@ -1350,7 +924,7 @@ mod tests {
 
     #[test]
     fn execute_heals_damaged_readset_pages() {
-        let (mut e, _) = healing_engine();
+        let (e, _) = healing_engine();
         // Bounded cache forces the evaluation to re-read page 0 from S.
         e.cache().evict(pid(0)).unwrap();
         e.install_fault_hook(Some(once_read_hook(pid(0), FaultVerdict::CorruptRead)));
@@ -1363,7 +937,7 @@ mod tests {
 
     #[test]
     fn transient_image_reads_retry_under_backoff() {
-        let (mut e, _) = healing_engine();
+        let (e, _) = healing_engine();
         // Image fetches fail transiently twice, then succeed.
         let count = AtomicUsize::new(0);
         e.install_fault_hook(Some(Arc::new(move |ev, _| {
@@ -1383,7 +957,7 @@ mod tests {
 
     #[test]
     fn repair_partition_scrubs_and_heals_everything() {
-        let (mut e, gen) = healing_engine();
+        let (e, gen) = healing_engine();
         e.store().quarantine_page(pid(1)).unwrap();
         e.store().quarantine_page(pid(2)).unwrap();
         let reports = e.repair_partition(PartitionId(0)).unwrap();
@@ -1396,7 +970,7 @@ mod tests {
 
     #[test]
     fn repair_during_active_backup_sweep_is_atomic() {
-        let (mut e, _) = healing_engine();
+        let (e, _) = healing_engine();
         // Start an on-line sweep, advance it halfway…
         let mut run = e.begin_backup(4).unwrap();
         e.backup_step(&mut run).unwrap();
@@ -1415,7 +989,7 @@ mod tests {
 
     #[test]
     fn backup_sweep_copy_read_heals_online() {
-        let (mut e, _) = healing_engine();
+        let (e, _) = healing_engine();
         // Damage surfaces under the sweep's own copy read of page 2: the
         // step fails, the engine repairs the page, and the retried step
         // (cursor untouched) re-copies identical bytes.
@@ -1462,7 +1036,7 @@ mod tests {
     /// archive, and a logged tail past the backup (page 0 of every
     /// partition overwritten with `0xA0 + p`).
     fn instant_engine(parts: u32) -> (Engine, u64) {
-        let mut e = Engine::new(EngineConfig {
+        let e = Engine::new(EngineConfig {
             partitions: (0..parts).map(|_| PartitionSpec { pages: 16 }).collect(),
             tracking: Tracking::Sequential((0..parts).map(PartitionId).collect()),
             ..EngineConfig::small()
@@ -1492,7 +1066,7 @@ mod tests {
 
     #[test]
     fn instant_restore_serves_reads_and_writes_mid_epoch() {
-        let (mut e, _) = instant_engine(4);
+        let (e, _) = instant_engine(4);
         fail_all(&e, 4);
         e.begin_instant_restore().unwrap();
         assert!(e.instant_restore_active());
@@ -1540,7 +1114,7 @@ mod tests {
 
     #[test]
     fn restored_segment_requests_are_noops_during_the_sweep() {
-        let (mut e, _) = instant_engine(2);
+        let (e, _) = instant_engine(2);
         fail_all(&e, 2);
         e.begin_instant_restore().unwrap();
         e.read_page(PageId::new(0, 3)).unwrap();
@@ -1561,7 +1135,7 @@ mod tests {
 
     #[test]
     fn corrupt_newest_archive_run_falls_back_a_generation() {
-        let (mut e, _old_gen) = instant_engine(2);
+        let (e, _old_gen) = instant_engine(2);
         // A newer generation, also archived, then more history so its
         // archive holds a run for partition 0's page 0…
         let newer = e.offline_backup().unwrap();
@@ -1591,7 +1165,7 @@ mod tests {
     fn instant_restore_with_an_empty_log_suffix() {
         // No history past the backup at all: the generation's control and
         // per-page runs are empty — an intact state, not a corrupt one.
-        let mut e = engine();
+        let e = engine();
         for i in 0..4 {
             e.execute(phys(i, i as u8 + 1)).unwrap();
         }
@@ -1613,7 +1187,7 @@ mod tests {
         // A registered generation without an archive: entering the epoch
         // builds one (from the generation's own log suffix) rather than
         // refusing — with an empty catalog it refuses instead.
-        let (mut e, _) = healing_engine();
+        let (e, _) = healing_engine();
         e.execute(phys(0, 0x77)).unwrap();
         e.flush_all().unwrap();
         e.store().fail_partition(PartitionId(0)).unwrap();
@@ -1621,7 +1195,7 @@ mod tests {
         e.instant_restore_drain().unwrap();
         assert_eq!(e.read_page(pid(0)).unwrap().data()[0], 0x77);
 
-        let mut bare = engine();
+        let bare = engine();
         bare.execute(phys(0, 1)).unwrap();
         bare.flush_all().unwrap();
         bare.store().fail_partition(PartitionId(0)).unwrap();
@@ -1630,7 +1204,7 @@ mod tests {
 
     #[test]
     fn mid_restore_kill_reenters_and_byte_verifies() {
-        let (mut e, _) = instant_engine(2);
+        let (e, _) = instant_engine(2);
         let mut want = Vec::new();
         for p in 0..2 {
             for i in 0..8 {
@@ -1661,7 +1235,7 @@ mod tests {
 
     #[test]
     fn online_backup_sweep_completes_during_instant_restore() {
-        let (mut e, _) = instant_engine(2);
+        let (e, _) = instant_engine(2);
         fail_all(&e, 2);
         e.begin_instant_restore().unwrap();
         // The sweep's copy reads hit failed partitions: each miss faults
@@ -1680,7 +1254,7 @@ mod tests {
         // page-indexed archive. The indexed repair must examine fewer
         // records and produce byte-identical results.
         let mk = |archive: bool| {
-            let mut e = engine();
+            let e = engine();
             for i in 0..8 {
                 e.execute(phys(i, i as u8 + 1)).unwrap();
             }

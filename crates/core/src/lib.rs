@@ -56,10 +56,12 @@
 //!   execution, write-graph-ordered flushing with the §3.5 (general) and
 //!   §4.2 (tree) Iw/oF decisions, crash and media recovery, on-line,
 //!   incremental, offline, parallel and linked-flush backups, online
-//!   repair and the media-log archive — each verb in one body, behind
-//!   per-domain locks — and the [`Session`] handles threads drive it with.
-//! * [`engine`] — [`Engine`], the one-session facade over that core: the
-//!   heal-and-retry loops and the instant-restore epoch.
+//!   repair and the media-log archive, the one heal policy every reading
+//!   verb shares and the instant-restore epoch — each verb in one body,
+//!   behind per-domain locks — and the [`Session`] handles threads drive
+//!   it with.
+//! * [`engine`] — [`Engine`], a one-session service (one cache shard, a
+//!   closed gather window): its constructors and `Deref` to that core.
 //! * [`config`] — [`EngineConfig`], [`Discipline`], [`Tracking`],
 //!   [`BackupPolicy`], [`FlushPolicy`].
 //! * [`error`] — [`EngineError`].

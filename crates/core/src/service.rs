@@ -3,12 +3,20 @@
 //! [`EngineService`] is the one engine: it executes logged operations,
 //! flushes in write-graph order with the paper's backup coordination,
 //! takes backups, and recovers from crashes and media failures. Every verb
-//! has one body here. Two fronts drive it:
+//! has one body here, self-healing and the instant-restore epoch included:
 //!
-//! * [`Session`] handles, cheap clones that many threads drive
-//!   concurrently over one `Arc<EngineService>`;
-//! * [`crate::Engine`], the one-session facade, which adds the
-//!   heal-and-retry loops and the instant-restore epoch on top.
+//! * with a backup generation registered, `read_page`, `execute` and
+//!   `backup_step_batch` share one heal policy: transient I/O errors retry
+//!   under backoff, detected damage is repaired online, and a failed
+//!   medium is restored segment by segment during an epoch;
+//! * during an instant-restore epoch, reads and writes gate on their own
+//!   segment's prioritized restore while the background sweep restores
+//!   the rest.
+//!
+//! Two fronts drive it: [`Session`] handles, cheap clones that many
+//! threads drive concurrently over one `Arc<EngineService>`, and
+//! [`crate::Engine`], a one-session service (one cache shard, a closed
+//! gather window) that derefs to it.
 //!
 //! The core shards its mutable state by the axis the paper already
 //! partitions work on — the backup coordinator's domains (§3.4) — so
@@ -32,8 +40,11 @@
 //!
 //! ## Lock order
 //!
-//! `meta` → `domains[_]` → tracker latch → group-commit `state` →
-//! group-commit `manager` → cache shard → store partition. Leaf locks
+//! `instant` → `meta` → `domains[_]` → tracker latch → group-commit
+//! `state` → group-commit `manager` → cache shard → store partition. The
+//! epoch lock is held across a segment restore (store and catalog I/O)
+//! and never while a domain lock is held: an epoch that completes
+//! releases it before truncating the log. Leaf locks
 //! (cache shards, store partitions, linked-flush images, the coordinator's
 //! changed-set and hook mutexes) are acquired one at a time with nothing
 //! taken inside them. The static lock-order pass checks the aliased prefix
@@ -58,7 +69,8 @@ use lob_recovery::repair::{
     regenerate, BackoffSchedule, ClosureSource, FetchCost, RepairReport, Unusable,
 };
 use lob_recovery::{
-    parallel_install_image, parallel_redo_scan, NodeId, RecoveryConfig, RedoOutcome, WriteGraph,
+    parallel_install_image, parallel_redo_scan, InstantRestore, InstantStats, NodeId,
+    RecoveryConfig, RedoOutcome, SegmentState, WriteGraph,
 };
 use lob_wal::{FileLogStore, GroupCommitLog, LogError, LogManager, RecordBody};
 use parking_lot::{Mutex, MutexGuard};
@@ -70,7 +82,12 @@ use std::time::Duration;
 /// Attempts per faultable read when the medium reports *transient* I/O
 /// errors: the first try plus three retries, spaced by the deterministic
 /// [`BackoffSchedule`] (virtual ticks — repair never consults a clock).
-pub(crate) const REPAIR_FETCH_ATTEMPTS: u32 = 4;
+const REPAIR_FETCH_ATTEMPTS: u32 = 4;
+
+/// Bound on heal rounds for one verb before its error propagates to the
+/// caller (each round retries a transient error or fixes one damaged page
+/// or pending segment).
+const HEAL_ROUNDS: u32 = 6;
 
 /// Per-domain mutable state: the §3.5 machinery, instantiated once per
 /// backup domain so domain-disjoint sessions proceed in parallel.
@@ -130,9 +147,15 @@ pub struct EngineService {
     domains: Vec<Mutex<DomainState>>,
     /// Cross-domain backup bookkeeping.
     meta: Mutex<ServiceMeta>,
+    /// The in-flight instant-restore epoch, if media recovery is serving
+    /// in degraded mode; `None` is normal operation.
+    instant: Mutex<Option<InstantRestore>>,
     /// Monotone activity counters, indexed by [`Stat`].
     counters: [AtomicU64; STATS], // lint: atomic(relaxed-counter)
 }
+
+/// An evaluated operation: its domain's guard and the pages it writes.
+type Evaluated<'a> = (MutexGuard<'a, DomainState>, Vec<(PageId, Bytes)>);
 
 /// Reads during operation evaluation go through the sharded cache; every
 /// read stays inside the executing session's domain (discipline-checked
@@ -240,6 +263,7 @@ impl EngineService {
                 taken_changed: Vec::new(),
                 hook: None,
             }),
+            instant: Mutex::new(None),
             counters: Default::default(),
             config,
         };
@@ -332,7 +356,7 @@ impl EngineService {
     }
 
     /// Count `n` more of `stat`.
-    pub(crate) fn bump(&self, stat: Stat, n: u64) {
+    fn bump(&self, stat: Stat, n: u64) {
         if let Some(c) = self.counters.get(stat as usize) {
             c.fetch_add(n, Ordering::Relaxed);
         }
@@ -396,18 +420,16 @@ impl EngineService {
     /// the write graph and successor metadata. The operation's domain lock
     /// serializes same-domain sessions; the log append and cache installs
     /// are internally synchronized. Returns the record's LSN.
+    ///
+    /// During an instant-restore epoch every segment the read and write
+    /// sets touch is made servable first. With a backup generation
+    /// registered, a read-set page whose fetch fails is healed and the
+    /// evaluation run again ([`EngineService::healing`]); evaluation
+    /// precedes the log append, so a retry never double-logs.
     pub fn execute(&self, body: OpBody) -> Result<Lsn, EngineError> {
+        self.gate_op(&body)?;
         body.validate()?;
-        let domain = self.check_discipline(&body)?;
-        let mut dom = self.lock_domain(domain)?;
-        // Evaluate first (no state change on failure).
-        let outputs = {
-            let mut reader = ShardReader {
-                cache: &self.cache,
-                store: &self.store,
-            };
-            body.apply(&mut reader)?
-        };
+        let (mut dom, outputs) = self.healing(|| self.evaluate(&body))?;
         for (pid, bytes) in &outputs {
             if bytes.len() != self.config.page_size {
                 return Err(EngineError::Internal(format!(
@@ -430,9 +452,32 @@ impl EngineService {
         Ok(lsn)
     }
 
+    /// Check the discipline, take the operation's domain lock and evaluate
+    /// the operation against the cache. A failed evaluation changes nothing
+    /// and releases the lock, so a repair between attempts never runs
+    /// under it.
+    fn evaluate(&self, body: &OpBody) -> Result<Evaluated<'_>, EngineError> {
+        let domain = self.check_discipline(body)?;
+        let dom = self.lock_domain(domain)?;
+        let mut reader = ShardReader {
+            cache: &self.cache,
+            store: &self.store,
+        };
+        let outputs = body.apply(&mut reader)?;
+        Ok((dom, outputs))
+    }
+
     /// Current value of a page (read through the cache).
+    ///
+    /// During an instant-restore epoch the read blocks only on its own
+    /// segment's (prioritized) restore, never on the whole device. With a
+    /// backup generation registered a failed read self-heals
+    /// ([`EngineService::healing`]); with an empty catalog the error
+    /// propagates untouched (a quarantined slot as the typed
+    /// [`EngineError::Quarantined`]).
     pub fn read_page(&self, id: PageId) -> Result<Page, EngineError> {
-        self.cache.get(id, &self.store).map_err(lift_cache_err)
+        self.ensure_segment(id.partition)?;
+        self.healing(|| self.cache.get(id, &self.store).map_err(lift_cache_err))
     }
 
     /// Allocate a fresh (never-updated) page in `partition` — the `new`
@@ -471,7 +516,7 @@ impl EngineService {
 
     /// Raise every allocator past everything `S` holds (after a recovery
     /// wrote pages the allocator never handed out).
-    pub(crate) fn reseed_allocator(&self) -> Result<(), EngineError> {
+    fn reseed_allocator(&self) -> Result<(), EngineError> {
         reseed(&self.store, &mut self.lock_domains())
     }
 
@@ -728,9 +773,13 @@ impl EngineService {
     /// Install (or clear) a fault hook on every I/O site the engine owns
     /// or shares: the stable store (page writes), the log (forces and
     /// frame appends), the cache (flush decisions), the backup coordinator
-    /// (sweep copies) and the catalog (image and archive reads). One hook
-    /// observes the system-wide deterministic I/O event stream.
+    /// (sweep copies), the catalog (image and archive reads) and the
+    /// in-flight epoch's scheduler. One hook observes the system-wide
+    /// deterministic I/O event stream.
     pub fn install_fault_hook(&self, hook: Option<lob_pagestore::FaultHook>) {
+        if let Some(r) = self.instant.lock().as_mut() {
+            r.set_fault_hook(hook.clone());
+        }
         let mut meta = self.lock_meta();
         self.store.set_fault_hook(hook.clone());
         self.log.set_fault_hook(hook.clone());
@@ -741,16 +790,19 @@ impl EngineService {
     }
 
     /// The installed fault hook.
-    pub(crate) fn fault_hook(&self) -> Option<lob_pagestore::FaultHook> {
+    fn fault_hook(&self) -> Option<lob_pagestore::FaultHook> {
         self.lock_meta().hook.clone()
     }
 
     /// Crash: all volatile state (cache, write graphs, successor tables,
     /// the unforced log tail, in-flight backup trackers, linked-flush
-    /// images and the changed-page set) is lost. Concurrent sessions'
-    /// in-flight calls finish against pre-crash state or surface typed
-    /// errors; call [`EngineService::recover`] next.
+    /// images, the changed-page set and the instant-restore scheduler) is
+    /// lost. Concurrent sessions' in-flight calls finish against pre-crash
+    /// state or surface typed errors; call [`EngineService::recover`] next
+    /// — or [`EngineService::recover_instant`] when an epoch was in flight:
+    /// its on-disk progress is exactly the cleared failure flags.
     pub fn crash(&self) {
+        self.instant.lock().take();
         let mut meta = self.lock_meta();
         let mut doms = self.lock_domains();
         for dom in doms.iter_mut() {
@@ -1118,14 +1170,29 @@ impl EngineService {
         self.begin_backup_inner(domain, steps, Some(base.backup_id))
     }
 
+    /// Advance an on-line backup by one step (copy + cursor advance), one
+    /// page per store round-trip: [`EngineService::backup_step_batch`]
+    /// with a batch of 1.
+    pub fn backup_step(&self, run: &mut BackupRun) -> Result<bool, EngineError> {
+        self.backup_step_batch(run, 1)
+    }
+
     /// Advance an on-line backup by one step, copying up to `batch`
     /// contiguous pages per store round-trip
     /// ([`lob_backup::BackupRun::step_batch`]). Between calls, sessions
     /// are free to execute and flush — that is the "on-line" in on-line
     /// backup.
+    ///
+    /// A sweep copy read heals like any other read
+    /// ([`EngineService::healing`]): a failed step leaves the cursor and
+    /// tracker untouched, so it is simply run again, re-putting
+    /// already-copied pages with identical bytes. During an epoch a copy
+    /// that lands on a pending segment waits for that segment's restore.
     pub fn backup_step_batch(&self, run: &mut BackupRun, batch: u32) -> Result<bool, EngineError> {
-        self.bump(Stat::sweep_batches, 1);
-        Ok(run.step_batch(&self.coordinator, &self.store, batch)?)
+        self.healing(|| {
+            self.bump(Stat::sweep_batches, 1);
+            Ok(run.step_batch(&self.coordinator, &self.store, batch)?)
+        })
     }
 
     /// Complete a finished backup run: logs `BackupEnd` and returns the
@@ -1196,23 +1263,13 @@ impl EngineService {
     /// Back up every domain concurrently — the paper's partition-parallel
     /// scheme (§3.4): one sweep worker thread per coordinator domain, each
     /// copying up to `batch` contiguous pages per store round-trip, `steps`
-    /// progress steps per domain. On success every domain's image is
-    /// returned, `BackupEnd`-logged, in domain order; on the first failure
-    /// every other domain is aborted and the error surfaces.
+    /// progress steps per domain. A worker that fails parks its run
+    /// (cursor and tracker held); with healing engaged and damage it can
+    /// fix, this thread finishes that run through the healing
+    /// [`EngineService::backup_step_batch`]. On success every domain's
+    /// image is returned, `BackupEnd`-logged, in domain order; on any other
+    /// failure every domain is aborted and the error surfaces.
     pub fn parallel_backup(&self, steps: u32, batch: u32) -> Result<Vec<BackupImage>, EngineError> {
-        self.parallel_backup_with(steps, batch, |_, e| Err(EngineError::Backup(e)))
-    }
-
-    /// [`EngineService::parallel_backup`] with a say in failed domains: a
-    /// worker that fails parks its run (cursor and tracker held), and
-    /// `finish` either drives that run to its end on this thread or
-    /// returns the error that aborts the whole backup.
-    pub(crate) fn parallel_backup_with(
-        &self,
-        steps: u32,
-        batch: u32,
-        mut finish: impl FnMut(&mut BackupRun, BackupError) -> Result<(), EngineError>,
-    ) -> Result<Vec<BackupImage>, EngineError> {
         let mut runs = Vec::with_capacity(self.coordinator.domain_count() as usize);
         for d in 0..self.coordinator.domain_count() {
             match self.begin_backup_of(DomainId(d), steps) {
@@ -1233,7 +1290,7 @@ impl EngineService {
             self.bump(Stat::sweep_workers, 1);
             match (rep.outcome, rep.run) {
                 (Ok(()), Some(run)) => finished.push(run),
-                (Err(e), Some(mut run)) => match finish(&mut run, e) {
+                (Err(e), Some(mut run)) => match self.finish_parked(&mut run, e, batch) {
                     Ok(()) => finished.push(run),
                     Err(e) => {
                         self.abort_backup(run);
@@ -1266,6 +1323,23 @@ impl EngineService {
             .into_iter()
             .map(|run| self.complete_backup(run))
             .collect()
+    }
+
+    /// Drive a sweep worker's parked run to its end on this thread, when
+    /// healing is engaged and the worker stopped on damage it can fix;
+    /// otherwise `e` aborts the backup.
+    fn finish_parked(
+        &self,
+        run: &mut BackupRun,
+        e: BackupError,
+        batch: u32,
+    ) -> Result<(), EngineError> {
+        let fixable = matches!(&e, BackupError::Store(s) if Damage::of(s).is_some());
+        if !fixable || !self.self_healing() {
+            return Err(EngineError::Backup(e));
+        }
+        while !self.backup_step_batch(run, batch)? {}
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1361,7 +1435,7 @@ impl EngineService {
     // ------------------------------------------------------------------
 
     /// Register a completed backup image as the newest repair generation.
-    /// From this point on, [`crate::Engine`] reads self-heal.
+    /// From this point on, reads, executes and sweep steps self-heal.
     pub fn register_backup_generation(&self, image: BackupImage) -> Result<(), EngineError> {
         Ok(self.catalog.register(image)?)
     }
@@ -1379,7 +1453,7 @@ impl EngineService {
     /// The deterministic backoff schedule for reads involving `id`: seeded
     /// from the page identity, so drills replay identically and distinct
     /// pages jitter differently. Never consults a clock.
-    pub(crate) fn repair_backoff(&self, id: PageId) -> BackoffSchedule {
+    fn repair_backoff(&self, id: PageId) -> BackoffSchedule {
         let seed = 0x10B_5EED ^ (u64::from(id.partition.0) << 32) ^ u64::from(id.index);
         BackoffSchedule::new(seed, REPAIR_FETCH_ATTEMPTS)
     }
@@ -1620,7 +1694,7 @@ impl EngineService {
     /// Catch every archived generation's archive up to the durable log
     /// end; a catalog with no archive at all gets one built on the newest
     /// generation (the full suffix is indexed in one pass).
-    pub(crate) fn catch_up_archives(&self) -> Result<(), EngineError> {
+    fn catch_up_archives(&self) -> Result<(), EngineError> {
         let gens = self.catalog.generations();
         let newest = *gens.first().ok_or_else(no_generation)?;
         if !gens.iter().any(|&g| self.catalog.has_archive(g)) {
@@ -1633,6 +1707,287 @@ impl EngineService {
             }
         }
         Ok(())
+    }
+
+    // ------------------------------------------------------------------
+    // Self-healing: one heal policy for every reading verb
+    // ------------------------------------------------------------------
+
+    /// Whether online repair is engaged (at least one generation
+    /// registered). While false, every verb surfaces its first error.
+    fn self_healing(&self) -> bool {
+        !self.catalog.is_empty()
+    }
+
+    /// The one heal-and-retry driver behind [`EngineService::read_page`],
+    /// [`EngineService::execute`] and [`EngineService::backup_step_batch`]:
+    /// run `attempt`; while self-healing is engaged, classify a failure
+    /// ([`Damage`]), fix what is fixable and run it again, for at most
+    /// [`HEAL_ROUNDS`] rounds.
+    ///
+    /// * a transient error retries under [`EngineService::repair_backoff`]
+    ///   (whose waits are virtual: nothing sleeps) and gives up as
+    ///   `Store(Transient)` once [`REPAIR_FETCH_ATTEMPTS`] attempts failed;
+    /// * a checksum mismatch or a quarantined slot is repaired online
+    ///   ([`EngineService::repair_page`]);
+    /// * a failed medium restores its segment when an epoch has it
+    ///   pending, and is repaired page by page otherwise.
+    ///
+    /// `attempt` must leave no state behind when it fails: no lock is held
+    /// between attempts, since a repair flushes under the page's domain
+    /// lock.
+    fn healing<T>(
+        &self,
+        mut attempt: impl FnMut() -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        let mut transient = 0u32;
+        let mut rounds = 0u32;
+        loop {
+            let err = match attempt() {
+                Ok(v) => return Ok(v),
+                Err(e) => e,
+            };
+            if rounds == HEAL_ROUNDS || !self.self_healing() {
+                return Err(err);
+            }
+            rounds += 1;
+            let Some(damage) = self.damage(&err)? else {
+                return Err(err);
+            };
+            match damage {
+                Damage::Readable => {}
+                Damage::Transient(p) => {
+                    transient += 1;
+                    if transient >= self.repair_backoff(p).max_attempts {
+                        return Err(EngineError::Store(StoreError::Transient(p)));
+                    }
+                    self.bump(Stat::transient_retries, 1);
+                }
+                Damage::Media(p) if self.segment_pending(p.partition) => {
+                    self.ensure_segment(p.partition)?;
+                }
+                Damage::Corrupt(p) | Damage::Media(p) => {
+                    self.repair_page(p)?;
+                }
+            }
+        }
+    }
+
+    /// The damage behind a failed attempt, or `None` when the failure is
+    /// not a page read healing can fix. Evaluation reports a failed
+    /// read-set page untyped, so that page is probed in `S` for the typed
+    /// error (an injected crash at the probe surfaces as itself).
+    fn damage(&self, err: &EngineError) -> Result<Option<Damage>, EngineError> {
+        Ok(match err {
+            EngineError::Store(e)
+            | EngineError::Cache(CacheError::Store(e))
+            | EngineError::Backup(BackupError::Store(e)) => Damage::of(e),
+            EngineError::Quarantined(p) => Some(Damage::Corrupt(*p)),
+            EngineError::Op(OpError::ReadFailed { page, .. }) => {
+                match self.store.read_page(*page) {
+                    Ok(_) => Some(Damage::Readable),
+                    Err(StoreError::InjectedCrash) => {
+                        return Err(EngineError::Store(StoreError::InjectedCrash))
+                    }
+                    Err(e) => Damage::of(&e),
+                }
+            }
+            _ => None,
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Instant restore (serve during media recovery)
+    // ------------------------------------------------------------------
+
+    /// Begin an instant-restore epoch over the current failure set: the
+    /// service keeps serving *during* media recovery. Every failed
+    /// partition becomes a restore segment; reads and writes gate on
+    /// their own segment's prioritized restore while
+    /// [`EngineService::instant_restore_step`] sweeps the rest in the
+    /// background. The epoch closes itself when the last segment comes
+    /// back (the drills byte-compare every close against a sequential
+    /// reference restore: `lob_harness::verify_epoch_close`).
+    pub fn begin_instant_restore(&self) -> Result<(), EngineError> {
+        self.start_instant_epoch(false)
+    }
+
+    /// Reboot re-entry after a crash mid-epoch: every partition becomes a
+    /// `Failed` segment re-derived from archive plus image (a crash may
+    /// have left any partition with a half-installed — but always
+    /// correctly-versioned — page set, and the flush-order rule bounds
+    /// every store page LSN by the durable end, so unconditional
+    /// re-install of the full replay is sound). Call after
+    /// [`EngineService::crash`] instead of [`EngineService::recover`] when
+    /// an epoch was in flight; normal redo is subsumed by the full
+    /// re-derivation.
+    pub fn recover_instant(&self) -> Result<(), EngineError> {
+        self.start_instant_epoch(true)
+    }
+
+    /// Catch the archives up and start an epoch over the failed partitions
+    /// — or, for the reboot re-entry, over `all_segments`.
+    fn start_instant_epoch(&self, all_segments: bool) -> Result<(), EngineError> {
+        let mut slot = self.instant.lock();
+        if slot.is_some() {
+            return Err(EngineError::Discipline(
+                "an instant-restore epoch is already active".into(),
+            ));
+        }
+        self.catch_up_archives()?;
+        if all_segments {
+            self.bump(Stat::instant_reboots, 1);
+            self.bump(Stat::recoveries, 1);
+        }
+        let r = InstantRestore::begin(
+            Arc::clone(&self.store),
+            Arc::clone(&self.catalog),
+            self.config.recovery.batch.max(1),
+            0x1257_C0DE,
+            REPAIR_FETCH_ATTEMPTS,
+            self.fault_hook(),
+            all_segments,
+        )?;
+        self.bump(Stat::instant_epochs, 1);
+        *slot = Some(r);
+        drop(slot);
+        // Nothing failed → the epoch completes right away.
+        self.maybe_complete_instant()
+    }
+
+    /// Whether an instant-restore epoch is in flight.
+    pub fn instant_restore_active(&self) -> bool {
+        self.instant.lock().is_some()
+    }
+
+    /// The in-flight epoch's state for one segment (`None` outside an
+    /// epoch or for an unknown partition).
+    pub fn instant_segment_state(&self, p: PartitionId) -> Option<SegmentState> {
+        self.instant
+            .lock()
+            .as_ref()
+            .and_then(|r| r.segment_state(p))
+    }
+
+    /// Segments not yet restored (0 outside an epoch).
+    pub fn instant_pending(&self) -> usize {
+        self.instant.lock().as_ref().map_or(0, |r| r.pending())
+    }
+
+    /// The in-flight epoch's counters (`None` outside an epoch).
+    pub fn instant_restore_stats(&self) -> Option<InstantStats> {
+        self.instant.lock().as_ref().map(|r| r.stats())
+    }
+
+    /// Whether the in-flight epoch still has to restore `p`.
+    fn segment_pending(&self, p: PartitionId) -> bool {
+        self.instant_segment_state(p)
+            .is_some_and(|s| s != SegmentState::Restored)
+    }
+
+    /// Gate every segment `body`'s read and write sets touch on its
+    /// restore, before the operation takes its domain lock.
+    fn gate_op(&self, body: &OpBody) -> Result<(), EngineError> {
+        if !self.instant_restore_active() {
+            return Ok(());
+        }
+        let parts: BTreeSet<PartitionId> = body
+            .readset()
+            .into_iter()
+            .chain(body.writeset())
+            .map(|p| p.partition)
+            .collect();
+        for p in parts {
+            self.ensure_segment(p)?;
+        }
+        Ok(())
+    }
+
+    /// Gate one partition on its segment's restore during an epoch; a
+    /// no-op in normal operation. A request against a not-yet-restored
+    /// segment jumps the sweep queue (foreground priority) and blocks
+    /// only for that one segment's restore.
+    fn ensure_segment(&self, p: PartitionId) -> Result<(), EngineError> {
+        match self.instant.lock().as_mut() {
+            Some(r) => r.ensure(p)?,
+            None => return Ok(()),
+        };
+        self.maybe_complete_instant()
+    }
+
+    /// One background sweep step of the in-flight epoch: restore the next
+    /// queued segment. Returns the segment restored, or `None` when no
+    /// epoch is active. Callers interleave these with foreground work —
+    /// that is the "serving during recovery".
+    pub fn instant_restore_step(&self) -> Result<Option<PartitionId>, EngineError> {
+        let stepped = match self.instant.lock().as_mut() {
+            None => return Ok(None),
+            Some(r) => {
+                let stepped = r.step()?;
+                if stepped.is_none() && !r.finished() {
+                    return Err(EngineError::Internal(
+                        "instant-restore queue drained with segments still failed".into(),
+                    ));
+                }
+                stepped
+            }
+        };
+        self.maybe_complete_instant()?;
+        Ok(stepped)
+    }
+
+    /// Drive the background sweep until the epoch completes. Drill and
+    /// bench convenience.
+    pub fn instant_restore_drain(&self) -> Result<(), EngineError> {
+        while self.instant_restore_active() {
+            self.instant_restore_step()?;
+        }
+        Ok(())
+    }
+
+    /// If every segment is restored, end the epoch, fold its counters into
+    /// the engine stats and return to normal operation. The epoch lock is
+    /// released first: the allocator reseed and the log truncation take
+    /// every domain lock.
+    fn maybe_complete_instant(&self) -> Result<(), EngineError> {
+        let Some(r) = self.instant.lock().take_if(|r| r.finished()) else {
+            return Ok(());
+        };
+        let s = r.stats();
+        self.bump(Stat::instant_completions, 1);
+        self.bump(Stat::instant_on_demand, s.on_demand_restores);
+        self.bump(Stat::instant_swept, s.sweep_restores);
+        self.bump(Stat::transient_retries, s.transient_retries);
+        self.bump(Stat::media_recoveries, 1);
+        self.reseed_allocator()?;
+        self.truncate_log()?;
+        Ok(())
+    }
+}
+
+/// What a failed read found, as the heal policy sees it.
+#[derive(Debug, Clone, Copy)]
+enum Damage {
+    /// Nothing: the probed page reads now (the failed read raced a fault
+    /// the probe did not draw), so the verb just runs again.
+    Readable,
+    /// A transient device error.
+    Transient(PageId),
+    /// Detected damage: a checksum mismatch or a quarantined slot.
+    Corrupt(PageId),
+    /// The medium under the page failed.
+    Media(PageId),
+}
+
+impl Damage {
+    /// The damage a store error reports, if healing can fix it.
+    fn of(e: &StoreError) -> Option<Damage> {
+        match *e {
+            StoreError::Transient(p) => Some(Damage::Transient(p)),
+            StoreError::Corrupt(p) | StoreError::Quarantined(p) => Some(Damage::Corrupt(p)),
+            StoreError::MediaFailure(p) => Some(Damage::Media(p)),
+            _ => None,
+        }
     }
 }
 
@@ -1793,14 +2148,14 @@ fn unusable<T>(regen: &Result<T, EngineError>) -> Option<Unusable> {
 }
 
 /// Surface quarantine as its typed engine error; everything else wraps.
-pub(crate) fn lift_store_err(e: StoreError) -> EngineError {
+fn lift_store_err(e: StoreError) -> EngineError {
     match e {
         StoreError::Quarantined(p) => EngineError::Quarantined(p),
         e => EngineError::Store(e),
     }
 }
 
-pub(crate) fn lift_cache_err(e: CacheError) -> EngineError {
+fn lift_cache_err(e: CacheError) -> EngineError {
     match e {
         CacheError::Store(s) => lift_store_err(s),
         e => EngineError::Cache(e),
@@ -2067,6 +2422,54 @@ mod tests {
         drop(clone);
         let again = timed(&|| (17..33).for_each(|i| commit(&s, i)));
         assert!(again < window, "commits still waited: {again:?}");
+    }
+
+    #[test]
+    fn a_persistent_transient_error_ends_every_healing_verb_alike() {
+        use lob_pagestore::fault::{FaultVerdict, IoEvent};
+        let svc = Arc::new(EngineService::new(config(1, 16)).unwrap());
+        for i in 0..16u32 {
+            svc.execute(insert(PageId::new(0, i), b"k", &[i as u8]))
+                .unwrap();
+        }
+        let image = svc.offline_backup().unwrap();
+        svc.register_backup_generation(image).unwrap();
+        // Every read of the victim fails transiently, forever.
+        let victim = PageId::new(0, 3);
+        svc.install_fault_hook(Some(Arc::new(move |ev, page| {
+            if ev == IoEvent::PageRead && page == Some(victim) {
+                FaultVerdict::TransientRead
+            } else {
+                FaultVerdict::Proceed
+            }
+        })));
+        svc.cache().clear();
+        let copy = OpBody::Logical(lob_ops::LogicalOp::Copy {
+            src: victim,
+            dst: PageId::new(0, 9),
+        });
+        // Each verb gives up after the same attempts, with the same error.
+        let gives_up = |verb: &str, call: &mut dyn FnMut() -> Result<(), EngineError>| {
+            let before = svc.stats().transient_retries;
+            let got = call();
+            assert!(
+                matches!(got, Err(EngineError::Store(StoreError::Transient(p))) if p == victim),
+                "{verb}: {got:?}"
+            );
+            assert_eq!(
+                svc.stats().transient_retries - before,
+                u64::from(REPAIR_FETCH_ATTEMPTS - 1),
+                "{verb} retried until its attempts ran out"
+            );
+        };
+        gives_up("read_page", &mut || svc.read_page(victim).map(drop));
+        gives_up("execute", &mut || svc.execute(copy.clone()).map(drop));
+        let mut run = svc.begin_backup(1).unwrap();
+        gives_up("backup_step_batch", &mut || {
+            svc.backup_step_batch(&mut run, 16).map(drop)
+        });
+        assert_eq!(svc.stats().repairs, 0, "nothing was damaged");
+        svc.abort_backup(run);
     }
 
     #[test]

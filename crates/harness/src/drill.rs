@@ -47,7 +47,6 @@ use lob_core::{
 use lob_pagestore::witness::Witness;
 use lob_pagestore::{IoEvent, StoreError};
 use std::fmt;
-use std::ops::Deref;
 use std::sync::Arc;
 
 /// What a drill drives between arming its plan and settling.
@@ -301,41 +300,6 @@ impl From<String> for Stop {
     }
 }
 
-/// The database a case drives: the one-session facade, or a shared
-/// service for session threads.
-pub(crate) enum Db {
-    One(Engine),
-    Shared(Arc<EngineService>),
-}
-
-impl Deref for Db {
-    type Target = EngineService;
-
-    fn deref(&self) -> &EngineService {
-        match self {
-            Db::One(e) => e,
-            Db::Shared(s) => s,
-        }
-    }
-}
-
-impl Db {
-    fn crash(&mut self) {
-        match self {
-            Db::One(e) => e.crash(),
-            Db::Shared(s) => s.crash(),
-        }
-    }
-
-    fn hook(&mut self, plan: Option<&FaultPlan>) {
-        let hook = plan.map(FaultPlan::hook);
-        match self {
-            Db::One(e) => e.install_fault_hook(hook),
-            Db::Shared(s) => s.install_fault_hook(hook),
-        }
-    }
-}
-
 /// How a scenario comes back from an injected crash without stopping.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Reboot {
@@ -367,7 +331,7 @@ pub(crate) struct State {
 
 impl State {
     /// Execute `body` and mirror it into the oracle.
-    pub(crate) fn exec(&mut self, engine: &mut Engine, body: OpBody) -> Result<(), Stop> {
+    pub(crate) fn exec(&mut self, engine: &EngineService, body: OpBody) -> Result<(), Stop> {
         let lsn = engine.execute(body.clone())?;
         self.apply(lsn, &body)
     }
@@ -379,7 +343,7 @@ impl State {
     }
 
     /// With probability `p`, flush a random dirty page.
-    pub(crate) fn flush_random(&mut self, engine: &Engine, p: f64) -> Result<(), Stop> {
+    pub(crate) fn flush_random(&mut self, engine: &EngineService, p: f64) -> Result<(), Stop> {
         if self.gen.chance(p) {
             let dirty = engine.cache().dirty_pages();
             if !dirty.is_empty() {
@@ -403,7 +367,7 @@ impl State {
     /// return `None`. Any other failure stops the drive.
     pub(crate) fn survive<T>(
         &mut self,
-        engine: &mut Engine,
+        engine: &EngineService,
         r: Result<T, EngineError>,
         reboot: Reboot,
     ) -> Result<Option<T>, Stop> {
@@ -662,11 +626,13 @@ impl Drill {
     }
 
     /// Build, prefill, take the base image and run the scenario's setup.
-    pub(crate) fn build(&self, kind: FaultKind) -> Result<(Db, State), String> {
+    /// Session threads share a service of the configured geometry; every
+    /// other scenario drives the service of a one-session [`Engine`].
+    pub(crate) fn build(&self, kind: FaultKind) -> Result<(Arc<EngineService>, State), String> {
         let config = self.engine_config();
-        let mut db = match self.scenario {
-            Scenario::Sessions(_) => EngineService::new(config).map(|s| Db::Shared(Arc::new(s))),
-            _ => Engine::new(config).map(Db::One),
+        let db = match self.scenario {
+            Scenario::Sessions(_) => EngineService::new(config).map(Arc::new),
+            _ => Engine::new(config).map(|e| e.0),
         }
         .map_err(|e| e.to_string())?;
         let mut gen = WorkloadGen::new(self.seed, self.page_size);
@@ -681,10 +647,7 @@ impl Drill {
         };
         // A shared service's group commit gathers its registered sessions;
         // one live session lets the prefill's forces close at once.
-        let setup = match &db {
-            Db::Shared(svc) => Some(svc.session()),
-            Db::One(_) => None,
-        };
+        let setup = db.session();
         let mut oracle = ShadowOracle::new(self.page_size);
         for &p in &used {
             let body = gen.physical(p);
@@ -710,47 +673,41 @@ impl Drill {
                 .map_err(|e| format!("setup failed: {e}"))?;
         }
         // What a scenario does between the base image and arming.
-        match (self.scenario, &mut db) {
-            (Scenario::Restore(l), Db::One(engine)) => self.drive_ops(engine, &mut st, l),
-            (Scenario::Degraded { tail_ops, .. }, Db::One(engine)) => {
-                self.instant_setup(engine, &mut st, tail_ops)
-            }
+        match self.scenario {
+            Scenario::Restore(l) => self.drive_ops(&db, &mut st, l),
+            Scenario::Degraded { tail_ops, .. } => self.instant_setup(&db, &mut st, tail_ops),
             _ => Ok(()),
         }
         .map_err(|e| format!("setup failed: {e:?}"))?;
         Ok((db, st))
     }
 
-    fn drive(&self, db: &mut Db, st: &mut State) -> Result<(), Stop> {
-        match (self.scenario, db) {
-            (Scenario::Sessions(n), Db::Shared(svc)) => self.drive_sessions(svc, st, n),
-            (Scenario::Ops(l), Db::One(engine)) => self.drive_ops(engine, st, l),
-            (Scenario::Restore(_), Db::One(engine)) => {
-                engine
-                    .store()
+    fn drive(&self, db: &Arc<EngineService>, st: &mut State) -> Result<(), Stop> {
+        match self.scenario {
+            Scenario::Sessions(n) => self.drive_sessions(db, st, n),
+            Scenario::Ops(l) => self.drive_ops(db, st, l),
+            Scenario::Restore(_) => {
+                db.store()
                     .fail_partition(PartitionId(0))
                     .map_err(|e| e.to_string())?;
-                let r = engine.parallel_restore_with(&st.fallback(), self.recovery);
-                st.survive(engine, r, Reboot::Restore).map(drop)
+                let r = db.parallel_restore_with(&st.fallback(), self.recovery);
+                st.survive(db, r, Reboot::Restore).map(drop)
             }
-            (Scenario::Sweeps, Db::One(engine)) => self.drive_sweeps(engine, st),
-            (Scenario::Degraded { post_ops, .. }, Db::One(engine)) => {
-                self.drive_instant(engine, st, post_ops)
-            }
-            _ => Err(Stop::Diverged("scenario built on the wrong engine".into())),
+            Scenario::Sweeps => self.drive_sweeps(db, st),
+            Scenario::Degraded { post_ops, .. } => self.drive_instant(db, st, post_ops),
         }
     }
 
     fn run(&self, kind: FaultKind) -> Result<Case, String> {
-        let (mut db, mut st) = self.build(kind)?;
+        let (db, mut st) = self.build(kind)?;
         let (stats, forces) = (db.stats(), db.log_stats().forces);
-        db.hook(Some(&st.plan));
-        let stop = self.drive(&mut db, &mut st);
-        db.hook(None);
+        db.install_fault_hook(Some(st.plan.hook()));
+        let stop = self.drive(&db, &mut st);
+        db.install_fault_hook(None);
         st.counters.forces = db.log_stats().forces - forces;
         let path = match stop {
-            Ok(()) => self.settle(&mut db, &mut st, None),
-            Err(Stop::Engine(e)) => self.settle(&mut db, &mut st, Some(e)),
+            Ok(()) => self.settle(&db, &mut st, None),
+            Err(Stop::Engine(e)) => self.settle(&db, &mut st, Some(e)),
             Err(Stop::Diverged(e)) => Err(Divergence::Failed(e)),
         }
         .map(|path| match (path, st.rebooted) {
@@ -773,7 +730,7 @@ impl Drill {
     /// The settlement table, then the verification.
     fn settle(
         &self,
-        db: &mut Db,
+        db: &EngineService,
         st: &mut State,
         stop: Option<EngineError>,
     ) -> Result<Path, Divergence> {
@@ -806,7 +763,12 @@ impl Drill {
     /// in flight, scrub, restore and roll the full history forward. A
     /// failure that left no damage in the store is unexpected, unless it
     /// is an overwritten wound ([`Drill::overwritten_wound`]).
-    fn media(&self, db: &mut Db, st: &mut State, e: EngineError) -> Result<Path, Divergence> {
+    fn media(
+        &self,
+        db: &EngineService,
+        st: &mut State,
+        e: EngineError,
+    ) -> Result<Path, Divergence> {
         if !st.scrub(db)? && !self.overwritten_wound(&st.plan, &e) {
             return Err(Divergence::Failed(format!(
                 "unexpected failure under {:?}: {e}",
@@ -836,7 +798,7 @@ impl Drill {
     /// nothing read: scrub it, or find it at the flush. Then the store the
     /// drive left must match the oracle, and the drive's own on-line
     /// images must restore it after total media loss.
-    fn settle_finished(&self, db: &mut Db, st: &mut State) -> Result<Path, Divergence> {
+    fn settle_finished(&self, db: &EngineService, st: &mut State) -> Result<Path, Divergence> {
         if st.scrub(db)? {
             restore_checked(db, &st.fallback(), self.recovery)?;
             return Ok(Path::Media);
@@ -915,10 +877,10 @@ mod tests {
     /// after its armed `CorruptWriteAt` fired on `wounded` (the hook is
     /// called directly, so the store holds no damage for the scrub).
     fn settle_surfaced(drill: &Drill, wounded: PageId, e: EngineError) -> Result<Path, Divergence> {
-        let (mut db, mut st) = drill.build(FaultKind::CorruptWriteAt(0)).unwrap();
+        let (db, mut st) = drill.build(FaultKind::CorruptWriteAt(0)).unwrap();
         (st.plan.hook())(IoEvent::PageWrite, Some(wounded));
         assert_eq!(st.plan.fired_page(), Some(wounded));
-        drill.media(&mut db, &mut st, e)
+        drill.media(&db, &mut st, e)
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl FaultPlan {
         }
     }
 
-    /// The hook to install via `Engine::install_fault_hook`.
+    /// The hook to install via `EngineService::install_fault_hook`.
     pub fn hook(&self) -> FaultHook {
         let kind = self.kind;
         let state = Arc::clone(&self.state);

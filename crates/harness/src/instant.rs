@@ -5,17 +5,17 @@
 //! fails **every** partition, enters an epoch, and interleaves verified
 //! foreground reads, single- and cross-partition writes, and sweep steps
 //! until the epoch completes. An injected crash re-enters the epoch
-//! through [`lob_core::Engine::recover_instant`] and traffic resumes. Each
-//! time an epoch closes, [`verify_epoch_close`] byte-compares it with a
-//! sequential reference restore. Writes after the epoch prove normal
-//! service resumed.
+//! through [`lob_core::EngineService::recover_instant`] and traffic
+//! resumes. Each time an epoch closes, [`verify_epoch_close`]
+//! byte-compares it with a sequential reference restore. Writes after the
+//! epoch prove normal service resumed.
 //!
 //! [`Scenario::Degraded`]: crate::Scenario::Degraded
 
 use crate::drill::{Drill, Reboot, State, Stop};
 use crate::reference::{diff_stores, reference_replay};
 use lob_backup::BackupError;
-use lob_core::{Engine, EngineService, Lsn, OpBody, PageId, PartitionId};
+use lob_core::{EngineService, Lsn, OpBody, PageId, PartitionId};
 
 /// The epoch-close witness: flush everything (so `S` sits at its pageLSN
 /// frontier), then restore the newest generation whose complete image is
@@ -77,7 +77,7 @@ impl Drill {
     /// past it.
     pub(crate) fn instant_setup(
         &self,
-        engine: &mut Engine,
+        engine: &EngineService,
         st: &mut State,
         tail_ops: u32,
     ) -> Result<(), Stop> {
@@ -95,7 +95,7 @@ impl Drill {
     /// scan), so the armed event can land inside it.
     pub(crate) fn drive_instant(
         &self,
-        engine: &mut Engine,
+        engine: &EngineService,
         st: &mut State,
         post_ops: u32,
     ) -> Result<(), Stop> {
@@ -164,19 +164,17 @@ impl Drill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drill::Db;
     use crate::{FaultKind, FaultPlan, Path};
     use bytes::Bytes;
     use lob_core::Page;
     use lob_pagestore::IoEvent;
+    use std::sync::Arc;
 
     /// The drill's engine just before the epoch: an archived full backup,
     /// a logged tail past it, and every partition failed.
-    fn engine_after_total_media_loss(seed: u64) -> Engine {
+    fn engine_after_total_media_loss(seed: u64) -> Arc<EngineService> {
         let drill = Drill::instant(seed);
-        let Ok((Db::One(engine), _)) = drill.build(FaultKind::CountOnly) else {
-            panic!("the instant drill builds a one-session engine");
-        };
+        let (engine, _) = drill.build(FaultKind::CountOnly).unwrap();
         for p in 0..drill.partitions {
             engine.store().fail_partition(PartitionId(p)).unwrap();
         }
@@ -185,7 +183,7 @@ mod tests {
 
     #[test]
     fn epoch_close_witness_catches_an_altered_page() {
-        let mut engine = engine_after_total_media_loss(5);
+        let engine = engine_after_total_media_loss(5);
         engine.begin_instant_restore().unwrap();
         engine.instant_restore_drain().unwrap();
         // One restored page changes behind the engine's back, after the
@@ -205,7 +203,7 @@ mod tests {
 
     #[test]
     fn mid_restore_kill_reenters_and_byte_verifies() {
-        let mut engine = engine_after_total_media_loss(9);
+        let engine = engine_after_total_media_loss(9);
         // The first segment install dies mid-epoch: the commit point
         // (clearing the failure flag) was never reached.
         let plan = FaultPlan::new(FaultKind::CrashAtEvent(IoEvent::SegmentInstall, 0));

@@ -10,7 +10,7 @@
 //! [`Scenario::Sweeps`]: crate::Scenario::Sweeps
 
 use crate::drill::{confined, Drill, State, Stop};
-use lob_core::{BackupImage, DomainId, Engine, EngineError, PageId};
+use lob_core::{BackupImage, DomainId, EngineError, EngineService, PageId};
 use lob_pagestore::witness;
 use std::thread;
 
@@ -45,7 +45,7 @@ pub(crate) fn worst(errors: Vec<EngineError>) -> Option<EngineError> {
 impl Drill {
     /// Begin a sweep in every domain, race one worker per domain against
     /// the writer, then complete every sweep — all of them or none.
-    pub(crate) fn drive_sweeps(&self, engine: &mut Engine, st: &mut State) -> Result<(), Stop> {
+    pub(crate) fn drive_sweeps(&self, engine: &EngineService, st: &mut State) -> Result<(), Stop> {
         let mut runs = Vec::new();
         for d in 0..engine.coordinator().domain_count() {
             let run = engine.begin_backup_of(DomainId(d), self.backup_steps)?;
@@ -101,7 +101,7 @@ impl Drill {
 
     /// The writer: operations confined to a random partition each, plus
     /// random flushes — the traffic the trackers referee.
-    fn write_confined(&self, engine: &mut Engine, st: &mut State) -> Result<(), Stop> {
+    fn write_confined(&self, engine: &EngineService, st: &mut State) -> Result<(), Stop> {
         for _ in 0..self.ops {
             let p = st.gen.below(self.partitions as usize) as u32;
             let pages: Vec<PageId> = (0..self.pages).map(|i| PageId::new(p, i)).collect();

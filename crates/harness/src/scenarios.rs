@@ -31,7 +31,7 @@ pub struct Fig1Outcome {
 ///   an identity write, and recovery is exact.
 pub fn fig1_split_scenario(policy: BackupPolicy) -> Result<Fig1Outcome, String> {
     let page_size = 256usize;
-    let mut engine = Engine::new(EngineConfig {
+    let engine = Engine::new(EngineConfig {
         discipline: Discipline::Tree,
         policy,
         ..EngineConfig::single(64, page_size)

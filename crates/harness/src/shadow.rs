@@ -1,7 +1,7 @@
 //! The shadow oracle: ground truth for recovery correctness.
 
 use bytes::Bytes;
-use lob_core::{Engine, EngineService, Lsn, OpBody, PageId};
+use lob_core::{EngineService, Lsn, OpBody, PageId};
 use lob_ops::OpError;
 use std::collections::BTreeMap;
 
@@ -23,9 +23,9 @@ use std::collections::BTreeMap;
 /// use lob_core::{Engine, EngineConfig, Lsn, OpBody, PageId};
 /// use bytes::Bytes;
 ///
-/// let mut engine = Engine::new(EngineConfig::small()).unwrap();
+/// let engine = Engine::new(EngineConfig::small()).unwrap();
 /// let mut oracle = ShadowOracle::new(256);
-/// oracle.execute(&mut engine, OpBody::PhysicalWrite {
+/// oracle.execute(&engine, OpBody::PhysicalWrite {
 ///     target: PageId::new(0, 0),
 ///     value: Bytes::from(vec![7u8; 256]),
 /// }).unwrap();
@@ -81,7 +81,7 @@ impl ShadowOracle {
     }
 
     /// Convenience: execute on the engine *and* mirror into the oracle.
-    pub fn execute(&mut self, engine: &mut Engine, body: OpBody) -> Result<Lsn, String> {
+    pub fn execute(&mut self, engine: &EngineService, body: OpBody) -> Result<Lsn, String> {
         let lsn = engine
             .execute(body.clone())
             .map_err(|e| format!("engine execute failed: {e}"))?;
@@ -180,7 +180,7 @@ impl ShadowOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lob_core::{EngineConfig, LogicalOp};
+    use lob_core::{Engine, EngineConfig, LogicalOp};
 
     fn pid(i: u32) -> PageId {
         PageId::new(0, i)
@@ -188,10 +188,10 @@ mod tests {
 
     #[test]
     fn oracle_mirrors_engine_exactly() {
-        let mut e = Engine::new(EngineConfig::small()).unwrap();
+        let e = Engine::new(EngineConfig::small()).unwrap();
         let mut o = ShadowOracle::new(256);
         o.execute(
-            &mut e,
+            &e,
             OpBody::PhysicalWrite {
                 target: pid(0),
                 value: Bytes::from(vec![7u8; 256]),
@@ -199,7 +199,7 @@ mod tests {
         )
         .unwrap();
         o.execute(
-            &mut e,
+            &e,
             OpBody::Logical(LogicalOp::Copy {
                 src: pid(0),
                 dst: pid(1),
@@ -215,11 +215,11 @@ mod tests {
 
     #[test]
     fn state_at_respects_prefix() {
-        let mut e = Engine::new(EngineConfig::small()).unwrap();
+        let e = Engine::new(EngineConfig::small()).unwrap();
         let mut o = ShadowOracle::new(256);
         for (i, fill) in [(0u32, 1u8), (0, 2), (0, 3)] {
             o.execute(
-                &mut e,
+                &e,
                 OpBody::PhysicalWrite {
                     target: pid(i),
                     value: Bytes::from(vec![fill; 256]),
@@ -235,10 +235,10 @@ mod tests {
 
     #[test]
     fn verify_store_detects_mismatch_and_match() {
-        let mut e = Engine::new(EngineConfig::small()).unwrap();
+        let e = Engine::new(EngineConfig::small()).unwrap();
         let mut o = ShadowOracle::new(256);
         o.execute(
-            &mut e,
+            &e,
             OpBody::PhysicalWrite {
                 target: pid(0),
                 value: Bytes::from(vec![9u8; 256]),

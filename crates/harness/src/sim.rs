@@ -168,14 +168,14 @@ fn finish(
 }
 
 fn run_general(cfg: &Fig5Config) -> Result<Fig5Result, String> {
-    let mut engine = engine_for(cfg, Discipline::General)?;
+    let engine = engine_for(cfg, Discipline::General)?;
     let mut oracle = ShadowOracle::new(cfg.page_size);
     let mut gen = WorkloadGen::new(cfg.seed, cfg.page_size);
     let pages: Vec<PageId> = (0..cfg.pages).map(|i| PageId::new(0, i)).collect();
 
     // Prefill every page so reads find real content, then quiesce.
     for &p in &pages {
-        oracle.execute(&mut engine, gen.physical(p))?;
+        oracle.execute(&engine, gen.physical(p))?;
     }
     engine.flush_all().map_err(|e| e.to_string())?;
     engine.coordinator().stats().reset();
@@ -192,7 +192,7 @@ fn run_general(cfg: &Fig5Config) -> Result<Fig5Result, String> {
                 r = gen.pick(&pages);
             }
             oracle.execute(
-                &mut engine,
+                &engine,
                 OpBody::Logical(LogicalOp::Mix {
                     reads: vec![r],
                     writes: vec![x],
@@ -218,7 +218,7 @@ fn run_tree(cfg: &Fig5Config) -> Result<Fig5Result, String> {
             rounds, cfg.pages
         ));
     }
-    let mut engine = engine_for(cfg, Discipline::Tree)?;
+    let engine = engine_for(cfg, Discipline::Tree)?;
     let mut oracle = ShadowOracle::new(cfg.page_size);
     let mut gen = WorkloadGen::new(cfg.seed, cfg.page_size);
     let all: Vec<PageId> = (0..cfg.pages).map(|i| PageId::new(0, i)).collect();
@@ -231,7 +231,7 @@ fn run_tree(cfg: &Fig5Config) -> Result<Fig5Result, String> {
     let mut used: Vec<PageId> = used_init.to_vec();
     let mut fresh: Vec<PageId> = fresh_pool.to_vec();
     for &p in &used {
-        oracle.execute(&mut engine, gen.physical(p))?;
+        oracle.execute(&engine, gen.physical(p))?;
     }
     engine.flush_all().map_err(|e| e.to_string())?;
     engine.coordinator().stats().reset();
@@ -257,7 +257,7 @@ fn run_tree(cfg: &Fig5Config) -> Result<Fig5Result, String> {
                         chain[i - 1]
                     };
                     oracle.execute(
-                        &mut engine,
+                        &engine,
                         lob_ops::OpBody::Logical(LogicalOp::Copy { src, dst: x }),
                     )?;
                     chain.push(x);
@@ -278,7 +278,7 @@ fn run_tree(cfg: &Fig5Config) -> Result<Fig5Result, String> {
                     // The paper's |S(X)| = 1 model: uniform source.
                     gen.copy_to_fresh(&used, x)
                 };
-                oracle.execute(&mut engine, op)?;
+                oracle.execute(&engine, op)?;
                 engine.flush_page(x).map_err(|e| e.to_string())?;
                 flushed_this_step += 1;
                 used.push(x);

@@ -11,7 +11,7 @@
 //! [`Scenario::Restore`]: crate::Scenario::Restore
 
 use crate::drill::{confined, update, Drill, OpLoop, State, Stop};
-use lob_core::{BackupRun, Discipline, Engine, EngineError, OpBody};
+use lob_core::{BackupRun, Discipline, EngineError, EngineService, OpBody};
 use lob_pagestore::StoreError;
 
 impl Drill {
@@ -38,7 +38,7 @@ impl Drill {
     /// fault differs. The first failed verb stops it.
     pub(crate) fn drive_ops(
         &self,
-        engine: &mut Engine,
+        engine: &EngineService,
         st: &mut State,
         l: OpLoop,
     ) -> Result<(), Stop> {

@@ -203,11 +203,11 @@ impl Replay {
     /// applied and fully flushed, backup begun.
     fn initial(scenario: &Scenario, coordination: Coordination) -> Result<Replay, ModelError> {
         let config = scenario.config(coordination);
-        let mut engine = Engine::new(config).map_err(|e| ModelError::new("creating engine", e))?;
+        let engine = Engine::new(config).map_err(|e| ModelError::new("creating engine", e))?;
         let mut oracle = ShadowOracle::new(scenario.page_size);
         for body in &scenario.setup {
             oracle
-                .execute(&mut engine, body.clone())
+                .execute(&engine, body.clone())
                 .map_err(|e| ModelError::new("applying setup op", e))?;
         }
         engine
@@ -250,7 +250,7 @@ impl Replay {
                     .cloned()
                     .ok_or_else(|| ModelError::new("applying op", "no scripted op left"))?;
                 self.oracle
-                    .execute(&mut self.engine, body)
+                    .execute(&self.engine, body)
                     .map_err(|e| ModelError::new("applying scripted op", e))?;
                 // Force so every applied op is durable: probes then check
                 // full recovery, not the (orthogonal) force policy.
@@ -545,7 +545,7 @@ impl Explorer {
         has_image: bool,
         report: &mut ExploreReport,
     ) -> Result<(), ModelError> {
-        let mut crashed = Replay::materialize(&self.scenario, self.coordination, trace)?;
+        let crashed = Replay::materialize(&self.scenario, self.coordination, trace)?;
         crashed.engine.crash();
         crashed
             .engine
@@ -560,7 +560,7 @@ impl Explorer {
             });
         }
 
-        let mut parallel = Replay::materialize(&self.scenario, self.coordination, trace)?;
+        let parallel = Replay::materialize(&self.scenario, self.coordination, trace)?;
         parallel.engine.crash();
         parallel
             .engine

@@ -13,7 +13,7 @@ use lob_core::{
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A small database logging *general* logical operations, protected by
     // the paper's backup protocol.
-    let mut engine = Engine::new(EngineConfig {
+    let engine = Engine::new(EngineConfig {
         discipline: Discipline::General,
         policy: BackupPolicy::Protocol,
         ..EngineConfig::single(64, 256)

@@ -49,7 +49,7 @@ fn read_hook(target: PageId, verdict: FaultVerdict, times: u32) -> lob_pagestore
 }
 
 fn main() {
-    let mut engine = Engine::new(EngineConfig {
+    let engine = Engine::new(EngineConfig {
         cache_capacity: Some(1),
         ..EngineConfig::single(8, PAGE_SIZE)
     })

@@ -69,7 +69,7 @@ fn naive_fuzzy_dump_fails_some_logical_sessions() {
 
 #[test]
 fn linked_flush_backup_is_correct_but_pays_double_writes() {
-    let mut engine = lob_core::Engine::new(lob_core::EngineConfig {
+    let engine = lob_core::Engine::new(lob_core::EngineConfig {
         discipline: Discipline::General,
         policy: BackupPolicy::LinkedFlush,
         ..lob_core::EngineConfig::single(128, 128)
@@ -80,7 +80,7 @@ fn linked_flush_backup_is_correct_but_pays_double_writes() {
     let pages: Vec<PageId> = (0..128).map(|i| PageId::new(0, i)).collect();
     for &p in &pages {
         let op = gen.physical(p);
-        oracle.execute(&mut engine, op).unwrap();
+        oracle.execute(&engine, op).unwrap();
     }
     engine.flush_all().unwrap();
 
@@ -91,7 +91,7 @@ fn linked_flush_backup_is_correct_but_pays_double_writes() {
         // Updates during the window are mirrored into the image by the
         // linked flush.
         let op = gen.mix(&pages, 2, 2);
-        oracle.execute(&mut engine, op).unwrap();
+        oracle.execute(&engine, op).unwrap();
         engine.flush_all().unwrap();
         salt += 1;
         if done {
@@ -109,7 +109,7 @@ fn linked_flush_backup_is_correct_but_pays_double_writes() {
 fn multiple_sequential_backups_with_release() {
     // Backups can be taken repeatedly; releasing the old one lets the log
     // truncate past its start point.
-    let mut engine = lob_core::Engine::new(lob_core::EngineConfig {
+    let engine = lob_core::Engine::new(lob_core::EngineConfig {
         discipline: Discipline::General,
         ..lob_core::EngineConfig::single(64, 128)
     })
@@ -119,7 +119,7 @@ fn multiple_sequential_backups_with_release() {
     let pages: Vec<PageId> = (0..64).map(|i| PageId::new(0, i)).collect();
     for &p in &pages {
         let op = gen.physical(p);
-        oracle.execute(&mut engine, op).unwrap();
+        oracle.execute(&engine, op).unwrap();
     }
     engine.flush_all().unwrap();
 
@@ -135,7 +135,7 @@ fn multiple_sequential_backups_with_release() {
         // Updates between backups.
         for _ in 0..10 {
             let op = gen.mix(&pages, 2, 2);
-            oracle.execute(&mut engine, op).unwrap();
+            oracle.execute(&engine, op).unwrap();
         }
         engine.flush_all().unwrap();
         let _ = round;
@@ -149,7 +149,7 @@ fn multiple_sequential_backups_with_release() {
 
 #[test]
 fn backup_step_counts_match_tracker_lifecycle() {
-    let mut engine = lob_core::Engine::new(lob_core::EngineConfig::single(64, 128)).unwrap();
+    let engine = lob_core::Engine::new(lob_core::EngineConfig::single(64, 128)).unwrap();
     engine
         .execute(OpBody::PhysicalWrite {
             target: PageId::new(0, 0),

@@ -17,19 +17,19 @@ fn engine(pages: u32) -> Engine {
 
 #[test]
 fn unforced_operations_are_lost_forced_ones_survive() {
-    let mut e = engine(16);
+    let e = engine(16);
     let mut o = ShadowOracle::new(128);
     let mut g = WorkloadGen::new(3, 128);
     for i in 0..8 {
         let op = g.physical(PageId::new(0, i));
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.force_log().unwrap();
     let durable = e.log().durable_lsn();
     // Two more, unforced — these vanish at the crash.
     for i in 8..10 {
         let op = g.physical(PageId::new(0, i));
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.crash();
     e.recover().unwrap();
@@ -46,7 +46,7 @@ fn unforced_operations_are_lost_forced_ones_survive() {
 
 #[test]
 fn repeated_crashes_converge() {
-    let mut e = engine(32);
+    let e = engine(32);
     let mut o = ShadowOracle::new(128);
     let mut g = WorkloadGen::new(5, 128);
     let pages: Vec<PageId> = (0..32).map(|i| PageId::new(0, i)).collect();
@@ -58,7 +58,7 @@ fn repeated_crashes_converge() {
                 let p = pages[g.below(pages.len())];
                 g.physio(p)
             };
-            o.execute(&mut e, op).unwrap();
+            o.execute(&e, op).unwrap();
         }
         e.force_log().unwrap();
         let durable = e.log().durable_lsn();
@@ -71,7 +71,7 @@ fn repeated_crashes_converge() {
 
 #[test]
 fn crash_immediately_after_recovery_is_harmless() {
-    let mut e = engine(16);
+    let e = engine(16);
     e.execute(OpBody::PhysicalWrite {
         target: PageId::new(0, 1),
         value: Bytes::from(vec![7u8; 128]),
@@ -97,7 +97,7 @@ fn crash_mid_backup_recovers_and_next_backup_succeeds() {
 
 #[test]
 fn crash_mid_backup_then_fresh_backup_supports_media_recovery() {
-    let mut e = Engine::new(EngineConfig {
+    let e = Engine::new(EngineConfig {
         discipline: Discipline::Tree,
         policy: BackupPolicy::Protocol,
         ..EngineConfig::single(64, 128)
@@ -107,7 +107,7 @@ fn crash_mid_backup_then_fresh_backup_supports_media_recovery() {
     let mut g = WorkloadGen::new(8, 128);
     for i in 0..16 {
         let op = g.physical(PageId::new(0, i));
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.flush_all().unwrap();
 
@@ -118,7 +118,7 @@ fn crash_mid_backup_then_fresh_backup_supports_media_recovery() {
         src: PageId::new(0, 0),
         dst: PageId::new(0, 30),
     });
-    o.execute(&mut e, op).unwrap();
+    o.execute(&e, op).unwrap();
     e.force_log().unwrap();
     let backup_id = run.backup_id();
     run.abort(e.coordinator());
@@ -135,7 +135,7 @@ fn crash_mid_backup_then_fresh_backup_supports_media_recovery() {
         src: PageId::new(0, 30),
         dst: PageId::new(0, 31),
     });
-    o.execute(&mut e, op).unwrap();
+    o.execute(&e, op).unwrap();
     e.flush_all().unwrap();
     e.store().fail_partition(PartitionId(0)).unwrap();
     e.media_recover(&image).unwrap();
@@ -144,13 +144,13 @@ fn crash_mid_backup_then_fresh_backup_supports_media_recovery() {
 
 #[test]
 fn log_truncation_never_breaks_crash_recovery() {
-    let mut e = engine(32);
+    let e = engine(32);
     let mut o = ShadowOracle::new(128);
     let mut g = WorkloadGen::new(13, 128);
     let pages: Vec<PageId> = (0..32).map(|i| PageId::new(0, i)).collect();
     for _ in 0..30 {
         let op = g.mix(&pages, 2, 2);
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
         // Aggressive flushing + truncation after every op.
         let dirty = e.cache().dirty_pages();
         for p in dirty {
@@ -167,7 +167,7 @@ fn log_truncation_never_breaks_crash_recovery() {
 
 #[test]
 fn allocator_reseeds_after_recovery() {
-    let mut e = Engine::new(EngineConfig {
+    let e = Engine::new(EngineConfig {
         discipline: Discipline::Tree,
         ..EngineConfig::single(32, 128)
     })

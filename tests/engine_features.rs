@@ -13,7 +13,7 @@ use lob_harness::{ShadowOracle, WorkloadGen};
 fn bounded_cache_session_recovers_exactly() {
     // A tiny cache forces constant eviction/refetch; correctness must be
     // unchanged.
-    let mut e = Engine::new(EngineConfig {
+    let e = Engine::new(EngineConfig {
         discipline: Discipline::General,
         cache_capacity: Some(12),
         ..EngineConfig::single(64, 128)
@@ -29,7 +29,7 @@ fn bounded_cache_session_recovers_exactly() {
             let p = pages[g.below(pages.len())];
             g.physio(p)
         };
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
         // Keep the dirty set (which cannot be evicted) small.
         if e.cache().dirty_count() > 8 {
             e.flush_oldest(4).unwrap();
@@ -49,13 +49,13 @@ fn bounded_cache_session_recovers_exactly() {
 
 #[test]
 fn audit_matches_oracle_verdict() {
-    let mut e = Engine::new(EngineConfig::single(64, 128)).unwrap();
+    let e = Engine::new(EngineConfig::single(64, 128)).unwrap();
     let mut o = ShadowOracle::new(128);
     let mut g = WorkloadGen::new(5, 128);
     let pages: Vec<PageId> = (0..64).map(|i| PageId::new(0, i)).collect();
     for &p in &pages[..16] {
         let op = g.physical(p);
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.flush_all().unwrap();
     let mut run = e.begin_backup(2).unwrap();
@@ -66,14 +66,14 @@ fn audit_matches_oracle_verdict() {
     // state.
     for _ in 0..20 {
         let op = g.mix(&pages[..16], 2, 2);
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     assert!(e.audit_backup(&image).unwrap().is_empty());
 }
 
 #[test]
 fn install_without_flush_keeps_hot_page_dirty_through_backup() {
-    let mut e = Engine::new(EngineConfig::single(64, 128)).unwrap();
+    let e = Engine::new(EngineConfig::single(64, 128)).unwrap();
     let hot = PageId::new(0, 5);
     e.execute(OpBody::PhysicalWrite {
         target: hot,
@@ -108,12 +108,12 @@ fn install_without_flush_keeps_hot_page_dirty_through_backup() {
 fn point_in_time_recovery_excludes_a_bad_application() {
     // §6.3's scenario: an erroneous application corrupted the database;
     // recover to just before it ran.
-    let mut e = Engine::new(EngineConfig::single(64, 128)).unwrap();
+    let e = Engine::new(EngineConfig::single(64, 128)).unwrap();
     let mut o = ShadowOracle::new(128);
     let mut g = WorkloadGen::new(77, 128);
     for i in 0..8 {
         let op = g.physical(PageId::new(0, i));
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.flush_all().unwrap();
     let mut run = e.begin_backup(2).unwrap();
@@ -122,7 +122,7 @@ fn point_in_time_recovery_excludes_a_bad_application() {
 
     // Good work after the backup.
     let op = g.physio(PageId::new(0, 1));
-    o.execute(&mut e, op).unwrap();
+    o.execute(&e, op).unwrap();
     e.flush_all().unwrap();
     let before_corruption = e.log().durable_lsn();
     let good_state = o.state_at(before_corruption);
@@ -162,7 +162,7 @@ fn file_backed_log_full_cycle_with_backup() {
     let image;
     let expected;
     {
-        let mut e = Engine::new(config.clone()).unwrap();
+        let e = Engine::new(config.clone()).unwrap();
         e.execute(OpBody::PhysicalWrite {
             target: PageId::new(0, 0),
             value: Bytes::from(vec![7u8; 128]),
@@ -261,20 +261,20 @@ fn commit_after_restarting_over_a_torn_log_tail_survives_a_crash() {
 fn flush_oldest_interacts_with_backup_protocol() {
     // Background flushing during a backup must take the same Iw/oF
     // decisions as explicit flushes.
-    let mut e = Engine::new(EngineConfig::single(256, 128)).unwrap();
+    let e = Engine::new(EngineConfig::single(256, 128)).unwrap();
     let mut o = ShadowOracle::new(128);
     let mut g = WorkloadGen::new(88, 128);
     let pages: Vec<PageId> = (0..256).map(|i| PageId::new(0, i)).collect();
     for &p in &pages {
         let op = g.physical(p);
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.flush_all().unwrap();
     let mut run = e.begin_backup(4).unwrap();
     loop {
         for _ in 0..20 {
             let op = g.mix(&pages, 2, 2);
-            o.execute(&mut e, op).unwrap();
+            o.execute(&e, op).unwrap();
         }
         e.flush_oldest(10).unwrap();
         if e.backup_step(&mut run).unwrap() {

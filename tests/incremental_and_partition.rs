@@ -8,7 +8,7 @@ use lob_core::{
 use lob_harness::{ShadowOracle, WorkloadGen};
 
 fn single(pages: u32) -> (Engine, ShadowOracle, WorkloadGen) {
-    let mut e = Engine::new(EngineConfig {
+    let e = Engine::new(EngineConfig {
         discipline: Discipline::General,
         ..EngineConfig::single(pages, 128)
     })
@@ -17,7 +17,7 @@ fn single(pages: u32) -> (Engine, ShadowOracle, WorkloadGen) {
     let mut g = WorkloadGen::new(21, 128);
     for i in 0..pages {
         let op = g.physical(PageId::new(0, i));
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.flush_all().unwrap();
     (e, o, g)
@@ -39,7 +39,7 @@ fn incremental_chain_recovers_current_state() {
     // Round 1 of updates + incremental.
     for _ in 0..20 {
         let op = g.mix(&pages, 2, 2);
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.flush_all().unwrap();
     let mut r1 = e.begin_incremental_backup(DomainId(0), 4, &base).unwrap();
@@ -52,7 +52,7 @@ fn incremental_chain_recovers_current_state() {
     let restore1 = BackupImage::materialize(&base, &incr1).unwrap();
     for _ in 0..10 {
         let op = g.mix(&pages, 2, 2);
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
     }
     e.flush_all().unwrap();
 
@@ -69,7 +69,7 @@ fn second_incremental_covers_only_new_changes() {
     // Touch pages 0..8, incremental 1.
     for i in 0..8 {
         let op = g.physio(PageId::new(0, i));
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
         e.flush_page(PageId::new(0, i)).unwrap();
     }
     let mut r1 = e.begin_incremental_backup(DomainId(0), 2, &base).unwrap();
@@ -82,7 +82,7 @@ fn second_incremental_covers_only_new_changes() {
     let restore1 = BackupImage::materialize(&base, &incr1).unwrap();
     for i in 20..24 {
         let op = g.physio(PageId::new(0, i));
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
         e.flush_page(PageId::new(0, i)).unwrap();
     }
     let mut r2 = e
@@ -104,7 +104,7 @@ fn aborted_incremental_does_not_lose_changed_pages() {
     let base = full_backup(&mut e);
     for i in 0..6 {
         let op = g.physio(PageId::new(0, i));
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
         e.flush_page(PageId::new(0, i)).unwrap();
     }
     // Start an incremental and abort it mid-sweep.
@@ -120,7 +120,7 @@ fn aborted_incremental_does_not_lose_changed_pages() {
 }
 
 fn multi() -> (Engine, ShadowOracle, WorkloadGen) {
-    let mut e = Engine::new(EngineConfig {
+    let e = Engine::new(EngineConfig {
         page_size: 128,
         partitions: vec![
             PartitionSpec { pages: 32 },
@@ -141,7 +141,7 @@ fn multi() -> (Engine, ShadowOracle, WorkloadGen) {
     for p in 0..3 {
         for i in 0..32 {
             let op = g.physical(PageId::new(p, i));
-            o.execute(&mut e, op).unwrap();
+            o.execute(&e, op).unwrap();
         }
     }
     e.flush_all().unwrap();
@@ -150,7 +150,7 @@ fn multi() -> (Engine, ShadowOracle, WorkloadGen) {
 
 #[test]
 fn per_partition_tracking_rejects_cross_partition_ops() {
-    let (mut e, _o, _g) = multi();
+    let (e, _o, _g) = multi();
     let op = lob_core::OpBody::Logical(lob_core::LogicalOp::Copy {
         src: PageId::new(0, 0),
         dst: PageId::new(1, 0),
@@ -163,7 +163,7 @@ fn per_partition_tracking_rejects_cross_partition_ops() {
 
 #[test]
 fn interleaved_partition_backups_are_independent() {
-    let (mut e, mut o, mut g) = multi();
+    let (e, mut o, mut g) = multi();
     // Backups of partitions 0 and 2 run interleaved; partition 1 updates
     // throughout.
     let mut r0 = e.begin_backup_of(DomainId(0), 4).unwrap();
@@ -172,7 +172,7 @@ fn interleaved_partition_backups_are_independent() {
     loop {
         let d0 = e.backup_step(&mut r0).unwrap();
         let op = g.mix(&p1_pages, 2, 2);
-        o.execute(&mut e, op).unwrap();
+        o.execute(&e, op).unwrap();
         if !r2.is_finished() {
             e.backup_step(&mut r2).unwrap();
         }
@@ -197,7 +197,7 @@ fn interleaved_partition_backups_are_independent() {
 
 #[test]
 fn partition_recovery_leaves_other_partitions_untouched() {
-    let (mut e, mut o, mut g) = multi();
+    let (e, mut o, mut g) = multi();
     let mut run = e.begin_backup_of(DomainId(1), 2).unwrap();
     while !e.backup_step(&mut run).unwrap() {}
     let img = e.complete_backup(run).unwrap();
@@ -207,7 +207,7 @@ fn partition_recovery_leaves_other_partitions_untouched() {
         let pages: Vec<PageId> = (0..32).map(|i| PageId::new(p, i)).collect();
         for _ in 0..5 {
             let op = g.mix(&pages, 2, 2);
-            o.execute(&mut e, op).unwrap();
+            o.execute(&e, op).unwrap();
         }
     }
     e.flush_all().unwrap();

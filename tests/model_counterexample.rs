@@ -43,7 +43,7 @@ fn run_probes(
     engine.media_recover(&image).expect("media recovery runs");
     let media = oracle.verify_store(&engine, Lsn::MAX);
 
-    let (mut engine, oracle, _) = explorer.replay(trace).expect("trace replays");
+    let (engine, oracle, _) = explorer.replay(trace).expect("trace replays");
     engine.crash();
     engine.recover().expect("crash recovery runs");
     let crash = oracle.verify_store(&engine, Lsn::MAX);

@@ -14,7 +14,7 @@ const PAGES: u32 = 48;
 const PAGE_SIZE: usize = 64;
 
 fn multi(flush_policy: FlushPolicy) -> (Engine, ShadowOracle, WorkloadGen) {
-    let mut e = Engine::new(EngineConfig {
+    let e = Engine::new(EngineConfig {
         page_size: PAGE_SIZE,
         partitions: (0..PARTITIONS)
             .map(|_| PartitionSpec { pages: PAGES })
@@ -34,7 +34,7 @@ fn multi(flush_policy: FlushPolicy) -> (Engine, ShadowOracle, WorkloadGen) {
     for p in 0..PARTITIONS {
         for i in 0..PAGES {
             let op = g.physical(PageId::new(p, i));
-            o.execute(&mut e, op).unwrap();
+            o.execute(&e, op).unwrap();
         }
     }
     e.flush_all().unwrap();

@@ -23,7 +23,7 @@ const OPS: u32 = 80;
 ///
 /// `backup` runs an on-line backup during the session (general ops).
 fn driven_session(discipline: Discipline, backup: bool, seed: u64) -> (Engine, BackupImage) {
-    let mut engine = Engine::new(EngineConfig {
+    let engine = Engine::new(EngineConfig {
         discipline,
         ..EngineConfig::single(PAGES, PAGE_SIZE)
     })
@@ -104,7 +104,7 @@ fn driven_session(discipline: Discipline, backup: bool, seed: u64) -> (Engine, B
 /// `RedoOutcome` must equal the reference scan's over the same crashed
 /// store and log suffix.
 fn crash_and_compare(discipline: Discipline, backup: bool, seed: u64, rc: RecoveryConfig) {
-    let (mut engine, _) = driven_session(discipline, backup, seed);
+    let (engine, _) = driven_session(discipline, backup, seed);
     engine.crash();
     recover_checked(&engine, rc).unwrap_or_else(|e| panic!("{discipline:?} {rc:?}: {e}"));
     assert_eq!(engine.stats().recoveries, 1);

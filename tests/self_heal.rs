@@ -57,7 +57,7 @@ fn tiny_cache_engine(pages: u32) -> Engine {
 
 #[test]
 fn audit_backup_flags_deliberately_corrupted_image_bytes() {
-    let mut e = Engine::new(EngineConfig::single(8, PAGE_SIZE)).unwrap();
+    let e = Engine::new(EngineConfig::single(8, PAGE_SIZE)).unwrap();
     for i in 0..8 {
         e.execute(phys(pid(i), i as u8 + 1)).unwrap();
     }
@@ -79,7 +79,7 @@ fn audit_backup_flags_deliberately_corrupted_image_bytes() {
 
 #[test]
 fn repair_falls_back_past_a_corrupt_newest_generation() {
-    let mut e = tiny_cache_engine(8);
+    let e = tiny_cache_engine(8);
     for i in 0..8 {
         e.execute(phys(pid(i), 1)).unwrap();
     }
@@ -109,7 +109,7 @@ fn repair_falls_back_past_a_corrupt_newest_generation() {
 
 #[test]
 fn repair_during_active_backup_sweep_keeps_the_image_sound() {
-    let mut e = tiny_cache_engine(8);
+    let e = tiny_cache_engine(8);
     for i in 0..8 {
         e.execute(phys(pid(i), i as u8 + 1)).unwrap();
     }
@@ -138,7 +138,7 @@ fn repair_during_active_backup_sweep_keeps_the_image_sound() {
 
 #[test]
 fn unrepairable_page_degrades_typed_without_poisoning_other_partitions() {
-    let mut e = Engine::new(EngineConfig {
+    let e = Engine::new(EngineConfig {
         cache_capacity: Some(1),
         partitions: vec![PartitionSpec { pages: 8 }, PartitionSpec { pages: 8 }],
         tracking: Tracking::PerPartition,

@@ -190,12 +190,12 @@ fn log_truncation_is_a_faultable_crash_point() {
 
     let pages = 32u32;
     let page_size = 256usize;
-    let mut engine = Engine::new(EngineConfig::single(pages, page_size)).unwrap();
+    let engine = Engine::new(EngineConfig::single(pages, page_size)).unwrap();
     let mut oracle = ShadowOracle::new(page_size);
     let mut gen = WorkloadGen::new(0x70C4, page_size);
     for i in 0..pages {
         let op = gen.physical(PageId::new(0, i));
-        oracle.execute(&mut engine, op).unwrap();
+        oracle.execute(&engine, op).unwrap();
     }
 
     // Arm a crash at the first truncation-point advance; every other event
