@@ -75,7 +75,7 @@ use lob_recovery::{
 use lob_wal::{FileLogStore, GroupCommitLog, LogError, LogManager, RecordBody};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -150,6 +150,9 @@ pub struct EngineService {
     /// The in-flight instant-restore epoch, if media recovery is serving
     /// in degraded mode; `None` is normal operation.
     instant: Mutex<Option<InstantRestore>>,
+    /// Whether `instant` holds an epoch. Written only with `instant`
+    /// held, read without it: normal operation's segment gate is one load.
+    instant_active: AtomicBool, // lint: atomic(acq-rel)
     /// Monotone activity counters, indexed by [`Stat`].
     counters: [AtomicU64; STATS], // lint: atomic(relaxed-counter)
 }
@@ -264,6 +267,7 @@ impl EngineService {
                 hook: None,
             }),
             instant: Mutex::new(None),
+            instant_active: AtomicBool::new(false),
             counters: Default::default(),
             config,
         };
@@ -802,7 +806,11 @@ impl EngineService {
     /// — or [`EngineService::recover_instant`] when an epoch was in flight:
     /// its on-disk progress is exactly the cleared failure flags.
     pub fn crash(&self) {
-        self.instant.lock().take();
+        {
+            let mut slot = self.instant.lock();
+            *slot = None;
+            self.instant_active.store(false, Ordering::Release);
+        }
         let mut meta = self.lock_meta();
         let mut doms = self.lock_domains();
         for dom in doms.iter_mut() {
@@ -913,11 +921,12 @@ impl EngineService {
                     // The LSN test would make replaying the rest harmless;
                     // restricting the scan shows the §6.3 point: the
                     // partition is the recovery unit.
-                    RecordBody::Op(op) => op
-                        .writeset()
-                        .iter()
-                        .chain(op.readset().iter())
-                        .any(|p| p.partition == only),
+                    RecordBody::Op(op) => {
+                        let mut touches = false;
+                        op.for_each_write(|p| touches |= p.partition == only);
+                        op.for_each_read(|p| touches |= p.partition == only);
+                        touches
+                    }
                     _ => false,
                 })
         });
@@ -1850,6 +1859,7 @@ impl EngineService {
         )?;
         self.bump(Stat::instant_epochs, 1);
         *slot = Some(r);
+        self.instant_active.store(true, Ordering::Release);
         drop(slot);
         // Nothing failed → the epoch completes right away.
         self.maybe_complete_instant()
@@ -1857,7 +1867,7 @@ impl EngineService {
 
     /// Whether an instant-restore epoch is in flight.
     pub fn instant_restore_active(&self) -> bool {
-        self.instant.lock().is_some()
+        self.instant_active.load(Ordering::Acquire)
     }
 
     /// The in-flight epoch's state for one segment (`None` outside an
@@ -1891,12 +1901,13 @@ impl EngineService {
         if !self.instant_restore_active() {
             return Ok(());
         }
-        let parts: BTreeSet<PartitionId> = body
-            .readset()
-            .into_iter()
-            .chain(body.writeset())
-            .map(|p| p.partition)
-            .collect();
+        let mut parts: BTreeSet<PartitionId> = BTreeSet::new();
+        body.for_each_read(|p| {
+            parts.insert(p.partition);
+        });
+        body.for_each_write(|p| {
+            parts.insert(p.partition);
+        });
         for p in parts {
             self.ensure_segment(p)?;
         }
@@ -1908,6 +1919,9 @@ impl EngineService {
     /// segment jumps the sweep queue (foreground priority) and blocks
     /// only for that one segment's restore.
     fn ensure_segment(&self, p: PartitionId) -> Result<(), EngineError> {
+        if !self.instant_restore_active() {
+            return Ok(());
+        }
         match self.instant.lock().as_mut() {
             Some(r) => r.ensure(p)?,
             None => return Ok(()),
@@ -1950,7 +1964,15 @@ impl EngineService {
     /// released first: the allocator reseed and the log truncation take
     /// every domain lock.
     fn maybe_complete_instant(&self) -> Result<(), EngineError> {
-        let Some(r) = self.instant.lock().take_if(|r| r.finished()) else {
+        let done = {
+            let mut slot = self.instant.lock();
+            let done = slot.take_if(|r| r.finished());
+            if done.is_some() {
+                self.instant_active.store(false, Ordering::Release);
+            }
+            done
+        };
+        let Some(r) = done else {
             return Ok(());
         };
         let s = r.stats();

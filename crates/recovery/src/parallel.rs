@@ -38,9 +38,7 @@
 //! byte-compare every configuration against.
 
 use crate::fxhash::FxHashMap;
-use crate::redo::{
-    anchor_identities, reapply, AnchoredIdentity, IdentityAnchors, RedoError, RedoOutcome,
-};
+use crate::redo::{reapply, Anchored, IdentitySchedule, RedoError, RedoOutcome};
 use bytes::Bytes;
 use lob_pagestore::{Lsn, Page, PageId, PageImage, StableStore};
 use lob_wal::{LogRecord, RecordBody};
@@ -514,9 +512,14 @@ fn fault_in(store: Option<&StableStore>, id: PageId) -> Result<Page, RedoError> 
 
 /// Replay a record subsequence through a [`GroupReplay`] table, draining
 /// it at the end. Mirrors [`crate::redo_scan`] exactly — same identity
-/// anchoring (shared [`anchor_identities`] analysis), same per-page LSN
+/// anchoring (shared [`IdentitySchedule`] cursor), same per-page LSN
 /// test, same [`RedoOutcome`] counters — but reads and writes resolve
 /// against the local table instead of store round-trips per record.
+///
+/// Per record, the schedule costs one cursor comparison; an identity
+/// record costs one dense slot load while the schedule is built and one
+/// table probe at its anchor, where its value is cloned only if the LSN
+/// test installs it.
 pub(crate) fn replay_grouped<'a, I>(
     records: I,
     replay: &mut GroupReplay<'_>,
@@ -524,24 +527,25 @@ pub(crate) fn replay_grouped<'a, I>(
 where
     I: Iterator<Item = &'a LogRecord> + Clone,
 {
-    let IdentityAnchors { at_start, after } = anchor_identities(records.clone());
+    let mut schedule = IdentitySchedule::build(records.clone());
     let mut out = RedoOutcome::default();
 
+    // An identity write installs a logged value, like `W_P`: the LSN test
+    // and the install share one table probe.
     fn apply_identity(
         replay: &mut GroupReplay<'_>,
-        items: &[AnchoredIdentity],
+        items: &[Anchored<'_>],
         out: &mut RedoOutcome,
     ) -> Result<(), RedoError> {
-        for (pid, value, ilsn) in items {
-            if replay.slot(*pid)?.lsn < *ilsn {
-                replay.set(*pid, *ilsn, value.clone())?;
+        for a in items {
+            if replay.install_if_newer(a.page, a.lsn, a.value)? {
                 out.pages_written += 1;
             }
             out.replayed += 1;
         }
         Ok(())
     }
-    apply_identity(replay, &at_start, &mut out)?;
+    apply_identity(replay, schedule.at_start(), &mut out)?;
 
     let mut needs: Vec<PageId> = Vec::new();
     let mut writes: Vec<PageId> = Vec::new();
@@ -595,9 +599,7 @@ where
         }
         // Identity records anchored here apply regardless of whether the
         // record itself replayed, was skipped, or was an identity record.
-        if let Some(items) = after.get(&i) {
-            apply_identity(replay, items, &mut out)?;
-        }
+        apply_identity(replay, schedule.after(i), &mut out)?;
     }
     replay.drain()?;
     Ok(out)
@@ -881,6 +883,179 @@ mod tests {
                     seq.read_page(pid(i)).unwrap(),
                     "page {i} workers={workers} batch={batch}"
                 );
+            }
+        }
+    }
+
+    /// A seeded xorshift stream: the suffixes below are a pure function of
+    /// the seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// Two partitions of `DIFF_PAGES` pages: enough for cross-partition
+    /// units, few enough that identity writes keep hitting pages with
+    /// earlier writers.
+    const DIFF_PAGES: u32 = 6;
+
+    fn diff_store() -> StableStore {
+        StableStore::new(
+            StoreConfig { page_size: SIZE },
+            &[
+                lob_pagestore::PartitionSpec { pages: DIFF_PAGES },
+                lob_pagestore::PartitionSpec { pages: DIFF_PAGES },
+            ],
+        )
+    }
+
+    fn any_page(rng: &mut Rng) -> PageId {
+        PageId::new(rng.below(2) as u32, rng.below(DIFF_PAGES as u64) as u32)
+    }
+
+    fn distinct_pages(rng: &mut Rng, n: u64) -> Vec<PageId> {
+        let mut pages: Vec<PageId> = Vec::new();
+        while (pages.len() as u64) < n {
+            let p = any_page(rng);
+            if !pages.contains(&p) {
+                pages.push(p);
+            }
+        }
+        pages
+    }
+
+    /// An identity-dense suffix of `len` records at LSNs `1..=len`, plus
+    /// a fuzzy starting image: each page is either null or carries some
+    /// LSN of the suffix, so the LSN test both replays and skips.
+    fn identity_dense_case(seed: u64, len: u64) -> (Vec<LogRecord>, Vec<(PageId, Page)>) {
+        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut recs = Vec::new();
+        for lsn in 1..=len {
+            let fill = Bytes::from(vec![rng.below(256) as u8; SIZE]);
+            let body = match rng.below(20) {
+                0..=6 => OpBody::IdentityWrite {
+                    target: any_page(&mut rng),
+                    value: fill,
+                },
+                7..=10 => OpBody::PhysicalWrite {
+                    target: any_page(&mut rng),
+                    value: fill,
+                },
+                11..=13 => {
+                    let pages = distinct_pages(&mut rng, 2);
+                    OpBody::Logical(LogicalOp::Copy {
+                        src: pages[0],
+                        dst: pages[1],
+                    })
+                }
+                14..=16 => {
+                    let reads = 1 + rng.below(2);
+                    let writes = 1 + rng.below(3);
+                    OpBody::Logical(LogicalOp::Mix {
+                        reads: distinct_pages(&mut rng, reads),
+                        writes: distinct_pages(&mut rng, writes),
+                        salt: rng.below(1 << 20),
+                    })
+                }
+                17..=18 => OpBody::Physio(lob_ops::PhysioOp::SetBytes {
+                    target: any_page(&mut rng),
+                    offset: rng.below(SIZE as u64 - 2) as u32,
+                    bytes: Bytes::from(vec![rng.below(256) as u8; 2]),
+                }),
+                _ => {
+                    recs.push(LogRecord::new(
+                        Lsn(lsn),
+                        RecordBody::BackupEnd { backup_id: lsn },
+                    ));
+                    continue;
+                }
+            };
+            recs.push(op_rec(lsn, body));
+        }
+        let mut image = Vec::new();
+        for part in 0..2 {
+            for index in 0..DIFF_PAGES {
+                if rng.below(2) == 0 {
+                    let lsn = Lsn(rng.below(len + 1));
+                    let page = Page::new(lsn, Bytes::from(vec![rng.below(256) as u8; SIZE]));
+                    image.push((PageId::new(part, index), page));
+                }
+            }
+        }
+        (recs, image)
+    }
+
+    /// Where the backdating rule says each identity record applies,
+    /// computed the slow way: a backward search for the last earlier
+    /// writer of its page. `(anchor, identity LSN)` in apply order.
+    fn naive_schedule(recs: &[LogRecord]) -> Vec<(Option<usize>, u64)> {
+        let mut want = Vec::new();
+        for (k, rec) in recs.iter().enumerate() {
+            let RecordBody::Op(OpBody::IdentityWrite { target, .. }) = &rec.body else {
+                continue;
+            };
+            let anchor = (0..k).rev().find(|&j| match &recs[j].body {
+                RecordBody::Op(op) => op.writeset().contains(target),
+                _ => false,
+            });
+            want.push((anchor, rec.lsn.raw()));
+        }
+        // Stable: one anchor's identity writes keep log (= LSN) order.
+        want.sort_by_key(|&(anchor, _)| anchor.map_or(0, |j| j + 1));
+        want
+    }
+
+    fn cursor_schedule(recs: &[LogRecord]) -> Vec<(Option<usize>, u64)> {
+        let mut schedule = IdentitySchedule::build(recs.iter());
+        let mut got: Vec<_> = schedule
+            .at_start()
+            .iter()
+            .map(|a| (None, a.lsn.raw()))
+            .collect();
+        for i in 0..recs.len() {
+            got.extend(schedule.after(i).iter().map(|a| (Some(i), a.lsn.raw())));
+        }
+        got
+    }
+
+    #[test]
+    fn identity_dense_suffixes_replay_identically_in_every_configuration() {
+        for seed in 0..48u64 {
+            let (recs, image) = identity_dense_case(seed, 64);
+            assert_eq!(
+                cursor_schedule(&recs),
+                naive_schedule(&recs),
+                "seed {seed}: identity schedule"
+            );
+            let seeded = || {
+                let s = diff_store();
+                for (id, page) in &image {
+                    s.write_page(*id, page.clone()).unwrap();
+                }
+                s
+            };
+            let reference = seeded();
+            let want = redo_scan(&recs, &mut StoreRedoTarget::new(&reference)).unwrap();
+            let want_pages = reference.snapshot().unwrap();
+            for workers in [1, 2, 4] {
+                for batch in [1, 4096] {
+                    let s = seeded();
+                    let got =
+                        parallel_redo_scan(&recs, &s, RecoveryConfig::new(workers, batch)).unwrap();
+                    let ctx = format!("seed {seed} workers={workers} batch={batch}");
+                    assert_eq!(got, want, "{ctx}: outcome");
+                    let got_pages = s.snapshot().unwrap();
+                    assert_eq!(got_pages.len(), want_pages.len(), "{ctx}: page count");
+                    for (id, page) in want_pages.iter() {
+                        assert_eq!(got_pages.get(id), Some(page), "{ctx}: {id}");
+                    }
+                }
             }
         }
     }

@@ -19,7 +19,7 @@
 
 use bytes::Bytes;
 use lob_ops::OpError;
-use lob_pagestore::{Page, PageId, StableStore, StoreError};
+use lob_pagestore::{Page, PageId, PartitionId, StableStore, StoreError};
 use lob_wal::{LogRecord, RecordBody};
 use std::fmt;
 
@@ -108,65 +108,158 @@ pub(crate) fn reapply(
     outputs.map_err(|source| read_err.unwrap_or(RedoError::Op { lsn, source }))
 }
 
-/// One anchored identity write: target page, carried value, the identity
-/// record's LSN (installed as the pageLSN).
-pub(crate) type AnchoredIdentity = (PageId, Bytes, lob_pagestore::Lsn);
-
-/// The analysis half of the redo pass: where every identity record must
-/// apply. `after[j]` = identity writes to apply right after record
-/// position `j`; `at_start` = before anything. Shared by the sequential
-/// scan and the parallel grouped replay so the backdating rule exists in
-/// exactly one place.
-#[derive(Debug, Default)]
-pub(crate) struct IdentityAnchors {
-    pub(crate) at_start: Vec<AnchoredIdentity>,
-    pub(crate) after: std::collections::BTreeMap<usize, Vec<AnchoredIdentity>>,
+/// One anchored identity write: the target page, the carried value
+/// (borrowed from the scanned record — cloned only when the LSN test
+/// installs it), and the identity record's LSN, installed as the pageLSN.
+/// `at` is its schedule position: `0` is the scan start and `i + 1` is
+/// "right after the record at position `i`".
+#[derive(Debug)]
+pub(crate) struct Anchored<'a> {
+    pub(crate) page: PageId,
+    pub(crate) value: &'a Bytes,
+    pub(crate) lsn: lob_pagestore::Lsn,
+    at: usize,
 }
 
-/// Anchor every identity record of `records` (an in-LSN-order record
-/// sequence; positions are iteration order) immediately after the last
-/// earlier record writing its object.
-///
-/// The last-writer tracking costs a map insert per written page, so a
-/// cheap pre-scan skips the whole analysis for suffixes that carry no
-/// identity records at all — the common case for media roll-forward of a
-/// tail logged under flush-before-install disciplines.
-pub(crate) fn anchor_identities<'a, I>(records: I) -> IdentityAnchors
-where
-    I: Iterator<Item = &'a LogRecord> + Clone,
-{
-    let any_identity = records.clone().any(|rec| {
-        matches!(
-            &rec.body,
-            RecordBody::Op(lob_ops::OpBody::IdentityWrite { .. })
-        )
-    });
-    let mut anchors = IdentityAnchors::default();
-    if !any_identity {
-        return anchors;
-    }
-    let mut last_writer: crate::fxhash::FxHashMap<PageId, usize> =
-        crate::fxhash::FxHashMap::default();
-    for (i, rec) in records.enumerate() {
-        if let RecordBody::Op(op) = &rec.body {
+/// The analysis half of the redo pass: every identity write of a record
+/// sequence, in the order the replay reaches its anchor, plus the cursor
+/// both replay bodies advance. Items sharing an anchor keep log order, so
+/// they apply in LSN order. Shared by the reference scan and the grouped
+/// replay so the backdating rule exists in exactly one place.
+#[derive(Debug)]
+pub(crate) struct IdentitySchedule<'a> {
+    items: Vec<Anchored<'a>>,
+    next: usize,
+}
+
+impl<'a> IdentitySchedule<'a> {
+    /// Anchor every identity record of `records` (an in-LSN-order record
+    /// sequence; positions are iteration order) immediately after the last
+    /// earlier record writing its object, or at the scan start if none.
+    ///
+    /// A cheap pre-scan skips the whole analysis for suffixes that carry no
+    /// identity records at all — the common case for media roll-forward of
+    /// a tail logged under flush-before-install disciplines. Otherwise the
+    /// pass costs one dense slot store per written page and one slot load
+    /// per identity record; a stable sort by anchor position follows.
+    pub(crate) fn build<I>(records: I) -> IdentitySchedule<'a>
+    where
+        I: Iterator<Item = &'a LogRecord> + Clone,
+    {
+        let mut items = Vec::new();
+        if !records.clone().any(is_identity) {
+            return IdentitySchedule { items, next: 0 };
+        }
+        let mut last_writer = LastWriters::default();
+        for (i, rec) in records.enumerate() {
+            let RecordBody::Op(op) = &rec.body else {
+                continue;
+            };
             if let lob_ops::OpBody::IdentityWrite { target, value } = op {
-                match last_writer.get(target) {
-                    Some(&j) => {
-                        anchors
-                            .after
-                            .entry(j)
-                            .or_default()
-                            .push((*target, value.clone(), rec.lsn))
-                    }
-                    None => anchors.at_start.push((*target, value.clone(), rec.lsn)),
-                }
+                items.push(Anchored {
+                    page: *target,
+                    value,
+                    lsn: rec.lsn,
+                    at: last_writer.get(*target),
+                });
             }
-            op.for_each_write(|w| {
-                last_writer.insert(w, i);
-            });
+            op.for_each_write(|w| last_writer.set(w, i + 1));
+        }
+        // Stable: items anchored at one position stay in log order.
+        items.sort_by_key(|a| a.at);
+        IdentitySchedule { items, next: 0 }
+    }
+
+    /// The identity writes anchored at the scan start.
+    pub(crate) fn at_start(&mut self) -> &[Anchored<'a>] {
+        self.advance(0)
+    }
+
+    /// The identity writes anchored right after the record at position
+    /// `i`; positions must be asked for in ascending order. A record with
+    /// nothing anchored after it costs one comparison.
+    pub(crate) fn after(&mut self, i: usize) -> &[Anchored<'a>] {
+        self.advance(i + 1)
+    }
+
+    fn advance(&mut self, at: usize) -> &[Anchored<'a>] {
+        let start = self.next;
+        while self.items.get(self.next).is_some_and(|a| a.at == at) {
+            self.next += 1;
+        }
+        self.items.get(start..self.next).unwrap_or_default()
+    }
+}
+
+fn is_identity(rec: &LogRecord) -> bool {
+    matches!(
+        &rec.body,
+        RecordBody::Op(lob_ops::OpBody::IdentityWrite { .. })
+    )
+}
+
+/// The schedule position of every written page's last writer (`0`: not
+/// written yet), in range-anchored dense slots per partition — the
+/// [`lob_pagestore::PageImage`] layout. Partitions are few, so finding one
+/// is a short linear probe.
+#[derive(Debug, Default)]
+struct LastWriters {
+    parts: Vec<(PartitionId, WriterSlots)>,
+}
+
+/// One partition's slots: `slots` covers indexes `base..base + slots.len()`.
+#[derive(Debug, Default)]
+struct WriterSlots {
+    base: u32,
+    slots: Vec<usize>,
+}
+
+impl LastWriters {
+    fn get(&self, id: PageId) -> usize {
+        let Some((_, part)) = self.parts.iter().find(|(p, _)| *p == id.partition) else {
+            return 0;
+        };
+        id.index
+            .checked_sub(part.base)
+            .and_then(|off| part.slots.get(off as usize))
+            .copied()
+            .unwrap_or(0)
+    }
+
+    fn set(&mut self, id: PageId, at: usize) {
+        let part = match self.parts.iter().position(|(p, _)| *p == id.partition) {
+            Some(k) => self.parts.get_mut(k),
+            None => {
+                self.parts.push((id.partition, WriterSlots::default()));
+                self.parts.last_mut()
+            }
+        };
+        if let Some(slot) = part.and_then(|(_, s)| s.ensure(id.index)) {
+            *slot = at;
         }
     }
-    anchors
+}
+
+impl WriterSlots {
+    /// Grow the slot range to cover `index` and hand back its slot. The
+    /// front grows geometrically, so a descending write pattern stays
+    /// amortized O(1) per page.
+    fn ensure(&mut self, index: u32) -> Option<&mut usize> {
+        if self.slots.is_empty() {
+            self.base = index;
+        } else if index < self.base {
+            let headroom = u32::try_from(self.slots.len()).unwrap_or(u32::MAX);
+            let base = index.saturating_sub(headroom);
+            let pad = (self.base - base) as usize;
+            self.slots.splice(0..0, std::iter::repeat(0).take(pad));
+            self.base = base;
+        }
+        let off = (index - self.base) as usize;
+        if off >= self.slots.len() {
+            self.slots.resize(off + 1, 0);
+        }
+        self.slots.get_mut(off)
+    }
 }
 
 /// Run the redo pass over `records` (must be in LSN order).
@@ -186,7 +279,7 @@ where
 ///
 /// The pass therefore runs in two phases: an analysis phase anchors every
 /// identity record immediately after the last earlier record that wrote its
-/// object (or at the scan start if none — see [`anchor_identities`]), and
+/// object (or at the scan start if none — see [`IdentitySchedule::build`]), and
 /// the redo phase applies it there — under the usual LSN test, and with the
 /// identity record's own LSN as the installed pageLSN so later records
 /// interact with it correctly.
@@ -194,26 +287,22 @@ pub fn redo_scan(
     records: &[LogRecord],
     target: &mut dyn RedoTarget,
 ) -> Result<RedoOutcome, RedoError> {
-    let IdentityAnchors {
-        at_start,
-        after: promotions,
-    } = anchor_identities(records.iter());
-
+    let mut schedule = IdentitySchedule::build(records.iter());
     let mut out = RedoOutcome::default();
     let apply_identity = |target: &mut dyn RedoTarget,
-                          items: &[(PageId, Bytes, lob_pagestore::Lsn)],
+                          items: &[Anchored<'_>],
                           out: &mut RedoOutcome|
      -> Result<(), RedoError> {
-        for (pid, value, ilsn) in items {
-            if target.page(*pid)?.lsn() < *ilsn {
-                target.set_page(*pid, Page::new(*ilsn, value.clone()))?;
+        for a in items {
+            if target.page(a.page)?.lsn() < a.lsn {
+                target.set_page(a.page, Page::new(a.lsn, a.value.clone()))?;
                 out.pages_written += 1;
             }
             out.replayed += 1;
         }
         Ok(())
     };
-    apply_identity(target, &at_start, &mut out)?;
+    apply_identity(target, schedule.at_start(), &mut out)?;
 
     for (i, rec) in records.iter().enumerate() {
         'one: {
@@ -251,9 +340,7 @@ pub fn redo_scan(
         }
         // Identity records anchored here apply regardless of whether the
         // record itself replayed, was skipped, or was an identity record.
-        if let Some(items) = promotions.get(&i) {
-            apply_identity(target, items, &mut out)?;
-        }
+        apply_identity(target, schedule.after(i), &mut out)?;
     }
     Ok(out)
 }
@@ -311,6 +398,163 @@ mod tests {
                 target: pid(t),
                 value: Bytes::from(vec![fill; SIZE]),
             },
+        )
+    }
+
+    fn ident(lsn: u64, t: u32, fill: u8) -> LogRecord {
+        op_rec(
+            lsn,
+            OpBody::IdentityWrite {
+                target: pid(t),
+                value: Bytes::from(vec![fill; SIZE]),
+            },
+        )
+    }
+
+    /// The schedule as `(anchor, page index, identity LSN)` triples in the
+    /// order the cursor hands them out; anchor `None` is the scan start.
+    fn drained(recs: &[LogRecord]) -> Vec<(Option<usize>, u32, u64)> {
+        let mut schedule = IdentitySchedule::build(recs.iter());
+        let mut got: Vec<_> = schedule
+            .at_start()
+            .iter()
+            .map(|a| (None, a.page.index, a.lsn.raw()))
+            .collect();
+        for i in 0..recs.len() {
+            got.extend(
+                schedule
+                    .after(i)
+                    .iter()
+                    .map(|a| (Some(i), a.page.index, a.lsn.raw())),
+            );
+        }
+        got
+    }
+
+    #[test]
+    fn identity_without_an_earlier_writer_applies_at_scan_start() {
+        // copy(0 → 1) precedes the identity write of 0 in the log, but no
+        // record writes 0 before it: the copy must read the carried value.
+        let recs = vec![copy_rec(1, 0, 1), ident(2, 0, 0x5A)];
+        assert_eq!(drained(&recs), vec![(None, 0, 2)]);
+        let s = store();
+        let out = redo_scan(&recs, &mut StoreRedoTarget::new(&s)).unwrap();
+        assert_eq!(s.read_page(pid(1)).unwrap().data()[0], 0x5A);
+        assert_eq!(s.read_page(pid(0)).unwrap().lsn(), Lsn(2));
+        assert_eq!(out.replayed, 2);
+    }
+
+    #[test]
+    fn identity_after_an_identity_write_anchors_there() {
+        let recs = vec![
+            phys(1, 0, 0x11),
+            ident(2, 0, 0x22),
+            copy_rec(3, 0, 1),
+            ident(4, 0, 0x44),
+        ];
+        // LSN 2 anchors after the physical write, LSN 4 after LSN 2 —
+        // before the copy, which therefore reads LSN 4's value.
+        assert_eq!(drained(&recs), vec![(Some(0), 0, 2), (Some(1), 0, 4)]);
+        let s = store();
+        redo_scan(&recs, &mut StoreRedoTarget::new(&s)).unwrap();
+        assert_eq!(s.read_page(pid(1)).unwrap().data()[0], 0x44);
+        assert_eq!(s.read_page(pid(0)).unwrap().lsn(), Lsn(4));
+    }
+
+    #[test]
+    fn identities_anchored_at_one_record_apply_in_lsn_order() {
+        let mix = op_rec(
+            1,
+            OpBody::Logical(LogicalOp::Mix {
+                reads: vec![pid(0)],
+                writes: vec![pid(2), pid(1)],
+                salt: 3,
+            }),
+        );
+        let recs = vec![mix, ident(2, 2, 0x22), ident(3, 1, 0x33), ident(4, 3, 0x44)];
+        assert_eq!(
+            drained(&recs),
+            vec![(None, 3, 4), (Some(0), 2, 2), (Some(0), 1, 3)]
+        );
+    }
+
+    #[test]
+    fn a_multi_page_writer_anchors_an_identity_for_each_page() {
+        let recs = vec![
+            phys(1, 5, 0x01),
+            op_rec(
+                2,
+                OpBody::Logical(LogicalOp::Mix {
+                    reads: vec![pid(5)],
+                    writes: vec![pid(0), pid(1), pid(2)],
+                    salt: 9,
+                }),
+            ),
+            ident(3, 1, 0x31),
+            ident(4, 0, 0x30),
+            ident(5, 2, 0x32),
+            copy_rec(6, 1, 3),
+        ];
+        assert_eq!(
+            drained(&recs),
+            vec![(Some(1), 1, 3), (Some(1), 0, 4), (Some(1), 2, 5)]
+        );
+        let s = store();
+        let out = redo_scan(&recs, &mut StoreRedoTarget::new(&s)).unwrap();
+        for (page, fill, lsn) in [(0, 0x30, 4), (1, 0x31, 3), (2, 0x32, 5)] {
+            let got = s.read_page(pid(page)).unwrap();
+            assert_eq!((got.data()[0], got.lsn()), (fill, Lsn(lsn)), "page {page}");
+        }
+        assert_eq!(s.read_page(pid(3)).unwrap().data()[0], 0x31);
+        assert_eq!(out.replayed, 6);
+    }
+
+    #[test]
+    fn the_highest_page_index_of_a_partition_anchors() {
+        // The store's last page, and a partition whose only slot is the
+        // largest index a page id can carry.
+        let last = 7;
+        let recs = vec![
+            phys(1, last, 0x01),
+            ident(2, last, 0x02),
+            copy_rec(3, last, 0),
+        ];
+        assert_eq!(drained(&recs), vec![(Some(0), last, 2)]);
+        let s = store();
+        redo_scan(&recs, &mut StoreRedoTarget::new(&s)).unwrap();
+        assert_eq!(s.read_page(pid(0)).unwrap().data()[0], 0x02);
+
+        let top = PageId::new(3, u32::MAX);
+        let far = [
+            op_rec(
+                1,
+                OpBody::PhysicalWrite {
+                    target: top,
+                    value: Bytes::from(vec![1; SIZE]),
+                },
+            ),
+            op_rec(
+                2,
+                OpBody::IdentityWrite {
+                    target: top,
+                    value: Bytes::from(vec![2; SIZE]),
+                },
+            ),
+        ];
+        let mut schedule = IdentitySchedule::build(far.iter());
+        assert!(schedule.at_start().is_empty());
+        let after = schedule.after(0);
+        assert_eq!(after.len(), 1);
+        assert_eq!((after[0].page, after[0].lsn), (top, Lsn(2)));
+    }
+
+    fn copy_rec(lsn: u64, s: u32, d: u32) -> LogRecord {
+        op_rec(
+            lsn,
+            OpBody::Logical(LogicalOp::Copy {
+                src: pid(s),
+                dst: pid(d),
+            }),
         )
     }
 

@@ -10,7 +10,10 @@
 # manifest's run_seconds: pair i uses seed 1000+i on both sides and the side
 # that goes first alternates. For every end-to-end metric it prints both
 # medians, both quartile pairs and how many pairs the change won (a tie
-# counts for neither side). Each run's per-round table is kept as
+# counts for neither side). The same table is written as JSON to
+# target/bench_pairs/pairs.json (parent rev, cpus, and per workload and
+# metric both medians, both quartile pairs and wins/pairs), rewritten after
+# every workload. Each run's per-round table is kept as
 # target/bench_pairs/out_<side>/rounds-<workload>-<seed>.tsv. Exits non-zero
 # if any run is incorrect or fails an operation. Everything it writes is
 # under target/, which is gitignored.
@@ -70,6 +73,8 @@ def quartiles(values):
     q = statistics.quantiles(values, n=4)
     return q[0], q[2]
 
+table = {"parent": rev, "cpus": os.cpu_count(), "pairs": pairs,
+         "run_seconds": manifest["run_seconds"], "workloads": {}}
 print(f"parent {rev} vs working tree; {pairs} pairs a workload, --seconds {seconds}, "
       f"{os.cpu_count()} cpus; seeds 1000..{999 + pairs}, first side alternates")
 for w in names:
@@ -80,6 +85,7 @@ for w in names:
             runs[side].append(run(side, w, 1000 + i))
         print(f"  {w} pair {i + 1}/{pairs} done", file=sys.stderr)
     print(f"\n{w}")
+    metrics = table["workloads"][w] = {}
     print(f"  {'metric':20s} {'parent median [q1, q3]':>44s} {'change median [q1, q3]':>44s} {'change/parent':>13s}  wins/pairs")
     for d in decl:
         name = d["name"]
@@ -90,7 +96,15 @@ for w in names:
         ma, mb = statistics.median(a), statistics.median(b)
         (a1, a3), (b1, b3) = quartiles(a), quartiles(b)
         ratio = f"{mb / ma:.3f}" if ma else "-"
+        metrics[name] = {"better": d["better"], "bound": d["bound"],
+                         "parent": {"median": ma, "q1": a1, "q3": a3},
+                         "change": {"median": mb, "q1": b1, "q3": b3},
+                         "wins": wins, "pairs": pairs}
         print(f"  {name:20s} {f'{ma:.6g} [{a1:.6g}, {a3:.6g}]':>44s} {f'{mb:.6g} [{b1:.6g}, {b3:.6g}]':>44s} "
               f"{ratio:>13s}  {wins}/{pairs} ({d['better']} is better, bound {d['bound']})")
     sys.stdout.flush()
+    with open(f"{work}/pairs.json.tmp", "w") as f:
+        json.dump(table, f, indent=1)
+        f.write("\n")
+    os.replace(f"{work}/pairs.json.tmp", f"{work}/pairs.json")
 PY
