@@ -31,7 +31,7 @@
 use crate::error::BackupError;
 use bytes::Bytes;
 use lob_pagestore::{Lsn, PageId, PartitionId};
-use lob_wal::{decode_record_shared, AsFrame, LogRecord, RecordBody};
+use lob_wal::{decode_record_shared, AsFrame, FrameView, LogRecord, RecordKind};
 use std::collections::BTreeMap;
 
 /// One sorted run of encoded records (LSN order), checksummed at indexing
@@ -162,11 +162,11 @@ impl LogArchive {
     /// `start_lsn`). Frames must arrive in ascending LSN order — the runs
     /// stay LSN-sorted by construction.
     ///
-    /// Each frame is decoded zero-copy only to walk its writeset, and the
-    /// frame's own buffer goes into the runs. A frame that does not decode
-    /// is filed in the control run, which every closure fetch decodes: it
-    /// surfaces there as [`BackupError::CorruptArchive`], never as a
-    /// silently missing record.
+    /// Each frame's writeset is read in place ([`FrameView`]) — nothing is
+    /// decoded — and the frame's own buffer goes into the runs. A frame
+    /// that does not parse is filed in the control run, which every
+    /// closure fetch decodes: it surfaces there as
+    /// [`BackupError::CorruptArchive`], never as a silently missing record.
     pub fn extend<F: AsFrame>(&mut self, frames: &[F]) {
         for f in frames {
             let lsn = f.lsn();
@@ -174,9 +174,9 @@ impl LogArchive {
                 continue;
             }
             let frame = f.frame();
-            match decode_record_shared(&frame).map(|rec| rec.body) {
-                Ok(RecordBody::Op(op)) => {
-                    op.for_each_write(|page| self.runs.entry(page).or_default().push(&frame))
+            match FrameView::parse(&frame) {
+                Ok(view) if view.kind() != RecordKind::Control => {
+                    view.for_each_write(|page| self.runs.entry(page).or_default().push(&frame))
                 }
                 _ => self.control.push(&frame),
             }
@@ -327,6 +327,7 @@ pub fn merge_runs(runs: Vec<Vec<LogRecord>>) -> Vec<LogRecord> {
 mod tests {
     use super::*;
     use lob_ops::{LogicalOp, OpBody};
+    use lob_wal::RecordBody;
 
     fn pid(i: u32) -> PageId {
         PageId::new(0, i)

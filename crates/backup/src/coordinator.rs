@@ -63,8 +63,8 @@ impl CoordinatorStats {
     }
 }
 
-/// The coordinator: backup-order domains, their trackers, the changed-page
-/// set for incremental backups, and decision statistics.
+/// The coordinator: backup-order domains, their trackers, the per-domain
+/// changed-page sets for incremental backups, and decision statistics.
 ///
 /// Shared (`Arc`) between the engine's flush path and backup driver
 /// threads.
@@ -73,7 +73,10 @@ pub struct BackupCoordinator {
     domains: Vec<Domain>,
     // lint: guarded-by(immutable) partition->domain map is fixed at construction
     by_partition: HashMap<PartitionId, u32>,
-    changed: Mutex<HashSet<PageId>>,
+    /// Pages flushed since their domain's last backup began, one set per
+    /// domain (indexed by domain id), so beginning a backup takes its
+    /// domain's set whole and never touches another domain's pages.
+    changed: Mutex<Vec<HashSet<PageId>>>,
     // lint: guarded-by(atomic) counters are atomics all the way down
     stats: CoordinatorStats,
     /// Optional fault hook consulted by backup sweeps before each page
@@ -95,10 +98,11 @@ impl BackupCoordinator {
                 tracker: Arc::new(ProgressTracker::new()),
             });
         }
+        let changed = Mutex::new(domains.iter().map(|_| HashSet::new()).collect());
         BackupCoordinator {
             domains,
             by_partition,
-            changed: Mutex::new(HashSet::new()),
+            changed,
             stats: CoordinatorStats::default(),
             hook: Mutex::new(None),
         }
@@ -129,7 +133,7 @@ impl BackupCoordinator {
     /// Reset all volatile backup state after a simulated process crash:
     /// every in-flight sweep's tracker goes inactive (the sweep process
     /// died with the system; its partial image is garbage) and the
-    /// changed-page set empties (it is rebuilt from flush traffic; crash
+    /// changed-page sets empty (they are rebuilt from flush traffic; crash
     /// recovery replays the log, and the incremental protocol covers any
     /// gap via the media log suffix). Durable facts — completed backup
     /// images, the media barrier, `BackupBegin` records — are unaffected.
@@ -140,7 +144,7 @@ impl BackupCoordinator {
                 d.tracker.finish();
             }
         }
-        self.changed.lock().clear();
+        self.changed.lock().iter_mut().for_each(HashSet::clear);
     }
 
     /// One domain sweeping all partitions in the given order (the paper's
@@ -217,28 +221,51 @@ impl BackupCoordinator {
         }
     }
 
-    /// Record that a page's value in `S` changed (a flush). Feeds the
-    /// changed-page set incremental backups copy.
-    pub fn note_flushed(&self, page: PageId) {
-        self.changed.lock().insert(page);
+    /// Record that the values of `pages` in `S` changed (one flush).
+    /// Feeds each page's domain's changed-page set, which incremental
+    /// backups copy.
+    pub fn note_flushed(&self, pages: &[PageId]) {
+        self.note_changed(pages.iter().copied());
     }
 
-    /// Take (and clear) the changed-page set at the start of an incremental
-    /// backup. Pages flushed *after* this point are recorded for the *next*
-    /// incremental backup; the in-flight one covers them via the media log.
-    pub fn take_changed(&self) -> HashSet<PageId> {
-        std::mem::take(&mut *self.changed.lock())
+    /// Add `pages` to their domains' changed-page sets under one lock
+    /// acquisition. A page of no domain is never backed up, so it is not
+    /// recorded.
+    fn note_changed(&self, pages: impl IntoIterator<Item = PageId>) {
+        let mut sets = self.changed.lock();
+        for page in pages {
+            let set = self
+                .by_partition
+                .get(&page.partition)
+                .and_then(|&d| sets.get_mut(d as usize));
+            if let Some(set) = set {
+                set.insert(page);
+            }
+        }
     }
 
-    /// Merge a changed-page set back (an incremental backup was aborted, so
-    /// its pages are still "changed since the last completed backup").
+    /// Take (and clear) `domain`'s changed-page set at the start of a
+    /// backup. Pages flushed *after* this point are recorded for the
+    /// *next* incremental backup; the in-flight one covers them via the
+    /// media log.
+    pub fn take_changed(&self, domain: DomainId) -> HashSet<PageId> {
+        self.changed
+            .lock()
+            .get_mut(domain.0 as usize)
+            .map(std::mem::take)
+            .unwrap_or_default()
+    }
+
+    /// Merge a taken changed-page set back into its domain's (an
+    /// incremental backup was aborted, so its pages are still "changed
+    /// since the last completed backup").
     pub fn restore_changed(&self, pages: HashSet<PageId>) {
-        self.changed.lock().extend(pages);
+        self.note_changed(pages);
     }
 
-    /// Number of pages currently marked changed.
+    /// Number of pages currently marked changed, over every domain.
     pub fn changed_count(&self) -> usize {
-        self.changed.lock().len()
+        self.changed.lock().iter().map(HashSet::len).sum()
     }
 
     /// Decision statistics.
@@ -408,14 +435,31 @@ mod tests {
     #[test]
     fn changed_set_lifecycle() {
         let c = coord_seq();
-        c.note_flushed(PageId::new(0, 1));
-        c.note_flushed(PageId::new(0, 2));
-        c.note_flushed(PageId::new(0, 1));
+        c.note_flushed(&[PageId::new(0, 1), PageId::new(0, 2)]);
+        c.note_flushed(&[PageId::new(0, 1)]);
         assert_eq!(c.changed_count(), 2);
-        let taken = c.take_changed();
+        let taken = c.take_changed(DomainId(0));
         assert_eq!(taken.len(), 2);
         assert_eq!(c.changed_count(), 0);
         c.restore_changed(taken);
         assert_eq!(c.changed_count(), 2);
+    }
+
+    #[test]
+    fn taking_one_domains_changed_set_leaves_the_others() {
+        let c = BackupCoordinator::per_partition(vec![(PartitionId(0), 10), (PartitionId(1), 20)]);
+        for i in 0..3 {
+            c.note_flushed(&[PageId::new(0, i), PageId::new(1, i)]);
+        }
+        let taken = c.take_changed(DomainId(1));
+        assert!(taken.iter().all(|p| p.partition == PartitionId(1)));
+        assert_eq!((taken.len(), c.changed_count()), (3, 3));
+        assert!(c.take_changed(DomainId(1)).is_empty());
+        // Flushed again while the backup runs, then the backup aborts.
+        c.note_flushed(&[PageId::new(1, 7)]);
+        c.restore_changed(taken);
+        assert_eq!(c.take_changed(DomainId(1)).len(), 4);
+        assert_eq!(c.take_changed(DomainId(0)).len(), 3);
+        assert_eq!(c.changed_count(), 0);
     }
 }

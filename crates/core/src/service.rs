@@ -72,7 +72,9 @@ use lob_recovery::{
     parallel_install_image, parallel_redo_scan, InstantRestore, InstantStats, NodeId,
     RecoveryConfig, RedoOutcome, SegmentState, WriteGraph,
 };
-use lob_wal::{FileLogStore, GroupCommitLog, LogError, LogManager, RecordBody};
+use lob_wal::{
+    FileLogStore, FrameView, GroupCommitLog, LogError, LogManager, RecordBody, RecordKind,
+};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -278,12 +280,17 @@ impl EngineService {
             // backups are released explicitly with
             // [`EngineService::release_backup`], exactly as before the
             // restart.)
+            // Frames are read in place; only control records are decoded.
             let mut meta = svc.lock_meta();
-            for rec in svc.log.scan_from(svc.log.truncation())? {
+            for (_, frame) in svc.log.frames_from(svc.log.truncation())? {
+                let view = FrameView::parse(&frame).map_err(LogError::from)?;
+                if view.kind() != RecordKind::Control {
+                    continue;
+                }
                 if let RecordBody::BackupBegin {
                     backup_id,
                     start_lsn,
-                } = rec.body
+                } = view.to_record().body
                 {
                     meta.retained.push((backup_id, start_lsn));
                     meta.next_backup_id = meta.next_backup_id.max(backup_id + 1);
@@ -582,9 +589,7 @@ impl EngineService {
 
         // Feed the incremental changed-set, and mirror into any
         // in-progress linked-flush backups.
-        for &v in &vars {
-            self.coordinator.note_flushed(v);
-        }
+        self.coordinator.note_flushed(&vars);
         mirror_linked(&dom.linked, &vars, &self.cache);
 
         // The flush installed the node's remaining ops and every identity
@@ -894,6 +899,11 @@ impl EngineService {
     /// seed), then roll the log forward from the seed's start LSN through
     /// the batched replay, keeping only records at or below `upto` and,
     /// for a partition restore, operations touching that partition.
+    ///
+    /// The suffix is replayed as [`FrameView`]s over the log's own frames:
+    /// every frame is parsed (a frame that does not parse fails the
+    /// recovery before anything replays), filtered in place, and decoded
+    /// only if its LSN test says it replays.
     fn restore_and_redo(
         &self,
         store: &StableStore,
@@ -914,23 +924,25 @@ impl EngineService {
                 image.start_lsn
             }
         };
-        let mut records = self.log.scan_from(from)?;
-        records.retain(|r| {
-            r.lsn <= upto
-                && partition.map_or(true, |only| match &r.body {
+        let frames = self.log.frames_from(from)?;
+        let mut views = Vec::with_capacity(frames.len());
+        for (_, frame) in &frames {
+            let view = FrameView::parse(frame).map_err(LogError::from)?;
+            let keep = view.lsn() <= upto
+                && partition.map_or(true, |only| {
                     // The LSN test would make replaying the rest harmless;
                     // restricting the scan shows the §6.3 point: the
                     // partition is the recovery unit.
-                    RecordBody::Op(op) => {
-                        let mut touches = false;
-                        op.for_each_write(|p| touches |= p.partition == only);
-                        op.for_each_read(|p| touches |= p.partition == only);
-                        touches
-                    }
-                    _ => false,
-                })
-        });
-        Ok(parallel_redo_scan(&records, store, recovery)?)
+                    let mut touches = false;
+                    view.for_each_write(|p| touches |= p.partition == only);
+                    view.for_each_read(|p| touches |= p.partition == only);
+                    touches
+                });
+            if keep {
+                views.push(view);
+            }
+        }
+        Ok(parallel_redo_scan(&views, store, recovery)?)
     }
 
     /// Full media recovery: discard volatile state, replace the failed
@@ -1050,15 +1062,12 @@ impl EngineService {
     // Backups
     // ------------------------------------------------------------------
 
-    /// Take the changed-page set for `domain`, restoring out-of-domain
-    /// pages immediately (they belong to other domains' next backups).
+    /// Take `domain`'s changed-page set (the coordinator keeps one per
+    /// domain, so no other domain's pages are touched). Kept out of
+    /// [`EngineService::begin_backup_inner`] for the same lexical
+    /// lock-order reason as [`EngineService::begin_run`].
     fn take_domain_changed(&self, domain: DomainId) -> HashSet<PageId> {
-        let changed = self.coordinator.take_changed();
-        let (in_dom, out_dom): (HashSet<PageId>, HashSet<PageId>) = changed
-            .into_iter()
-            .partition(|p| self.coordinator.domain_of(p.partition) == Some(domain));
-        self.coordinator.restore_changed(out_dom);
-        in_dom
+        self.coordinator.take_changed(domain)
     }
 
     fn refresh_media_barrier(&self, meta: &ServiceMeta) {
@@ -2283,6 +2292,42 @@ mod tests {
             key: Bytes::copy_from_slice(k),
             val: Bytes::copy_from_slice(v),
         })
+    }
+
+    #[test]
+    fn an_undecodable_frame_fails_recovery_before_anything_replays() {
+        use lob_wal::CodecError;
+        let svc = Arc::new(EngineService::new(config(1, 8)).unwrap());
+        let s = svc.session();
+        let id = PageId::new(0, 1);
+        s.execute(insert(id, b"k", b"v")).unwrap();
+        s.commit().unwrap();
+        // A value past the codec's 64 MiB sanity bound still encodes (its
+        // length word is a `u32`) and is checksummed like any frame, but
+        // no decoder accepts it: a durable frame that does not parse.
+        let len = (64u64 << 20) + 1;
+        svc.log()
+            .append_record(RecordBody::Op(OpBody::PhysicalWrite {
+                target: id,
+                value: Bytes::from(vec![0u8; len as usize]),
+            }));
+        svc.log().force_all().unwrap();
+        svc.crash();
+        let pages = |svc: &EngineService| {
+            let image = svc.store().snapshot().unwrap();
+            image
+                .iter()
+                .map(|(id, page)| (id, page.clone()))
+                .collect::<Vec<_>>()
+        };
+        let before = pages(&svc);
+        let err = svc.recover().unwrap_err();
+        assert!(
+            matches!(err, EngineError::Log(LogError::Codec(CodecError::BadLength(n))) if n == len),
+            "{err}"
+        );
+        // The committed insert ahead of the bad frame was not replayed.
+        assert_eq!(pages(&svc), before);
     }
 
     #[test]

@@ -170,8 +170,8 @@ impl Config {
                     method: "write_page",
                     lock: "pagestore/store.partitions",
                 },
-                // The changed-page set is locked inside every coordinator
-                // helper that touches it.
+                // The per-domain changed-page sets share one lock, taken
+                // inside every coordinator helper that touches them.
                 Alias {
                     file_contains: "",
                     recv: "",

@@ -37,6 +37,9 @@
 //! * [`install`] — explicit installation graph and prefix checking, used by
 //!   the property tests to validate that every flush schedule the write
 //!   graph permits installs operations in installation order.
+//! * [`Replayable`] — what replay reads of one record, implemented by a
+//!   decoded [`lob_wal::LogRecord`] and by a [`lob_wal::FrameView`] read in
+//!   place, so every replay body is written once for both.
 //! * [`redo`] — the record-at-a-time redo pass [`redo_scan`]: the
 //!   reference every production replay is byte-compared against.
 //! * [`repair`] — dependency closures, the per-generation regeneration
@@ -59,6 +62,7 @@ pub mod instant;
 pub mod parallel;
 pub mod redo;
 pub mod repair;
+mod replayable;
 pub mod writegraph;
 
 pub use install::InstallGraph;
@@ -71,4 +75,5 @@ pub use repair::{
     dependency_closure, records_for_closure, regenerate, replay_closure, BackoffSchedule,
     RepairReport,
 };
+pub use replayable::Replayable;
 pub use writegraph::{GraphMode, NodeId, WriteGraph, WriteGraphError};

@@ -33,15 +33,19 @@
 //! goes through the table. This is the only production replay body: crash
 //! redo and media roll-forward run it over store-backed tables (`workers =
 //! 1` is the sequential case), repair and instant restore over scratch
-//! tables ([`crate::repair::replay_closure`]). The record-at-a-time
+//! tables ([`crate::repair::replay_closure`]). The body is generic over
+//! [`Replayable`]: crash redo and media roll-forward feed it
+//! [`lob_wal::FrameView`]s read in place off the log, so a record the LSN
+//! test skips is never decoded. The record-at-a-time
 //! [`crate::redo_scan`] survives as the reference the differential tests
 //! byte-compare every configuration against.
 
 use crate::fxhash::FxHashMap;
 use crate::redo::{reapply, Anchored, IdentitySchedule, RedoError, RedoOutcome};
+use crate::replayable::Replayable;
 use bytes::Bytes;
 use lob_pagestore::{Lsn, Page, PageId, PageImage, StableStore};
-use lob_wal::{LogRecord, RecordBody};
+use lob_wal::RecordKind;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -171,22 +175,20 @@ impl ReplayPlan {
     /// union-find pass over the touched pages. Plan construction is on the
     /// restore critical path (only the parallel pipeline pays it), so the
     /// pass allocates nothing per record: pages are visited in place via
-    /// [`OpBody::for_each_write`]/[`for_each_read`] and the page→node map
-    /// is a seed-free fast-hash table.
-    pub fn build(records: &[LogRecord]) -> ReplayPlan {
+    /// [`Replayable::for_each_write`]/[`Replayable::for_each_read`] (over
+    /// frame views, straight off the encoded id lists) and the page→node
+    /// map is a seed-free fast-hash table.
+    pub fn build<R: Replayable>(records: &[R]) -> ReplayPlan {
         let mut uf = UnionFind::default();
         let mut page_node: FxHashMap<PageId, usize> = FxHashMap::default();
         let mut rec_node: Vec<Option<usize>> = Vec::with_capacity(records.len());
         let mut controls = 0u64;
         for rec in records {
-            let op = match &rec.body {
-                RecordBody::Op(op) => op,
-                _ => {
-                    controls += 1;
-                    rec_node.push(None);
-                    continue;
-                }
-            };
+            if rec.kind() == RecordKind::Control {
+                controls += 1;
+                rec_node.push(None);
+                continue;
+            }
             let mut node: Option<usize> = None;
             let mut touch = |p: PageId| {
                 let pn = match page_node.entry(p) {
@@ -198,8 +200,8 @@ impl ReplayPlan {
                     Some(n) => uf.union(n, pn),
                 });
             };
-            op.for_each_write(&mut touch);
-            op.for_each_read(&mut touch);
+            rec.for_each_write(&mut touch);
+            rec.for_each_read(&mut touch);
             // An op touching no pages (none exist today) forms its own
             // trivial unit rather than silently dropping from the plan.
             let n = match node {
@@ -422,8 +424,14 @@ impl<'a> GroupReplay<'a> {
     /// Replay a physically-logged write in one table probe: the LSN redo
     /// test and the conditional install share the slot lookup, and the
     /// logged value is aliased, never re-derived — replaying `W_P` is an
-    /// install, not a re-computation. Returns whether the page was written.
-    fn install_if_newer(&mut self, id: PageId, lsn: Lsn, value: &Bytes) -> Result<bool, RedoError> {
+    /// install, not a re-computation. `value` is taken only if the page is
+    /// written. Returns whether it was.
+    fn install_if_newer(
+        &mut self,
+        id: PageId,
+        lsn: Lsn,
+        value: impl FnOnce() -> Bytes,
+    ) -> Result<bool, RedoError> {
         let written = match self.table.entry(id) {
             Entry::Occupied(mut e) => {
                 let slot = e.get_mut();
@@ -435,7 +443,7 @@ impl<'a> GroupReplay<'a> {
                         self.dirty += 1;
                     }
                     slot.lsn = lsn;
-                    slot.data = value.clone();
+                    slot.data = value();
                     true
                 }
             }
@@ -447,7 +455,7 @@ impl<'a> GroupReplay<'a> {
                 } else {
                     v.insert(PageSlot {
                         lsn,
-                        data: value.clone(),
+                        data: value(),
                         dirty: true,
                     });
                     self.dirty += 1;
@@ -518,27 +526,29 @@ fn fault_in(store: Option<&StableStore>, id: PageId) -> Result<Page, RedoError> 
 ///
 /// Per record, the schedule costs one cursor comparison; an identity
 /// record costs one dense slot load while the schedule is built and one
-/// table probe at its anchor, where its value is cloned only if the LSN
-/// test installs it.
-pub(crate) fn replay_grouped<'a, I>(
+/// table probe at its anchor, where its value is taken only if the LSN
+/// test installs it. A general operation is decoded ([`Replayable::op`])
+/// only after its LSN test says it replays.
+pub(crate) fn replay_grouped<'a, R, I>(
     records: I,
     replay: &mut GroupReplay<'_>,
 ) -> Result<RedoOutcome, RedoError>
 where
-    I: Iterator<Item = &'a LogRecord> + Clone,
+    R: Replayable + 'a,
+    I: Iterator<Item = &'a R> + Clone,
 {
     let mut schedule = IdentitySchedule::build(records.clone());
     let mut out = RedoOutcome::default();
 
     // An identity write installs a logged value, like `W_P`: the LSN test
     // and the install share one table probe.
-    fn apply_identity(
+    fn apply_identity<R: Replayable>(
         replay: &mut GroupReplay<'_>,
-        items: &[Anchored<'_>],
+        items: &[Anchored<'_, R>],
         out: &mut RedoOutcome,
     ) -> Result<(), RedoError> {
         for a in items {
-            if replay.install_if_newer(a.page, a.lsn, a.value)? {
+            if replay.install_if_newer(a.page, a.lsn, || a.rec.value())? {
                 out.pages_written += 1;
             }
             out.replayed += 1;
@@ -551,35 +561,34 @@ where
     let mut writes: Vec<PageId> = Vec::new();
     for (i, rec) in records.enumerate() {
         'one: {
-            let body = match &rec.body {
-                RecordBody::Op(op) => op,
-                _ => {
+            let lsn = rec.lsn();
+            match rec.kind() {
+                RecordKind::Control => {
                     out.controls += 1;
                     break 'one;
                 }
-            };
-            if matches!(body, lob_ops::OpBody::IdentityWrite { .. }) {
                 // Applied at its anchor; nothing at its natural position.
-                break 'one;
-            }
-            if let lob_ops::OpBody::PhysicalWrite { target, value } = body {
-                // Fast path: redo test + install in one probe, and the
-                // same counters the general path would produce.
-                if replay.install_if_newer(*target, rec.lsn, value)? {
-                    out.pages_written += 1;
-                    out.replayed += 1;
-                } else {
-                    out.skipped += 1;
+                RecordKind::Identity(_) => break 'one,
+                RecordKind::Physical(target) => {
+                    // Fast path: redo test + install in one probe, and the
+                    // same counters the general path would produce.
+                    if replay.install_if_newer(target, lsn, || rec.value())? {
+                        out.pages_written += 1;
+                        out.replayed += 1;
+                    } else {
+                        out.skipped += 1;
+                    }
+                    break 'one;
                 }
-                break 'one;
+                RecordKind::Op => {}
             }
             // LSN redo test, per written page. The write set is gathered
             // into a reused scratch vector — no allocation per record.
             writes.clear();
-            body.for_each_write(|w| writes.push(w));
+            rec.for_each_write(|w| writes.push(w));
             needs.clear();
             for &w in &writes {
-                if replay.slot(w)?.lsn < rec.lsn {
+                if replay.slot(w)?.lsn < lsn {
                     needs.push(w);
                 }
             }
@@ -587,11 +596,15 @@ where
                 out.skipped += 1;
                 break 'one;
             }
-            // Re-evaluate the operation against current (local) state.
-            let outputs = reapply(body, rec.lsn, |id| Ok(replay.slot(id)?.data.clone()))?;
+            // Only now is the operation decoded, to re-evaluate it against
+            // current (local) state. An `Op` kind always has a body.
+            let Some(body) = rec.op() else {
+                break 'one;
+            };
+            let outputs = reapply(&body, lsn, |id| Ok(replay.slot(id)?.data.clone()))?;
             for (pid, bytes) in outputs {
                 if needs.contains(&pid) {
-                    replay.set(pid, rec.lsn, bytes)?;
+                    replay.set(pid, lsn, bytes)?;
                     out.pages_written += 1;
                 }
             }
@@ -621,8 +634,12 @@ fn accumulate(total: &mut RedoOutcome, part: RedoOutcome) {
 /// identical to [`crate::redo_scan`]'s in every configuration, because
 /// units partition the op records and the per-page LSN tests are
 /// unit-local. The first failing unit's error (in plan order) is surfaced.
-pub fn parallel_redo_scan(
-    records: &[LogRecord],
+///
+/// `records` are decoded [`lob_wal::LogRecord`]s or, on the engine's own
+/// recovery path, [`lob_wal::FrameView`]s read in place off the log; both
+/// replay through this one body with the same outcome.
+pub fn parallel_redo_scan<R: Replayable + Sync>(
+    records: &[R],
     store: &StableStore,
     config: RecoveryConfig,
 ) -> Result<RedoOutcome, RedoError> {
@@ -666,10 +683,10 @@ pub fn parallel_redo_scan(
 /// One redo worker's share: replay its queue of units in order. Returns the
 /// first unit it owns with the summed outcome, or the failing unit with its
 /// error.
-fn replay_queue(
+fn replay_queue<R: Replayable>(
     queue: &[usize],
     plan: &ReplayPlan,
-    records: &[LogRecord],
+    records: &[R],
     store: &StableStore,
     batch: usize,
 ) -> (usize, Result<RedoOutcome, RedoError>) {
@@ -772,6 +789,7 @@ mod tests {
     use bytes::Bytes;
     use lob_ops::{LogicalOp, OpBody};
     use lob_pagestore::{Lsn, StoreConfig};
+    use lob_wal::{encode_record, FrameView, LogRecord, RecordBody};
 
     const SIZE: usize = 32;
 
@@ -1043,17 +1061,31 @@ mod tests {
             let reference = seeded();
             let want = redo_scan(&recs, &mut StoreRedoTarget::new(&reference)).unwrap();
             let want_pages = reference.snapshot().unwrap();
+            // The same suffix as the log holds it: frames read in place.
+            let frames: Vec<Bytes> = recs.iter().map(encode_record).collect();
+            let views: Vec<FrameView<'_>> = frames
+                .iter()
+                .map(|f| FrameView::parse(f).unwrap())
+                .collect();
             for workers in [1, 2, 4] {
                 for batch in [1, 4096] {
-                    let s = seeded();
-                    let got =
-                        parallel_redo_scan(&recs, &s, RecoveryConfig::new(workers, batch)).unwrap();
-                    let ctx = format!("seed {seed} workers={workers} batch={batch}");
-                    assert_eq!(got, want, "{ctx}: outcome");
-                    let got_pages = s.snapshot().unwrap();
-                    assert_eq!(got_pages.len(), want_pages.len(), "{ctx}: page count");
-                    for (id, page) in want_pages.iter() {
-                        assert_eq!(got_pages.get(id), Some(page), "{ctx}: {id}");
+                    for in_place in [false, true] {
+                        let s = seeded();
+                        let config = RecoveryConfig::new(workers, batch);
+                        let got = if in_place {
+                            parallel_redo_scan(&views, &s, config)
+                        } else {
+                            parallel_redo_scan(&recs, &s, config)
+                        }
+                        .unwrap();
+                        let ctx =
+                            format!("seed {seed} workers={workers} batch={batch} views={in_place}");
+                        assert_eq!(got, want, "{ctx}: outcome");
+                        let got_pages = s.snapshot().unwrap();
+                        assert_eq!(got_pages.len(), want_pages.len(), "{ctx}: page count");
+                        for (id, page) in want_pages.iter() {
+                            assert_eq!(got_pages.get(id), Some(page), "{ctx}: {id}");
+                        }
                     }
                 }
             }

@@ -17,10 +17,11 @@
 //! the harness's reference recovery and the benchmark's replay probe run
 //! this one and byte-compare the two.
 
+use crate::replayable::Replayable;
 use bytes::Bytes;
 use lob_ops::OpError;
 use lob_pagestore::{Page, PageId, PartitionId, StableStore, StoreError};
-use lob_wal::{LogRecord, RecordBody};
+use lob_wal::{LogRecord, RecordBody, RecordKind};
 use std::fmt;
 
 /// Errors during redo.
@@ -108,15 +109,15 @@ pub(crate) fn reapply(
     outputs.map_err(|source| read_err.unwrap_or(RedoError::Op { lsn, source }))
 }
 
-/// One anchored identity write: the target page, the carried value
-/// (borrowed from the scanned record — cloned only when the LSN test
-/// installs it), and the identity record's LSN, installed as the pageLSN.
-/// `at` is its schedule position: `0` is the scan start and `i + 1` is
-/// "right after the record at position `i`".
+/// One anchored identity write: the target page, the identity record
+/// (its value is taken only when the LSN test installs it), and the
+/// record's LSN, installed as the pageLSN. `at` is its schedule position:
+/// `0` is the scan start and `i + 1` is "right after the record at
+/// position `i`".
 #[derive(Debug)]
-pub(crate) struct Anchored<'a> {
+pub(crate) struct Anchored<'a, R> {
     pub(crate) page: PageId,
-    pub(crate) value: &'a Bytes,
+    pub(crate) rec: &'a R,
     pub(crate) lsn: lob_pagestore::Lsn,
     at: usize,
 }
@@ -127,12 +128,12 @@ pub(crate) struct Anchored<'a> {
 /// they apply in LSN order. Shared by the reference scan and the grouped
 /// replay so the backdating rule exists in exactly one place.
 #[derive(Debug)]
-pub(crate) struct IdentitySchedule<'a> {
-    items: Vec<Anchored<'a>>,
+pub(crate) struct IdentitySchedule<'a, R> {
+    items: Vec<Anchored<'a, R>>,
     next: usize,
 }
 
-impl<'a> IdentitySchedule<'a> {
+impl<'a, R: Replayable> IdentitySchedule<'a, R> {
     /// Anchor every identity record of `records` (an in-LSN-order record
     /// sequence; positions are iteration order) immediately after the last
     /// earlier record writing its object, or at the scan start if none.
@@ -142,28 +143,28 @@ impl<'a> IdentitySchedule<'a> {
     /// a tail logged under flush-before-install disciplines. Otherwise the
     /// pass costs one dense slot store per written page and one slot load
     /// per identity record; a stable sort by anchor position follows.
-    pub(crate) fn build<I>(records: I) -> IdentitySchedule<'a>
+    pub(crate) fn build<I>(records: I) -> IdentitySchedule<'a, R>
     where
-        I: Iterator<Item = &'a LogRecord> + Clone,
+        I: Iterator<Item = &'a R> + Clone,
     {
         let mut items = Vec::new();
-        if !records.clone().any(is_identity) {
+        if !records
+            .clone()
+            .any(|rec| matches!(rec.kind(), RecordKind::Identity(_)))
+        {
             return IdentitySchedule { items, next: 0 };
         }
         let mut last_writer = LastWriters::default();
         for (i, rec) in records.enumerate() {
-            let RecordBody::Op(op) = &rec.body else {
-                continue;
-            };
-            if let lob_ops::OpBody::IdentityWrite { target, value } = op {
+            if let RecordKind::Identity(page) = rec.kind() {
                 items.push(Anchored {
-                    page: *target,
-                    value,
-                    lsn: rec.lsn,
-                    at: last_writer.get(*target),
+                    page,
+                    rec,
+                    lsn: rec.lsn(),
+                    at: last_writer.get(page),
                 });
             }
-            op.for_each_write(|w| last_writer.set(w, i + 1));
+            rec.for_each_write(|w| last_writer.set(w, i + 1));
         }
         // Stable: items anchored at one position stay in log order.
         items.sort_by_key(|a| a.at);
@@ -171,31 +172,24 @@ impl<'a> IdentitySchedule<'a> {
     }
 
     /// The identity writes anchored at the scan start.
-    pub(crate) fn at_start(&mut self) -> &[Anchored<'a>] {
+    pub(crate) fn at_start(&mut self) -> &[Anchored<'a, R>] {
         self.advance(0)
     }
 
     /// The identity writes anchored right after the record at position
     /// `i`; positions must be asked for in ascending order. A record with
     /// nothing anchored after it costs one comparison.
-    pub(crate) fn after(&mut self, i: usize) -> &[Anchored<'a>] {
+    pub(crate) fn after(&mut self, i: usize) -> &[Anchored<'a, R>] {
         self.advance(i + 1)
     }
 
-    fn advance(&mut self, at: usize) -> &[Anchored<'a>] {
+    fn advance(&mut self, at: usize) -> &[Anchored<'a, R>] {
         let start = self.next;
         while self.items.get(self.next).is_some_and(|a| a.at == at) {
             self.next += 1;
         }
         self.items.get(start..self.next).unwrap_or_default()
     }
-}
-
-fn is_identity(rec: &LogRecord) -> bool {
-    matches!(
-        &rec.body,
-        RecordBody::Op(lob_ops::OpBody::IdentityWrite { .. })
-    )
 }
 
 /// The schedule position of every written page's last writer (`0`: not
@@ -290,12 +284,12 @@ pub fn redo_scan(
     let mut schedule = IdentitySchedule::build(records.iter());
     let mut out = RedoOutcome::default();
     let apply_identity = |target: &mut dyn RedoTarget,
-                          items: &[Anchored<'_>],
+                          items: &[Anchored<'_, LogRecord>],
                           out: &mut RedoOutcome|
      -> Result<(), RedoError> {
         for a in items {
             if target.page(a.page)?.lsn() < a.lsn {
-                target.set_page(a.page, Page::new(a.lsn, a.value.clone()))?;
+                target.set_page(a.page, Page::new(a.lsn, a.rec.value()))?;
                 out.pages_written += 1;
             }
             out.replayed += 1;

@@ -6,7 +6,9 @@
 //!
 //! * [`LogRecord`] / [`RecordBody`] — one record per logged operation, plus
 //!   backup begin/end control records;
-//! * [`codec`] — a compact hand-rolled binary encoding. Log *volume* is the
+//! * [`codec`] — a compact hand-rolled binary encoding, and
+//!   [`FrameView`], one parser that validates a frame in place so replay
+//!   decodes only the records it re-evaluates. Log *volume* is the
 //!   paper's central economy argument ("logging an identifier ... is a great
 //!   saving", §1.1), so the encoding is byte-exact and measured, not
 //!   serde-generic;
@@ -33,9 +35,11 @@ pub mod record;
 pub mod stats;
 pub mod store;
 
-pub use codec::{decode_record, decode_record_shared, encode_record, AsFrame, CodecError};
+pub use codec::{
+    decode_record, decode_record_shared, encode_record, AsFrame, CodecError, FrameView,
+};
 pub use group::{GatherEnds, GroupCommitLog};
 pub use manager::{LogError, LogManager};
-pub use record::{LogRecord, RecordBody};
+pub use record::{LogRecord, RecordBody, RecordKind};
 pub use stats::LogStats;
 pub use store::{BatchAppend, FileLogStore, LogStore, MemLogStore};

@@ -1,7 +1,7 @@
 //! Log records.
 
 use lob_ops::OpBody;
-use lob_pagestore::Lsn;
+use lob_pagestore::{Lsn, PageId};
 
 /// The body of a log record.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,6 +37,16 @@ impl RecordBody {
         }
     }
 
+    /// The record's kind (and the page of a physical or identity write).
+    pub fn kind(&self) -> RecordKind {
+        match self {
+            RecordBody::Op(OpBody::PhysicalWrite { target, .. }) => RecordKind::Physical(*target),
+            RecordBody::Op(OpBody::IdentityWrite { target, .. }) => RecordKind::Identity(*target),
+            RecordBody::Op(_) => RecordKind::Op,
+            _ => RecordKind::Control,
+        }
+    }
+
     /// The operation, if this is an operation record.
     pub fn as_op(&self) -> Option<&OpBody> {
         match self {
@@ -44,6 +54,19 @@ impl RecordBody {
             _ => None,
         }
     }
+}
+
+/// What replay must know of a record before deciding to decode it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// A backup begin/end record: touches no page.
+    Control,
+    /// A cache-manager identity write of the page.
+    Identity(PageId),
+    /// A physically logged write of the page.
+    Physical(PageId),
+    /// Any other operation: its effect is re-evaluated on replay.
+    Op,
 }
 
 /// One log record: an LSN and a body.
