@@ -31,6 +31,19 @@
 //! verifies that claim. These closed forms are the reference curves the
 //! `fig5_logging_probability` experiment plots against measurement.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 /// §5.1, per-step: probability a *general*-operation flush at step `m`
 /// (1-based) of an `N`-step backup needs Iw/oF logging.
 pub fn general_prob_at_step(n: u32, m: u32) -> f64 {

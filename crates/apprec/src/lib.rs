@@ -19,6 +19,19 @@
 //! domain. [`apps_first_config`] builds the adversarial layout for
 //! comparison.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use lob_core::{Discipline, Engine, EngineConfig, EngineError, GraphMode, Tracking};
 use lob_ops::{LogicalOp, OpBody, PhysioOp};
 use lob_pagestore::{PageId, PartitionId, PartitionSpec};

@@ -176,7 +176,7 @@ impl BackupCoordinator {
     /// [`crate::SuccessorTable::note_op`].
     pub fn pos(&self, page: PageId) -> Option<(u32, u64)> {
         let &d = self.by_partition.get(&page.partition)?;
-        let p = self.domains[d as usize].order.pos(page)?;
+        let p = self.domains.get(d as usize)?.order.pos(page)?;
         Some((d, p))
     }
 
@@ -211,9 +211,10 @@ impl BackupCoordinator {
                 wanted.insert(d);
             }
         }
+        // `by_partition` only maps to existing domains, so `get` never skips.
         let guards: BTreeMap<u32, TrackerGuard<'_>> = wanted
             .into_iter()
-            .map(|d| (d, self.domains[d as usize].tracker.latch()))
+            .filter_map(|d| Some((d, self.domains.get(d as usize)?.tracker.latch())))
             .collect();
         FlushLatch {
             coordinator: self,

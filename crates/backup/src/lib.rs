@@ -46,6 +46,19 @@
 //! log and the cache; the coordinator only *tells* it which objects need
 //! Iw/oF.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod archive;
 pub mod catalog;
 pub mod coordinator;

@@ -24,6 +24,19 @@
 //! Figure 5 simulation, and B-tree operations under both split-logging
 //! modes.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use lob_core::{
     BackupPolicy, Discipline, Engine, EngineConfig, GraphMode, LogBacking, PageId, PartitionSpec,
     Tracking,
@@ -57,6 +70,10 @@ fn prefill(config: EngineConfig, seed: u64) -> Result<(Engine, ShadowOracle, Wor
 ///
 /// Shared by the throughput experiments so each strategy starts from an
 /// identical database.
+#[expect(
+    clippy::expect_used,
+    reason = "bench setup: aborting the experiment binary is correct"
+)]
 pub fn prefilled_engine(
     pages: u32,
     page_size: usize,
@@ -72,13 +89,16 @@ pub fn prefilled_engine(
         },
         seed,
     )
-    // lint:allow(panic) bench setup: aborting the experiment binary is correct
     .expect("prefill")
 }
 
 /// Build a quiesced engine with `partitions` equal per-partition backup
 /// domains, prefilled on every page — the starting state of the
 /// partition-parallel experiments and benches (§3.4).
+#[expect(
+    clippy::expect_used,
+    reason = "bench setup: aborting the experiment binary is correct"
+)]
 pub fn prefilled_multi_engine(
     partitions: u32,
     pages_per_partition: u32,
@@ -103,7 +123,6 @@ pub fn prefilled_multi_engine(
         },
         seed,
     )
-    // lint:allow(panic) bench setup: aborting the experiment binary is correct
     .expect("prefill")
 }
 

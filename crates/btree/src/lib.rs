@@ -28,6 +28,19 @@
 //! Deletes do not rebalance (underflow merging adds nothing to the backup
 //! protocol being studied; the paper never mentions it).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use bytes::Bytes;
 use lob_core::{Engine, EngineError};
 use lob_ops::{LogicalOp, OpBody, OpError, PhysioOp, RecPage, RecView};
@@ -95,17 +108,15 @@ fn encode_child(id: PageId) -> Vec<u8> {
 }
 
 fn decode_child(bytes: &[u8]) -> Result<PageId, BTreeError> {
-    if bytes.len() != 8 {
+    let &[p0, p1, p2, p3, i0, i1, i2, i3] = bytes else {
         return Err(BTreeError::Corrupt(format!(
             "child pointer of {} bytes",
             bytes.len()
         )));
-    }
+    };
     Ok(PageId::new(
-        // lint:allow(panic) 4-byte slice follows the length-8 check above
-        u32::from_le_bytes(bytes[0..4].try_into().unwrap()),
-        // lint:allow(panic) 4-byte slice follows the length-8 check above
-        u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
+        u32::from_le_bytes([p0, p1, p2, p3]),
+        u32::from_le_bytes([i0, i1, i2, i3]),
     ))
 }
 
@@ -434,6 +445,10 @@ impl BTree {
     /// Merge `child` with an adjacent sibling under `parent` if the
     /// combined records fit one page. Prefers absorbing into the left
     /// sibling.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`idx` is `child`'s position in `entries`; `idx - 1` and `idx + 1` are bounds-checked first"
+    )]
     fn try_merge(
         &self,
         engine: &mut Engine,

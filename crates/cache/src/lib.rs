@@ -31,6 +31,19 @@
 //! logging is the backup protocol's business (`lob-backup`). The cache knows
 //! nothing about either — the engine (`lob-core`) wires the three together.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use bytes::Bytes;
 use lob_ops::{OpError, PageReader};
 use lob_pagestore::{

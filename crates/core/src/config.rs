@@ -132,23 +132,6 @@ impl CommitConfig {
     }
 }
 
-/// Backup sweep batching defaults, used when a caller does not pass
-/// explicit knobs: progress steps per domain and contiguous pages copied
-/// per store round-trip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepConfig {
-    /// Progress steps per domain sweep.
-    pub steps: u32,
-    /// Contiguous pages copied per store round-trip.
-    pub batch: u32,
-}
-
-impl Default for SweepConfig {
-    fn default() -> SweepConfig {
-        SweepConfig { steps: 8, batch: 8 }
-    }
-}
-
 /// Full engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -174,8 +157,6 @@ pub struct EngineConfig {
     /// gather window closed whatever the window fields say; the flush
     /// policy and fsync discipline apply to both fronts.
     pub commit: CommitConfig,
-    /// Backup sweep batching defaults.
-    pub sweep: SweepConfig,
     /// Shards of the page cache of a [`crate::EngineService`] (clamped to
     /// at least 1). [`crate::Engine`] ignores this: one session contends
     /// for no shard, so its core has exactly one.
@@ -203,7 +184,6 @@ impl EngineConfig {
             policy: BackupPolicy::Protocol,
             log: LogBacking::Memory,
             commit: CommitConfig::default(),
-            sweep: SweepConfig::default(),
             cache_shards: 8,
             recovery: RecoveryConfig::default(),
         }
@@ -250,10 +230,8 @@ mod tests {
     }
 
     #[test]
-    fn sweep_and_shard_defaults() {
+    fn shard_defaults() {
         let c = EngineConfig::small();
-        assert_eq!(c.sweep, SweepConfig::default());
-        assert!(c.sweep.steps >= 1 && c.sweep.batch >= 1);
         assert!(c.cache_shards >= 1, "sharded cache never degenerates to 0");
     }
 

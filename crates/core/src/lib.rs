@@ -67,6 +67,19 @@
 //! * [`error`] — [`EngineError`].
 //! * [`stats`] — [`EngineStats`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod config;
 pub mod engine;
 pub mod error;
@@ -74,8 +87,7 @@ pub mod service;
 pub mod stats;
 
 pub use config::{
-    BackupPolicy, CommitConfig, Discipline, EngineConfig, FlushPolicy, LogBacking, SweepConfig,
-    Tracking,
+    BackupPolicy, CommitConfig, Discipline, EngineConfig, FlushPolicy, LogBacking, Tracking,
 };
 pub use engine::{Engine, LinkedBackupRun};
 pub use error::EngineError;

@@ -20,6 +20,19 @@
 //!   canonical *general* logical operation (multi-read, multi-write),
 //!   exercising multi-object write-graph nodes.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 use bytes::Bytes;
 use lob_core::{Engine, EngineError};
 use lob_ops::{LogicalOp, OpBody, PhysioOp, RecPage};

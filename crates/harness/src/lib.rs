@@ -44,6 +44,19 @@
 //!   differential witness for `lob_recovery::WriteGraph`.
 //! * [`report`] — plain-text table formatting for the experiment binaries.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod drill;
 pub mod fault;
 pub mod instant;

@@ -46,16 +46,16 @@ impl fmt::Display for Table {
         let cols = self.headers.len();
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(cols) {
-                widths[i] = widths[i].max(cell.len());
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
             }
         }
         let write_row = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
-            for (i, cell) in cells.iter().enumerate().take(cols) {
+            for (i, (cell, width)) in cells.iter().zip(&widths).enumerate() {
                 if i > 0 {
                     write!(f, "  ")?;
                 }
-                write!(f, "{cell:>width$}", width = widths[i])?;
+                write!(f, "{cell:>width$}")?;
             }
             writeln!(f)
         };

@@ -156,8 +156,8 @@ impl ShadowOracle {
             if got.data() != want {
                 return Err(format!(
                     "page {id} mismatch at prefix {upto}: S has {:02x?}…, oracle expects {:02x?}…",
-                    &got.data()[..8.min(got.data().len())],
-                    &want[..8.min(want.len())]
+                    got.data().get(..8).unwrap_or(got.data()),
+                    want.get(..8).unwrap_or(want)
                 ));
             }
         }

@@ -247,14 +247,13 @@ fn run_tree(cfg: &Fig5Config) -> Result<Fig5Result, String> {
                 // each decision sees a transitive successor span, then
                 // flush newest-first.
                 let mut chain: Vec<PageId> = Vec::with_capacity(chain_len);
-                for i in 0..chain_len {
+                for _ in 0..chain_len {
                     let x = fresh
                         .pop()
                         .ok_or("fresh page pool exhausted before the run ended")?;
-                    let src = if i == 0 {
-                        gen.pick(&used)
-                    } else {
-                        chain[i - 1]
+                    let src = match chain.last() {
+                        Some(&prev) => prev,
+                        None => gen.pick(&used),
                     };
                     oracle.execute(
                         &engine,

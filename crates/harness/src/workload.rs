@@ -38,8 +38,11 @@ impl WorkloadGen {
     }
 
     /// Pick a random element.
+    #[expect(
+        clippy::expect_used,
+        reason = "caller contract: workloads draw from non-empty page sets"
+    )]
     pub fn pick(&mut self, pages: &[PageId]) -> PageId {
-        // lint:allow(panic) caller contract: workloads draw from non-empty page sets
         *pages.choose(&mut self.rng).expect("non-empty page set")
     }
 

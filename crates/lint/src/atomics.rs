@@ -1,4 +1,4 @@
-//! Pass 7: atomics & interior-mutability audit.
+//! Pass 4: atomics & interior-mutability audit.
 //!
 //! Every `AtomicU*`/`AtomicBool`/`AtomicUsize` declaration in non-test
 //! library code must declare its ordering contract with a

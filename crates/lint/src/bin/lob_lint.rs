@@ -5,7 +5,7 @@
 //! (`{"name", "ms", "findings", "ok"}` — one entry per pass, in run
 //! order), one object per finding
 //! (`{"pass", "file", "line", "rule", "msg"}`), and the read-only status
-//! of all three ratchets: per tracked file a status
+//! of both ratchets (race, durability): per tracked file a status
 //! (`at-baseline` / `below-baseline` / `above-baseline`) plus the
 //! baseline and current count pairs, so a consumer can compute deltas
 //! without re-parsing the TSVs. The exit code is non-zero when any
@@ -16,21 +16,17 @@
 //! test-suite path (`cargo test -p lob-lint`), where the rewrite is
 //! deliberate and the diff is reviewed.
 
-use lob_lint::{durability, guarded_by, panic_free, ratchet, Diagnostic};
+use lob_lint::{durability, guarded_by, ratchet, Diagnostic};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Which pass a rule id belongs to, for the report's `pass` column.
 fn pass_of(rule: &str) -> &'static str {
     match rule {
-        "panic" => "panic_free",
         "lock-order" => "lock_order",
-        "nondet" => "determinism",
         "fault-hook" => "fault_hook",
-        "effect-sets" => "effect_sets",
         "guarded-by" => "guarded_by",
         "atomics" => "atomics",
-        "spawn-escape" => "spawn_escape",
         "durability-order" => "durability",
         "error-flow" => "error_flow",
         _ => "annotations",
@@ -183,11 +179,6 @@ fn main() {
         diags.extend(found);
     }
 
-    let (_, panic_counts) = panic_free::check_with_counts(&files, &panic_free::Config::workspace());
-    let panic_map: BTreeMap<String, (usize, usize)> = panic_counts
-        .iter()
-        .map(|c| (c.path.clone(), (c.allowed_panics, c.index_sites)))
-        .collect();
     let (_, race_counts) = guarded_by::check_with_counts(&files, &guarded_by::Config::workspace());
     let race_map: BTreeMap<String, (usize, usize)> = race_counts
         .iter()
@@ -199,7 +190,6 @@ fn main() {
         .map(|c| (c.path.clone(), (c.allowed_force, c.allowed_copy)))
         .collect();
     let ratchets = vec![
-        ratchet_status("panic", ratchet::RATCHET_PATH, &panic_map),
         ratchet_status("race", ratchet::RACE_RATCHET_PATH, &race_map),
         ratchet_status("durability", ratchet::DURABILITY_RATCHET_PATH, &dur_map),
     ];

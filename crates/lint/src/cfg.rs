@@ -1,5 +1,5 @@
 //! The intra-procedural CFG + forward-dataflow engine (substrate for
-//! passes 9 and 10).
+//! passes 5 and 6).
 //!
 //! Built on the same dependency-free token scan as every other pass
 //! ([`crate::lexer`]): a recursive-descent statement walker recovers the

@@ -1,4 +1,4 @@
-//! Pass 4: fault-hook coverage.
+//! Pass 2: fault-hook coverage.
 //!
 //! The torture harness (PR 1) can only prove crash-consistency for I/O the
 //! `FaultHook` can see. A write-side transfer that bypasses the hook is a
@@ -279,7 +279,9 @@ pub fn check(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
             let site = find_site(cfg, &f.path, &span.name);
             if let Some(s) = site {
                 if let Some(i) = cfg.registry.iter().position(|r| std::ptr::eq(r, s)) {
-                    seen[i] = true;
+                    if let Some(hit) = seen.get_mut(i) {
+                        *hit = true;
+                    }
                 }
             }
 
@@ -292,8 +294,8 @@ pub fn check(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
                 }
                 let code = f.code(line);
                 let toks = crate::lexer::tokenize(code);
-                for i in 0..toks.len() {
-                    if let Tok::Word(w) = &toks[i] {
+                for (i, tok) in toks.iter().enumerate() {
+                    if let Tok::Word(w) = tok {
                         if w == "IoEvent"
                             && toks.get(i + 1) == Some(&Tok::Sym(':'))
                             && toks.get(i + 2) == Some(&Tok::Sym(':'))
@@ -394,8 +396,8 @@ pub fn check(files: &[SourceFile], cfg: &Config) -> Vec<Diagnostic> {
         }
     }
 
-    for (i, s) in cfg.registry.iter().enumerate() {
-        if !seen[i] {
+    for (s, &hit) in cfg.registry.iter().zip(&seen) {
+        if !hit {
             out.push(Diagnostic::new(
                 "fault-hook",
                 s.file,

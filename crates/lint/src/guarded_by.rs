@@ -1,4 +1,4 @@
-//! Pass 6: guarded-by inference and lock-set checking.
+//! Pass 3: guarded-by inference and lock-set checking.
 //!
 //! For every struct that owns a `Mutex`/`RwLock` field *and* is shared
 //! across threads through an `Arc` (detected workspace-wide from
@@ -9,7 +9,7 @@
 //!   where `<spec>` is either a **sibling lock field** (every access must
 //!   be dominated by that guard) or one of the lock-free contracts
 //!   `immutable` (set at construction, never written), `atomic` (the field
-//!   is atomics all the way down — pass 7 audits the orderings), or
+//!   is atomics all the way down — pass 4 audits the orderings), or
 //!   `unit-local` (owned by exactly one thread at a time, e.g. state
 //!   reached only through `&mut self` of a per-thread value); or
 //! - an **inferred** guard: if every in-file access to the field is

@@ -1,35 +1,40 @@
 //! `lob-lint`: the workspace invariant checker.
 //!
-//! Ten passes over a hand-rolled token scan of `crates/*/src` (see
-//! [`lexer`]), each enforcing an invariant the compiler cannot see:
+//! Six passes over a hand-rolled token scan of `crates/*/src` (see
+//! [`lexer`]), each enforcing an invariant no other tool checks on every
+//! path:
 //!
-//! - [`panic_free`] — no unannotated `unwrap`/`expect`/`panic!` family in
-//!   non-test library code, slice-index sites ratcheted per file;
-//! - [`lock_order`] — the cross-crate lock acquisition graph is acyclic;
-//! - [`determinism`] — replay paths (`lob-harness`, `lob-recovery`) use no
-//!   wall clocks, entropy, or iteration-order-unstable collections;
-//! - [`fault_hook`] — every write-side I/O site consults the `FaultHook`,
-//!   diffed against the declared-site registry in [`fault_hook::REGISTRY`];
-//! - [`effect_sets`] — each `OpBody` variant's declared `readset()` /
-//!   `writeset()` agrees with the pages its `apply()` actually reads
-//!   through `PageReader` and returns as writes;
-//! - [`guarded_by`] — every plain field of an `Arc`-shared struct that
-//!   also carries a lock is either dominated by that lock at each access
-//!   or annotated with an explicit lock-free contract, ratcheted in
-//!   `race_ratchet.tsv`;
-//! - [`atomics`] — every atomic declares an ordering contract
-//!   (`// lint: atomic(…)`) that its operations are checked against, and
-//!   `Cell`/`RefCell`/`UnsafeCell`/`unsafe impl Send|Sync` are inventoried;
-//! - [`spawn_escape`] — closures handed to spawns `move` their captures,
-//!   and detached spawns never capture a local reference binding;
-//! - [`durability`] — the paper's log-before-install order, proven on the
-//!   intra-procedural CFG/dataflow engine in [`cfg`]: every store
-//!   write / cache write-out / backup-image copy site is preceded by its
-//!   declared `lint: durability(<event> requires <event>)` requirement on
-//!   every path, tolerated sites ratcheted in `durability_ratchet.tsv`;
-//! - [`error_flow`] — `Result`s born at fault-consulting I/O sites are
-//!   never silently discarded (`let _ =`, trailing `.ok()`, `unwrap_or`
-//!   swallowing, `if let Ok` with no else).
+//! 1. [`lock_order`] — the cross-crate lock acquisition graph is acyclic;
+//! 2. [`fault_hook`] — every write-side I/O site consults the `FaultHook`,
+//!    diffed against the declared-site registry in [`fault_hook::REGISTRY`];
+//! 3. [`guarded_by`] — every plain field of an `Arc`-shared struct that
+//!    also carries a lock is either dominated by that lock at each access
+//!    or annotated with an explicit lock-free contract, ratcheted in
+//!    `race_ratchet.tsv`;
+//! 4. [`atomics`] — every atomic declares an ordering contract
+//!    (`// lint: atomic(…)`) that its operations are checked against, and
+//!    `Cell`/`RefCell`/`UnsafeCell`/`unsafe impl Send|Sync` are inventoried;
+//! 5. [`durability`] — the paper's log-before-install order, proven on the
+//!    intra-procedural CFG/dataflow engine in [`cfg`]: every store
+//!    write / cache write-out / backup-image copy site is preceded by its
+//!    declared `lint: durability(<event> requires <event>)` requirement on
+//!    every path, tolerated sites ratcheted in `durability_ratchet.tsv`;
+//! 6. [`error_flow`] — `Result`s born at fault-consulting I/O sites are
+//!    never silently discarded (`let _ =`, trailing `.ok()`, `unwrap_or`
+//!    swallowing, `if let Ok` with no else).
+//!
+//! Four contracts the linter used to re-check lexically live with the
+//! tools that check them on resolved types:
+//!
+//! - panic-freedom of non-test library code: the `clippy::{unwrap_used,
+//!   expect_used, panic, todo, unimplemented, unreachable,
+//!   indexing_slicing}` deny at the top of every `crates/*/src/lib.rs`,
+//!   each tolerated site an `#[expect(…, reason = "…")]`;
+//! - determinism of the replay crates: `disallowed-types` in
+//!   `crates/harness/clippy.toml` and `crates/recovery/clippy.toml`;
+//! - effect-set consistency: `crates/ops/tests/effect_conformance.rs` runs
+//!   every `OpBody` variant against a recording `PageReader`;
+//! - spawn captures: `thread::spawn`'s `'static` bound, checked by rustc.
 //!
 //! The durability contract table is cross-validated at runtime by the
 //! ordering witness in `lob-pagestore` (`witness::ORDER_CONTRACTS`), which
@@ -41,19 +46,28 @@
 //! dedicated CI job. Violations are justified in place with
 //! `// lint:allow(<rule>) <reason>` — the reason is mandatory.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod atomics;
 pub mod cfg;
-pub mod determinism;
 pub mod durability;
-pub mod effect_sets;
 pub mod error_flow;
 pub mod fault_hook;
 pub mod guarded_by;
 pub mod lexer;
 pub mod lock_order;
-pub mod panic_free;
 pub mod ratchet;
-pub mod spawn_escape;
 pub mod structs;
 
 use lexer::SourceFile;
@@ -62,8 +76,7 @@ use std::path::{Path, PathBuf};
 /// One finding: rule id, location, and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id: `panic`, `lock-order`, `nondet`, `fault-hook`,
-    /// `effect-sets`, `guarded-by`, `atomics`, `spawn-escape`,
+    /// Rule id: `lock-order`, `fault-hook`, `guarded-by`, `atomics`,
     /// `durability-order`, `error-flow`, or `annotation`.
     pub rule: &'static str,
     /// Workspace-relative path.
@@ -97,11 +110,14 @@ impl Diagnostic {
 }
 
 /// The workspace root, resolved from this crate's manifest directory.
+#[expect(
+    clippy::expect_used,
+    reason = "compile-time manifest path always has two parents"
+)]
 pub fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .parent()
         .and_then(Path::parent)
-        // lint:allow(panic) compile-time manifest path always has two parents
         .expect("crates/lint has a workspace root two levels up")
         .to_path_buf()
 }
@@ -177,29 +193,17 @@ pub fn passes() -> Vec<(&'static str, fn(&[SourceFile]) -> Vec<Diagnostic>)> {
             "annotations",
             check_annotations as fn(&[SourceFile]) -> Vec<Diagnostic>,
         ),
-        ("panic_free", |f| {
-            panic_free::check(f, &panic_free::Config::workspace())
-        }),
         ("lock_order", |f| {
             lock_order::check(f, &lock_order::Config::workspace())
         }),
-        ("determinism", |f| {
-            determinism::check(f, &determinism::Config::workspace())
-        }),
         ("fault_hook", |f| {
             fault_hook::check(f, &fault_hook::Config::workspace())
-        }),
-        ("effect_sets", |f| {
-            effect_sets::check(f, &effect_sets::Config::workspace())
         }),
         ("guarded_by", |f| {
             guarded_by::check(f, &guarded_by::Config::workspace())
         }),
         ("atomics", |f| {
             atomics::check(f, &atomics::Config::workspace())
-        }),
-        ("spawn_escape", |f| {
-            spawn_escape::check(f, &spawn_escape::Config::workspace())
         }),
         ("durability", |f| {
             durability::check(f, &durability::Config::workspace())
@@ -212,7 +216,7 @@ pub fn passes() -> Vec<(&'static str, fn(&[SourceFile]) -> Vec<Diagnostic>)> {
 
 /// Run every pass with its default workspace configuration (everything
 /// except the ratchet comparison, which needs filesystem access — see
-/// [`ratchet::check`]).
+/// [`ratchet::check_race`] and [`ratchet::check_durability`]).
 pub fn run_all(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (_, pass) in passes() {

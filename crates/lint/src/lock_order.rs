@@ -1,4 +1,4 @@
-//! Pass 2: lock-order.
+//! Pass 1: lock-order.
 //!
 //! Across every workspace source file, discover every `Mutex`/`RwLock`
 //! field, extract the acquisition sequence of each function (lexically —

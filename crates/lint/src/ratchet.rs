@@ -1,34 +1,33 @@
-//! The panic ratchet: per-file counts of *tolerated* panic surface —
-//! annotated (justified) panic-family sites and slice-index expressions —
-//! checked into `crates/lint/panic_ratchet.tsv`.
+//! The ratchets: per-file counts of *tolerated* analyzer surface, checked
+//! into `crates/lint/race_ratchet.tsv` (the guarded-by pass's lock-free
+//! contracts and allowed unguarded accesses) and
+//! `crates/lint/durability_ratchet.tsv` (the durability pass's allowed
+//! ordering sites).
 //!
 //! The rule: counts may only go **down**.
 //!
-//! - A count above its baseline fails the build (new panic surface).
+//! - A count above its baseline fails the build (new tolerated surface).
 //! - A count below its baseline auto-tightens: the file is rewritten with
-//!   the lower number, and CI's `git diff --exit-code` on the ratchet file
+//!   the lower number, and CI's `git diff --exit-code` on the ratchet files
 //!   forces the tightening to be committed.
 //! - Regenerate from scratch with `LOB_LINT_UPDATE_RATCHET=1`.
 
 use crate::durability::DurabilityCounts;
 use crate::guarded_by::RaceCounts;
-use crate::panic_free::FileCounts;
 use crate::Diagnostic;
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Location of the ratchet file, workspace-relative.
-pub const RATCHET_PATH: &str = "crates/lint/panic_ratchet.tsv";
-
-/// Location of the race ratchet (pass 6's tolerated lock-free surface).
+/// Location of the race ratchet (the guarded-by pass's tolerated lock-free
+/// surface).
 pub const RACE_RATCHET_PATH: &str = "crates/lint/race_ratchet.tsv";
 
-/// Location of the durability ratchet (pass 9's tolerated ordering sites —
-/// installs justified by a caller's force, restore-from-durable-image
-/// writes).
+/// Location of the durability ratchet (the durability pass's tolerated
+/// ordering sites — installs justified by a caller's force,
+/// restore-from-durable-image writes).
 pub const DURABILITY_RATCHET_PATH: &str = "crates/lint/durability_ratchet.tsv";
 
-/// Parse a ratchet file: `path<TAB>allowed<TAB>index` per line.
+/// Parse a ratchet file: `path<TAB>count<TAB>count` per line.
 pub fn parse(text: &str) -> BTreeMap<String, (usize, usize)> {
     let mut out = BTreeMap::new();
     for line in text.lines() {
@@ -46,24 +45,6 @@ pub fn parse(text: &str) -> BTreeMap<String, (usize, usize)> {
         out.insert(path.to_string(), (a, ix));
     }
     out
-}
-
-/// Render counts into the checked-in format.
-pub fn render(counts: &[FileCounts]) -> String {
-    let mut s = String::from(
-        "# panic ratchet: tolerated panic surface per file — counts may only go down.\n\
-         # columns: path\\tannotated-panic-sites\\tslice-index-sites\n\
-         # regenerate: LOB_LINT_UPDATE_RATCHET=1 cargo test -p lob-lint\n",
-    );
-    let mut sorted: Vec<&FileCounts> = counts.iter().collect();
-    sorted.sort_by(|a, b| a.path.cmp(&b.path));
-    for c in sorted {
-        s.push_str(&format!(
-            "{}\t{}\t{}\n",
-            c.path, c.allowed_panics, c.index_sites
-        ));
-    }
-    s
 }
 
 /// Render race counts into the checked-in format.
@@ -103,7 +84,7 @@ pub fn render_durability(counts: &[DurabilityCounts]) -> String {
 }
 
 /// Column labels and growth advice for one ratchet kind — the shared
-/// comparison engine below is otherwise identical for all three files.
+/// comparison engine below is otherwise identical for both files.
 struct Kind {
     rel_path: &'static str,
     rule: &'static str,
@@ -111,31 +92,11 @@ struct Kind {
     grow_b: &'static str,
 }
 
-/// Compare current counts against the checked-in baseline.
+/// Compare current race counts against the checked-in race baseline.
 ///
 /// Increases become diagnostics. Decreases (and vanished files) rewrite the
 /// ratchet file in place so the tightening lands in the diff. A missing
 /// ratchet file is an error unless `LOB_LINT_UPDATE_RATCHET=1` is set.
-pub fn check(root: &Path, counts: &[FileCounts]) -> Vec<Diagnostic> {
-    let rows: Vec<(String, usize, usize)> = counts
-        .iter()
-        .map(|c| (c.path.clone(), c.allowed_panics, c.index_sites))
-        .collect();
-    check_kind(
-        root,
-        &rows,
-        render(counts),
-        &Kind {
-            rel_path: RATCHET_PATH,
-            rule: "panic",
-            grow_a: "annotated panic sites grew {a} -> {b} — the ratchet only goes down; remove a site instead of adding one",
-            grow_b: "slice-index sites grew {a} -> {b} — prefer .get()/iterators, or shrink elsewhere in this file",
-        },
-    )
-}
-
-/// Compare current race counts against the checked-in race baseline, with
-/// the same tighten-in-place semantics as [`check`].
 pub fn check_race(root: &Path, counts: &[RaceCounts]) -> Vec<Diagnostic> {
     let rows: Vec<(String, usize, usize)> = counts
         .iter()
@@ -155,7 +116,7 @@ pub fn check_race(root: &Path, counts: &[RaceCounts]) -> Vec<Diagnostic> {
 }
 
 /// Compare current durability counts against the checked-in baseline, with
-/// the same tighten-in-place semantics as [`check`].
+/// the same tighten-in-place semantics as [`check_race`].
 pub fn check_durability(root: &Path, counts: &[DurabilityCounts]) -> Vec<Diagnostic> {
     let rows: Vec<(String, usize, usize)> = counts
         .iter()

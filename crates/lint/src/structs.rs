@@ -1,6 +1,6 @@
 //! Shared struct-shape scanner for the concurrency passes.
 //!
-//! Passes 6–8 and the lock-order alias resolver all need the same three
+//! Passes 3–4 and the lock-order alias resolver all need the same three
 //! lexical facts about a file: which structs it declares (with each field's
 //! name, type words, and annotation directives), which `impl` block a
 //! function belongs to, and which zero-argument accessor methods return a
@@ -20,7 +20,7 @@ use crate::lexer::{SourceFile, Tok};
 pub enum FieldKind {
     /// `Mutex<…>` / `RwLock<…>` (possibly nested, e.g. `Vec<RwLock<…>>`).
     Lock,
-    /// `AtomicU*`/`AtomicBool`/… — pass 7's domain.
+    /// `AtomicU*`/`AtomicBool`/… — pass 4's domain.
     Atomic,
     /// Anything else: plain data needing a guarded-by story when shared.
     Plain,

@@ -4,10 +4,7 @@
 //! with a usable file:line message.
 
 use lob_lint::lexer::SourceFile;
-use lob_lint::{
-    determinism, durability, effect_sets, error_flow, fault_hook, guarded_by, lock_order,
-    panic_free, spawn_escape, Diagnostic,
-};
+use lob_lint::{durability, error_flow, fault_hook, guarded_by, lock_order, Diagnostic};
 
 /// Load a fixture file under a virtual workspace-relative path.
 fn fixture(virtual_path: &str, file: &str) -> SourceFile {
@@ -23,49 +20,6 @@ fn locs(diags: &[Diagnostic]) -> Vec<(String, usize, &'static str)> {
         .iter()
         .map(|d| (d.path.clone(), d.line, d.rule))
         .collect()
-}
-
-#[test]
-fn bad_panic_fixture_yields_exact_diagnostics() {
-    let f = fixture("crates/fx/src/bad_panic.rs", "bad_panic.rs");
-    let diags = panic_free::check(&[f], &panic_free::Config::bare());
-    assert_eq!(
-        locs(&diags),
-        vec![
-            ("crates/fx/src/bad_panic.rs".to_string(), 4, "panic"),
-            ("crates/fx/src/bad_panic.rs".to_string(), 8, "panic"),
-            ("crates/fx/src/bad_panic.rs".to_string(), 12, "panic"),
-        ],
-        "diags: {diags:#?}"
-    );
-    assert!(diags[0].msg.contains(".unwrap()"));
-    assert!(diags[1].msg.contains(".expect("));
-    assert!(diags[2].msg.contains("panic!"));
-}
-
-#[test]
-fn good_annotated_fixture_is_clean() {
-    let f = fixture("crates/fx/src/good_annotated.rs", "good_annotated.rs");
-    let (diags, counts) = panic_free::check_with_counts(&[f], &panic_free::Config::bare());
-    assert!(diags.is_empty(), "diags: {diags:#?}");
-    // The justified unwrap is counted for the ratchet.
-    assert_eq!(counts.len(), 1);
-    assert_eq!(counts[0].allowed_panics, 1);
-}
-
-#[test]
-fn a_lifetime_before_a_slice_type_is_not_an_index_site() {
-    let f = SourceFile::parse(
-        "crates/fx/src/x.rs",
-        "pub struct V<'a> {\n    rest: &'a [u8],\n}\npub fn f(v: &[u8], i: usize) -> u8 {\n    v[i]\n}\n",
-    );
-    let (diags, counts) = panic_free::check_with_counts(&[f], &panic_free::Config::bare());
-    assert!(diags.is_empty(), "diags: {diags:#?}");
-    assert_eq!(counts.len(), 1);
-    assert_eq!(
-        counts[0].index_sites, 1,
-        "`v[i]` counts, `&'a [u8]` does not"
-    );
 }
 
 #[test]
@@ -162,7 +116,7 @@ fn lock_chain_fixture_resolves_the_accessor_and_detects_the_cycle() {
 #[test]
 fn bad_guarded_fixture_yields_exact_diagnostics() {
     // The unlocked `hits` access empties the field's lock-set: the one
-    // broken-discipline shape pass 6 must reject.
+    // broken-discipline shape pass 3 must reject.
     let f = fixture("crates/fx/src/bad_guarded.rs", "bad_guarded.rs");
     let diags = guarded_by::check(&[f], &guarded_by::Config::bare());
     assert_eq!(
@@ -178,28 +132,6 @@ fn bad_guarded_fixture_yields_exact_diagnostics() {
 }
 
 #[test]
-fn bad_spawn_fixture_yields_exact_diagnostics() {
-    let f = fixture("crates/fx/src/bad_spawn.rs", "bad_spawn.rs");
-    let diags = spawn_escape::check(&[f], &spawn_escape::Config::bare());
-    let p = "crates/fx/src/bad_spawn.rs".to_string();
-    assert_eq!(
-        locs(&diags),
-        vec![(p.clone(), 5, "spawn-escape"), (p, 12, "spawn-escape")],
-        "diags: {diags:#?}"
-    );
-    assert!(
-        diags[0].msg.contains("`move` closure"),
-        "msg: {}",
-        diags[0].msg
-    );
-    assert!(
-        diags[1].msg.contains("captures `first`"),
-        "msg: {}",
-        diags[1].msg
-    );
-}
-
-#[test]
 fn forward_only_ordering_is_clean() {
     let a = fixture("crates/fx/src/lock_cycle_a.rs", "lock_cycle_a.rs");
     let cfg = lock_order::Config {
@@ -208,27 +140,6 @@ fn forward_only_ordering_is_clean() {
     };
     let diags = lock_order::check(&[a], &cfg);
     assert!(diags.is_empty(), "diags: {diags:#?}");
-}
-
-#[test]
-fn bad_nondet_fixture_yields_exact_diagnostics() {
-    let f = fixture("crates/harness/src/fx_nondet.rs", "bad_nondet.rs");
-    let diags = determinism::check(&[f], &determinism::Config::workspace());
-    let got = locs(&diags);
-    // Line 2: use HashMap; line 3: use Instant; line 6: Instant::now;
-    // line 7: HashMap twice (type + constructor); line 10 is justified.
-    let p = "crates/harness/src/fx_nondet.rs".to_string();
-    assert_eq!(
-        got,
-        vec![
-            (p.clone(), 2, "nondet"),
-            (p.clone(), 3, "nondet"),
-            (p.clone(), 6, "nondet"),
-            (p.clone(), 7, "nondet"),
-            (p.clone(), 7, "nondet"),
-        ],
-        "diags: {diags:#?}"
-    );
 }
 
 #[test]
@@ -275,44 +186,6 @@ fn bad_read_fault_fixture_yields_exact_diagnostics() {
         diags[0].msg
     );
     assert!(diags[1].msg.contains("IoEvent::PageRead"));
-}
-
-#[test]
-fn effect_under_read_fixture_yields_exact_diagnostics() {
-    // The fixture's apply() reads `dst`; its readset() declares only
-    // `src`. The diagnostic pins to the readset arm that should have
-    // declared the read. Scope keys on the path, so the fixture is
-    // parsed under the real body.rs virtual path.
-    let f = fixture("crates/ops/src/body.rs", "effect_under_read.rs");
-    let diags = effect_sets::check(&[f], &effect_sets::Config::workspace());
-    assert_eq!(
-        locs(&diags),
-        vec![("crates/ops/src/body.rs".to_string(), 9, "effect-sets")],
-        "diags: {diags:#?}"
-    );
-    assert!(
-        diags[0].msg.contains("`Move` reads `dst`"),
-        "msg: {}",
-        diags[0].msg
-    );
-}
-
-#[test]
-fn effect_over_write_fixture_yields_exact_diagnostics() {
-    // The fixture's writeset() declares `aux`; apply() never writes it.
-    // The diagnostic pins to the over-broad writeset arm.
-    let f = fixture("crates/ops/src/body.rs", "effect_over_write.rs");
-    let diags = effect_sets::check(&[f], &effect_sets::Config::workspace());
-    assert_eq!(
-        locs(&diags),
-        vec![("crates/ops/src/body.rs".to_string(), 14, "effect-sets")],
-        "diags: {diags:#?}"
-    );
-    assert!(
-        diags[0].msg.contains("declares `aux` for `Stamp`"),
-        "msg: {}",
-        diags[0].msg
-    );
 }
 
 #[test]
@@ -393,37 +266,33 @@ fn bad_error_flow_fixture_yields_exact_diagnostics() {
 
 #[test]
 fn missing_justification_is_flagged() {
-    let f = SourceFile::parse(
-        "crates/fx/src/x.rs",
-        "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // lint:allow(panic)\n}\n",
-    );
+    let src =
+        "fn f(&self) {\n    let _ = self.store.write_page(id, p); // lint:allow(error-flow)\n}\n";
+    let f = SourceFile::parse("crates/fx/src/x.rs", src);
     let ann = lob_lint::check_annotations(&[f]);
     assert_eq!(
         locs(&ann),
         vec![("crates/fx/src/x.rs".to_string(), 2, "annotation")]
     );
-    // And the bare directive does NOT silence the panic pass.
-    let f = SourceFile::parse(
-        "crates/fx/src/x.rs",
-        "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // lint:allow(panic)\n}\n",
-    );
-    let diags = panic_free::check(&[f], &panic_free::Config::bare());
+    // And the bare directive does NOT silence the pass it names.
+    let f = SourceFile::parse("crates/fx/src/x.rs", src);
+    let diags = error_flow::check(&[f], &error_flow::Config::bare());
     assert_eq!(
         locs(&diags),
-        vec![("crates/fx/src/x.rs".to_string(), 2, "panic")]
+        vec![("crates/fx/src/x.rs".to_string(), 2, "error-flow")]
     );
 }
 
 #[test]
 fn ratchet_flags_growth_and_tolerates_equal() {
-    use lob_lint::panic_free::FileCounts;
+    use lob_lint::guarded_by::RaceCounts;
     use lob_lint::ratchet;
     let baseline = ratchet::parse("crates/a/src/x.rs\t2\t5\n");
     assert_eq!(baseline.get("crates/a/src/x.rs"), Some(&(2, 5)));
-    let rendered = ratchet::render(&[FileCounts {
+    let rendered = ratchet::render_race(&[RaceCounts {
         path: "crates/a/src/x.rs".into(),
-        allowed_panics: 2,
-        index_sites: 5,
+        lockfree_fields: 2,
+        allowed_unguarded: 5,
     }]);
     assert!(rendered.contains("crates/a/src/x.rs\t2\t5"));
 }

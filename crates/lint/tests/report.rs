@@ -37,14 +37,10 @@ fn json_report_pins_schema_two() {
     let mut last = 0;
     for name in [
         "annotations",
-        "panic_free",
         "lock_order",
-        "determinism",
         "fault_hook",
-        "effect_sets",
         "guarded_by",
         "atomics",
-        "spawn_escape",
         "durability",
         "error_flow",
     ] {
@@ -60,16 +56,24 @@ fn json_report_pins_schema_two() {
         );
         last = pos;
     }
+    // The contracts that moved to clippy, rustc and `effect_conformance`
+    // have no pass here any more.
+    for gone in ["panic_free", "determinism", "effect_sets", "spawn_escape"] {
+        assert!(
+            !report.contains(&format!("\"{gone}\"")),
+            "removed pass `{gone}` still reported; report:\n{report}"
+        );
+    }
     // A clean workspace means every pass entry is ok with zero findings.
     assert_eq!(
         report.matches("\"findings\": 0, \"ok\": true}").count(),
-        11,
-        "expected 11 clean pass entries; report:\n{report}"
+        7,
+        "expected 7 clean pass entries; report:\n{report}"
     );
 
-    // All three ratchets report per-file baseline/current pairs and none
+    // Both ratchets report per-file baseline/current pairs and neither
     // has regressed.
-    for name in ["panic", "race", "durability"] {
+    for name in ["race", "durability"] {
         assert!(
             report.contains(&format!("\"{name}\": {{")),
             "ratchet `{name}` missing; report:\n{report}"
@@ -77,8 +81,8 @@ fn json_report_pins_schema_two() {
     }
     assert_eq!(
         report.matches("\"regressed\": false").count(),
-        3,
-        "expected all three ratchets unregressed; report:\n{report}"
+        2,
+        "expected both ratchets unregressed; report:\n{report}"
     );
     assert!(report.contains("\"status\": \"at-baseline\""));
     assert!(report.contains("\"baseline\": ["));

@@ -36,6 +36,19 @@
 //! flushes, and a live sweep — is enumerated and crash-probed against the
 //! oracle (DESIGN.md §5.14).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod explorer;
 pub mod scenario;
 pub mod sessions;

@@ -195,44 +195,24 @@ impl OpBody {
         }
     }
 
-    /// `readset(Op)`: pages whose values the operation reads.
+    /// `readset(Op)`: pages whose values the operation reads, collected from
+    /// [`OpBody::for_each_read`] (the one declaration of the set).
     pub fn readset(&self) -> Vec<PageId> {
-        match self {
-            OpBody::PhysicalWrite { .. } | OpBody::IdentityWrite { .. } => vec![],
-            OpBody::Physio(p) => vec![p.target()],
-            OpBody::Logical(l) => match l {
-                LogicalOp::Copy { src, .. } => vec![*src],
-                LogicalOp::MovRec { old, .. } => vec![*old],
-                LogicalOp::AppRead { src, app } => vec![*src, *app],
-                LogicalOp::AppWrite { app, .. } => vec![*app],
-                LogicalOp::MergeRec { src, dst } => vec![*src, *dst],
-                LogicalOp::SortExtent { src, .. } => src.clone(),
-                LogicalOp::Mix { reads, .. } => reads.clone(),
-            },
-        }
+        let mut out = Vec::new();
+        self.for_each_read(|p| out.push(p));
+        out
     }
 
-    /// `writeset(Op)`: pages the operation writes.
+    /// `writeset(Op)`: pages the operation writes, collected from
+    /// [`OpBody::for_each_write`] (the one declaration of the set).
     pub fn writeset(&self) -> Vec<PageId> {
-        match self {
-            OpBody::PhysicalWrite { target, .. } | OpBody::IdentityWrite { target, .. } => {
-                vec![*target]
-            }
-            OpBody::Physio(p) => vec![p.target()],
-            OpBody::Logical(l) => match l {
-                LogicalOp::Copy { dst, .. } => vec![*dst],
-                LogicalOp::MovRec { new, .. } => vec![*new],
-                LogicalOp::AppRead { app, .. } => vec![*app],
-                LogicalOp::AppWrite { dst, .. } => vec![*dst],
-                LogicalOp::MergeRec { dst, .. } => vec![*dst],
-                LogicalOp::SortExtent { dst, .. } => dst.clone(),
-                LogicalOp::Mix { writes, .. } => writes.clone(),
-            },
-        }
+        let mut out = Vec::new();
+        self.for_each_write(|p| out.push(p));
+        out
     }
 
-    /// Visit every page of `readset(Op)` without allocating. Same pages,
-    /// same order as [`OpBody::readset`].
+    /// Visit every page of `readset(Op)` without allocating: the pages
+    /// `apply` reads through its `PageReader`, in order.
     pub fn for_each_read(&self, mut f: impl FnMut(PageId)) {
         match self {
             OpBody::PhysicalWrite { .. } | OpBody::IdentityWrite { .. } => {}
@@ -255,8 +235,8 @@ impl OpBody {
         }
     }
 
-    /// Visit every page of `writeset(Op)` without allocating. Same pages,
-    /// same order as [`OpBody::writeset`].
+    /// Visit every page of `writeset(Op)` without allocating: the pages
+    /// `apply` returns as writes, in order.
     pub fn for_each_write(&self, mut f: impl FnMut(PageId)) {
         match self {
             OpBody::PhysicalWrite { target, .. } | OpBody::IdentityWrite { target, .. } => {
@@ -404,6 +384,10 @@ fn apply_physio(
                 )));
             }
             let mut out = cur.to_vec();
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the overlay range is checked against the page size above"
+            )]
             out[off..off + bytes.len()].copy_from_slice(bytes);
             Ok(vec![(*target, Bytes::from(out))])
         }

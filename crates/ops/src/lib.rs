@@ -42,6 +42,19 @@
 //!   logical operations.
 //! * [`error`] — [`OpError`].
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod body;
 pub mod class;
 pub mod error;

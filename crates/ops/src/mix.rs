@@ -22,11 +22,15 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// Fold a byte slice into a 64-bit digest, keyed by `seed`.
+#[expect(
+    clippy::unwrap_used,
+    clippy::indexing_slicing,
+    reason = "chunks_exact(8) yields exactly 8-byte slices and its remainder is shorter than 8"
+)]
 pub fn digest(seed: u64, bytes: &[u8]) -> u64 {
     let mut acc = mix64(seed ^ 0x01de_c0de ^ bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
     for c in &mut chunks {
-        // lint:allow(panic) chunks_exact(8) yields exactly 8-byte slices
         acc = mix64(acc ^ u64::from_le_bytes(c.try_into().unwrap()));
     }
     let mut tail = [0u8; 8];
@@ -39,6 +43,10 @@ pub fn digest(seed: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Expand a 64-bit state into `len` pseudo-random bytes.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`take` is at most 8, the length of `w`"
+)]
 pub fn expand(mut state: u64, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     while out.len() < len {

@@ -1,9 +1,13 @@
-//! Dynamic conformance check behind the `effect-sets` lint: for every
-//! `OpBody` variant, a recording `PageReader` verifies that `apply()`
-//! reads exactly the pages `readset()` declares and returns writes for
-//! exactly the pages `writeset()` declares, in `writeset()` order. The
-//! lint pass cross-checks the same contract lexically; this test is the
-//! ground truth it is calibrated against.
+//! The effect-set contract check: for every `OpBody` variant, a recording
+//! `PageReader` verifies that `apply()` reads exactly the pages
+//! `readset()` declares and returns writes for exactly the pages
+//! `writeset()` declares, in `writeset()` order. Both sets are declared
+//! once, by `OpBody::for_each_read`/`for_each_write`. The write graph
+//! (paper §2) trusts these declarations: an under-declared read is a
+//! reader edge the graph never sees, an over-declared write inflates
+//! `vars(n)` and the flush latching. This test is the only check of the
+//! contract, and it runs on resolved types, so no declaration shape can
+//! dodge it.
 
 use bytes::Bytes;
 use lob_ops::{LogicalOp, OpBody, PhysioOp};
@@ -88,8 +92,8 @@ fn samples() -> Vec<OpBody> {
 }
 
 /// Exhaustive, wildcard-free variant enumeration: adding an `OpBody`
-/// variant fails to compile here, forcing a new sample (and a fresh look
-/// at the `effect-sets` lint) before the workspace builds again.
+/// variant fails to compile here, forcing a new sample before the
+/// workspace builds again.
 fn variant_index(op: &OpBody) -> usize {
     match op {
         OpBody::PhysicalWrite { .. } => 0,

@@ -41,6 +41,19 @@
 //!   twin of `lob-lint`'s durability pass (compiled under
 //!   `cfg(any(test, feature = "witness"))`, no-op stubs otherwise).
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod fault;
 pub mod id;
 pub mod image;

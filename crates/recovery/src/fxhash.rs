@@ -10,8 +10,6 @@
 //!
 //! [`PageId`]: lob_pagestore::PageId
 
-// lint:allow(nondet) seed-free BuildHasherDefault<FxHasher> below — no RandomState
-use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// FxHash-style state: rotate, xor the word in, multiply by a large odd
@@ -66,8 +64,11 @@ impl Hasher for FxHasher {
 }
 
 /// `HashMap` keyed through [`FxHasher`].
-// lint:allow(nondet) seed-free hasher: iteration order is identical across processes
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+#[expect(
+    clippy::disallowed_types,
+    reason = "seed-free hasher: iteration order is identical across processes"
+)]
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {
@@ -89,10 +90,10 @@ mod tests {
 
     #[test]
     fn distinct_page_ids_spread() {
-        use std::collections::HashSet;
+        use std::collections::BTreeSet;
         use std::hash::{BuildHasher, BuildHasherDefault};
         let bh: BuildHasherDefault<FxHasher> = BuildHasherDefault::default();
-        let hashes: HashSet<u64> = (0..4096u32)
+        let hashes: BTreeSet<u64> = (0..4096u32)
             .map(|i| bh.hash_one(PageId::new(i % 8, i / 8)))
             .collect();
         assert_eq!(hashes.len(), 4096, "no collisions on a dense id range");

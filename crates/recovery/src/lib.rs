@@ -56,6 +56,19 @@
 //!   priority queue gives foreground reads and writes on-demand segment
 //!   restore, so the store serves *during* media recovery.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 mod fxhash;
 pub mod install;
 pub mod instant;

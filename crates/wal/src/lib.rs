@@ -28,6 +28,19 @@
 //! (used by simulations), [`FileLogStore`] appends frames to a real file
 //! with checksummed framing and torn-tail detection.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 pub mod codec;
 pub mod group;
 pub mod manager;

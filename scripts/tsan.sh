@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # ThreadSanitizer sweep over the threaded drills (DESIGN.md §5.11).
 #
-# TSan is the dynamic half of lob-lint's guarded-by pass (pass 6): the pass
+# TSan is the dynamic half of lob-lint's guarded-by pass (pass 3): the pass
 # checks the *locking discipline* lexically, TSan checks the actual
 # happens-before races the discipline is meant to prevent, over the
 # parallel sweep, the parallel restore/redo paths and the group-commit

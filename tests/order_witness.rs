@@ -13,7 +13,7 @@
 //!
 //! The install-before-force fixture here mirrors the *static* fixture
 //! `crates/lint/tests/fixtures/bad_durability.rs`: the same shape is
-//! caught by pass 9 at lint time and by the ordering witness at run time.
+//! caught by pass 5 at lint time and by the ordering witness at run time.
 
 use lob_harness::{Drill, FaultKind, Path};
 use lob_pagestore::witness::{io_order, Witness};
