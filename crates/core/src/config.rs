@@ -90,8 +90,8 @@ pub struct CommitConfig {
     pub flush_policy: FlushPolicy,
     /// The longest a group-commit leader waits for co-committers before
     /// dispatching the group force, in microseconds: a cap, since the
-    /// group also closes once every live [`crate::Session`] has joined
-    /// it. The window also bounds how long a committer waits on the CPU:
+    /// group also closes once every live [`crate::Session`] (one whose
+    /// last-using thread has not exited) has joined it. The window also bounds how long a committer waits on the CPU:
     /// the leader and its followers poll the group between
     /// `std::thread::yield_now` calls, which hand the CPU to any runnable
     /// thread, and only a follower whose force outlasts the window parks.

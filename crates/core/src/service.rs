@@ -73,7 +73,8 @@ use lob_recovery::{
     RecoveryConfig, RedoOutcome, SegmentState, WriteGraph,
 };
 use lob_wal::{
-    FileLogStore, FrameView, GroupCommitLog, LogError, LogManager, RecordBody, RecordKind,
+    Committer, FileLogStore, FrameView, GroupCommitLog, LogError, LogManager, RecordBody,
+    RecordKind,
 };
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
@@ -305,8 +306,8 @@ impl EngineService {
     /// and safe to drive from its own thread. The session is a registered
     /// committer of the group-commit log until its last clone drops.
     pub fn session(self: &Arc<Self>) -> Session {
-        self.log.register();
         Session(Arc::new(SessionInner {
+            committer: self.log.register(),
             svc: Arc::clone(self),
             logged: AtomicU64::new(Lsn::NULL.raw()),
         }))
@@ -2203,11 +2204,15 @@ fn lift_cache_err(e: CacheError) -> EngineError {
 /// covers every record executed through any of them. A fresh session
 /// comes from [`EngineService::session`].
 ///
-/// A live session is a member of every commit group: a group closes once
-/// every live session has joined it (or at the `group_commit_count` cap,
-/// or when the `group_commit_delay_micros` window runs out). So a live
-/// session that does not commit — idle, or busy with other work — makes
-/// the others wait out the window; drop it when its work is done.
+/// A session is a member of every commit group while the thread that
+/// last called one of its methods lives, and from its creation until a
+/// thread first calls one: a group closes once every such session has
+/// joined it (or at the `group_commit_count` cap, or when the
+/// `group_commit_delay_micros` window runs out). A session whose thread
+/// has exited holds up no group, even while a handle to it is kept; the
+/// next thread to call it makes it a member again. A member session that
+/// does not commit — idle, or busy with other work — still makes the
+/// others wait out the window.
 #[derive(Clone, Debug)]
 pub struct Session(Arc<SessionInner>);
 
@@ -2216,6 +2221,9 @@ pub struct Session(Arc<SessionInner>);
 #[derive(Debug)]
 struct SessionInner {
     svc: Arc<EngineService>,
+    /// The session's registration with the group-commit log, on which
+    /// every method records its calling thread.
+    committer: Committer,
     /// Highest LSN this session's `execute`s returned (raw; 0 before the
     /// first): the record [`Session::commit`] forces.
     logged: AtomicU64, // lint: atomic(acq-rel)
@@ -2223,31 +2231,39 @@ struct SessionInner {
 
 impl Drop for SessionInner {
     fn drop(&mut self) {
-        self.svc.log.deregister();
+        self.svc.log.deregister(&self.committer);
     }
 }
 
 impl Session {
+    /// The shared state, with the calling thread recorded as the
+    /// session's user (lock-free when it already is).
+    fn used(&self) -> &SessionInner {
+        self.0.svc.log.mark_used(&self.0.committer);
+        &self.0
+    }
+
     /// The shared service behind this session.
     pub fn service(&self) -> &Arc<EngineService> {
-        &self.0.svc
+        &self.used().svc
     }
 
     /// Execute a logged operation. See [`EngineService::execute`].
     pub fn execute(&self, body: OpBody) -> Result<Lsn, EngineError> {
-        let lsn = self.0.svc.execute(body)?;
-        self.0.logged.fetch_max(lsn.raw(), Ordering::AcqRel);
+        let inner = self.used();
+        let lsn = inner.svc.execute(body)?;
+        inner.logged.fetch_max(lsn.raw(), Ordering::AcqRel);
         Ok(lsn)
     }
 
     /// Read a page through the shared cache.
     pub fn read_page(&self, id: PageId) -> Result<Page, EngineError> {
-        self.0.svc.read_page(id)
+        self.used().svc.read_page(id)
     }
 
     /// Flush one page (write-graph-ordered).
     pub fn flush_page(&self, page: PageId) -> Result<(), EngineError> {
-        self.0.svc.flush_page(page)
+        self.used().svc.flush_page(page)
     }
 
     /// Commit: durably force everything this session has logged — a group
@@ -2255,14 +2271,15 @@ impl Session {
     /// crash wiped that record before any force reached it, the commit
     /// fails with the injected crash instead of reporting durability.
     pub fn commit(&self) -> Result<(), EngineError> {
-        self.0
+        let inner = self.used();
+        inner
             .svc
-            .group_force(Lsn(self.0.logged.load(Ordering::Acquire)))
+            .group_force(Lsn(inner.logged.load(Ordering::Acquire)))
     }
 
     /// Allocate a fresh page.
     pub fn alloc_page(&self, partition: PartitionId) -> Result<PageId, EngineError> {
-        self.0.svc.alloc_page(partition)
+        self.used().svc.alloc_page(partition)
     }
 }
 
@@ -2489,6 +2506,21 @@ mod tests {
         drop(clone);
         let again = timed(&|| (17..33).for_each(|i| commit(&s, i)));
         assert!(again < window, "commits still waited: {again:?}");
+
+        // A session kept after its worker thread has exited is not waited
+        // for. (The worker only executes: a commit of its own would wait
+        // for `s`, live on this thread.)
+        let finished = svc.session();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| finished.execute(insert(PageId::new(0, 1), b"w", b"1")));
+            worker.join().unwrap().unwrap();
+        });
+        let after = timed(&|| (34..50).for_each(|i| commit(&s, i)));
+        assert!(
+            after < window,
+            "commits waited for a finished session: {after:?}"
+        );
+        drop(finished);
     }
 
     #[test]

@@ -144,6 +144,10 @@ pub struct Drill {
     pub policy: BackupPolicy,
     /// Operations the drive issues (per session thread).
     pub ops: u32,
+    /// Under [`Scenario::Sessions`], the operations of the first session
+    /// threads, one entry each, where they differ from `ops`: uneven
+    /// sessions, whose shorter threads exit while the others run on.
+    pub session_ops: Vec<u32>,
     /// Probability of flushing a random dirty page after an operation.
     pub flush_prob: f64,
     /// Steps per on-line backup; zero runs no backup.
@@ -457,6 +461,7 @@ impl Drill {
             discipline,
             policy: BackupPolicy::Protocol,
             ops: 60,
+            session_ops: Vec::new(),
             flush_prob: 0.45,
             backup_steps: 0,
             recovery: RecoveryConfig::default(),

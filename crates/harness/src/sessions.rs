@@ -142,12 +142,15 @@ impl Drill {
         sessions: usize,
     ) -> Result<(), Stop> {
         let stop = AtomicBool::new(false); // lint: atomic(seqcst)
-                                           // Every session is live before any thread starts work, so a gather
-                                           // waits for all of them from the first commit on.
+
+        // Every session is live before any thread starts work, so a gather
+        // waits for all of them from the first commit on. The drill holds
+        // them until every thread has joined, as a client holds sessions
+        // it no longer drives.
         let handles: Vec<Session> = (0..sessions).map(|_| svc.session()).collect();
         let (logs, swept) = std::thread::scope(|s| {
             let workers: Vec<_> = handles
-                .into_iter()
+                .iter()
                 .enumerate()
                 .map(|(t, session)| {
                     let (stop, w) = (&stop, witness::current());
@@ -187,7 +190,7 @@ impl Drill {
     /// at the first failure.
     fn session_work(
         &self,
-        session: Session,
+        session: &Session,
         t: usize,
         stop: &AtomicBool, // lint: atomic(seqcst)
     ) -> (Vec<(Lsn, OpBody)>, Option<EngineError>) {
@@ -197,9 +200,10 @@ impl Drill {
         );
         let partition = (t as u32) % self.partitions;
         let pages: Vec<PageId> = (0..self.pages).map(|i| PageId::new(partition, i)).collect();
+        let ops = self.session_ops.get(t).copied().unwrap_or(self.ops);
         let mut logged: Vec<(Lsn, OpBody)> = Vec::new();
         let res = (|| -> Result<(), EngineError> {
-            for i in 1..=self.ops {
+            for i in 1..=ops {
                 if stop.load(Ordering::SeqCst) {
                     break;
                 }

@@ -6,15 +6,12 @@
 //! control shape of one `fn` body — `if`/`else if`/`else` chains, `match`
 //! arms, `loop`/`while`/`for` bodies, `move` closures, plain blocks — and
 //! lowers it to basic blocks with predecessor/successor edges. On top of
-//! the graph sit two classic forward solvers:
-//!
-//! - [`Cfg::must_avail_in`] — "available events": the set of facts
-//!   generated on **every** path from entry to each block (intersection
-//!   over predecessors). This is the right notion for log-before-install:
-//!   a force in *both* arms of an `if` satisfies a write after the join,
-//!   which strict dominance of any single generator site would reject.
-//! - [`Cfg::dominators`] — classic block dominance, for callers that need
-//!   the structural property itself.
+//! the graph sits one forward solver, [`Cfg::must_avail_in`] —
+//! "available events": the set of facts generated on **every** path from
+//! entry to each block (intersection over predecessors). This is the
+//! right notion for log-before-install: a force in *both* arms of an `if`
+//! satisfies a write after the join, which strict dominance of any single
+//! generator site would reject.
 //!
 //! Accepted approximations (documented in DESIGN.md §5.12):
 //!
@@ -528,47 +525,6 @@ impl Cfg {
         }
         ins
     }
-
-    /// Classic forward dominators: for each block, the set of block ids
-    /// that lie on every path from entry to it (including itself).
-    pub fn dominators(&self) -> Vec<BTreeSet<usize>> {
-        let all: BTreeSet<usize> = (0..self.blocks.len()).collect();
-        let mut dom: Vec<BTreeSet<usize>> = vec![all; self.blocks.len()];
-        if let Some(first) = dom.get_mut(0) {
-            *first = BTreeSet::from([0]);
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for (bi, block) in self.blocks.iter().enumerate() {
-                if bi == 0 {
-                    continue;
-                }
-                let mut acc: Option<BTreeSet<usize>> = None;
-                for &p in &block.preds {
-                    let pd = dom.get(p).cloned().unwrap_or_default();
-                    acc = Some(match acc {
-                        None => pd,
-                        Some(a) => a.intersection(&pd).copied().collect(),
-                    });
-                }
-                let mut next = acc.unwrap_or_default();
-                next.insert(bi);
-                if dom.get(bi) != Some(&next) {
-                    if let Some(slot) = dom.get_mut(bi) {
-                        *slot = next;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        dom
-    }
-
-    /// The block containing token index `idx`, if any.
-    pub fn block_of(&self, idx: usize) -> Option<usize> {
-        self.blocks.iter().position(|b| b.toks.contains(&idx))
-    }
 }
 
 #[cfg(test)]
@@ -582,6 +538,11 @@ mod tests {
         let span = spans.first().expect("one fn");
         let toks = span_tokens(&f, span);
         (Cfg::build_fn(&toks), toks)
+    }
+
+    /// The block containing token index `idx`, if any.
+    fn block_of(cfg: &Cfg, idx: usize) -> Option<usize> {
+        cfg.blocks.iter().position(|b| b.toks.contains(&idx))
     }
 
     fn gen_map<'a>(toks: &[(Tok, usize)], word: &str, fact: &'a str) -> BTreeMap<usize, &'a str> {
@@ -604,7 +565,7 @@ mod tests {
             .iter()
             .position(|(t, _)| matches!(t, Tok::Word(w) if w == word))
             .expect("query token present");
-        let b = cfg.block_of(idx).expect("query token in a block");
+        let b = block_of(cfg, idx).expect("query token in a block");
         let ins = cfg.must_avail_in(gens);
         let mut running = ins.get(b).cloned().unwrap_or_default();
         for &t in cfg.blocks.get(b).map(|bb| &bb.toks).into_iter().flatten() {
@@ -728,28 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn dominators_on_a_diamond() {
-        let (cfg, _toks) = cfg_of("fn f(c: bool) { a(); if c { b(); } else { d(); } e(); }\n");
-        let dom = cfg.dominators();
-        // Entry dominates everything.
-        for (bi, d) in dom.iter().enumerate() {
-            assert!(d.contains(&0), "block {bi} not dominated by entry: {d:?}");
-            assert!(d.contains(&bi));
-        }
-        // Arm blocks do not dominate the join.
-        let join = cfg.blocks.len() - 1;
-        let join_dom = dom.get(join).expect("join");
-        for (bi, block) in cfg.blocks.iter().enumerate() {
-            if bi != 0 && bi != join && !block.toks.is_empty() {
-                assert!(
-                    !join_dom.contains(&bi),
-                    "arm block {bi} should not dominate the join"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn nested_fn_items_are_skipped() {
         let (cfg, toks) = cfg_of("fn f() { fn helper() { force(); } install(); }\n");
         let gens = gen_map(&toks, "force", "F");
@@ -759,7 +698,7 @@ mod tests {
             .iter()
             .position(|(t, _)| matches!(t, Tok::Word(w) if w == "force"))
             .expect("force token");
-        assert!(cfg.block_of(force_idx).is_none());
+        assert!(block_of(&cfg, force_idx).is_none());
     }
 
     #[test]

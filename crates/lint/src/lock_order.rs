@@ -196,10 +196,11 @@ impl Config {
                     method: "changed_count",
                     lock: "backup/coordinator.changed",
                 },
-                // The group-commit log's guard helpers and the public
-                // methods that acquire the wrapped manager internally —
-                // surfaced so any caller-side lock held across them joins
-                // the graph.
+                // The group-commit log's guard helpers, the gather (which
+                // polls the committer registry) and the public methods
+                // that acquire the wrapped manager internally — surfaced
+                // so any caller-side lock held across them joins the
+                // graph.
                 Alias {
                     file_contains: "wal/src/group.rs",
                     recv: "self",
@@ -211,6 +212,18 @@ impl Config {
                     recv: "self",
                     method: "state_guard",
                     lock: "wal/group.state",
+                },
+                Alias {
+                    file_contains: "wal/src/group.rs",
+                    recv: "self",
+                    method: "committers_guard",
+                    lock: "wal/group.committers",
+                },
+                Alias {
+                    file_contains: "wal/src/group.rs",
+                    recv: "self",
+                    method: "gather",
+                    lock: "wal/group.committers",
                 },
                 Alias {
                     file_contains: "wal/src/group.rs",

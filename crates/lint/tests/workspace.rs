@@ -147,6 +147,13 @@ fn lock_order_graph_is_acyclic() {
             .map(|e| format!("{} -> {} ({})", e.from, e.to, e.witness.0))
             .collect::<Vec<_>>()
     );
+    // The gathering leader polls the committer registry under `state`.
+    assert!(
+        edges
+            .iter()
+            .any(|e| e.from == "wal/group.state" && e.to == "wal/group.committers"),
+        "expected group.state -> group.committers edge missing"
+    );
     assert_clean("lock-order", lock_order::check(&files, &cfg));
 }
 
@@ -291,7 +298,7 @@ const CONTRACTS: &[(&str, &str, &str)] = &[
     ("GroupReplay", "dirty", "unit-local"),
     ("GroupCommitLog", "manager", "lock"),
     ("GroupCommitLog", "state", "lock"),
-    ("GroupCommitLog", "registered", "atomic"),
+    ("GroupCommitLog", "committers", "lock"),
     ("ShardedCache", "shards", "lock"),
     ("EngineService", "domains", "lock"),
     ("EngineService", "meta", "lock"),

@@ -9,13 +9,18 @@
 //! watermark.
 //!
 //! The gather closes as soon as the group is full: `count` members, or
-//! every *registered* committer ([`GroupCommitLog::register`]) when fewer
-//! are registered. `delay` caps the wait either way; with nobody
-//! registered the leader waits for `count` members or the window. On
-//! every path, the `count` cap included, only followers that arrive
+//! every *live* registered committer ([`GroupCommitLog::register`]) when
+//! fewer are live. A committer is live until the thread that last used it
+//! ([`GroupCommitLog::mark_used`]) exits; one no thread has used yet is
+//! live, so a committer registered before its thread starts is waited
+//! for from the first gather on. Liveness is read from the threads, not
+//! from a clock: while every user thread lives, the gathers close exactly
+//! as if all were waited for. `delay` caps the wait either way; with
+//! nobody registered the leader waits for `count` members or the window.
+//! On every path, the `count` cap included, only followers that arrive
 //! during this gather count as members — a follower of the round just
-//! published is not one. [`GroupCommitLog::gather_ends`]
-//! counts which of the three ended each gather.
+//! published is not one. [`GroupCommitLog::gather_ends`] counts which
+//! ended each gather.
 //!
 //! Waits bounded by the window stay on the CPU: the gathering leader and
 //! its followers re-check the group state between
@@ -35,17 +40,30 @@
 //! whose goal the round failed to cover.
 //!
 //! Lock order (must stay acyclic with the engine's): `state` before
-//! `manager`. Appends take only `manager`; commit bookkeeping takes only
-//! `state`, and (de)registration takes neither; the leader takes `state`,
-//! then `manager` (via [`GroupCommitLog::lead_force`]). Nothing ever takes
+//! `committers` and `manager`. Appends take only `manager`; commit
+//! bookkeeping takes only `state`; (de)registration and a committer's
+//! change of thread take only `committers`; the gathering leader takes
+//! `state`, then `committers` on every poll, then `manager` (via
+//! [`GroupCommitLog::lead_force`]). Nothing ever takes `committers` or
 //! `manager` first.
 
 use crate::{LogError, LogManager, LogRecord, LogStats, RecordBody};
 use bytes::Bytes;
 use lob_pagestore::Lsn;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
+
+/// Source of [`THREAD`] ids; 0 is "no thread".
+static NEXT_THREAD: AtomicU64 = AtomicU64::new(1); // lint: atomic(relaxed-counter)
+
+thread_local! {
+    /// This thread's liveness token: a process-unique id, dropped when the
+    /// thread exits. A committer's registry entry holds a `Weak` to the
+    /// token of the thread that last used it.
+    static THREAD: Arc<u64> = Arc::new(NEXT_THREAD.fetch_add(1, Ordering::Relaxed));
+}
 
 /// A force round's failure, kept cloneable so one leader error can fan out
 /// to every waiter of the round ([`LogError`] is not `Clone`).
@@ -80,6 +98,9 @@ impl GroupFailure {
 pub struct GatherEnds {
     /// Every registered committer had joined, fewer than `count`.
     pub all_joined: u64,
+    /// Every live committer had joined, fewer than `count`, while the
+    /// thread of some registered committer had exited.
+    pub departed: u64,
     /// `count` members had gathered.
     pub count_cap: u64,
     /// The `delay` window ran out first.
@@ -126,6 +147,45 @@ fn in_hole(holes: &[(u64, u64)], lsn: u64) -> bool {
     holes.iter().any(|&(lo, hi)| lo < lsn && lsn <= hi)
 }
 
+/// A registered committer of a [`GroupCommitLog`], from
+/// [`GroupCommitLog::register`]: the handle its user threads are recorded
+/// on.
+#[derive(Debug)]
+pub struct Committer {
+    /// Key of its entry in the log's registry.
+    key: u64,
+    /// [`THREAD`] id of the last thread recorded on it (0: none yet), so a
+    /// call from that same thread records nothing. Stored under the
+    /// `committers` lock after the registry entry; a thread reads its own
+    /// id here only after storing it itself, so the load publishes no
+    /// registry state to it.
+    thread: AtomicU64, // lint: atomic(acq-rel)
+}
+
+/// The registered committers, under the `committers` lock.
+#[derive(Debug, Default)]
+struct Registry {
+    /// Key of the next committer registered.
+    next: u64,
+    /// Each registered committer's key and the liveness token of the
+    /// thread that last used it (`None` before any has).
+    members: Vec<(u64, Option<Weak<u64>>)>,
+}
+
+impl Registry {
+    /// `(registered, live)` committers: one is live until the thread that
+    /// last used it exits.
+    fn counts(&self) -> (u32, u32) {
+        let live = self
+            .members
+            .iter()
+            .filter(|(_, user)| user.as_ref().map_or(true, |u| u.strong_count() > 0))
+            .count();
+        let count = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
+        (count(self.members.len()), count(live))
+    }
+}
+
 /// A [`LogManager`] shared by concurrent sessions with group-committed
 /// forces. See the module docs for the protocol and lock order.
 pub struct GroupCommitLog {
@@ -141,9 +201,10 @@ pub struct GroupCommitLog {
     // lint: guarded-by(immutable) early-dispatch group size, fixed at construction
     count: u32,
     /// Committers registered as members of every group
-    /// ([`GroupCommitLog::register`]). Changed outside `state`: a
-    /// gathering leader re-reads it on every poll.
-    registered: AtomicU32, // lint: atomic(acq-rel)
+    /// ([`GroupCommitLog::register`]) and the threads that last used them.
+    /// Changed outside `state`: a gathering leader re-reads it on every
+    /// poll.
+    committers: Mutex<Registry>,
     /// Published durable watermark (raw LSN), so sessions read commit
     /// outcomes without any lock. Stored only under the `manager` lock,
     /// so it is monotone.
@@ -158,8 +219,8 @@ pub struct GroupCommitLog {
 
 impl GroupCommitLog {
     /// Wrap `manager`. A force leader waits up to `delay` for up to
-    /// `count` total committers (fewer once every registered committer
-    /// has joined) before dispatching the group. Only followers that join
+    /// `count` total committers (fewer once every live registered
+    /// committer has joined) before dispatching the group. Only followers that join
     /// this gather count toward either number. `delay = 0` or
     /// `count <= 1` disables gathering (each force dispatches
     /// immediately, still batching whatever is already appended) — that is
@@ -173,7 +234,7 @@ impl GroupCommitLog {
             completions: Condvar::new(),
             delay,
             count,
-            registered: AtomicU32::new(0),
+            committers: Mutex::new(Registry::default()),
             durable: AtomicU64::new(durable),
             appended: AtomicU64::new(appended),
             hole_floor: AtomicU64::new(u64::MAX),
@@ -186,6 +247,10 @@ impl GroupCommitLog {
 
     fn state_guard(&self) -> MutexGuard<'_, GroupState> {
         self.state.lock()
+    }
+
+    fn committers_guard(&self) -> MutexGuard<'_, Registry> {
+        self.committers.lock()
     }
 
     /// Whether forces gather: an open window and room for a group.
@@ -323,8 +388,8 @@ impl GroupCommitLog {
     }
 
     /// Leader's gather window: poll on the CPU for up to `delay` until the
-    /// group is full — `count` members, or every registered committer when
-    /// fewer are registered — and count how the gather ended.
+    /// group is full — `count` members, or every live registered
+    /// committer when fewer are live — and count how the gather ended.
     fn gather<'a>(&'a self, mut st: MutexGuard<'a, GroupState>) -> MutexGuard<'a, GroupState> {
         if !self.gathers() {
             return st;
@@ -333,14 +398,18 @@ impl GroupCommitLog {
         st.joined = 0;
         let deadline = Instant::now() + self.delay;
         loop {
-            let registered = self.registered.load(Ordering::Acquire);
-            let everyone = registered > 0 && registered < self.count;
-            let size = if everyone { registered } else { self.count };
+            let (registered, live) = self.committers_guard().counts();
+            let everyone = registered > 0 && live < self.count;
+            // With every registered committer gone, nobody can join: the
+            // leader's group is itself.
+            let size = if everyone { live.max(1) } else { self.count };
             if st.joined + 1 >= size {
-                if everyone {
-                    st.ends.all_joined += 1;
-                } else {
+                if !everyone {
                     st.ends.count_cap += 1;
+                } else if live < registered {
+                    st.ends.departed += 1;
+                } else {
+                    st.ends.all_joined += 1;
                 }
                 break;
             }
@@ -367,16 +436,45 @@ impl GroupCommitLog {
 
     /// Register a committer: until the matching
     /// [`GroupCommitLog::deregister`], a gather with fewer than `count`
-    /// registered committers closes once all of them have joined.
-    pub fn register(&self) {
-        self.registered.fetch_add(1, Ordering::AcqRel);
+    /// live committers closes once all of them have joined. The committer
+    /// is live until a thread recorded on it with
+    /// [`GroupCommitLog::mark_used`] exits.
+    pub fn register(&self) -> Committer {
+        let mut reg = self.committers_guard();
+        let key = reg.next;
+        reg.next += 1;
+        reg.members.push((key, None));
+        Committer {
+            key,
+            thread: AtomicU64::new(0),
+        }
     }
 
     /// Deregister a committer registered with [`GroupCommitLog::register`].
     /// A gathering leader sees the drop at its next poll: the group it
     /// waits for may now be complete.
-    pub fn deregister(&self) {
-        self.registered.fetch_sub(1, Ordering::AcqRel);
+    pub fn deregister(&self, committer: &Committer) {
+        self.committers_guard()
+            .members
+            .retain(|(key, _)| *key != committer.key);
+    }
+
+    /// Record the calling thread as the one using `committer`: gathers
+    /// wait for the committer until this thread exits, or until another
+    /// thread is recorded on it. Takes no lock when the calling thread is
+    /// the one already recorded.
+    pub fn mark_used(&self, committer: &Committer) {
+        // A thread past its thread-locals' teardown records nothing.
+        let _ = THREAD.try_with(|token| {
+            if committer.thread.load(Ordering::Acquire) == **token {
+                return;
+            }
+            let mut reg = self.committers_guard();
+            if let Some((_, user)) = reg.members.iter_mut().find(|(k, _)| *k == committer.key) {
+                *user = Some(Arc::downgrade(token));
+            }
+            committer.thread.store(**token, Ordering::Release);
+        });
     }
 
     /// How the gathers so far ended.
@@ -625,18 +723,17 @@ mod tests {
             })));
         }
         let per_thread = 64usize;
-        log.register();
-        log.register();
+        let committers = [log.register(), log.register()];
         let start = Instant::now();
         std::thread::scope(|s| {
-            for t in 0..2usize {
+            for (t, committer) in committers.iter().enumerate() {
                 let log = &log;
                 s.spawn(move || {
                     for i in 0..per_thread {
                         let lsn = log.append_record(op_body((t * per_thread + i) as u8));
                         log.force(lsn).unwrap();
                     }
-                    log.deregister();
+                    log.deregister(committer);
                 });
             }
         });
@@ -691,11 +788,10 @@ mod tests {
         // leaves; the gathering leader sees it leave, and its group
         // (just itself now) is complete.
         let log = GroupCommitLog::new(LogManager::in_memory(), Duration::from_secs(10), 8);
-        log.register();
-        log.register();
+        let (_leader, other) = (log.register(), log.register());
         std::thread::scope(|s| {
             let leader = s.spawn(|| log.force(log.append_record(op_body(1))));
-            log.deregister();
+            log.deregister(&other);
             leader.join().unwrap().unwrap();
         });
         let all = GatherEnds {
@@ -703,6 +799,100 @@ mod tests {
             ..GatherEnds::default()
         };
         assert_eq!(log.gather_ends(), all);
+
+        // Departed: the other committer stays registered, but the thread
+        // that used it has exited, so the leader's group is itself.
+        let log = long_window_log();
+        let (leader, other) = (log.register(), log.register());
+        used_by_an_exited_thread(&log, &other);
+        log.mark_used(&leader);
+        log.force(log.append_record(op_body(1))).unwrap();
+        let departed = GatherEnds {
+            departed: 1,
+            ..GatherEnds::default()
+        };
+        assert_eq!(log.gather_ends(), departed);
+    }
+
+    /// Record `committer` as used by a thread that has exited by the time
+    /// this returns (`join` waits for the thread's locals to drop).
+    fn used_by_an_exited_thread(log: &GroupCommitLog, committer: &Committer) {
+        std::thread::scope(|s| s.spawn(|| log.mark_used(committer)).join().unwrap());
+    }
+
+    /// A group log whose window is far longer than any test.
+    fn long_window_log() -> GroupCommitLog {
+        GroupCommitLog::new(LogManager::in_memory(), Duration::from_secs(10), 8)
+    }
+
+    #[test]
+    fn a_committer_whose_thread_exited_is_not_waited_for() {
+        let log = long_window_log();
+        let (me, gone) = (log.register(), log.register());
+        used_by_an_exited_thread(&log, &gone);
+        log.mark_used(&me);
+        let start = Instant::now();
+        log.force(log.append_record(op_body(1))).unwrap();
+        let waited = start.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "the force waited {waited:?} for a committer whose thread exited"
+        );
+        assert_eq!(log.stats().forces, 1);
+        assert_eq!(log.gather_ends().departed, 1);
+    }
+
+    /// Force from this thread (recorded on `me`) while another thread,
+    /// recorded on `other` first, commits 50 ms later: well after the
+    /// leader has started gathering, and well inside its window.
+    fn force_beside_a_late_commit(log: &GroupCommitLog, me: &Committer, other: &Committer) {
+        log.mark_used(me);
+        let picked_up = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let late = s.spawn(|| {
+                log.mark_used(other);
+                picked_up.store(true, Ordering::Release);
+                std::thread::sleep(Duration::from_millis(50));
+                log.force(log.append_record(op_body(2)))
+            });
+            while !picked_up.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            log.force(log.append_record(op_body(1))).unwrap();
+            late.join().unwrap().unwrap();
+        });
+        assert_eq!(log.durable_lsn(), Lsn(2));
+    }
+
+    #[test]
+    fn a_departed_committer_picked_up_by_a_live_thread_is_waited_for_again() {
+        let log = long_window_log();
+        let (me, other) = (log.register(), log.register());
+        used_by_an_exited_thread(&log, &other);
+        force_beside_a_late_commit(&log, &me, &other);
+        assert_eq!(
+            log.stats().forces,
+            1,
+            "the leader closed its group before the picked-up committer joined"
+        );
+        let all = GatherEnds {
+            all_joined: 1,
+            ..GatherEnds::default()
+        };
+        assert_eq!(log.gather_ends(), all);
+    }
+
+    #[test]
+    fn a_busy_live_committer_is_still_waited_for() {
+        let log = long_window_log();
+        let (me, busy) = (log.register(), log.register());
+        force_beside_a_late_commit(&log, &me, &busy);
+        assert_eq!(
+            log.stats().forces,
+            1,
+            "the busy committer's commit rides the leader's force"
+        );
+        assert_eq!(log.gather_ends().all_joined, 1);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod store;
 pub use codec::{
     decode_record, decode_record_shared, encode_record, AsFrame, CodecError, FrameView,
 };
-pub use group::{GatherEnds, GroupCommitLog};
+pub use group::{Committer, GatherEnds, GroupCommitLog};
 pub use manager::{LogError, LogManager};
 pub use record::{LogRecord, RecordBody, RecordKind};
 pub use stats::LogStats;

@@ -26,6 +26,7 @@ use lob_harness::{Drill, FaultKind, Path, ShadowOracle, WorkloadGen};
 use lob_pagestore::{FaultVerdict, IoEvent};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn race_grid_under_armed_witnesses() {
@@ -101,6 +102,43 @@ fn group_commit_batches_forces_across_sessions() {
         "grouping must not add forces: {} (grouped) vs {} (solo)",
         grouped.forces,
         solo.forces
+    );
+}
+
+#[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test times the drill against the gather window"
+)]
+fn a_finished_session_holds_up_no_group() {
+    // Two sessions of unequal length, each held by the drill until both
+    // threads have joined, through a window far longer than the test.
+    // While both threads run, each force serves one commit of each
+    // session. Once the shorter session's thread exits, the longer one's
+    // commits close their gathers at once instead of waiting out the
+    // window for a committer that can no longer join.
+    let window = Duration::from_secs(1);
+    let mut drill = Drill {
+        backup_steps: 0,
+        session_ops: vec![64, 16],
+        ..Drill::sessions(2, 2, 0x0E)
+    };
+    drill.commit.group_commit_delay_micros = window.as_micros() as u64;
+    let start = std::time::Instant::now();
+    let case = drill.case(FaultKind::CountOnly);
+    let took = start.elapsed();
+    assert_eq!(case.path, Ok(Path::Clean), "{case}");
+    assert_eq!(case.counters.stats.ops_executed, 64 + 16);
+    // Sessions commit every 4 operations.
+    let (long, short) = (64 / 4, 16 / 4);
+    assert_eq!(
+        case.counters.forces, long,
+        "one force per commit of the longer session"
+    );
+    let late = (long - short) as u32;
+    assert!(
+        took < window * late / 4,
+        "{late} commits after the short session's thread exited took {took:?}"
     );
 }
 
