@@ -22,7 +22,7 @@
 //! (injected through the catalog's `ArchiveRead` fault hook or the tamper
 //! API) is detected and typed, never silently replayed into `S`. The
 //! frames are the log's own: [`LogArchive::extend`] takes the `(Lsn,
-//! Bytes)` frames [`lob_wal::LogManager::frames_from`] returns and pushes
+//! Bytes)` frames a [`lob_wal::LogManager::scan`] hands out and pushes
 //! the same refcounted buffers into the runs — no re-encode, no second
 //! copy of the suffix. The archive is built incrementally: `extend` indexes
 //! frames past the current watermark, so a catalog can keep a generation's
@@ -442,7 +442,7 @@ mod tests {
             }
         }
         let start = Lsn(37);
-        let shared = log.frames_from(start).unwrap();
+        let shared = log.scan(start, |frames| frames.to_vec()).unwrap();
         let mut from_log = LogArchive::new(start);
         // Incremental, overlapping feeds land where one pass would.
         from_log.extend(shared.get(..250).unwrap());

@@ -69,8 +69,8 @@ use lob_recovery::repair::{
     regenerate, BackoffSchedule, ClosureSource, FetchCost, RepairReport, Unusable,
 };
 use lob_recovery::{
-    parallel_install_image, parallel_redo_scan, InstantRestore, InstantStats, NodeId,
-    RecoveryConfig, RedoOutcome, SegmentState, WriteGraph,
+    parallel_install_image, parallel_install_partition, parallel_redo_scan, InstantRestore,
+    InstantStats, NodeId, RecoveryConfig, RedoOutcome, SegmentState, WriteGraph,
 };
 use lob_wal::{
     Committer, FileLogStore, FrameView, GroupCommitLog, LogError, LogManager, RecordBody,
@@ -283,20 +283,23 @@ impl EngineService {
             // restart.)
             // Frames are read in place; only control records are decoded.
             let mut meta = svc.lock_meta();
-            for (_, frame) in svc.log.frames_from(svc.log.truncation())? {
-                let view = FrameView::parse(&frame).map_err(LogError::from)?;
-                if view.kind() != RecordKind::Control {
-                    continue;
+            svc.log.scan(svc.log.truncation(), |frames| {
+                for (_, frame) in frames.iter() {
+                    let view = FrameView::parse(frame).map_err(LogError::from)?;
+                    if view.kind() != RecordKind::Control {
+                        continue;
+                    }
+                    if let RecordBody::BackupBegin {
+                        backup_id,
+                        start_lsn,
+                    } = view.to_record().body
+                    {
+                        meta.retained.push((backup_id, start_lsn));
+                        meta.next_backup_id = meta.next_backup_id.max(backup_id + 1);
+                    }
                 }
-                if let RecordBody::BackupBegin {
-                    backup_id,
-                    start_lsn,
-                } = view.to_record().body
-                {
-                    meta.retained.push((backup_id, start_lsn));
-                    meta.next_backup_id = meta.next_backup_id.max(backup_id + 1);
-                }
-            }
+                Ok::<_, LogError>(())
+            })??;
             svc.refresh_media_barrier(&meta);
         }
         Ok(svc)
@@ -901,10 +904,12 @@ impl EngineService {
     /// the batched replay, keeping only records at or below `upto` and,
     /// for a partition restore, operations touching that partition.
     ///
-    /// The suffix is replayed as [`FrameView`]s over the log's own frames:
-    /// every frame is parsed (a frame that does not parse fails the
-    /// recovery before anything replays), filtered in place, and decoded
-    /// only if its LSN test says it replays.
+    /// The suffix is replayed as [`FrameView`]s over the log's own frames,
+    /// borrowed for the whole replay through one scan: every frame is
+    /// parsed (a frame that does not parse fails the recovery before
+    /// anything replays), filtered in place, and decoded only if its LSN
+    /// test says it replays. The scan holds the log lock throughout; the
+    /// caller holds every domain lock, so no session is waiting on it.
     fn restore_and_redo(
         &self,
         store: &StableStore,
@@ -918,32 +923,31 @@ impl EngineService {
             Some(image) => {
                 match partition {
                     None => parallel_install_image(&image.pages, store, recovery)?,
-                    Some(only) => {
-                        parallel_install_image(&image.pages.partition(only), store, recovery)?
-                    }
+                    Some(only) => parallel_install_partition(&image.pages, only, store, recovery)?,
                 };
                 image.start_lsn
             }
         };
-        let frames = self.log.frames_from(from)?;
-        let mut views = Vec::with_capacity(frames.len());
-        for (_, frame) in &frames {
-            let view = FrameView::parse(frame).map_err(LogError::from)?;
-            let keep = view.lsn() <= upto
-                && partition.map_or(true, |only| {
-                    // The LSN test would make replaying the rest harmless;
-                    // restricting the scan shows the §6.3 point: the
-                    // partition is the recovery unit.
-                    let mut touches = false;
-                    view.for_each_write(|p| touches |= p.partition == only);
-                    view.for_each_read(|p| touches |= p.partition == only);
-                    touches
-                });
-            if keep {
-                views.push(view);
+        self.log.scan(from, |frames| {
+            let mut views = Vec::with_capacity(frames.len());
+            for (_, frame) in frames.iter() {
+                let view = FrameView::parse(frame).map_err(LogError::from)?;
+                let keep = view.lsn() <= upto
+                    && partition.map_or(true, |only| {
+                        // The LSN test would make replaying the rest
+                        // harmless; restricting the scan shows the §6.3
+                        // point: the partition is the recovery unit.
+                        let mut touches = false;
+                        view.for_each_write(|p| touches |= p.partition == only);
+                        view.for_each_read(|p| touches |= p.partition == only);
+                        touches
+                    });
+                if keep {
+                    views.push(view);
+                }
             }
-        }
-        Ok(parallel_redo_scan(&views, store, recovery)?)
+            Ok(parallel_redo_scan(&views, store, recovery)?)
+        })?
     }
 
     /// Full media recovery: discard volatile state, replace the failed
@@ -1676,7 +1680,11 @@ impl EngineService {
         let Some(from) = self.catalog.archive_watermark(backup_id)? else {
             return Ok(false);
         };
-        let tail = match backoff.retry(cost, is_transient_log, || self.log.frames_from(from)) {
+        // The frames are cloned out of the scan (one reference each), so
+        // the log lock is not held while they are indexed: sessions keep
+        // committing beside a repair.
+        let scan = || self.log.scan(from, |frames| frames.to_vec());
+        let tail = match backoff.retry(cost, is_transient_log, scan) {
             Ok(tail) => tail,
             Err(LogError::Transient | LogError::Truncated { .. }) => {
                 self.bump(Stat::repair_index_fallbacks, 1);
@@ -1706,7 +1714,9 @@ impl EngineService {
             Some(w) => w,
             None => self.catalog.start_lsn(backup_id)?,
         };
-        let frames = self.log.frames_from(from)?;
+        // Cloned out of the scan, as in `catch_up_archive`: indexing runs
+        // beside committing sessions, so it must not hold the log lock.
+        let frames = self.log.scan(from, |frames| frames.to_vec())?;
         Ok(self.catalog.extend_archive(backup_id, &frames)?)
     }
 

@@ -47,6 +47,7 @@ const CONSULTING: &[&str] = &[
     "frames_from",
     "read_page",
     "read_run",
+    "scan",
     "scan_from",
     "truncate",
     "write_out",

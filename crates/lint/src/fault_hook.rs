@@ -99,10 +99,10 @@ pub const REGISTRY: &[Site] = &[
     },
     Site {
         file: "wal/src/manager.rs",
-        func: "frames_from",
+        func: "scan",
         events: &["LogRead"],
         coverage: Coverage::Direct,
-        note: "once per scan of the durable suffix (recovery, media redo, online repair, archive indexing); scan_from decodes over it",
+        note: "once per scan of the durable suffix (recovery, media redo, restart, online repair, archive indexing); scan_from decodes over it",
     },
     Site {
         file: "backup/src/catalog.rs",
@@ -179,7 +179,7 @@ pub const REGISTRY: &[Site] = &[
         func: "frames_from",
         events: &[],
         coverage: Coverage::Delegated,
-        note: "raw frame read from the scan index's first offset to the trusted end; only reachable via LogManager::frames_from, which consults once per scan (scan_from included)",
+        note: "raw frame read (borrowed in memory, from the scan index's first offset to the trusted end on file); only reachable via LogManager::scan, which consults once per scan (scan_from included)",
     },
     Site {
         file: "wal/src/store.rs",

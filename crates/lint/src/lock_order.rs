@@ -35,13 +35,18 @@ pub struct Alias {
     /// Only apply in files whose path contains this substring (empty = all
     /// scoped files).
     pub file_contains: &'static str,
-    /// Receiver identifier (`""` = any receiver) of the call.
+    /// Receiver identifier (`""` = any receiver) of the call, or
+    /// [`FREE_CALL`] for a free function called by name.
     pub recv: &'static str,
     /// Method name of the call.
     pub method: &'static str,
     /// The lock id acquired.
     pub lock: &'static str,
 }
+
+/// [`Alias::recv`] of an alias that matches a free call `method(` (not a
+/// method call, not the function's own definition).
+pub const FREE_CALL: &str = "(free call)";
 
 /// Scope + aliases for the pass.
 pub struct Config {
@@ -236,6 +241,22 @@ impl Config {
                     recv: "",
                     method: "group_force",
                     lock: "wal/group.state",
+                },
+                // A log scan holds the group-commit log's manager lock
+                // while its closure runs, and recovery replays into the
+                // store inside it: surface both so the log -> store
+                // nesting joins the cycle check.
+                Alias {
+                    file_contains: "core/src/service.rs",
+                    recv: "log",
+                    method: "scan",
+                    lock: "wal/group.manager",
+                },
+                Alias {
+                    file_contains: "core/src/service.rs",
+                    recv: FREE_CALL,
+                    method: "parallel_redo_scan",
+                    lock: "pagestore/store.partitions",
                 },
                 // The sharded cache hands out per-shard guards through a
                 // helper.
@@ -538,13 +559,33 @@ fn acquisitions(
                     }
                 }
             }
+            // Free calls `method(`: not after a `.` and not a definition.
+            if let [Tok::Word(m), Tok::Sym('('), ..] = rest {
+                let prev = i.checked_sub(1).and_then(|j| toks.get(j));
+                let call = match prev {
+                    Some(Tok::Sym('.')) => false,
+                    Some(Tok::Word(w)) => w != "fn",
+                    _ => true,
+                };
+                if let Some(a) = cfg.aliases.iter().find(|a| {
+                    call && a.recv == FREE_CALL
+                        && a.method == m
+                        && (a.file_contains.is_empty() || f.path.contains(a.file_contains))
+                }) {
+                    out.push(Acq {
+                        lock: a.lock.to_string(),
+                        line,
+                    });
+                }
+            }
             // Alias calls: `recv.method(` or `.method(` for any receiver.
             if let [Tok::Word(recv), Tok::Sym('.'), Tok::Word(m), Tok::Sym('('), ..] = rest {
                 for a in &cfg.aliases {
                     if !a.file_contains.is_empty() && !f.path.contains(a.file_contains) {
                         continue;
                     }
-                    if a.method == m && (a.recv.is_empty() || a.recv == recv) {
+                    if a.method == m && a.recv != FREE_CALL && (a.recv.is_empty() || a.recv == recv)
+                    {
                         out.push(Acq {
                             lock: a.lock.to_string(),
                             line,

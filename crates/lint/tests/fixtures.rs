@@ -132,6 +132,34 @@ fn bad_guarded_fixture_yields_exact_diagnostics() {
 }
 
 #[test]
+fn a_free_call_alias_matches_calls_only() {
+    let src = "pub struct S {\n    a: std::sync::Mutex<u32>,\n}\n\
+               impl S {\n    fn held(&self) {\n        let _g = self.a.lock();\n        replay(1);\n    }\n\
+               \n    fn method(&self, x: &T) {\n        x.replay(1);\n        let _g = self.a.lock();\n    }\n}\n\
+               \nfn replay(n: u32) {\n    let _ = n;\n}\n";
+    let f = SourceFile::parse("crates/fx/src/free.rs", src);
+    let cfg = lock_order::Config {
+        scope: vec!["free.rs".into()],
+        aliases: vec![lock_order::Alias {
+            file_contains: "free.rs",
+            recv: lock_order::FREE_CALL,
+            method: "replay",
+            lock: "fx/other.b",
+        }],
+    };
+    let pairs: Vec<(String, String)> = lock_order::build_graph(&[f], &cfg)
+        .into_iter()
+        .map(|e| (e.from, e.to))
+        .collect();
+    // The free call after the lock is an edge; the method call of the
+    // same name before it is not.
+    assert_eq!(
+        pairs,
+        vec![("fx/free.a".to_string(), "fx/other.b".to_string())]
+    );
+}
+
+#[test]
 fn forward_only_ordering_is_clean() {
     let a = fixture("crates/fx/src/lock_cycle_a.rs", "lock_cycle_a.rs");
     let cfg = lock_order::Config {

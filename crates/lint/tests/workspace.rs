@@ -154,6 +154,13 @@ fn lock_order_graph_is_acyclic() {
             .any(|e| e.from == "wal/group.state" && e.to == "wal/group.committers"),
         "expected group.state -> group.committers edge missing"
     );
+    // Recovery replays into the store inside a borrowed log scan.
+    assert!(
+        edges.iter().any(|e| e.from == "wal/group.manager"
+            && e.to == "pagestore/store.partitions"
+            && e.witness.0.ends_with("core/src/service.rs")),
+        "expected group.manager -> store.partitions edge witnessed in service.rs"
+    );
     assert_clean("lock-order", lock_order::check(&files, &cfg));
 }
 

@@ -140,22 +140,42 @@ impl PageImage {
 
     /// Iterate over `(id, page)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, &Page)> {
-        self.parts.iter().flat_map(|(pid, part)| {
-            part.slots
-                .iter()
-                .enumerate()
-                .filter_map(move |(off, slot)| {
-                    slot.as_ref().map(|p| {
-                        (
-                            PageId {
-                                partition: *pid,
-                                index: part.base + off as u32,
-                            },
-                            p,
-                        )
-                    })
-                })
-        })
+        self.slots().filter_map(|(id, slot)| Some((id, slot?)))
+    }
+
+    /// Iterate over one partition's `(id, page)` pairs in index order (a
+    /// partition restore installs just these, read in place).
+    pub fn iter_partition(&self, partition: PartitionId) -> impl Iterator<Item = (PageId, &Page)> {
+        self.parts
+            .get_key_value(&partition)
+            .into_iter()
+            .flat_map(|(pid, part)| part_slots(*pid, part))
+            .filter_map(|(id, slot)| Some((id, slot?)))
+    }
+
+    /// Every slot in id order, empty ones included: the dense layout a side
+    /// table kept aligned with the image (the backup catalog's recorded
+    /// checksums) walks in lock-step. Replacing a copy that is already
+    /// present never moves a slot; only a put outside the covered index
+    /// ranges does.
+    pub fn slots(&self) -> impl Iterator<Item = (PageId, Option<&Page>)> {
+        self.parts
+            .iter()
+            .flat_map(|(pid, part)| part_slots(*pid, part))
+    }
+
+    /// The position of `id`'s slot in [`PageImage::slots`] order, if the
+    /// image's index ranges cover it (the slot may still be empty).
+    pub fn slot_of(&self, id: PageId) -> Option<usize> {
+        let mut before = 0usize;
+        for (pid, part) in &self.parts {
+            if *pid == id.partition {
+                let off = id.index.checked_sub(part.base)? as usize;
+                return (off < part.slots.len()).then_some(before + off);
+            }
+            before += part.slots.len();
+        }
+        None
     }
 
     /// Remove a page copy, returning it if present.
@@ -167,17 +187,6 @@ impl PageImage {
             self.len -= 1;
         }
         page
-    }
-
-    /// The copies of one partition, as an image of their own (partition
-    /// restore installs just these).
-    pub fn partition(&self, partition: PartitionId) -> PageImage {
-        let mut only = PageImage::new();
-        if let Some(part) = self.parts.get(&partition) {
-            only.len = part.slots.iter().flatten().count();
-            only.parts.insert(partition, part.clone());
-        }
-        only
     }
 
     /// Merge `other` into `self`; `other`'s pages win on conflict.
@@ -192,6 +201,19 @@ impl PageImage {
     pub fn payload_bytes(&self) -> u64 {
         self.iter().map(|(_, p)| p.len() as u64).sum()
     }
+}
+
+/// One partition's slots with their ids, empty ones included.
+fn part_slots(pid: PartitionId, part: &PartSlots) -> impl Iterator<Item = (PageId, Option<&Page>)> {
+    part.slots.iter().enumerate().map(move |(off, slot)| {
+        (
+            PageId {
+                partition: pid,
+                index: part.base + off as u32,
+            },
+            slot.as_ref(),
+        )
+    })
 }
 
 impl std::fmt::Debug for PageImage {
@@ -281,6 +303,40 @@ mod tests {
         assert_eq!(img.get(PageId::new(0, 200)).unwrap().lsn(), Lsn(2));
         let ids: Vec<u32> = img.iter().map(|(id, _)| id.index).collect();
         assert_eq!(ids, vec![50, 100, 200]);
+    }
+
+    #[test]
+    fn slots_cover_gaps_and_slot_of_indexes_them() {
+        let mut img = PageImage::new();
+        img.put(PageId::new(0, 4), pg(1, b"a"));
+        img.put(PageId::new(0, 6), pg(2, b"b"));
+        img.put(PageId::new(2, 1), pg(3, b"c"));
+        let slots: Vec<(PageId, Option<Lsn>)> =
+            img.slots().map(|(id, p)| (id, p.map(Page::lsn))).collect();
+        assert_eq!(
+            slots,
+            vec![
+                (PageId::new(0, 4), Some(Lsn(1))),
+                (PageId::new(0, 5), None),
+                (PageId::new(0, 6), Some(Lsn(2))),
+                (PageId::new(2, 1), Some(Lsn(3))),
+            ]
+        );
+        for (at, (id, _)) in slots.iter().enumerate() {
+            assert_eq!(img.slot_of(*id), Some(at));
+        }
+        for outside in [PageId::new(0, 3), PageId::new(0, 7), PageId::new(1, 0)] {
+            assert_eq!(img.slot_of(outside), None);
+        }
+        // Replacing a present copy keeps the layout.
+        img.put(PageId::new(0, 6), pg(9, b"z"));
+        assert_eq!(img.slots().count(), 4);
+        let two: Vec<PageId> = img
+            .iter_partition(PartitionId(2))
+            .map(|(id, _)| id)
+            .collect();
+        assert_eq!(two, vec![PageId::new(2, 1)]);
+        assert_eq!(img.iter_partition(PartitionId(1)).count(), 0);
     }
 
     #[test]

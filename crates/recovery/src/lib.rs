@@ -81,7 +81,8 @@ pub mod writegraph;
 pub use install::InstallGraph;
 pub use instant::{InstantError, InstantRestore, InstantStats, SegmentState};
 pub use parallel::{
-    parallel_install_image, parallel_redo_scan, RecoveryConfig, ReplayPlan, ReplayUnit,
+    parallel_install_image, parallel_install_partition, parallel_redo_scan, RecoveryConfig,
+    ReplayPlan, ReplayUnit,
 };
 pub use redo::{redo_scan, RedoError, RedoOutcome, RedoTarget, StoreRedoTarget};
 pub use repair::{

@@ -44,7 +44,7 @@ use crate::fxhash::FxHashMap;
 use crate::redo::{reapply, Anchored, IdentitySchedule, RedoError, RedoOutcome};
 use crate::replayable::Replayable;
 use bytes::Bytes;
-use lob_pagestore::{Lsn, Page, PageId, PageImage, StableStore};
+use lob_pagestore::{Lsn, Page, PageId, PageImage, PartitionId, StableStore};
 use lob_wal::RecordKind;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -719,6 +719,26 @@ pub fn parallel_install_image(
     store: &StableStore,
     config: RecoveryConfig,
 ) -> Result<u64, RedoError> {
+    install_pages(image.iter(), store, config)
+}
+
+/// [`parallel_install_image`] for one partition's copies only (a partition
+/// restore), read in place from the borrowed image.
+pub fn parallel_install_partition(
+    image: &PageImage,
+    partition: PartitionId,
+    store: &StableStore,
+    config: RecoveryConfig,
+) -> Result<u64, RedoError> {
+    install_pages(image.iter_partition(partition), store, config)
+}
+
+/// The body of both installs: `pages` in id order, cut into runs.
+fn install_pages<'a>(
+    pages: impl Iterator<Item = (PageId, &'a Page)>,
+    store: &StableStore,
+    config: RecoveryConfig,
+) -> Result<u64, RedoError> {
     struct RunSpec {
         start: PageId,
         pages: Vec<Page>,
@@ -726,7 +746,7 @@ pub fn parallel_install_image(
     let workers = config.workers.max(1);
     let batch = config.batch.max(1);
     let mut runs: Vec<RunSpec> = Vec::new();
-    for (id, page) in image.iter() {
+    for (id, page) in pages {
         let extend = matches!(runs.last(), Some(r)
             if r.pages.len() < batch
                 && r.start.partition == id.partition
@@ -1175,6 +1195,43 @@ mod tests {
                     dst.read_page(pid(i)).unwrap(),
                     src.read_page(pid(i)).unwrap(),
                     "page {i} workers={workers} batch={batch}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn install_partition_installs_only_that_partition() {
+        use lob_pagestore::PartitionSpec;
+        let two = || {
+            StableStore::new(
+                StoreConfig { page_size: SIZE },
+                &[PartitionSpec { pages: 8 }, PartitionSpec { pages: 8 }],
+            )
+        };
+        let src = two();
+        for p in 0..2u32 {
+            for i in 0..8u32 {
+                let fill = (p * 8 + i + 1) as u8;
+                src.write_page(
+                    PageId::new(p, i),
+                    Page::new(Lsn(1), Bytes::from(vec![fill; SIZE])),
+                )
+                .unwrap();
+            }
+        }
+        let img = src.snapshot().unwrap();
+        for (workers, batch) in [(1, 1), (4, 3)] {
+            let dst = two();
+            let blank = dst.read_page(PageId::new(0, 0)).unwrap();
+            let config = RecoveryConfig::new(workers, batch);
+            let n = parallel_install_partition(&img, PartitionId(1), &dst, config).unwrap();
+            assert_eq!(n, 8);
+            for i in 0..8u32 {
+                assert_eq!(dst.read_page(PageId::new(0, i)).unwrap(), blank);
+                assert_eq!(
+                    dst.read_page(PageId::new(1, i)).unwrap(),
+                    src.read_page(PageId::new(1, i)).unwrap()
                 );
             }
         }

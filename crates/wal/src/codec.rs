@@ -150,7 +150,7 @@ pub fn encode_record(rec: &LogRecord) -> Bytes {
 
 /// A log record in the form the log stores it: an LSN and its encoded
 /// frame. The log's own `(Lsn, Bytes)` frames (what
-/// [`crate::LogManager::frames_from`] returns) hand out their shared buffer;
+/// [`crate::LogManager::scan`] hands out) lend their shared buffer;
 /// a decoded [`LogRecord`] is encoded on demand. The log's frame *is*
 /// [`encode_record`] of its record, so both yield the same bytes.
 pub trait AsFrame {

@@ -47,8 +47,7 @@
 //! [`GroupCommitLog::lead_force`]). Nothing ever takes `committers` or
 //! `manager` first.
 
-use crate::{LogError, LogManager, LogRecord, LogStats, RecordBody};
-use bytes::Bytes;
+use crate::{LogError, LogManager, LogRecord, LogStats, RecordBody, ScanFrames};
 use lob_pagestore::Lsn;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -534,9 +533,12 @@ impl GroupCommitLog {
         self.manager_guard().scan_from(from)
     }
 
-    /// All frames with `lsn >= from`. See [`LogManager::frames_from`].
-    pub fn frames_from(&self, from: Lsn) -> Result<Vec<(Lsn, Bytes)>, LogError> {
-        self.manager_guard().frames_from(from)
+    /// Hand every trusted frame with `lsn >= from` to `f`, borrowed. See
+    /// [`LogManager::scan`]. The log lock is held while `f` runs, so every
+    /// commit waits for it: a caller running beside live sessions should
+    /// only copy what it needs out of the frames.
+    pub fn scan<R>(&self, from: Lsn, f: impl FnOnce(ScanFrames<'_>) -> R) -> Result<R, LogError> {
+        self.manager_guard().scan(from, f)
     }
 
     /// Logging statistics (includes volatile appends).

@@ -52,7 +52,7 @@ pub use codec::{
     decode_record, decode_record_shared, encode_record, AsFrame, CodecError, FrameView,
 };
 pub use group::{Committer, GatherEnds, GroupCommitLog};
-pub use manager::{LogError, LogManager};
+pub use manager::{LogError, LogManager, ScanFrames};
 pub use record::{LogRecord, RecordBody, RecordKind};
 pub use stats::LogStats;
 pub use store::{BatchAppend, FileLogStore, LogStore, MemLogStore};

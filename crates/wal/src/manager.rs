@@ -273,9 +273,11 @@ impl LogManager {
         self.pending().len()
     }
 
-    /// All frames with `lsn >= from` — the durable ones first, then the
-    /// volatile tail — as the shared `(Lsn, Bytes)` buffers the log holds
-    /// (each frame is [`encode_record`] of its record).
+    /// Hand every trusted frame with `lsn >= from` to `f`, borrowed where
+    /// the log holds it: the durable frames first, then the volatile tail
+    /// (each frame is [`encode_record`] of its record). Nothing is copied
+    /// on the in-memory store; a caller that needs the frames past the
+    /// call clones them inside `f` ([`ScanFrames::to_vec`]).
     ///
     /// With a fault hook installed, [`IoEvent::LogRead`] is consulted once
     /// per scan before any frame is read: a crash verdict kills the
@@ -283,7 +285,7 @@ impl LogManager {
     /// (durable frames intact — a retry succeeds). Damage verdicts are
     /// meaningless here (frame corruption is injected at the store level,
     /// see `MemLogStore::corrupt_frame`) and proceed.
-    pub fn frames_from(&self, from: Lsn) -> Result<Vec<(Lsn, Bytes)>, LogError> {
+    pub fn scan<R>(&self, from: Lsn, f: impl FnOnce(ScanFrames<'_>) -> R) -> Result<R, LogError> {
         if from < self.truncation {
             return Err(LogError::Truncated {
                 requested: from,
@@ -295,21 +297,25 @@ impl LogManager {
             FaultVerdict::TransientRead => return Err(LogError::Transient),
             _ => {}
         }
-        let mut frames = self.store.frames_from(from)?;
+        let durable = self.store.frames_from(from)?;
         let pending = self.pending();
         let start = pending.partition_point(|(l, _)| *l < from);
-        frames.extend_from_slice(pending.get(start..).unwrap_or_default());
-        Ok(frames)
+        Ok(f(ScanFrames {
+            durable: &durable,
+            tail: pending.get(start..).unwrap_or_default(),
+        }))
     }
 
     /// All records with `lsn >= from` (durable first, then the volatile
-    /// tail), decoded zero-copy from [`LogManager::frames_from`] — so one
+    /// tail), decoded zero-copy over one [`LogManager::scan`] — so one
     /// scan is one [`IoEvent::LogRead`] consult, with the same verdicts.
     pub fn scan_from(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
-        self.frames_from(from)?
-            .iter()
-            .map(|(_, frame)| Ok(decode_record_shared(frame)?))
-            .collect()
+        self.scan(from, |frames| {
+            frames
+                .iter()
+                .map(|(_, frame)| Ok(decode_record_shared(frame)?))
+                .collect()
+        })?
     }
 
     /// Pin the log from `lsn` onward for media recovery; `None` releases the
@@ -363,6 +369,37 @@ impl LogManager {
     /// Bytes held by the durable store.
     pub fn durable_bytes(&self) -> u64 {
         self.store.durable_bytes()
+    }
+}
+
+/// The trusted frames of one [`LogManager::scan`], borrowed where the log
+/// holds them: the durable frames, then the volatile tail, in LSN order.
+#[derive(Clone, Copy, Debug)]
+pub struct ScanFrames<'a> {
+    durable: &'a [(Lsn, Bytes)],
+    tail: &'a [(Lsn, Bytes)],
+}
+
+impl<'a> ScanFrames<'a> {
+    /// Every frame in LSN order.
+    pub fn iter(&self) -> impl Iterator<Item = &'a (Lsn, Bytes)> {
+        self.durable.iter().chain(self.tail)
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.durable.len() + self.tail.len()
+    }
+
+    /// Whether the scan found no frame.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The frames as owned handles (one reference taken per frame), for a
+    /// caller that must use them after the scan returns.
+    pub fn to_vec(&self) -> Vec<(Lsn, Bytes)> {
+        self.iter().cloned().collect()
     }
 }
 
@@ -570,7 +607,7 @@ mod tests {
     }
 
     #[test]
-    fn frames_from_and_scan_from_share_one_log_read_each() {
+    fn scan_and_scan_from_share_one_log_read_each() {
         use lob_pagestore::fault::{FaultVerdict, IoEvent};
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
@@ -591,7 +628,7 @@ mod tests {
         })));
         for from in [Lsn::NULL, Lsn(3), Lsn(5), Lsn(6), Lsn(7)] {
             let before = reads.load(Ordering::Relaxed);
-            let frames = log.frames_from(from).unwrap();
+            let frames = log.scan(from, |frames| frames.to_vec()).unwrap();
             assert_eq!(reads.load(Ordering::Relaxed), before + 1);
             let records = log.scan_from(from).unwrap();
             assert_eq!(reads.load(Ordering::Relaxed), before + 2);
@@ -604,17 +641,76 @@ mod tests {
             }
         }
         log.truncate(Lsn(3)).unwrap();
+        let before = reads.load(Ordering::Relaxed);
         for from in [Lsn::NULL, Lsn(2)] {
+            let mut called = false;
             assert!(matches!(
-                log.frames_from(from),
+                log.scan(from, |_| called = true),
                 Err(LogError::Truncated { .. })
             ));
+            assert!(!called, "a refused scan hands out no frame");
             assert!(matches!(
                 log.scan_from(from),
                 Err(LogError::Truncated { .. })
             ));
         }
-        assert_eq!(log.frames_from(Lsn(3)).unwrap().len(), 4);
+        // A scan below the truncation point is refused before the read.
+        assert_eq!(reads.load(Ordering::Relaxed), before);
+        assert_eq!(log.scan(Lsn(3), |frames| frames.len()).unwrap(), 4);
+    }
+
+    #[test]
+    fn a_scan_gives_the_durable_frames_then_the_tail_in_lsn_order() {
+        let mut log = LogManager::in_memory();
+        for i in 0..5 {
+            log.append(phys(i));
+        }
+        log.force(Lsn(3)).unwrap();
+        for i in 5..7 {
+            log.append(phys(i));
+        }
+        // LSNs 1..=3 durable, 4..=7 pending in the volatile tail.
+        assert_eq!(log.unforced(), 4);
+        let lsns = log
+            .scan(Lsn(2), |frames| {
+                assert_eq!(frames.len(), 6);
+                frames.iter().map(|(l, _)| l.raw()).collect::<Vec<_>>()
+            })
+            .unwrap();
+        assert_eq!(lsns, vec![2, 3, 4, 5, 6, 7]);
+        let tail_only = log.scan(Lsn(5), |frames| frames.to_vec()).unwrap();
+        assert_eq!(
+            tail_only.iter().map(|(l, _)| l.raw()).collect::<Vec<_>>(),
+            vec![5, 6, 7]
+        );
+        assert!(log.scan(Lsn(8), |frames| frames.is_empty()).unwrap());
+    }
+
+    #[test]
+    fn an_interior_corrupt_frame_ends_the_scan_at_the_store_prefix() {
+        let mut store = MemLogStore::new();
+        for i in 1..=6u32 {
+            let frame = encode_record(&LogRecord::new(Lsn(u64::from(i)), phys(i)));
+            store.append(Lsn(u64::from(i)), frame).unwrap();
+        }
+        assert_eq!(store.corrupt_frame(3), Some(Lsn(4)));
+        let prefix = store.frames_from(Lsn::NULL).unwrap().into_owned();
+        assert_eq!(
+            prefix.iter().map(|(l, _)| l.raw()).collect::<Vec<_>>(),
+            vec![1, 2, 3]
+        );
+        let log = LogManager::from_existing(Box::new(store)).unwrap();
+        assert_eq!(log.durable_lsn(), Lsn(3));
+        // The intact frames 5 and 6 behind the bad one are never handed out.
+        assert_eq!(
+            log.scan(Lsn::NULL, |frames| frames.to_vec()).unwrap(),
+            prefix
+        );
+        assert_eq!(
+            log.scan(Lsn(2), |frames| frames.to_vec()).unwrap(),
+            prefix.get(1..).unwrap()
+        );
+        assert!(log.scan(Lsn(4), |frames| frames.is_empty()).unwrap());
     }
 
     #[test]
@@ -632,11 +728,10 @@ mod tests {
             if i == N / 2 + 1 || i == N - 1 {
                 // Durable frames, then the tail: every LSN once, in order.
                 let lsns: Vec<u64> = log
-                    .frames_from(Lsn::NULL)
-                    .unwrap()
-                    .iter()
-                    .map(|(l, _)| l.raw())
-                    .collect();
+                    .scan(Lsn::NULL, |frames| {
+                        frames.iter().map(|(l, _)| l.raw()).collect()
+                    })
+                    .unwrap();
                 assert!(lsns.iter().copied().eq(1..=N));
             }
         }

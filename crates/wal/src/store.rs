@@ -19,6 +19,7 @@
 
 use bytes::Bytes;
 use lob_pagestore::Lsn;
+use std::borrow::Cow;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
@@ -58,8 +59,10 @@ pub trait LogStore: Send {
         }
     }
 
-    /// All durable frames with `lsn >= from`, in LSN order.
-    fn frames_from(&self, from: Lsn) -> std::io::Result<Vec<(Lsn, Bytes)>>;
+    /// The trusted durable frames with `lsn >= from`, in LSN order:
+    /// borrowed where the store already holds them ([`MemLogStore`]),
+    /// owned where a scan has to read them in ([`FileLogStore`]).
+    fn frames_from(&self, from: Lsn) -> std::io::Result<Cow<'_, [(Lsn, Bytes)]>>;
 
     /// Discard frames with `lsn < before` (log truncation).
     fn truncate(&mut self, before: Lsn) -> std::io::Result<()>;
@@ -156,7 +159,7 @@ impl LogStore for MemLogStore {
         Ok(())
     }
 
-    fn frames_from(&self, from: Lsn) -> std::io::Result<Vec<(Lsn, Bytes)>> {
+    fn frames_from(&self, from: Lsn) -> std::io::Result<Cow<'_, [(Lsn, Bytes)]>> {
         use std::sync::atomic::Ordering;
         // Verify from the front: a corrupt interior frame ends the trusted
         // prefix — later frames are unreachable even if intact themselves.
@@ -171,7 +174,7 @@ impl LogStore for MemLogStore {
         self.verified.store(good, Ordering::Relaxed);
         let trusted = self.frames.get(..good).unwrap_or_default();
         let start = trusted.partition_point(|(l, _)| *l < from);
-        Ok(trusted.get(start..).unwrap_or_default().to_vec())
+        Ok(Cow::Borrowed(trusted.get(start..).unwrap_or_default()))
     }
 
     fn truncate(&mut self, before: Lsn) -> std::io::Result<()> {
@@ -419,11 +422,11 @@ impl LogStore for FileLogStore {
         }
     }
 
-    fn frames_from(&self, from: Lsn) -> std::io::Result<Vec<(Lsn, Bytes)>> {
+    fn frames_from(&self, from: Lsn) -> std::io::Result<Cow<'_, [(Lsn, Bytes)]>> {
         // Start at the first index entry, at or below the truncation point,
         // and verify every frame from there on.
         let Some(&(_, start)) = self.index.first() else {
-            return Ok(Vec::new());
+            return Ok(Cow::Owned(Vec::new()));
         };
         let mut buf = vec![0u8; (self.bytes - start) as usize];
         let mut file = &self.file;
@@ -434,7 +437,7 @@ impl LogStore for FileLogStore {
             .filter(|(lsn, _)| *lsn >= keep)
             .collect();
         let (Some((_, first)), Some((_, last))) = (kept.first(), kept.last()) else {
-            return Ok(Vec::new());
+            return Ok(Cow::Owned(Vec::new()));
         };
         // One buffer shared by every returned frame. The vendored
         // `Bytes::from(Vec)` copies too, so copying just the returned span
@@ -448,7 +451,8 @@ impl LogStore for FileLogStore {
                 let frame = shared.get(body.start - base..body.end - base);
                 (lsn, shared.slice_ref(frame.unwrap_or_default()))
             })
-            .collect())
+            .collect::<Vec<_>>()
+            .into())
     }
 
     fn truncate(&mut self, before: Lsn) -> std::io::Result<()> {

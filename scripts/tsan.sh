@@ -5,8 +5,10 @@
 # checks the *locking discipline* lexically, TSan checks the actual
 # happens-before races the discipline is meant to prevent, over the
 # parallel sweep, the parallel restore/redo paths and the group-commit
-# scheduler's gather under concurrent sessions, and the group-commit log's
-# own unit tests (committer liveness across thread exits). It requires a
+# scheduler's gather under concurrent sessions, the group-commit log's
+# own unit tests (committer liveness across thread exits) and the backup
+# crate's unit tests (whole-image fetches racing a copy-on-write tamper in
+# the catalog). It requires a
 # nightly toolchain with the rust-src component (for -Zbuild-std); when
 # that is unavailable (offline runners, stable-only images) the script
 # skips with exit 0 so CI treats it as best-effort, not a failure.
@@ -25,12 +27,13 @@ if ! rustup component list --toolchain nightly 2>/dev/null \
 fi
 
 host=$(rustc -vV | sed -n 's/^host: //p')
-echo "tsan: running the parallel and concurrent-session drills and the group-commit log's tests under ThreadSanitizer ($host)"
+echo "tsan: running the parallel and concurrent-session drills, the group-commit log's and the backup crate's tests under ThreadSanitizer ($host)"
 tsan() {
     RUSTFLAGS="-Zsanitizer=thread" cargo +nightly test -Zbuild-std --target "$host" "$@"
 }
 tsan -p lob-harness --test parallel_backup --test parallel_recovery --test concurrent_sessions &&
-    tsan -p lob-wal --lib
+    tsan -p lob-wal --lib &&
+    tsan -p lob-backup --lib
 status=$?
 if [ $status -ne 0 ]; then
     echo "tsan: FAILED (exit $status)"
