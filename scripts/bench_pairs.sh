@@ -56,7 +56,11 @@ parent_src="$root/target/bench_parent"
 work="$root/target/bench_pairs"
 rm -rf "$parent_src"
 mkdir -p "$parent_src" "$work"
-git archive "$rev" | tar -x -C "$parent_src"
+# -m stamps the export with the current time: git archive carries the
+# commit time, and cargo would otherwise take an export older than the
+# artifacts already in $work/parent (built from another revision) as
+# unchanged and reuse them.
+git archive "$rev" | tar -x -m -C "$parent_src"
 rm -rf "$parent_src/benchmark"
 mkdir "$parent_src/benchmark"
 cp -r benchmark/Cargo.toml benchmark/Cargo.lock benchmark/src "$parent_src/benchmark/"
