@@ -24,9 +24,9 @@ use crate::error::BackupError;
 use crate::image::BackupImage;
 use bytes::Bytes;
 use lob_pagestore::fault::{FaultHook, FaultVerdict, IoEvent};
+use lob_pagestore::witness::{Mutex, Rank, RwLock};
 use lob_pagestore::{Lsn, Page, PageId, PartitionId};
 use lob_wal::LogRecord;
-use parking_lot::{Mutex, RwLock};
 use std::sync::Arc;
 
 /// One registered backup generation.
@@ -68,8 +68,8 @@ impl BackupCatalog {
     /// An empty catalog.
     pub fn new() -> BackupCatalog {
         BackupCatalog {
-            generations: RwLock::new(Vec::new()),
-            hook: Mutex::new(None),
+            generations: RwLock::new(Rank::CatalogGenerations, Vec::new()),
+            hook: Mutex::new(Rank::CatalogHook, None),
         }
     }
 

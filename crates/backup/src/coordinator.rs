@@ -5,8 +5,8 @@ use crate::error::BackupError;
 use crate::meta::SuccMeta;
 use crate::order::BackupOrder;
 use crate::tracker::{ProgressTracker, Region, TrackerGuard};
+use lob_pagestore::witness::{Mutex, Rank};
 use lob_pagestore::{FaultHook, FaultVerdict, IoEvent, PageId, PartitionId};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,15 +69,12 @@ impl CoordinatorStats {
 /// Shared (`Arc`) between the engine's flush path and backup driver
 /// threads.
 pub struct BackupCoordinator {
-    // lint: guarded-by(immutable) domain layout is fixed at construction
     domains: Vec<Domain>,
-    // lint: guarded-by(immutable) partition->domain map is fixed at construction
     by_partition: HashMap<PartitionId, u32>,
     /// Pages flushed since their domain's last backup began, one set per
     /// domain (indexed by domain id), so beginning a backup takes its
     /// domain's set whole and never touches another domain's pages.
     changed: Mutex<Vec<HashSet<PageId>>>,
-    // lint: guarded-by(atomic) counters are atomics all the way down
     stats: CoordinatorStats,
     /// Optional fault hook consulted by backup sweeps before each page
     /// copy ([`IoEvent::BackupCopy`]).
@@ -95,16 +92,19 @@ impl BackupCoordinator {
             }
             domains.push(Domain {
                 order: BackupOrder::new(parts),
-                tracker: Arc::new(ProgressTracker::new()),
+                tracker: Arc::new(ProgressTracker::of_domain(idx as usize)),
             });
         }
-        let changed = Mutex::new(domains.iter().map(|_| HashSet::new()).collect());
+        let changed = Mutex::new(
+            Rank::CoordinatorChanged,
+            domains.iter().map(|_| HashSet::new()).collect(),
+        );
         BackupCoordinator {
             domains,
             by_partition,
             changed,
             stats: CoordinatorStats::default(),
-            hook: Mutex::new(None),
+            hook: Mutex::new(Rank::CoordinatorHook, None),
         }
     }
 

@@ -1,6 +1,6 @@
 //! Backup progress tracking: the `D`/`P` cursors and the backup latch.
 
-use parking_lot::{RwLock, RwLockReadGuard};
+use lob_pagestore::witness::{Rank, RwLock, RwLockReadGuard};
 
 /// Where a position stands relative to the current backup (paper §3.4,
 /// Figure 3).
@@ -55,15 +55,25 @@ pub struct ProgressTracker {
 }
 
 impl ProgressTracker {
-    /// A tracker with no backup active.
+    /// A tracker with no backup active, for domain 0.
     pub fn new() -> ProgressTracker {
+        ProgressTracker::of_domain(0)
+    }
+
+    /// Domain `domain`'s tracker, with no backup active. A flush latches
+    /// several domains in ascending order, so each latch ranks by domain.
+    pub fn of_domain(domain: usize) -> ProgressTracker {
         ProgressTracker {
-            state: RwLock::new(TrackerState {
-                active: false,
-                backup_id: 0,
-                d: 0,
-                p: 0,
-            }),
+            state: RwLock::indexed(
+                Rank::TrackerLatch,
+                domain,
+                TrackerState {
+                    active: false,
+                    backup_id: 0,
+                    d: 0,
+                    p: 0,
+                },
+            ),
         }
     }
 

@@ -445,10 +445,6 @@ impl BTree {
     /// Merge `child` with an adjacent sibling under `parent` if the
     /// combined records fit one page. Prefers absorbing into the left
     /// sibling.
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`idx` is `child`'s position in `entries`; `idx - 1` and `idx + 1` are bounds-checked first"
-    )]
     fn try_merge(
         &self,
         engine: &mut Engine,
@@ -460,7 +456,11 @@ impl BTree {
             .iter()
             .map(|(k, v)| decode_child(v).map(|c| (k.to_vec(), c)))
             .collect::<Result<_, _>>()?;
-        let Some(idx) = entries.iter().position(|(_, c)| *c == child) else {
+        let found = entries
+            .iter()
+            .position(|(_, c)| *c == child)
+            .map(|idx| entries.split_at(idx));
+        let Some((left, [(child_sep, _), right @ ..])) = found else {
             return Err(BTreeError::Corrupt(format!(
                 "child {child} missing from parent {parent_id}"
             )));
@@ -470,29 +470,19 @@ impl BTree {
         let fits = |a: &RecPage, b: &RecPage| a.encoded_len() + b.encoded_len() - 2 <= size;
 
         // (src, dst, separator deleted, separator re-pointed at dst)
-        let plan = if idx > 0 {
-            let (left_sep, left) = &entries[idx - 1];
-            let left_page = self.read_node(engine, *left)?;
-            fits(&left_page, &child_page)
-                .then(|| (child, *left, left_sep.clone(), entries[idx].0.clone()))
-        } else {
-            None
+        let plan = match left.last() {
+            Some((left_sep, left)) => {
+                let left_page = self.read_node(engine, *left)?;
+                fits(&left_page, &child_page)
+                    .then(|| (child, *left, left_sep.clone(), child_sep.clone()))
+            }
+            None => None,
         };
         let plan = plan.or_else(|| {
-            if idx + 1 < entries.len() {
-                let (_, right) = &entries[idx + 1];
-                let right_page = self.read_node(engine, *right).ok()?;
-                fits(&child_page, &right_page).then(|| {
-                    (
-                        *right,
-                        child,
-                        entries[idx].0.clone(),
-                        entries[idx + 1].0.clone(),
-                    )
-                })
-            } else {
-                None
-            }
+            let (right_sep, right) = right.first()?;
+            let right_page = self.read_node(engine, *right).ok()?;
+            fits(&child_page, &right_page)
+                .then(|| (*right, child, child_sep.clone(), right_sep.clone()))
         });
         let Some((src, dst, drop_sep, keep_sep)) = plan else {
             return Ok(false);

@@ -21,8 +21,8 @@
 //! so shard locks cannot deadlock against each other or anything else.
 
 use crate::{CacheError, CacheManager, CacheStats};
+use lob_pagestore::witness::{Mutex, MutexGuard, Rank};
 use lob_pagestore::{FaultHook, Lsn, Page, PageId, PartitionId, StableStore};
-use parking_lot::{Mutex, MutexGuard};
 
 /// A page cache sharded by page-id hash. See the module docs.
 pub struct ShardedCache {
@@ -42,7 +42,9 @@ impl ShardedCache {
         let per_shard = capacity.map(|c| c.div_ceil(n).max(1));
         ShardedCache {
             shards: (0..n)
-                .map(|_| Mutex::new(CacheManager::with_capacity(per_shard)))
+                .map(|i| {
+                    Mutex::indexed(Rank::CacheShard, i, CacheManager::with_capacity(per_shard))
+                })
                 .collect(),
         }
     }

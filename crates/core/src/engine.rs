@@ -4,8 +4,8 @@ use crate::error::EngineError;
 use crate::service::EngineService;
 use crate::EngineConfig;
 use lob_cache::ShardedCache;
+use lob_pagestore::witness::Mutex;
 use lob_pagestore::{Lsn, PageId, PageImage};
-use parking_lot::Mutex;
 use std::ops::Deref;
 use std::sync::Arc;
 

@@ -40,15 +40,13 @@
 //!
 //! ## Lock order
 //!
-//! `instant` → `meta` → `domains[_]` → tracker latch → group-commit
-//! `state` → group-commit `manager` → cache shard → store partition. The
-//! epoch lock is held across a segment restore (store and catalog I/O)
-//! and never while a domain lock is held: an epoch that completes
-//! releases it before truncating the log. Leaf locks
-//! (cache shards, store partitions, linked-flush images, the coordinator's
-//! changed-set and hook mutexes) are acquired one at a time with nothing
-//! taken inside them. The static lock-order pass checks the aliased prefix
-//! of this chain stays acyclic.
+//! Every lock is ranked, and [`lob_pagestore::witness::Rank`] is the one
+//! statement of the order: a flush takes its domain lock, then the tracker
+//! latch, then forces through the group-commit locks and writes out
+//! through a cache shard into a store partition. The epoch lock ranks
+//! lowest: it is held across a segment restore (store and catalog I/O),
+//! and an epoch that completes releases it before truncating the log. The
+//! witness checks the order at every acquisition in the test build.
 
 use crate::config::{BackupPolicy, Discipline, EngineConfig, FlushPolicy, LogBacking, Tracking};
 use crate::engine::{mirror_linked, LinkedBackupRun};
@@ -61,6 +59,7 @@ use lob_backup::{
 };
 use lob_cache::{CacheError, ShardedCache};
 use lob_ops::{OpBody, OpError, PageReader, TreeForm};
+use lob_pagestore::witness::{Mutex, MutexGuard, Rank};
 use lob_pagestore::{
     CorruptionEntry, Lsn, Page, PageId, PageImage, PartitionId, StableStore, StoreConfig,
     StoreError,
@@ -76,7 +75,6 @@ use lob_wal::{
     Committer, FileLogStore, FrameView, GroupCommitLog, LogError, LogManager, RecordBody,
     RecordKind,
 };
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -134,17 +132,11 @@ struct ServiceMeta {
 /// one-session [`crate::Engine`]. See the module docs for the sharding and
 /// lock-order story.
 pub struct EngineService {
-    // lint: guarded-by(immutable) set at construction, never reassigned
     config: EngineConfig,
-    // lint: guarded-by(immutable) Arc to an internally synchronized store
     store: Arc<StableStore>,
-    // lint: guarded-by(immutable) Arc to an internally synchronized coordinator
     coordinator: Arc<BackupCoordinator>,
-    // lint: guarded-by(immutable) internally synchronized group-commit scheduler
     log: GroupCommitLog,
-    // lint: guarded-by(immutable) internally synchronized sharded cache
     cache: ShardedCache,
-    // lint: guarded-by(immutable) Arc to an internally synchronized catalog
     catalog: Arc<BackupCatalog>,
     /// One lock per backup domain, indexed by `DomainId.0`.
     domains: Vec<Mutex<DomainState>>,
@@ -240,13 +232,17 @@ impl EngineService {
         };
         let (store, coordinator) = open_store(&config)?;
         let mut domains: Vec<Mutex<DomainState>> = (0..coordinator.domain_count())
-            .map(|_| {
-                Mutex::new(DomainState {
-                    graph: WriteGraph::new(config.graph_mode),
-                    succ: SuccessorTable::new(),
-                    next_free: BTreeMap::new(),
-                    linked: Vec::new(),
-                })
+            .map(|d| {
+                Mutex::indexed(
+                    Rank::Domain,
+                    d as usize,
+                    DomainState {
+                        graph: WriteGraph::new(config.graph_mode),
+                        succ: SuccessorTable::new(),
+                        next_free: BTreeMap::new(),
+                        linked: Vec::new(),
+                    },
+                )
             })
             .collect();
         for p in (0..config.partitions.len() as u32).map(PartitionId) {
@@ -263,13 +259,16 @@ impl EngineService {
             store,
             coordinator,
             domains,
-            meta: Mutex::new(ServiceMeta {
-                next_backup_id: 1,
-                retained: Vec::new(),
-                taken_changed: Vec::new(),
-                hook: None,
-            }),
-            instant: Mutex::new(None),
+            meta: Mutex::new(
+                Rank::Meta,
+                ServiceMeta {
+                    next_backup_id: 1,
+                    retained: Vec::new(),
+                    taken_changed: Vec::new(),
+                    hook: None,
+                },
+            ),
+            instant: Mutex::new(Rank::Instant, None),
             instant_active: AtomicBool::new(false),
             counters: Default::default(),
             config,
@@ -282,7 +281,7 @@ impl EngineService {
             // [`EngineService::release_backup`], exactly as before the
             // restart.)
             // Frames are read in place; only control records are decoded.
-            let mut meta = svc.lock_meta();
+            let mut meta = svc.meta.lock();
             svc.log.scan(svc.log.truncation(), |frames| {
                 for (_, frame) in frames.iter() {
                     let view = FrameView::parse(frame).map_err(LogError::from)?;
@@ -390,22 +389,11 @@ impl EngineService {
         self.domains.iter().map(|m| m.lock()).collect()
     }
 
-    fn lock_meta(&self) -> MutexGuard<'_, ServiceMeta> {
-        self.meta.lock()
-    }
-
     /// The domain owning `partition`.
     fn domain_of(&self, partition: PartitionId) -> Result<DomainId, EngineError> {
         self.coordinator
             .domain_of(partition)
             .ok_or(EngineError::Store(StoreError::NoSuchPartition(partition)))
-    }
-
-    /// The group-commit force: named so the static lock-order pass can
-    /// alias the internal `state` → `manager` acquisition at every call
-    /// site.
-    fn group_force(&self, upto: Lsn) -> Result<(), EngineError> {
-        Ok(self.log.force(upto)?)
     }
 
     /// The LSN a WAL-required force actually targets, per the configured
@@ -548,7 +536,11 @@ impl EngineService {
         // already be overwritten in S by the time recovery runs).
         let wal_floor = dom.graph.wal_floor(node)?;
         if vars.is_empty() {
-            return self.install_free_node(dom, node, wal_floor);
+            // No flush, but the WAL floor must still be durable first.
+            self.log.force(self.force_target(wal_floor))?;
+            dom.graph.install_node(node)?;
+            self.bump(Stat::nodes_installed_free, 1);
+            return Ok(());
         }
 
         // Take the backup latch (share mode) for the affected domains; the
@@ -585,7 +577,7 @@ impl EngineService {
             .filter_map(|&v| self.cache.peek(v).map(|p| p.lsn()))
             .max()
             .unwrap_or(Lsn::NULL);
-        self.group_force(self.force_target(max_lsn.max(wal_floor)))?;
+        self.log.force(self.force_target(max_lsn.max(wal_floor)))?;
         self.cache
             .write_out(&vars, &self.store, self.log.durable_lsn())
             .map_err(lift_cache_err)?;
@@ -629,23 +621,6 @@ impl EngineService {
             .map_err(lift_cache_err)?;
         self.cache.advance_rlsn(v, ilsn);
         Ok(n)
-    }
-
-    /// Install a node whose `vars` emptied (stolen by blind writes): no
-    /// flush, but the WAL floor must still be durable first. Kept out of
-    /// [`EngineService::install_one_node`] so the force here never
-    /// lexically precedes that function's backup latch (the static
-    /// lock-order pass is branch- and drop-insensitive).
-    fn install_free_node(
-        &self,
-        dom: &mut DomainState,
-        node: NodeId,
-        wal_floor: Lsn,
-    ) -> Result<(), EngineError> {
-        self.group_force(self.force_target(wal_floor))?;
-        dom.graph.install_node(node)?;
-        self.bump(Stat::nodes_installed_free, 1);
-        Ok(())
     }
 
     /// Flush the node holding `page` (and, first, all its write-graph
@@ -738,13 +713,13 @@ impl EngineService {
         // All objects stolen: the node installs without any page write.
         dom.graph.install_node(node)?;
         self.bump(Stat::nodes_installed_free, 1);
-        self.group_force(Lsn::MAX)
+        Ok(self.log.force(Lsn::MAX)?)
     }
 
     /// Durably force every appended log record (a commit point: operations
     /// logged so far survive a crash).
     pub fn force_log(&self) -> Result<(), EngineError> {
-        self.group_force(Lsn::MAX)
+        Ok(self.log.force(Lsn::MAX)?)
     }
 
     /// The redo scan start point: the earliest LSN crash recovery could
@@ -793,7 +768,7 @@ impl EngineService {
         if let Some(r) = self.instant.lock().as_mut() {
             r.set_fault_hook(hook.clone());
         }
-        let mut meta = self.lock_meta();
+        let mut meta = self.meta.lock();
         self.store.set_fault_hook(hook.clone());
         self.log.set_fault_hook(hook.clone());
         self.cache.set_fault_hook(hook.clone());
@@ -804,7 +779,7 @@ impl EngineService {
 
     /// The installed fault hook.
     fn fault_hook(&self) -> Option<lob_pagestore::FaultHook> {
-        self.lock_meta().hook.clone()
+        self.meta.lock().hook.clone()
     }
 
     /// Crash: all volatile state (cache, write graphs, successor tables,
@@ -820,7 +795,7 @@ impl EngineService {
             *slot = None;
             self.instant_active.store(false, Ordering::Release);
         }
-        let mut meta = self.lock_meta();
+        let mut meta = self.meta.lock();
         let mut doms = self.lock_domains();
         for dom in doms.iter_mut() {
             dom.reset(&self.config);
@@ -865,11 +840,11 @@ impl EngineService {
         upto: Lsn,
         recovery: RecoveryConfig,
     ) -> Result<RedoOutcome, EngineError> {
-        let _meta = self.lock_meta();
+        let _meta = self.meta.lock();
         let mut doms = self.lock_domains();
         if let Some(image) = image {
             image.check_restorable()?;
-            self.group_force(Lsn::MAX)?;
+            self.log.force(Lsn::MAX)?;
             let replaced = |p: PartitionId| partition.map_or(true, |only| only == p);
             match partition {
                 None => self.cache.clear(),
@@ -1067,38 +1042,9 @@ impl EngineService {
     // Backups
     // ------------------------------------------------------------------
 
-    /// Take `domain`'s changed-page set (the coordinator keeps one per
-    /// domain, so no other domain's pages are touched). Kept out of
-    /// [`EngineService::begin_backup_inner`] for the same lexical
-    /// lock-order reason as [`EngineService::begin_run`].
-    fn take_domain_changed(&self, domain: DomainId) -> HashSet<PageId> {
-        self.coordinator.take_changed(domain)
-    }
-
     fn refresh_media_barrier(&self, meta: &ServiceMeta) {
         let barrier = meta.retained.iter().map(|&(_, l)| l).min();
         self.log.set_media_barrier(barrier);
-    }
-
-    /// Start the tracker run, handing the taken changed-set back to the
-    /// coordinator on failure. Kept out of
-    /// [`EngineService::begin_backup_inner`] so the restore-on-error path
-    /// never lexically precedes that function's log force (the static
-    /// lock-order pass is branch- and drop-insensitive).
-    fn begin_run(
-        &self,
-        cfg: RunConfig,
-        backup_id: u64,
-        start_lsn: Lsn,
-        changed: HashSet<PageId>,
-    ) -> Result<(BackupRun, HashSet<PageId>), EngineError> {
-        match BackupRun::begin(&self.coordinator, cfg, backup_id, start_lsn) {
-            Ok(r) => Ok((r, changed)),
-            Err(e) => {
-                self.coordinator.restore_changed(changed);
-                Err(EngineError::Backup(e))
-            }
-        }
     }
 
     /// Hand an in-flight backup's taken changed-set back to the
@@ -1114,37 +1060,21 @@ impl EngineService {
         }
     }
 
-    /// Unwind [`EngineService::begin_backup_inner`] when the `BackupBegin`
-    /// force fails: abort the run against the coordinator and hand the
-    /// taken changed-set back (nothing is retained yet), so a transient
-    /// log failure leaves neither a phantom active tracker nor a swallowed
-    /// incremental changed-page set behind. Kept out of
-    /// `begin_backup_inner` for the same lexical lock-order reason as
-    /// [`EngineService::begin_run`].
-    fn fail_begun_backup(
-        &self,
-        meta: &mut ServiceMeta,
-        run: BackupRun,
-        err: EngineError,
-    ) -> EngineError {
-        let backup_id = run.backup_id();
-        run.abort(&self.coordinator);
-        self.restore_taken(meta, backup_id);
-        err
-    }
-
     /// The one backup begin. Both full and incremental backups consume the
     /// domain's changed set: a full backup supersedes it (every page is
     /// captured at or after this point, and flushes during the window are
-    /// re-noted); an incremental backup copies exactly it.
+    /// re-noted); an incremental backup copies exactly it. The domain's
+    /// set is taken whole (the coordinator keeps one per domain, so no
+    /// other domain's pages are touched) and handed back if the begin
+    /// fails.
     fn begin_backup_inner(
         &self,
         domain: DomainId,
         steps: u32,
         base: Option<u64>,
     ) -> Result<BackupRun, EngineError> {
-        let mut meta = self.lock_meta();
-        let changed = self.take_domain_changed(domain);
+        let mut meta = self.meta.lock();
+        let changed = self.coordinator.take_changed(domain);
         let backup_id = meta.next_backup_id;
         let start_lsn = self.redo_scan_start();
         let cfg = RunConfig {
@@ -1153,15 +1083,26 @@ impl EngineService {
             filter: base.map(|_| changed.clone()),
             base,
         };
-        let (run, changed) = self.begin_run(cfg, backup_id, start_lsn, changed)?;
+        let run = match BackupRun::begin(&self.coordinator, cfg, backup_id, start_lsn) {
+            Ok(run) => run,
+            Err(e) => {
+                self.coordinator.restore_changed(changed);
+                return Err(EngineError::Backup(e));
+            }
+        };
         meta.taken_changed.push((backup_id, changed));
         meta.next_backup_id += 1;
         self.log.append_record(RecordBody::BackupBegin {
             backup_id,
             start_lsn,
         });
-        if let Err(e) = self.group_force(Lsn::MAX) {
-            return Err(self.fail_begun_backup(&mut meta, run, e));
+        if let Err(e) = self.log.force(Lsn::MAX) {
+            // Abort the run and hand the taken set back (nothing is
+            // retained yet): a transient log failure leaves neither a
+            // phantom active tracker nor a swallowed changed-page set.
+            run.abort(&self.coordinator);
+            self.restore_taken(&mut meta, backup_id);
+            return Err(e.into());
         }
         meta.retained.push((backup_id, start_lsn));
         self.refresh_media_barrier(&meta);
@@ -1222,11 +1163,11 @@ impl EngineService {
     /// image. The image's log suffix stays retained until
     /// [`EngineService::release_backup`].
     pub fn complete_backup(&self, run: BackupRun) -> Result<BackupImage, EngineError> {
-        let mut meta = self.lock_meta();
+        let mut meta = self.meta.lock();
         let backup_id = run.backup_id();
         let mut image = run.into_image()?;
         self.log.append_record(RecordBody::BackupEnd { backup_id });
-        self.group_force(Lsn::MAX)?;
+        self.log.force(Lsn::MAX)?;
         image.end_lsn = self.log.durable_lsn();
         meta.taken_changed.retain(|(id, _)| *id != backup_id);
         self.bump(Stat::backups_completed, 1);
@@ -1244,7 +1185,7 @@ impl EngineService {
     /// Hand a backup's changed-page set back and stop retaining its log
     /// suffix.
     fn forget_backup(&self, backup_id: u64) {
-        let mut meta = self.lock_meta();
+        let mut meta = self.meta.lock();
         self.restore_taken(&mut meta, backup_id);
         meta.retained.retain(|&(id, _)| id != backup_id);
         self.refresh_media_barrier(&meta);
@@ -1253,7 +1194,7 @@ impl EngineService {
     /// Stop retaining log records for a backup (it was superseded or
     /// discarded). Allows the log to truncate past its start LSN.
     pub fn release_backup(&self, backup_id: u64) {
-        let mut meta = self.lock_meta();
+        let mut meta = self.meta.lock();
         meta.retained.retain(|&(id, _)| id != backup_id);
         self.refresh_media_barrier(&meta);
     }
@@ -1264,7 +1205,7 @@ impl EngineService {
     pub fn offline_backup(&self) -> Result<BackupImage, EngineError> {
         self.flush_all()?;
         let pages = self.store.snapshot()?;
-        let mut meta = self.lock_meta();
+        let mut meta = self.meta.lock();
         let backup_id = meta.next_backup_id;
         meta.next_backup_id += 1;
         let start_lsn = self.log.next_lsn();
@@ -1373,7 +1314,7 @@ impl EngineService {
     /// engine, and every flush during the window is synchronously mirrored
     /// into the image.
     pub fn begin_linked_backup(&self) -> Result<LinkedBackupRun, EngineError> {
-        let mut meta = self.lock_meta();
+        let mut meta = self.meta.lock();
         let backup_id = meta.next_backup_id;
         meta.next_backup_id += 1;
         let start_lsn = self.redo_scan_start();
@@ -1381,11 +1322,11 @@ impl EngineService {
             backup_id,
             start_lsn,
         });
-        self.group_force(Lsn::MAX)?;
+        self.log.force(Lsn::MAX)?;
         meta.retained.push((backup_id, start_lsn));
         self.refresh_media_barrier(&meta);
         self.bump(Stat::backups_begun, 1);
-        let image = Arc::new(Mutex::new(PageImage::new()));
+        let image = Arc::new(Mutex::new(Rank::LinkedImage, PageImage::new()));
         for dom in self.lock_domains().iter_mut() {
             dom.linked.push((backup_id, Arc::clone(&image)));
         }
@@ -1437,7 +1378,7 @@ impl EngineService {
         self.log.append_record(RecordBody::BackupEnd {
             backup_id: run.backup_id,
         });
-        self.group_force(Lsn::MAX)?;
+        self.log.force(Lsn::MAX)?;
         self.bump(Stat::backups_completed, 1);
         let pages = Arc::try_unwrap(run.image)
             .map(|m| m.into_inner())
@@ -1551,7 +1492,7 @@ impl EngineService {
         corruption: Option<CorruptionEntry>,
         cost: &mut FetchCost,
     ) -> Result<RepairReport, EngineError> {
-        self.group_force(Lsn::MAX)?;
+        self.log.force(Lsn::MAX)?;
         let backoff = self.repair_backoff(id);
         let targets: BTreeSet<PageId> = [id].into();
         let mut generations_tried = Vec::new();
@@ -1709,7 +1650,7 @@ impl EngineService {
     /// current by calling this as the log grows; instant restore calls it
     /// for every archived generation when an epoch begins.
     pub fn extend_backup_archive(&self, backup_id: u64) -> Result<Lsn, EngineError> {
-        self.group_force(Lsn::MAX)?;
+        self.log.force(Lsn::MAX)?;
         let from = match self.catalog.archive_watermark(backup_id)? {
             Some(w) => w,
             None => self.catalog.start_lsn(backup_id)?,
@@ -2282,9 +2223,10 @@ impl Session {
     /// fails with the injected crash instead of reporting durability.
     pub fn commit(&self) -> Result<(), EngineError> {
         let inner = self.used();
-        inner
+        Ok(inner
             .svc
-            .group_force(Lsn(inner.logged.load(Ordering::Acquire)))
+            .log
+            .force(Lsn(inner.logged.load(Ordering::Acquire)))?)
     }
 
     /// Allocate a fresh page.

@@ -13,9 +13,8 @@
 //! loop ([`crate::drill`]) runs each case through `witnessed`, so the
 //! ordering witness watches it too.
 
-use lob_pagestore::witness::Witness;
+use lob_pagestore::witness::{Mutex, Rank, Witness};
 use lob_pagestore::{FaultHook, FaultVerdict, IoEvent, PageId};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -86,8 +85,8 @@ impl FaultPlan {
                 counter: AtomicU64::new(0),
                 kind_seen: AtomicU64::new(0),
                 fired: AtomicBool::new(false),
-                fired_page: Mutex::new(None),
-                fired_event: Mutex::new(None),
+                fired_page: Mutex::new(Rank::FaultPage, None),
+                fired_event: Mutex::new(Rank::FaultEvent, None),
             }),
         }
     }

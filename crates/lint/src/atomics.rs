@@ -1,4 +1,4 @@
-//! Pass 4: atomics & interior-mutability audit.
+//! Pass 2: atomics & interior-mutability audit.
 //!
 //! Every `AtomicU*`/`AtomicBool`/`AtomicUsize` declaration in non-test
 //! library code must declare its ordering contract with a

@@ -5,7 +5,7 @@
 //! (`{"name", "ms", "findings", "ok"}` — one entry per pass, in run
 //! order), one object per finding
 //! (`{"pass", "file", "line", "rule", "msg"}`), and the read-only status
-//! of both ratchets (race, durability): per tracked file a status
+//! of the durability ratchet: per tracked file a status
 //! (`at-baseline` / `below-baseline` / `above-baseline`) plus the
 //! baseline and current count pairs, so a consumer can compute deltas
 //! without re-parsing the TSVs. The exit code is non-zero when any
@@ -16,16 +16,14 @@
 //! test-suite path (`cargo test -p lob-lint`), where the rewrite is
 //! deliberate and the diff is reviewed.
 
-use lob_lint::{durability, guarded_by, ratchet, Diagnostic};
+use lob_lint::{durability, ratchet, Diagnostic};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Which pass a rule id belongs to, for the report's `pass` column.
 fn pass_of(rule: &str) -> &'static str {
     match rule {
-        "lock-order" => "lock_order",
         "fault-hook" => "fault_hook",
-        "guarded-by" => "guarded_by",
         "atomics" => "atomics",
         "durability-order" => "durability",
         "error-flow" => "error_flow",
@@ -179,20 +177,16 @@ fn main() {
         diags.extend(found);
     }
 
-    let (_, race_counts) = guarded_by::check_with_counts(&files, &guarded_by::Config::workspace());
-    let race_map: BTreeMap<String, (usize, usize)> = race_counts
-        .iter()
-        .map(|c| (c.path.clone(), (c.lockfree_fields, c.allowed_unguarded)))
-        .collect();
     let (_, dur_counts) = durability::check_with_counts(&files, &durability::Config::workspace());
     let dur_map: BTreeMap<String, (usize, usize)> = dur_counts
         .iter()
         .map(|c| (c.path.clone(), (c.allowed_force, c.allowed_copy)))
         .collect();
-    let ratchets = vec![
-        ratchet_status("race", ratchet::RACE_RATCHET_PATH, &race_map),
-        ratchet_status("durability", ratchet::DURABILITY_RATCHET_PATH, &dur_map),
-    ];
+    let ratchets = vec![ratchet_status(
+        "durability",
+        ratchet::DURABILITY_RATCHET_PATH,
+        &dur_map,
+    )];
 
     if json {
         print_json(&passes, &diags, &ratchets);

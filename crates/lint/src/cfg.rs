@@ -1,5 +1,5 @@
 //! The intra-procedural CFG + forward-dataflow engine (substrate for
-//! passes 5 and 6).
+//! passes 3 and 4).
 //!
 //! Built on the same dependency-free token scan as every other pass
 //! ([`crate::lexer`]): a recursive-descent statement walker recovers the

@@ -1,4 +1,4 @@
-//! Pass 5: durability ordering — log-before-install, machine-checked.
+//! Pass 3: durability ordering — log-before-install, machine-checked.
 //!
 //! The paper's §2–3 correctness argument is an *ordering* argument: a page
 //! may only migrate to the stable store (or into the backup image) after

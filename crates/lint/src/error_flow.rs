@@ -1,4 +1,4 @@
-//! Pass 6: error flow — a fault verdict must never be silently dropped.
+//! Pass 4: error flow — a fault verdict must never be silently dropped.
 //!
 //! Every fault-consulting I/O primitive (the [`crate::fault_hook`]
 //! registry: `write_page`, `read_page`, `force`, `append`, …) returns a

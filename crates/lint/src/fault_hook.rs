@@ -1,4 +1,4 @@
-//! Pass 2: fault-hook coverage.
+//! Pass 1: fault-hook coverage.
 //!
 //! The torture harness (PR 1) can only prove crash-consistency for I/O the
 //! `FaultHook` can see. A write-side transfer that bypasses the hook is a

@@ -31,7 +31,7 @@ pub struct LineInfo {
     pub allows: Vec<String>,
     /// Directives that name a rule but carry no justification text.
     pub bad_allows: Vec<String>,
-    /// Declaration directives on this line: `lint: guarded-by(<spec>)`,
+    /// Declaration directives on this line:
     /// `lint: atomic(<contract>)`, and `lint: durability(<event> requires
     /// <event>)`, collected as `(kind, argument)` pairs.
     /// Unlike `allows`, these *declare a contract* for the item they
@@ -514,7 +514,7 @@ fn collect_allows(comment: &str, allows: &mut Vec<String>, bad: &mut Vec<String>
     }
 }
 
-/// Extract `lint: guarded-by(<spec>)` / `lint: atomic(<contract>)` /
+/// Extract `lint: atomic(<contract>)` /
 /// `lint: durability(<event> requires <event>)` declaration directives
 /// from comment text. The space after `lint:` is optional; the argument is
 /// everything up to the closing paren, trimmed.
@@ -523,7 +523,7 @@ fn collect_decls(comment: &str, decls: &mut Vec<(String, String)>) {
     while let Some(pos) = rest.find("lint:") {
         rest = rest.split_at(pos + "lint:".len()).1;
         let body = rest.trim_start();
-        let Some((kind, after)) = ["guarded-by", "atomic", "durability"].iter().find_map(|k| {
+        let Some((kind, after)) = ["atomic", "durability"].iter().find_map(|k| {
             body.strip_prefix(*k)
                 .and_then(|r| r.strip_prefix('('))
                 .map(|r| (*k, r))
@@ -648,18 +648,18 @@ mod tests {
             "// lint:allow(panic) invariant: map key inserted above\nx.unwrap();\n",
         );
         assert!(f.allowed("panic", 2));
-        assert!(!f.allowed("lock-order", 2));
+        assert!(!f.allowed("error-flow", 2));
     }
 
     #[test]
     fn declaration_directives_are_collected() {
         let f = SourceFile::parse(
             "x.rs",
-            "// lint: guarded-by(changed) refined under the changed mutex\nfoo: u32,\nbar: u64, // lint: atomic(relaxed-counter)\nbaz: u8,\n",
+            "// lint: durability(PageFlush requires LogForce)\nfn flush() {}\nbar: u64, // lint: atomic(relaxed-counter)\nbaz: u8,\n",
         );
-        assert_eq!(f.decl("guarded-by", 2), Some("changed"));
+        assert_eq!(f.decl("durability", 2), Some("PageFlush requires LogForce"));
         assert_eq!(f.decl("atomic", 3), Some("relaxed-counter"));
-        assert_eq!(f.decl("guarded-by", 3), None);
+        assert_eq!(f.decl("durability", 3), None);
         assert_eq!(f.decl("atomic", 4), None);
     }
 

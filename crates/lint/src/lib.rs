@@ -1,31 +1,32 @@
 //! `lob-lint`: the workspace invariant checker.
 //!
-//! Six passes over a hand-rolled token scan of `crates/*/src` (see
+//! Four passes over a hand-rolled token scan of `crates/*/src` (see
 //! [`lexer`]), each enforcing an invariant no other tool checks on every
 //! path:
 //!
-//! 1. [`lock_order`] — the cross-crate lock acquisition graph is acyclic;
-//! 2. [`fault_hook`] — every write-side I/O site consults the `FaultHook`,
+//! 1. [`fault_hook`] — every write-side I/O site consults the `FaultHook`,
 //!    diffed against the declared-site registry in [`fault_hook::REGISTRY`];
-//! 3. [`guarded_by`] — every plain field of an `Arc`-shared struct that
-//!    also carries a lock is either dominated by that lock at each access
-//!    or annotated with an explicit lock-free contract, ratcheted in
-//!    `race_ratchet.tsv`;
-//! 4. [`atomics`] — every atomic declares an ordering contract
+//! 2. [`atomics`] — every atomic declares an ordering contract
 //!    (`// lint: atomic(…)`) that its operations are checked against, and
 //!    `Cell`/`RefCell`/`UnsafeCell`/`unsafe impl Send|Sync` are inventoried;
-//! 5. [`durability`] — the paper's log-before-install order, proven on the
+//! 3. [`durability`] — the paper's log-before-install order, proven on the
 //!    intra-procedural CFG/dataflow engine in [`cfg`]: every store
 //!    write / cache write-out / backup-image copy site is preceded by its
 //!    declared `lint: durability(<event> requires <event>)` requirement on
 //!    every path, tolerated sites ratcheted in `durability_ratchet.tsv`;
-//! 6. [`error_flow`] — `Result`s born at fault-consulting I/O sites are
+//! 4. [`error_flow`] — `Result`s born at fault-consulting I/O sites are
 //!    never silently discarded (`let _ =`, trailing `.ok()`, `unwrap_or`
 //!    swallowing, `if let Ok` with no else).
 //!
-//! Four contracts the linter used to re-check lexically live with the
-//! tools that check them on resolved types:
+//! Six contracts the linter used to re-check lexically live with the
+//! tools that check them on resolved code:
 //!
+//! - lock order: every lock is a ranked `lob_pagestore::witness` lock,
+//!   and the rank witness checks each acquisition against the locks the
+//!   thread holds, in every workspace test run;
+//! - field guarding: rustc's borrow and `Send`/`Sync` rules — a field is
+//!   reachable from several threads only through a lock, an atomic or an
+//!   immutable borrow;
 //! - panic-freedom of non-test library code: the `clippy::{unwrap_used,
 //!   expect_used, panic, todo, unimplemented, unreachable,
 //!   indexing_slicing}` deny at the top of every `crates/*/src/lib.rs`,
@@ -38,9 +39,8 @@
 //!
 //! The durability contract table is cross-validated at runtime by the
 //! ordering witness in `lob-pagestore` (`witness::ORDER_CONTRACTS`), which
-//! every drill case runs under; the guarded-by map is pinned against the
-//! hot structs' expected contracts. Both agreements are asserted
-//! row-for-row in the workspace test.
+//! every drill case runs under; the agreement is asserted row-for-row in
+//! the workspace test.
 //!
 //! The whole analyzer runs as `cargo test -p lob-lint` (tier-1) and as a
 //! dedicated CI job. Violations are justified in place with
@@ -64,11 +64,8 @@ pub mod cfg;
 pub mod durability;
 pub mod error_flow;
 pub mod fault_hook;
-pub mod guarded_by;
 pub mod lexer;
-pub mod lock_order;
 pub mod ratchet;
-pub mod structs;
 
 use lexer::SourceFile;
 use std::path::{Path, PathBuf};
@@ -76,8 +73,8 @@ use std::path::{Path, PathBuf};
 /// One finding: rule id, location, and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id: `lock-order`, `fault-hook`, `guarded-by`, `atomics`,
-    /// `durability-order`, `error-flow`, or `annotation`.
+    /// Rule id: `fault-hook`, `atomics`, `durability-order`,
+    /// `error-flow`, or `annotation`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -193,14 +190,8 @@ pub fn passes() -> Vec<(&'static str, fn(&[SourceFile]) -> Vec<Diagnostic>)> {
             "annotations",
             check_annotations as fn(&[SourceFile]) -> Vec<Diagnostic>,
         ),
-        ("lock_order", |f| {
-            lock_order::check(f, &lock_order::Config::workspace())
-        }),
         ("fault_hook", |f| {
             fault_hook::check(f, &fault_hook::Config::workspace())
-        }),
-        ("guarded_by", |f| {
-            guarded_by::check(f, &guarded_by::Config::workspace())
         }),
         ("atomics", |f| {
             atomics::check(f, &atomics::Config::workspace())
@@ -216,7 +207,7 @@ pub fn passes() -> Vec<(&'static str, fn(&[SourceFile]) -> Vec<Diagnostic>)> {
 
 /// Run every pass with its default workspace configuration (everything
 /// except the ratchet comparison, which needs filesystem access — see
-/// [`ratchet::check_race`] and [`ratchet::check_durability`]).
+/// [`ratchet::check_durability`]).
 pub fn run_all(files: &[SourceFile]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (_, pass) in passes() {

@@ -4,7 +4,7 @@
 //! with a usable file:line message.
 
 use lob_lint::lexer::SourceFile;
-use lob_lint::{durability, error_flow, fault_hook, guarded_by, lock_order, Diagnostic};
+use lob_lint::{durability, error_flow, fault_hook, Diagnostic};
 
 /// Load a fixture file under a virtual workspace-relative path.
 fn fixture(virtual_path: &str, file: &str) -> SourceFile {
@@ -20,154 +20,6 @@ fn locs(diags: &[Diagnostic]) -> Vec<(String, usize, &'static str)> {
         .iter()
         .map(|d| (d.path.clone(), d.line, d.rule))
         .collect()
-}
-
-#[test]
-fn lock_cycle_fixture_is_detected() {
-    let a = fixture("crates/fx/src/lock_cycle_a.rs", "lock_cycle_a.rs");
-    let b = fixture("crates/fx/src/lock_cycle_b.rs", "lock_cycle_b.rs");
-    let cfg = lock_order::Config {
-        scope: vec!["lock_cycle_a.rs".into(), "lock_cycle_b.rs".into()],
-        aliases: vec![
-            lock_order::Alias {
-                file_contains: "lock_cycle_b.rs",
-                recv: "",
-                method: "latch_alpha",
-                lock: "fx/lock_cycle_a.alpha",
-            },
-            lock_order::Alias {
-                file_contains: "lock_cycle_b.rs",
-                recv: "",
-                method: "latch_beta",
-                lock: "fx/lock_cycle_a.beta",
-            },
-        ],
-    };
-    let edges = lock_order::build_graph(&[a, b], &cfg);
-    let pairs: Vec<(String, String)> = edges
-        .iter()
-        .map(|e| (e.from.clone(), e.to.clone()))
-        .collect();
-    assert!(pairs.contains(&(
-        "fx/lock_cycle_a.alpha".to_string(),
-        "fx/lock_cycle_a.beta".to_string()
-    )));
-    assert!(pairs.contains(&(
-        "fx/lock_cycle_a.beta".to_string(),
-        "fx/lock_cycle_a.alpha".to_string()
-    )));
-
-    let a = fixture("crates/fx/src/lock_cycle_a.rs", "lock_cycle_a.rs");
-    let b = fixture("crates/fx/src/lock_cycle_b.rs", "lock_cycle_b.rs");
-    let diags = lock_order::check(&[a, b], &cfg);
-    assert!(!diags.is_empty(), "cycle not reported");
-    assert!(diags[0].rule == "lock-order");
-    assert!(diags[0].msg.contains("cycle"), "msg: {}", diags[0].msg);
-    // The witness points at the second acquisition of the cycle edge.
-    assert!(diags[0].line > 0);
-}
-
-#[test]
-fn lock_chain_fixture_resolves_the_accessor_and_detects_the_cycle() {
-    // `Inner.state` is declared in one file and only ever locked through
-    // the `coordinator()` accessor in the other: without the one-level
-    // chain resolver neither edge exists and the deadlock is invisible.
-    let load = || {
-        vec![
-            fixture("crates/fx/src/lock_chain_inner.rs", "lock_chain_inner.rs"),
-            fixture("crates/fx/src/lock_chain.rs", "lock_chain.rs"),
-        ]
-    };
-    let cfg = lock_order::Config {
-        scope: vec!["lock_chain.rs".into(), "lock_chain_inner.rs".into()],
-        aliases: vec![],
-    };
-    let edges = lock_order::build_graph(&load(), &cfg);
-    let got: Vec<(String, String, usize)> = edges
-        .iter()
-        .map(|e| (e.from.clone(), e.to.clone(), e.witness.2))
-        .collect();
-    assert!(
-        got.contains(&(
-            "fx/lock_chain_inner.state".to_string(),
-            "fx/lock_chain.other".to_string(),
-            24
-        )),
-        "edges: {edges:#?}"
-    );
-    assert!(
-        got.contains(&(
-            "fx/lock_chain.other".to_string(),
-            "fx/lock_chain_inner.state".to_string(),
-            30
-        )),
-        "edges: {edges:#?}"
-    );
-
-    let diags = lock_order::check(&load(), &cfg);
-    assert_eq!(
-        locs(&diags),
-        vec![("crates/fx/src/lock_chain.rs".to_string(), 24, "lock-order")],
-        "diags: {diags:#?}"
-    );
-    assert!(diags[0].msg.contains("cycle"), "msg: {}", diags[0].msg);
-}
-
-#[test]
-fn bad_guarded_fixture_yields_exact_diagnostics() {
-    // The unlocked `hits` access empties the field's lock-set: the one
-    // broken-discipline shape pass 3 must reject.
-    let f = fixture("crates/fx/src/bad_guarded.rs", "bad_guarded.rs");
-    let diags = guarded_by::check(&[f], &guarded_by::Config::bare());
-    assert_eq!(
-        locs(&diags),
-        vec![("crates/fx/src/bad_guarded.rs".to_string(), 23, "guarded-by")],
-        "diags: {diags:#?}"
-    );
-    assert!(
-        diags[0].msg.contains("lock-set is empty here"),
-        "msg: {}",
-        diags[0].msg
-    );
-}
-
-#[test]
-fn a_free_call_alias_matches_calls_only() {
-    let src = "pub struct S {\n    a: std::sync::Mutex<u32>,\n}\n\
-               impl S {\n    fn held(&self) {\n        let _g = self.a.lock();\n        replay(1);\n    }\n\
-               \n    fn method(&self, x: &T) {\n        x.replay(1);\n        let _g = self.a.lock();\n    }\n}\n\
-               \nfn replay(n: u32) {\n    let _ = n;\n}\n";
-    let f = SourceFile::parse("crates/fx/src/free.rs", src);
-    let cfg = lock_order::Config {
-        scope: vec!["free.rs".into()],
-        aliases: vec![lock_order::Alias {
-            file_contains: "free.rs",
-            recv: lock_order::FREE_CALL,
-            method: "replay",
-            lock: "fx/other.b",
-        }],
-    };
-    let pairs: Vec<(String, String)> = lock_order::build_graph(&[f], &cfg)
-        .into_iter()
-        .map(|e| (e.from, e.to))
-        .collect();
-    // The free call after the lock is an edge; the method call of the
-    // same name before it is not.
-    assert_eq!(
-        pairs,
-        vec![("fx/free.a".to_string(), "fx/other.b".to_string())]
-    );
-}
-
-#[test]
-fn forward_only_ordering_is_clean() {
-    let a = fixture("crates/fx/src/lock_cycle_a.rs", "lock_cycle_a.rs");
-    let cfg = lock_order::Config {
-        scope: vec!["lock_cycle_a.rs".into()],
-        aliases: vec![],
-    };
-    let diags = lock_order::check(&[a], &cfg);
-    assert!(diags.is_empty(), "diags: {diags:#?}");
 }
 
 #[test]
@@ -313,14 +165,33 @@ fn missing_justification_is_flagged() {
 
 #[test]
 fn ratchet_flags_growth_and_tolerates_equal() {
-    use lob_lint::guarded_by::RaceCounts;
+    use lob_lint::durability::DurabilityCounts;
     use lob_lint::ratchet;
-    let baseline = ratchet::parse("crates/a/src/x.rs\t2\t5\n");
-    assert_eq!(baseline.get("crates/a/src/x.rs"), Some(&(2, 5)));
-    let rendered = ratchet::render_race(&[RaceCounts {
-        path: "crates/a/src/x.rs".into(),
-        lockfree_fields: 2,
-        allowed_unguarded: 5,
-    }]);
+    let counts = |allowed_force, allowed_copy| {
+        vec![DurabilityCounts {
+            path: "crates/a/src/x.rs".into(),
+            allowed_force,
+            allowed_copy,
+        }]
+    };
+    let rendered = ratchet::render_durability(&counts(2, 5));
     assert!(rendered.contains("crates/a/src/x.rs\t2\t5"));
+    assert_eq!(
+        ratchet::parse(&rendered).get("crates/a/src/x.rs"),
+        Some(&(2, 5))
+    );
+    // A scratch root holding that baseline: equal counts pass and leave
+    // it as it is, growth in either column is flagged.
+    let root = std::env::temp_dir().join(format!("lob-lint-ratchet-{}", std::process::id()));
+    let file = root.join(ratchet::DURABILITY_RATCHET_PATH);
+    std::fs::create_dir_all(file.parent().expect("ratchet path has a parent"))
+        .expect("scratch dir");
+    std::fs::write(&file, &rendered).expect("baseline written");
+    assert!(ratchet::check_durability(&root, &counts(2, 5)).is_empty());
+    assert_eq!(std::fs::read_to_string(&file).expect("baseline"), rendered);
+    let grown = ratchet::check_durability(&root, &counts(3, 6));
+    assert_eq!(locs(&grown).len(), 2, "diags: {grown:#?}");
+    assert!(grown[0].msg.contains("force-order sites grew 2 -> 3"));
+    assert!(grown[1].msg.contains("copy-order sites grew 5 -> 6"));
+    std::fs::remove_dir_all(&root).expect("scratch dir removed");
 }

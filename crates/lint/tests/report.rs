@@ -37,9 +37,7 @@ fn json_report_pins_schema_two() {
     let mut last = 0;
     for name in [
         "annotations",
-        "lock_order",
         "fault_hook",
-        "guarded_by",
         "atomics",
         "durability",
         "error_flow",
@@ -56,9 +54,16 @@ fn json_report_pins_schema_two() {
         );
         last = pos;
     }
-    // The contracts that moved to clippy, rustc and `effect_conformance`
-    // have no pass here any more.
-    for gone in ["panic_free", "determinism", "effect_sets", "spawn_escape"] {
+    // The contracts that moved to clippy, rustc, `effect_conformance` and
+    // the lock-rank witness have no pass here any more.
+    for gone in [
+        "panic_free",
+        "determinism",
+        "effect_sets",
+        "spawn_escape",
+        "lock_order",
+        "guarded_by",
+    ] {
         assert!(
             !report.contains(&format!("\"{gone}\"")),
             "removed pass `{gone}` still reported; report:\n{report}"
@@ -67,22 +72,24 @@ fn json_report_pins_schema_two() {
     // A clean workspace means every pass entry is ok with zero findings.
     assert_eq!(
         report.matches("\"findings\": 0, \"ok\": true}").count(),
-        7,
-        "expected 7 clean pass entries; report:\n{report}"
+        5,
+        "expected 5 clean pass entries; report:\n{report}"
     );
 
-    // Both ratchets report per-file baseline/current pairs and neither
-    // has regressed.
-    for name in ["race", "durability"] {
-        assert!(
-            report.contains(&format!("\"{name}\": {{")),
-            "ratchet `{name}` missing; report:\n{report}"
-        );
-    }
+    // The durability ratchet reports per-file baseline/current pairs and
+    // has not regressed; the race ratchet went with the guarded-by pass.
+    assert!(
+        report.contains("\"durability\": {"),
+        "durability ratchet missing; report:\n{report}"
+    );
+    assert!(
+        !report.contains("\"race\": {"),
+        "race ratchet still reported; report:\n{report}"
+    );
     assert_eq!(
         report.matches("\"regressed\": false").count(),
-        2,
-        "expected both ratchets unregressed; report:\n{report}"
+        1,
+        "expected the durability ratchet unregressed; report:\n{report}"
     );
     assert!(report.contains("\"status\": \"at-baseline\""));
     assert!(report.contains("\"baseline\": ["));

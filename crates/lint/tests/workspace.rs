@@ -1,11 +1,11 @@
-//! The tier-1 enforcement test: run all six passes over the real
+//! The tier-1 enforcement test: run all four passes over the real
 //! workspace sources and fail on any unjustified violation, and pin the
 //! clippy configuration that carries the panic-freedom and determinism
 //! contracts (tier-1 runs no clippy, so a dropped deny would go unseen).
 
 use lob_lint::{
-    atomics, durability, error_flow, fault_hook, guarded_by, lexer::SourceFile,
-    load_workspace_sources, lock_order, ratchet, workspace_root, Diagnostic,
+    atomics, durability, error_flow, fault_hook, lexer::SourceFile, load_workspace_sources,
+    ratchet, workspace_root, Diagnostic,
 };
 
 fn sources() -> Vec<SourceFile> {
@@ -117,54 +117,6 @@ fn expected_sites(path: &str, lint: &str) -> Vec<usize> {
 }
 
 #[test]
-fn lock_order_graph_is_acyclic() {
-    let files = sources();
-    let cfg = lock_order::Config::workspace();
-    // Sanity: the scan must actually see the known acquisition edges; an
-    // empty graph would mean the scanner silently broke.
-    let edges = lock_order::build_graph(&files, &cfg);
-    assert!(
-        edges
-            .iter()
-            .any(|e| e.from == "pagestore/store.hook" && e.to == "pagestore/store.partitions"),
-        "expected store.hook -> store.partitions edge missing; graph: {:?}",
-        edges
-            .iter()
-            .map(|e| format!("{} -> {}", e.from, e.to))
-            .collect::<Vec<_>>()
-    );
-    // And the workspace-wide scope must see beyond the historical
-    // hand-listed files: `BackupRun::step_batch` probes the coordinator
-    // hook (to pick the checked or batched copy path) and then moves the
-    // tracker cursor, both through helpers.
-    assert!(
-        edges.iter().any(|e| e.from == "backup/coordinator.hook"
-            && e.to == "backup/tracker.state"
-            && e.witness.0.ends_with("backup/src/run.rs")),
-        "expected coordinator.hook -> tracker.state edge witnessed in run.rs; graph: {:?}",
-        edges
-            .iter()
-            .map(|e| format!("{} -> {} ({})", e.from, e.to, e.witness.0))
-            .collect::<Vec<_>>()
-    );
-    // The gathering leader polls the committer registry under `state`.
-    assert!(
-        edges
-            .iter()
-            .any(|e| e.from == "wal/group.state" && e.to == "wal/group.committers"),
-        "expected group.state -> group.committers edge missing"
-    );
-    // Recovery replays into the store inside a borrowed log scan.
-    assert!(
-        edges.iter().any(|e| e.from == "wal/group.manager"
-            && e.to == "pagestore/store.partitions"
-            && e.witness.0.ends_with("core/src/service.rs")),
-        "expected group.manager -> store.partitions edge witnessed in service.rs"
-    );
-    assert_clean("lock-order", lock_order::check(&files, &cfg));
-}
-
-#[test]
 fn replay_paths_are_deterministic() {
     // Determinism is clippy's: the replay crates' `clippy.toml` disallow
     // wall clocks and per-process-keyed hashing by resolved path, so a
@@ -194,17 +146,6 @@ fn fault_hook_coverage_matches_registry() {
     let files = sources();
     let cfg = fault_hook::Config::workspace();
     assert_clean("fault-hook", fault_hook::check(&files, &cfg));
-}
-
-#[test]
-fn guarded_by_holds_and_race_ratchet_only_tightens() {
-    let files = sources();
-    let (diags, counts) = guarded_by::check_with_counts(&files, &guarded_by::Config::workspace());
-    assert_clean("guarded-by", diags);
-    assert_clean(
-        "race-ratchet",
-        ratchet::check_race(&workspace_root(), &counts),
-    );
 }
 
 #[test]
@@ -267,13 +208,11 @@ fn durability_contracts_agree_with_the_ordering_witness() {
 
 #[test]
 fn lint_index_sites_are_burned_down() {
-    // Satellite of the durability PR: the 19 checked-index sites in
-    // lint/src/lexer.rs and the 25 in lint/src/lock_order.rs were
-    // rewritten with `.get()` and slice patterns, so none of these files
-    // may tolerate an index site again.
+    // The checked-index sites in lint/src/lexer.rs were rewritten with
+    // `.get()` and slice patterns, so none of these files may tolerate an
+    // index site again.
     for path in [
         "crates/lint/src/lexer.rs",
-        "crates/lint/src/lock_order.rs",
         "crates/lint/src/cfg.rs",
         "crates/lint/src/durability.rs",
         "crates/lint/src/error_flow.rs",
@@ -282,48 +221,6 @@ fn lint_index_sites_are_burned_down() {
         assert!(
             sites.is_empty(),
             "{path} tolerates index sites again at lines {sites:?}"
-        );
-    }
-}
-
-/// The pinned guarded-by contracts of the hot structs, as
-/// `(struct, field, spec)` rows.
-const CONTRACTS: &[(&str, &str, &str)] = &[
-    ("StableStore", "config", "immutable"),
-    ("StableStore", "partitions", "lock"),
-    ("StableStore", "stats", "atomic"),
-    ("StableStore", "hook", "lock"),
-    ("BackupCoordinator", "domains", "immutable"),
-    ("BackupCoordinator", "by_partition", "immutable"),
-    ("BackupCoordinator", "changed", "lock"),
-    ("BackupCoordinator", "stats", "atomic"),
-    ("BackupCoordinator", "hook", "lock"),
-    ("ProgressTracker", "state", "lock"),
-    ("GroupReplay", "store", "immutable"),
-    ("GroupReplay", "batch", "immutable"),
-    ("GroupReplay", "table", "unit-local"),
-    ("GroupReplay", "dirty", "unit-local"),
-    ("GroupCommitLog", "manager", "lock"),
-    ("GroupCommitLog", "state", "lock"),
-    ("GroupCommitLog", "committers", "lock"),
-    ("ShardedCache", "shards", "lock"),
-    ("EngineService", "domains", "lock"),
-    ("EngineService", "meta", "lock"),
-];
-
-#[test]
-fn static_map_agrees_with_the_pinned_contracts() {
-    // The agreement contract (DESIGN.md §5.11): the static pass must infer
-    // exactly the pinned rows from the sources. A drifted annotation, a
-    // renamed field, or a freshly unguarded access breaks this.
-    let map = guarded_by::guarded_map(&sources(), &guarded_by::Config::workspace());
-    for (s, field, spec) in CONTRACTS {
-        let got = map.get(*s).and_then(|fields| fields.get(*field));
-        assert_eq!(
-            got.map(String::as_str),
-            Some(*spec),
-            "pinned contract ({s}, {field}, {spec}) disagrees with the static map: {:?}",
-            map.get(*s)
         );
     }
 }

@@ -22,38 +22,28 @@ pub fn mix64(mut z: u64) -> u64 {
 }
 
 /// Fold a byte slice into a 64-bit digest, keyed by `seed`.
-#[expect(
-    clippy::unwrap_used,
-    clippy::indexing_slicing,
-    reason = "chunks_exact(8) yields exactly 8-byte slices and its remainder is shorter than 8"
-)]
 pub fn digest(seed: u64, bytes: &[u8]) -> u64 {
     let mut acc = mix64(seed ^ 0x01de_c0de ^ bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        acc = mix64(acc ^ u64::from_le_bytes(c.try_into().unwrap()));
+    let mut rest = bytes;
+    while let Some((word, tail)) = rest.split_first_chunk::<8>() {
+        acc = mix64(acc ^ u64::from_le_bytes(*word));
+        rest = tail;
     }
-    let mut tail = [0u8; 8];
-    let rem = chunks.remainder();
-    tail[..rem.len()].copy_from_slice(rem);
-    if !rem.is_empty() {
+    if !rest.is_empty() {
+        let mut tail = [0u8; 8];
+        tail.iter_mut().zip(rest).for_each(|(t, b)| *t = *b);
         acc = mix64(acc ^ u64::from_le_bytes(tail));
     }
     acc
 }
 
 /// Expand a 64-bit state into `len` pseudo-random bytes.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "`take` is at most 8, the length of `w`"
-)]
 pub fn expand(mut state: u64, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     while out.len() < len {
         state = mix64(state);
-        let w = state.to_le_bytes();
-        let take = (len - out.len()).min(8);
-        out.extend_from_slice(&w[..take]);
+        let take = len - out.len();
+        out.extend(state.to_le_bytes().into_iter().take(take));
     }
     out
 }

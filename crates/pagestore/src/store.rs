@@ -5,8 +5,8 @@ use crate::id::{PageId, PartitionId};
 use crate::image::PageImage;
 use crate::page::Page;
 use crate::stats::{IoSnapshot, IoStats};
+use crate::witness::{Rank, RwLock};
 use bytes::Bytes;
-use parking_lot::RwLock;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -193,12 +193,10 @@ impl PartitionState {
 /// resolved by disk access order": a page copied by the backup process is
 /// captured either entirely before or entirely after any concurrent flush.
 pub struct StableStore {
-    // lint: guarded-by(immutable) geometry is fixed at construction
     config: StoreConfig,
     partitions: Vec<RwLock<PartitionState>>,
     /// One counter block per partition (cache-line padded): concurrent
     /// sweep threads account I/O without sharing a line.
-    // lint: guarded-by(atomic) counters are atomics all the way down
     stats: Vec<IoStats>,
     /// Optional fault hook consulted before every page write.
     hook: RwLock<Option<FaultHook>>,
@@ -211,16 +209,21 @@ impl StableStore {
         let blank_sum = Page::formatted(config.page_size).checksum();
         let parts = partitions
             .iter()
-            .map(|spec| {
-                RwLock::new(PartitionState {
-                    pages: (0..spec.pages)
-                        .map(|_| Page::formatted(config.page_size))
-                        .collect(),
-                    sums: vec![blank_sum; spec.pages as usize],
-                    failed: false,
-                    failed_ranges: Vec::new(),
-                    quarantined: BTreeSet::new(),
-                })
+            .enumerate()
+            .map(|(i, spec)| {
+                RwLock::indexed(
+                    Rank::StorePartition,
+                    i,
+                    PartitionState {
+                        pages: (0..spec.pages)
+                            .map(|_| Page::formatted(config.page_size))
+                            .collect(),
+                        sums: vec![blank_sum; spec.pages as usize],
+                        failed: false,
+                        failed_ranges: Vec::new(),
+                        quarantined: BTreeSet::new(),
+                    },
+                )
             })
             .collect();
         let stats = (0..partitions.len()).map(|_| IoStats::new()).collect();
@@ -228,7 +231,7 @@ impl StableStore {
             config,
             partitions: parts,
             stats,
-            hook: RwLock::new(None),
+            hook: RwLock::new(Rank::StoreHook, None),
         }
     }
 

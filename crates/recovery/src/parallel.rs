@@ -342,13 +342,11 @@ impl PageSlot {
 /// value. `batch` bounds how many dirty pages may be pending before a
 /// drain, so memory stays proportional to the knob.
 pub(crate) struct GroupReplay<'a> {
-    // lint: guarded-by(immutable) shared store reference, never reseated
+    /// The store replayed into; `None` for a scratch replay.
     store: Option<&'a StableStore>,
-    // lint: guarded-by(immutable) drain threshold is fixed at construction
+    /// Dirty pages pending before a drain.
     batch: usize,
-    // lint: guarded-by(unit-local) one replay unit = one worker thread
     table: FxHashMap<PageId, PageSlot>,
-    // lint: guarded-by(unit-local) one replay unit = one worker thread
     dirty: usize,
 }
 

@@ -39,8 +39,9 @@
 //! A crash verdict mid-group fans the typed error out to every waiter
 //! whose goal the round failed to cover.
 //!
-//! Lock order (must stay acyclic with the engine's): `state` before
-//! `committers` and `manager`. Appends take only `manager`; commit
+//! Lock order (`GroupState`, `GroupCommitters`, `GroupManager` in
+//! `lob_pagestore::witness::Rank`): `state` before `committers` and
+//! `manager`. Appends take only `manager`; commit
 //! bookkeeping takes only `state`; (de)registration and a committer's
 //! change of thread take only `committers`; the gathering leader takes
 //! `state`, then `committers` on every poll, then `manager` (via
@@ -48,8 +49,9 @@
 //! `manager` first.
 
 use crate::{LogError, LogManager, LogRecord, LogStats, RecordBody, ScanFrames};
+use lob_pagestore::witness::{Mutex, MutexGuard, Rank};
 use lob_pagestore::Lsn;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Condvar;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -193,11 +195,11 @@ pub struct GroupCommitLog {
     manager: Mutex<LogManager>,
     /// Leader election and round bookkeeping.
     state: Mutex<GroupState>,
-    // lint: guarded-by(state) round completions; waking re-acquires `state`
+    /// Round completions; a parked follower waits on it with `state`.
     completions: Condvar,
-    // lint: guarded-by(immutable) gather window, fixed at construction
+    /// Gather window.
     delay: Duration,
-    // lint: guarded-by(immutable) early-dispatch group size, fixed at construction
+    /// Early-dispatch group size.
     count: u32,
     /// Committers registered as members of every group
     /// ([`GroupCommitLog::register`]) and the threads that last used them.
@@ -228,28 +230,16 @@ impl GroupCommitLog {
         let durable = manager.durable_lsn().raw();
         let appended = manager.next_lsn().raw().saturating_sub(1);
         GroupCommitLog {
-            manager: Mutex::new(manager),
-            state: Mutex::new(GroupState::default()),
+            manager: Mutex::new(Rank::GroupManager, manager),
+            state: Mutex::new(Rank::GroupState, GroupState::default()),
             completions: Condvar::new(),
             delay,
             count,
-            committers: Mutex::new(Registry::default()),
+            committers: Mutex::new(Rank::GroupCommitters, Registry::default()),
             durable: AtomicU64::new(durable),
             appended: AtomicU64::new(appended),
             hole_floor: AtomicU64::new(u64::MAX),
         }
-    }
-
-    fn manager_guard(&self) -> MutexGuard<'_, LogManager> {
-        self.manager.lock()
-    }
-
-    fn state_guard(&self) -> MutexGuard<'_, GroupState> {
-        self.state.lock()
-    }
-
-    fn committers_guard(&self) -> MutexGuard<'_, Registry> {
-        self.committers.lock()
     }
 
     /// Whether forces gather: an open window and room for a group.
@@ -263,12 +253,12 @@ impl GroupCommitLog {
     fn yield_state<'a>(&'a self, st: MutexGuard<'a, GroupState>) -> MutexGuard<'a, GroupState> {
         drop(st);
         std::thread::yield_now();
-        self.state_guard()
+        self.state.lock()
     }
 
     /// Append a record; returns its LSN. Volatile until a force covers it.
     pub fn append_record(&self, body: RecordBody) -> Lsn {
-        let mut m = self.manager_guard();
+        let mut m = self.manager.lock();
         let lsn = m.append(body);
         self.appended.store(lsn.raw(), Ordering::Release);
         lsn
@@ -289,7 +279,7 @@ impl GroupCommitLog {
             lob_pagestore::witness::io_order("LogForce");
             return Ok(());
         }
-        let mut st = self.state_guard();
+        let mut st = self.state.lock();
         loop {
             // Checked before the watermark: a concurrent `crash()` wipes
             // the unforced tail, and post-crash commits can push
@@ -348,8 +338,7 @@ impl GroupCommitLog {
             if pending(&st) {
                 st.waiters += 1;
                 while pending(&st) {
-                    // lint:allow(guarded-by) waiting yields the held `st` guard
-                    st = self.completions.wait(st);
+                    st = st.wait(&self.completions);
                 }
                 st.waiters -= 1;
             }
@@ -372,7 +361,7 @@ impl GroupCommitLog {
     /// whether `upto` now sits in a crash hole (the leader's record was
     /// wiped mid-round).
     fn publish_round(&self, failure: Option<GroupFailure>, upto: u64) -> bool {
-        let mut st = self.state_guard();
+        let mut st = self.state.lock();
         st.leading = false;
         st.rounds = st.rounds.wrapping_add(1);
         st.failure = failure;
@@ -380,7 +369,6 @@ impl GroupCommitLog {
         // parks, so with none counted there is nobody to wake (and a round
         // whose followers all polled skips the wake-up system call).
         if st.waiters > 0 {
-            // lint:allow(guarded-by) `st` from state_guard() is held here
             self.completions.notify_all();
         }
         in_hole(&st.holes, upto)
@@ -397,7 +385,7 @@ impl GroupCommitLog {
         st.joined = 0;
         let deadline = Instant::now() + self.delay;
         loop {
-            let (registered, live) = self.committers_guard().counts();
+            let (registered, live) = self.committers.lock().counts();
             let everyone = registered > 0 && live < self.count;
             // With every registered committer gone, nobody can join: the
             // leader's group is itself.
@@ -427,7 +415,7 @@ impl GroupCommitLog {
     /// `LogAppend` gating unchanged. Publishes the durable watermark
     /// (even after a partial, fault-gated force).
     fn lead_force(&self, target: Lsn) -> Result<(), LogError> {
-        let mut m = self.manager_guard();
+        let mut m = self.manager.lock();
         let r = m.force(target);
         self.durable.store(m.durable_lsn().raw(), Ordering::Release);
         r
@@ -439,7 +427,7 @@ impl GroupCommitLog {
     /// is live until a thread recorded on it with
     /// [`GroupCommitLog::mark_used`] exits.
     pub fn register(&self) -> Committer {
-        let mut reg = self.committers_guard();
+        let mut reg = self.committers.lock();
         let key = reg.next;
         reg.next += 1;
         reg.members.push((key, None));
@@ -453,7 +441,8 @@ impl GroupCommitLog {
     /// A gathering leader sees the drop at its next poll: the group it
     /// waits for may now be complete.
     pub fn deregister(&self, committer: &Committer) {
-        self.committers_guard()
+        self.committers
+            .lock()
             .members
             .retain(|(key, _)| *key != committer.key);
     }
@@ -468,7 +457,7 @@ impl GroupCommitLog {
             if committer.thread.load(Ordering::Acquire) == **token {
                 return;
             }
-            let mut reg = self.committers_guard();
+            let mut reg = self.committers.lock();
             if let Some((_, user)) = reg.members.iter_mut().find(|(k, _)| *k == committer.key) {
                 *user = Some(Arc::downgrade(token));
             }
@@ -478,14 +467,14 @@ impl GroupCommitLog {
 
     /// How the gathers so far ended.
     pub fn gather_ends(&self) -> GatherEnds {
-        self.state_guard().ends
+        self.state.lock().ends
     }
 
     /// Follower waits so far that outlived the window's on-CPU poll and
     /// parked until their round published. A closed window polls nothing
     /// and is not counted.
     pub fn parked_waits(&self) -> u64 {
-        self.state_guard().parked
+        self.state.lock().parked
     }
 
     /// Force everything appended so far.
@@ -500,7 +489,7 @@ impl GroupCommitLog {
 
     /// LSN the next appended record will receive.
     pub fn next_lsn(&self) -> Lsn {
-        self.manager_guard().next_lsn()
+        self.manager.lock().next_lsn()
     }
 
     /// Simulate a crash: the unforced tail is lost; any recorded round
@@ -510,9 +499,9 @@ impl GroupCommitLog {
     /// instead of trivially succeeding on the emptied tail.
     pub fn crash(&self) {
         // Lock order: `state` before `manager`, same as a force leader.
-        let mut st = self.state_guard();
+        let mut st = self.state.lock();
         {
-            let mut m = self.manager_guard();
+            let mut m = self.manager.lock();
             let durable = self.durable.load(Ordering::Acquire);
             let appended = self.appended.load(Ordering::Acquire);
             if appended > durable {
@@ -523,14 +512,13 @@ impl GroupCommitLog {
             self.appended.store(durable, Ordering::Release);
         }
         st.failure = None;
-        // lint:allow(guarded-by) `st` from state_guard() is held here
         self.completions.notify_all();
     }
 
     /// All records with `lsn >= from`, decoded. See
     /// [`LogManager::scan_from`].
     pub fn scan_from(&self, from: Lsn) -> Result<Vec<LogRecord>, LogError> {
-        self.manager_guard().scan_from(from)
+        self.manager.lock().scan_from(from)
     }
 
     /// Hand every trusted frame with `lsn >= from` to `f`, borrowed. See
@@ -538,43 +526,43 @@ impl GroupCommitLog {
     /// commit waits for it: a caller running beside live sessions should
     /// only copy what it needs out of the frames.
     pub fn scan<R>(&self, from: Lsn, f: impl FnOnce(ScanFrames<'_>) -> R) -> Result<R, LogError> {
-        self.manager_guard().scan(from, f)
+        self.manager.lock().scan(from, f)
     }
 
     /// Logging statistics (includes volatile appends).
     pub fn stats(&self) -> LogStats {
-        self.manager_guard().stats().clone()
+        self.manager.lock().stats().clone()
     }
 
     /// Advance the truncation point (bounded by the media barrier).
     pub fn truncate(&self, before: Lsn) -> Result<Lsn, LogError> {
-        self.manager_guard().truncate(before)
+        self.manager.lock().truncate(before)
     }
 
     /// Current truncation point.
     pub fn truncation(&self) -> Lsn {
-        self.manager_guard().truncation()
+        self.manager.lock().truncation()
     }
 
     /// Pin (or release) the media barrier.
     pub fn set_media_barrier(&self, barrier: Option<Lsn>) {
-        self.manager_guard().set_media_barrier(barrier)
+        self.manager.lock().set_media_barrier(barrier)
     }
 
     /// Number of appended-but-unforced records.
     pub fn unforced(&self) -> usize {
-        self.manager_guard().unforced()
+        self.manager.lock().unforced()
     }
 
     /// Install (or clear) the fault hook on the wrapped manager.
     pub fn set_fault_hook(&self, hook: Option<lob_pagestore::FaultHook>) {
-        self.manager_guard().set_fault_hook(hook)
+        self.manager.lock().set_fault_hook(hook)
     }
 
     /// Run `f` with the wrapped manager locked — the escape hatch for
     /// stats and other read-mostly passthroughs.
     pub fn with_manager<R>(&self, f: impl FnOnce(&mut LogManager) -> R) -> R {
-        let mut m = self.manager_guard();
+        let mut m = self.manager.lock();
         f(&mut m)
     }
 }
@@ -626,13 +614,14 @@ mod tests {
         // The same tail forced to the same point through a closed-window
         // group log and through a bare manager: the same durable prefix,
         // the same volatile rest, the same fault consults in order.
-        let consults = |events: &Arc<Mutex<Vec<IoEvent>>>| -> lob_pagestore::FaultHook {
-            let events = Arc::clone(events);
-            Arc::new(move |ev, _| {
-                events.lock().push(ev);
-                FaultVerdict::Proceed
-            })
-        };
+        let consults =
+            |events: &Arc<parking_lot::Mutex<Vec<IoEvent>>>| -> lob_pagestore::FaultHook {
+                let events = Arc::clone(events);
+                Arc::new(move |ev, _| {
+                    events.lock().push(ev);
+                    FaultVerdict::Proceed
+                })
+            };
         let (group_events, bare_events) = (Arc::default(), Arc::default());
         let log = GroupCommitLog::new(LogManager::in_memory(), Duration::ZERO, 1);
         let mut bare = LogManager::in_memory();

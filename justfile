@@ -13,14 +13,14 @@ check:
     cargo fmt --all -- --check
     cargo clippy --workspace --all-targets -- -D warnings
 
-# All six lint passes, the two ratchets and the `--json` report — the CI
-# `lint` job, step for step.
+# All four lint passes, the durability ratchet and the `--json` report —
+# the CI `lint` job, step for step.
 lint:
     cargo test --release -p lob-lint
-    git diff --exit-code crates/lint/race_ratchet.tsv crates/lint/durability_ratchet.tsv
+    git diff --exit-code crates/lint/durability_ratchet.tsv
     cargo run --release -p lob-lint --bin lob-lint -- --json
 
-# Re-baseline both ratchets (race, durability) after burning down violations.
+# Re-baseline the durability ratchet after burning down violations.
 ratchet:
     LOB_LINT_UPDATE_RATCHET=1 cargo test --release -p lob-lint --test workspace
 
@@ -30,7 +30,8 @@ ratchet:
 results *args:
     bash scripts/check_results.sh {{args}}
 
-# The runtime ordering witness over the drill runners.
+# The runtime ordering witness over the drill runners, and the check that
+# the lock-rank witness is compiled into test builds.
 witness:
     cargo test --release -q -p lob-harness --test order_witness
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # ThreadSanitizer sweep over the threaded drills (DESIGN.md §5.11).
 #
-# TSan is the dynamic half of lob-lint's guarded-by pass (pass 3): the pass
-# checks the *locking discipline* lexically, TSan checks the actual
-# happens-before races the discipline is meant to prevent, over the
+# Rustc's borrow and Send/Sync rules keep shared fields behind locks,
+# atomics or immutable borrows, and the lock-rank witness checks the lock
+# order at every acquisition; TSan checks the actual happens-before races
+# that discipline is meant to prevent, over the
 # parallel sweep, the parallel restore/redo paths and the group-commit
 # scheduler's gather under concurrent sessions, the group-commit log's
 # own unit tests (committer liveness across thread exits) and the backup

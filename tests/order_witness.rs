@@ -9,11 +9,12 @@
 //! and demands zero ordering violations, shows that concurrent cases in
 //! one process never see each other's events, then proves the witness has
 //! teeth by installing a page with no log force at all and requiring a
-//! violation.
+//! violation. Its last test does the same for the lock-rank witness: two
+//! ranked locks taken out of order must panic in this build.
 //!
 //! The install-before-force fixture here mirrors the *static* fixture
 //! `crates/lint/tests/fixtures/bad_durability.rs`: the same shape is
-//! caught by pass 5 at lint time and by the ordering witness at run time.
+//! caught by pass 3 at lint time and by the ordering witness at run time.
 
 use lob_harness::{Drill, FaultKind, Path};
 use lob_pagestore::witness::{io_order, Witness};
@@ -157,4 +158,29 @@ fn install_after_force_is_clean() {
     let violations = witness.take_violations();
     assert!(violations.is_empty(), "witness flagged: {violations:?}");
     assert_eq!(witness.count("PageWrite"), 1);
+}
+
+#[test]
+fn the_lock_rank_witness_is_compiled_into_the_test_build() {
+    // The workspace test build turns the witness on through `lob-harness`'s
+    // feature; were it compiled out, taking two ranked locks out of order
+    // would pass silently and every lock-order check with it.
+    use lob_pagestore::witness::{Mutex, Rank};
+    let meta = Mutex::new(Rank::Meta, ());
+    let domain = Mutex::indexed(Rank::Domain, 0, ());
+    let inverted = std::panic::catch_unwind(|| {
+        let _domain = domain.lock();
+        let _meta = meta.lock();
+    });
+    let msg = inverted.expect_err("an inverted acquisition must panic");
+    let msg = msg
+        .downcast_ref::<String>()
+        .expect("the witness panics with a formatted message");
+    assert!(
+        msg.contains("taking `Meta` while holding `Domain[0]`"),
+        "message: {msg}"
+    );
+    // The unwind dropped the domain guard, so the forward order still runs.
+    let _meta = meta.lock();
+    let _domain = domain.lock();
 }
