@@ -78,9 +78,11 @@ impl BackupCatalog {
         *self.hook.lock() = hook;
     }
 
-    /// Consult the fault hook (Proceed when none is installed).
+    /// Consult the fault hook (Proceed when none is installed). The hook
+    /// is cloned out first, so it runs with no catalog lock held.
     fn consult_fault(&self, ev: IoEvent, page: Option<PageId>) -> FaultVerdict {
-        match self.hook.lock().clone() {
+        let hook = self.hook.lock().clone();
+        match hook {
             Some(h) => h(ev, page),
             None => FaultVerdict::Proceed,
         }

@@ -45,6 +45,7 @@ const CONSULTING: &[&str] = &[
     "force_all",
     "force_log",
     "frames_from",
+    "probe_lsn",
     "read_page",
     "read_run",
     "scan",

@@ -92,10 +92,10 @@ pub const REGISTRY: &[Site] = &[
     },
     Site {
         file: "pagestore/src/store.rs",
-        func: "read_page",
+        func: "read_with",
         events: &["PageRead"],
         coverage: Coverage::Direct,
-        note: "every page fetched from the stable store: cache misses, sweep copies, repair probes",
+        note: "every page fetched from the stable store (read_page: cache misses, sweep copies, repair probes) and every redo first touch that reads only the pageLSN (probe_lsn)",
     },
     Site {
         file: "wal/src/manager.rs",

@@ -317,15 +317,17 @@ impl OpBody {
     /// set, reads/writes as the form requires). The engine calls this before
     /// logging an operation.
     pub fn validate(&self) -> Result<(), OpError> {
-        let writes = self.writeset();
-        if writes.is_empty() {
-            return Err(OpError::Invalid("empty write set".into()));
-        }
-        let mut sorted = writes.clone();
-        sorted.sort();
-        sorted.dedup();
-        if sorted.len() != writes.len() {
-            return Err(OpError::Invalid("duplicate pages in write set".into()));
+        // Every other form writes exactly one page.
+        if let OpBody::Logical(
+            LogicalOp::SortExtent { dst: writes, .. } | LogicalOp::Mix { writes, .. },
+        ) = self
+        {
+            if writes.is_empty() {
+                return Err(OpError::Invalid("empty write set".into()));
+            }
+            if has_duplicate(writes) {
+                return Err(OpError::Invalid("duplicate pages in write set".into()));
+            }
         }
         if let OpBody::Logical(LogicalOp::Mix { reads, .. }) = self {
             if reads.is_empty() {
@@ -361,6 +363,19 @@ impl OpBody {
             OpBody::Logical(LogicalOp::Mix { .. }) => "Mix",
         }
     }
+}
+
+/// Whether `pages` holds some page twice, without allocating: one pass when
+/// the list ascends (extents are laid out in page order), pairwise
+/// otherwise.
+fn has_duplicate(pages: &[PageId]) -> bool {
+    if pages.windows(2).all(|w| matches!(w, [a, b] if a < b)) {
+        return false;
+    }
+    pages
+        .iter()
+        .enumerate()
+        .any(|(i, p)| pages.get(i + 1..).is_some_and(|rest| rest.contains(p)))
 }
 
 fn apply_physio(
@@ -842,6 +857,57 @@ mod tests {
             dst: vec![pid(1)],
         });
         assert!(empty_sort.validate().is_err());
+    }
+
+    fn invalid(op: &OpBody) -> String {
+        match op.validate() {
+            Err(OpError::Invalid(why)) => why,
+            other => panic!("expected an invalid op, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_duplicate_deep_in_a_long_sort_destination_is_caught() {
+        // 64 ascending pages, then one repeat of an early page out of order.
+        let mut dst: Vec<PageId> = (100..164).map(pid).collect();
+        let long = OpBody::Logical(LogicalOp::SortExtent {
+            src: vec![pid(0)],
+            dst: dst.clone(),
+        });
+        assert!(long.validate().is_ok());
+        dst.push(pid(101));
+        let dup = OpBody::Logical(LogicalOp::SortExtent {
+            src: vec![pid(0)],
+            dst,
+        });
+        assert_eq!(invalid(&dup), "duplicate pages in write set");
+        // An empty destination is an empty write set, as before.
+        let empty = OpBody::Logical(LogicalOp::SortExtent {
+            src: vec![pid(0)],
+            dst: vec![],
+        });
+        assert_eq!(invalid(&empty), "empty write set");
+    }
+
+    #[test]
+    fn a_mix_with_a_repeated_write_is_rejected() {
+        let mix = |writes: Vec<PageId>| {
+            OpBody::Logical(LogicalOp::Mix {
+                reads: vec![pid(0)],
+                writes,
+                salt: 3,
+            })
+        };
+        assert!(mix(vec![pid(3), pid(1), pid(2)]).validate().is_ok());
+        assert_eq!(
+            invalid(&mix(vec![pid(3), pid(1), pid(3)])),
+            "duplicate pages in write set"
+        );
+        assert_eq!(
+            invalid(&mix(vec![pid(1), pid(2), pid(2)])),
+            "duplicate pages in write set"
+        );
+        assert_eq!(invalid(&mix(vec![])), "empty write set");
     }
 
     #[test]

@@ -305,6 +305,23 @@ impl StableStore {
     /// detected by checksum like any other corruption), or fail the medium
     /// under the page.
     pub fn read_page(&self, id: PageId) -> Result<Page, StoreError> {
+        self.read_with(id, Page::clone)
+    }
+
+    /// The pageLSN of a page, read exactly as [`StableStore::read_page`]
+    /// reads the page — the same [`IoEvent::PageRead`] consult, damage
+    /// verdicts, quarantine and failure checks, checksum verification and
+    /// read count — but cloning nothing. Redo's LSN test needs only the
+    /// LSN; [`StableStore::probed_data`] takes the payload later, if a
+    /// replayed operation reads it.
+    pub fn probe_lsn(&self, id: PageId) -> Result<crate::Lsn, StoreError> {
+        self.read_with(id, Page::lsn)
+    }
+
+    /// One checked page read: the ordering probe, the fault consult and its
+    /// verdict, the stored-page checks, then `take` on the verified page and
+    /// one counted read.
+    fn read_with<T>(&self, id: PageId, take: impl FnOnce(&Page) -> T) -> Result<T, StoreError> {
         crate::witness::io_order("PageRead");
         let part = self.part(id.partition)?;
         match self.consult(IoEvent::PageRead, Some(id)) {
@@ -327,6 +344,19 @@ impl StableStore {
             }
             FaultVerdict::Proceed | FaultVerdict::TornWrite | FaultVerdict::CorruptWrite => {}
         }
+        let (value, len) = self.with_stored(id, |page| (take(page), page.len()))?;
+        if let Some(s) = self.stats.get(id.partition.0 as usize) {
+            s.record_read(len);
+        }
+        Ok(value)
+    }
+
+    /// `f` on the stored page of `id` after the checks every read makes —
+    /// quarantine, media failure, bounds, checksum — under the partition's
+    /// read lock. No fault consult and no counted read: that is the
+    /// caller's business.
+    fn with_stored<T>(&self, id: PageId, f: impl FnOnce(&Page) -> T) -> Result<T, StoreError> {
+        let part = self.part(id.partition)?;
         let guard = part.read();
         if guard.quarantined.contains(&id.index) {
             return Err(StoreError::Quarantined(id));
@@ -337,7 +367,6 @@ impl StableStore {
         let page = guard
             .pages
             .get(id.index as usize)
-            .cloned()
             .ok_or(StoreError::NoSuchPage(id))?;
         let expected = guard
             .sums
@@ -347,10 +376,16 @@ impl StableStore {
         if page.checksum() != expected {
             return Err(StoreError::Corrupt(id));
         }
-        if let Some(s) = self.stats.get(id.partition.0 as usize) {
-            s.record_read(page.len());
-        }
-        Ok(page)
+        Ok(f(page))
+    }
+
+    /// The payload of a page whose read was already consulted and counted
+    /// by [`StableStore::probe_lsn`], with no second consult and no second
+    /// count. The stored page is checked as every read checks it, so a page
+    /// damaged or failed since the probe still errs instead of being
+    /// returned.
+    pub fn probed_data(&self, id: PageId) -> Result<Bytes, StoreError> {
+        self.with_stored(id, |page| page.data().clone())
     }
 
     /// Read the contiguous run of pages `lo..hi` of one partition into
@@ -585,27 +620,7 @@ impl StableStore {
 
     /// The pageLSN of a page without charging a page read (metadata access).
     pub fn page_lsn(&self, id: PageId) -> Result<crate::Lsn, StoreError> {
-        let part = self.part(id.partition)?;
-        let guard = part.read();
-        if guard.quarantined.contains(&id.index) {
-            return Err(StoreError::Quarantined(id));
-        }
-        if guard.is_failed(id.index) {
-            return Err(StoreError::MediaFailure(id));
-        }
-        let page = guard
-            .pages
-            .get(id.index as usize)
-            .ok_or(StoreError::NoSuchPage(id))?;
-        let expected = guard
-            .sums
-            .get(id.index as usize)
-            .copied()
-            .ok_or(StoreError::NoSuchPage(id))?;
-        if page.checksum() != expected {
-            return Err(StoreError::Corrupt(id));
-        }
-        Ok(page.lsn())
+        self.with_stored(id, Page::lsn)
     }
 
     /// Inject a media failure covering a whole partition.
@@ -1020,7 +1035,7 @@ mod tests {
     }
 
     use crate::fault::{FaultVerdict, IoEvent};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Arc;
 
     /// A hook that fires `verdict` on the first page write, then proceeds.
@@ -1184,6 +1199,66 @@ mod tests {
         // The medium under the page is now failed for good.
         s.set_fault_hook(None);
         assert_eq!(s.read_page(id), Err(StoreError::MediaFailure(id)));
+    }
+
+    #[test]
+    fn probe_lsn_reads_exactly_as_read_page_does() {
+        // Under every read verdict, on a healthy, quarantined and failed
+        // page, a probe sees the same consults, result, damage and read
+        // count as a full read — only the payload clone is missing.
+        let verdicts = [
+            FaultVerdict::Proceed,
+            FaultVerdict::TransientRead,
+            FaultVerdict::TornRead,
+            FaultVerdict::CorruptRead,
+            FaultVerdict::MediaFail,
+            FaultVerdict::Crash,
+        ];
+        for verdict in verdicts {
+            for state in ["healthy", "quarantined", "failed"] {
+                let run = |probe: bool| {
+                    let s = store();
+                    let id = PageId::new(0, 2);
+                    s.write_page(id, page(4, 0x44)).unwrap();
+                    match state {
+                        "quarantined" => s.quarantine_page(id).unwrap(),
+                        "failed" => s.fail_range(PartitionId(0), 2, 3).unwrap(),
+                        _ => {}
+                    }
+                    let consults = Arc::new(AtomicUsize::new(0));
+                    let (n, fire) = (consults.clone(), once_read_hook(verdict));
+                    s.set_fault_hook(Some(Arc::new(move |ev, p| {
+                        n.fetch_add(1, Ordering::Relaxed);
+                        fire(ev, p)
+                    })));
+                    let got = if probe {
+                        s.probe_lsn(id)
+                    } else {
+                        s.read_page(id).map(|p| p.lsn())
+                    };
+                    s.set_fault_hook(None);
+                    let after = (s.page_lsn(id), s.verify_pages().pages());
+                    (got, consults.load(Ordering::Relaxed), s.stats(), after)
+                };
+                assert_eq!(run(true), run(false), "{verdict:?} on a {state} page");
+            }
+        }
+    }
+
+    #[test]
+    fn probed_data_is_the_stored_payload_unconsulted_and_uncounted() {
+        let s = store();
+        let id = PageId::new(0, 3);
+        s.write_page(id, page(6, 0x66)).unwrap();
+        assert_eq!(s.probe_lsn(id), Ok(Lsn(6)));
+        let reads = s.stats().page_reads;
+        s.set_fault_hook(Some(Arc::new(|_, _| FaultVerdict::Crash)));
+        assert_eq!(s.probed_data(id).unwrap().as_ref(), &[0x66; 8]);
+        assert_eq!(s.stats().page_reads, reads);
+        // A page damaged after the probe still errs.
+        s.set_fault_hook(None);
+        s.quarantine_page(id).unwrap();
+        assert_eq!(s.probed_data(id), Err(StoreError::Quarantined(id)));
     }
 
     #[test]

@@ -300,12 +300,24 @@ fn write_pending_run(
     }
 }
 
-/// One page of a [`GroupReplay`] table: current value and pageLSN, plus
-/// whether it differs from the store (only dirty slots are installed).
+/// One page of a [`GroupReplay`] table: its pageLSN and what the table
+/// holds of its payload.
 struct PageSlot {
     lsn: Lsn,
-    data: Bytes,
-    dirty: bool,
+    payload: Payload,
+}
+
+/// What a [`PageSlot`] holds of its page's value. A dirty slot always
+/// holds its payload, so a drain never has to fetch one.
+enum Payload {
+    /// Only the pageLSN was read ([`StableStore::probe_lsn`]): the store
+    /// holds the value, taken ([`StableStore::probed_data`]) only if a
+    /// replayed operation reads the page.
+    Probed,
+    /// The value the store (or the seed) holds.
+    Clean(Bytes),
+    /// A replayed value not yet installed.
+    Dirty(Bytes),
 }
 
 impl PageSlot {
@@ -313,9 +325,12 @@ impl PageSlot {
     fn clean(page: &Page) -> PageSlot {
         PageSlot {
             lsn: page.lsn(),
-            data: page.data().clone(),
-            dirty: false,
+            payload: Payload::Clean(page.data().clone()),
         }
+    }
+
+    fn is_dirty(&self) -> bool {
+        matches!(self.payload, Payload::Dirty(_))
     }
 }
 
@@ -331,6 +346,10 @@ impl PageSlot {
 ///
 /// * pages are fetched from the store once (first touch) and every later
 ///   read or LSN test is a local map hit;
+/// * a first touch by the LSN test reads only the pageLSN: a page whose
+///   records all skip is never taken as a payload handle, and a page a
+///   replayed operation reads is taken once, without a second fault
+///   consult or counted read;
 /// * intermediate page versions are plain `(Lsn, Bytes)` pairs — the
 ///   checksummed [`Page`] is only constructed at drain time, so the
 ///   checksum is paid per *installed* page, not per replayed write.
@@ -376,19 +395,46 @@ impl<'a> GroupReplay<'a> {
         }
     }
 
-    /// The table's pages as replayed (a scratch replay's result).
+    /// The table's pages as replayed (a scratch replay's result). A
+    /// scratch table has no store to probe, so every slot holds its
+    /// payload.
     pub(crate) fn into_pages(self) -> BTreeMap<PageId, Page> {
         self.table
             .into_iter()
-            .map(|(id, slot)| (id, Page::new(slot.lsn, slot.data)))
+            .filter_map(|(id, slot)| match slot.payload {
+                Payload::Clean(data) | Payload::Dirty(data) => {
+                    Some((id, Page::new(slot.lsn, data)))
+                }
+                Payload::Probed => None,
+            })
             .collect()
     }
 
-    /// The slot for `id`, faulted in from the store on first touch.
-    fn slot(&mut self, id: PageId) -> Result<&mut PageSlot, RedoError> {
+    /// The pageLSN of `id`, probed from the store on first touch.
+    fn lsn(&mut self, id: PageId) -> Result<Lsn, RedoError> {
+        Ok(slot(&mut self.table, self.store, id)?.lsn)
+    }
+
+    /// The current value of `id`: read from the store on first touch,
+    /// taken without a second consult if only its LSN was probed so far.
+    fn data(&mut self, id: PageId) -> Result<Bytes, RedoError> {
         match self.table.entry(id) {
-            Entry::Occupied(e) => Ok(e.into_mut()),
-            Entry::Vacant(v) => Ok(v.insert(PageSlot::clean(&fault_in(self.store, id)?))),
+            Entry::Occupied(mut e) => {
+                let slot = e.get_mut();
+                match &slot.payload {
+                    Payload::Clean(data) | Payload::Dirty(data) => Ok(data.clone()),
+                    Payload::Probed => {
+                        let data = backing(self.store, id)?.probed_data(id)?;
+                        slot.payload = Payload::Clean(data.clone());
+                        Ok(data)
+                    }
+                }
+            }
+            Entry::Vacant(v) => {
+                let page = backing(self.store, id)?.read_page(id)?;
+                v.insert(PageSlot::clean(&page));
+                Ok(page.data().clone())
+            }
         }
     }
 
@@ -397,18 +443,16 @@ impl<'a> GroupReplay<'a> {
         match self.table.entry(id) {
             Entry::Occupied(mut e) => {
                 let slot = e.get_mut();
-                if !slot.dirty {
-                    slot.dirty = true;
+                if !slot.is_dirty() {
                     self.dirty += 1;
                 }
                 slot.lsn = lsn;
-                slot.data = data;
+                slot.payload = Payload::Dirty(data);
             }
             Entry::Vacant(v) => {
                 v.insert(PageSlot {
                     lsn,
-                    data,
-                    dirty: true,
+                    payload: Payload::Dirty(data),
                 });
                 self.dirty += 1;
             }
@@ -422,49 +466,28 @@ impl<'a> GroupReplay<'a> {
     /// Replay a physically-logged write in one table probe: the LSN redo
     /// test and the conditional install share the slot lookup, and the
     /// logged value is aliased, never re-derived — replaying `W_P` is an
-    /// install, not a re-computation. `value` is taken only if the page is
-    /// written. Returns whether it was.
+    /// install, not a re-computation. A first touch probes only the
+    /// pageLSN. `value` is taken only if the page is written. Returns
+    /// whether it was.
     fn install_if_newer(
         &mut self,
         id: PageId,
         lsn: Lsn,
         value: impl FnOnce() -> Bytes,
     ) -> Result<bool, RedoError> {
-        let written = match self.table.entry(id) {
-            Entry::Occupied(mut e) => {
-                let slot = e.get_mut();
-                if slot.lsn >= lsn {
-                    false
-                } else {
-                    if !slot.dirty {
-                        slot.dirty = true;
-                        self.dirty += 1;
-                    }
-                    slot.lsn = lsn;
-                    slot.data = value();
-                    true
-                }
-            }
-            Entry::Vacant(v) => {
-                let page = fault_in(self.store, id)?;
-                if page.lsn() >= lsn {
-                    v.insert(PageSlot::clean(&page));
-                    false
-                } else {
-                    v.insert(PageSlot {
-                        lsn,
-                        data: value(),
-                        dirty: true,
-                    });
-                    self.dirty += 1;
-                    true
-                }
-            }
-        };
+        let slot = slot(&mut self.table, self.store, id)?;
+        if slot.lsn >= lsn {
+            return Ok(false);
+        }
+        if !slot.is_dirty() {
+            self.dirty += 1;
+        }
+        slot.lsn = lsn;
+        slot.payload = Payload::Dirty(value());
         if self.dirty >= self.batch {
             self.drain()?;
         }
-        Ok(written)
+        Ok(true)
     }
 
     /// Install every dirty slot as contiguous runs. Slots stay resident
@@ -479,7 +502,7 @@ impl<'a> GroupReplay<'a> {
         let mut ids: Vec<PageId> = self
             .table
             .iter()
-            .filter(|(_, s)| s.dirty)
+            .filter(|(_, s)| s.is_dirty())
             .map(|(&id, _)| id)
             .collect();
         ids.sort_unstable();
@@ -490,7 +513,9 @@ impl<'a> GroupReplay<'a> {
             let Some(slot) = self.table.get_mut(&id) else {
                 continue;
             };
-            slot.dirty = false;
+            let Payload::Dirty(data) = std::mem::replace(&mut slot.payload, Payload::Probed) else {
+                continue;
+            };
             let contiguous = matches!(prev, Some(p)
                 if p.partition == id.partition && id.index == p.index + 1);
             if !contiguous {
@@ -499,7 +524,8 @@ impl<'a> GroupReplay<'a> {
             }
             // The deferred checksummed Page: one construction per
             // installed page, not per replayed write.
-            run.push(Page::new(slot.lsn, slot.data.clone()));
+            run.push(Page::new(slot.lsn, data.clone()));
+            slot.payload = Payload::Clean(data);
             prev = Some(id);
         }
         write_pending_run(store, start, &mut run)?;
@@ -508,12 +534,25 @@ impl<'a> GroupReplay<'a> {
     }
 }
 
-/// First touch of `id`: the store's copy, or a scratch table's hard error.
-fn fault_in(store: Option<&StableStore>, id: PageId) -> Result<Page, RedoError> {
-    match store {
-        Some(store) => Ok(store.read_page(id)?),
-        None => Err(RedoError::OutsideClosure(id)),
-    }
+/// The slot for `id`; a first touch probes only the pageLSN.
+fn slot<'t>(
+    table: &'t mut FxHashMap<PageId, PageSlot>,
+    store: Option<&StableStore>,
+    id: PageId,
+) -> Result<&'t mut PageSlot, RedoError> {
+    Ok(match table.entry(id) {
+        Entry::Occupied(e) => e.into_mut(),
+        Entry::Vacant(v) => v.insert(PageSlot {
+            lsn: backing(store, id)?.probe_lsn(id)?,
+            payload: Payload::Probed,
+        }),
+    })
+}
+
+/// The store behind a table's first touch of `id`, or a scratch table's
+/// hard error.
+fn backing(store: Option<&StableStore>, id: PageId) -> Result<&StableStore, RedoError> {
+    store.ok_or(RedoError::OutsideClosure(id))
 }
 
 /// Replay a record subsequence through a [`GroupReplay`] table, draining
@@ -586,7 +625,7 @@ where
             rec.for_each_write(|w| writes.push(w));
             needs.clear();
             for &w in &writes {
-                if replay.slot(w)?.lsn < lsn {
+                if replay.lsn(w)? < lsn {
                     needs.push(w);
                 }
             }
@@ -599,7 +638,7 @@ where
             let Some(body) = rec.op() else {
                 break 'one;
             };
-            let outputs = reapply(&body, lsn, |id| Ok(replay.slot(id)?.data.clone()))?;
+            let outputs = reapply(&body, lsn, |id| replay.data(id))?;
             for (pid, bytes) in outputs {
                 if needs.contains(&pid) {
                     replay.set(pid, lsn, bytes)?;
@@ -1150,8 +1189,8 @@ mod tests {
             .unwrap();
         // Not yet in the store, but visible through the table.
         assert!(s.read_page(pid(1)).unwrap().lsn().is_null());
-        assert_eq!(g.slot(pid(1)).unwrap().lsn, Lsn(5));
-        assert_eq!(g.slot(pid(1)).unwrap().data.as_ref(), &[0x77; SIZE]);
+        assert_eq!(g.lsn(pid(1)).unwrap(), Lsn(5));
+        assert_eq!(g.data(pid(1)).unwrap().as_ref(), &[0x77; SIZE]);
         g.drain().unwrap();
         let installed = s.read_page(pid(1)).unwrap();
         assert_eq!(installed.lsn(), Lsn(5));
@@ -1169,7 +1208,99 @@ mod tests {
         assert_eq!(s.read_page(pid(0)).unwrap().lsn(), Lsn(1));
         assert_eq!(s.read_page(pid(3)).unwrap().lsn(), Lsn(2));
         // Drained slots stay readable locally (now clean).
-        assert_eq!(g.slot(pid(0)).unwrap().data.as_ref(), &[1; SIZE]);
+        assert_eq!(g.data(pid(0)).unwrap().as_ref(), &[1; SIZE]);
+    }
+
+    /// A counting hook: every `PageRead` consult, by page.
+    fn count_reads(s: &StableStore) -> std::sync::Arc<std::sync::Mutex<Vec<PageId>>> {
+        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let log = seen.clone();
+        s.set_fault_hook(Some(std::sync::Arc::new(move |event, page| {
+            if let (lob_pagestore::IoEvent::PageRead, Some(page)) = (event, page) {
+                log.lock().unwrap().push(page);
+            }
+            lob_pagestore::FaultVerdict::Proceed
+        })));
+        seen
+    }
+
+    #[test]
+    fn a_replay_skipped_by_the_lsn_test_takes_no_payload() {
+        // Every page already carries LSN 100; every record is older, so
+        // each one skips, and no page is ever read for its value.
+        let s = store(4);
+        for i in 0..4 {
+            s.write_page(pid(i), Page::new(Lsn(100), Bytes::from(vec![9; SIZE])))
+                .unwrap();
+        }
+        let recs = [
+            phys(1, 0, 0x11),
+            copy(2, 0, 1),
+            op_rec(
+                3,
+                OpBody::IdentityWrite {
+                    target: pid(2),
+                    value: Bytes::from(vec![0x22; SIZE]),
+                },
+            ),
+            op_rec(
+                4,
+                OpBody::Logical(LogicalOp::Mix {
+                    reads: vec![pid(0), pid(1)],
+                    writes: vec![pid(2), pid(3)],
+                    salt: 7,
+                }),
+            ),
+        ];
+        let seen = count_reads(&s);
+        let before = s.stats().page_reads;
+        let mut g = GroupReplay::new(&s, 64, 0);
+        let out = replay_grouped(recs.iter(), &mut g).unwrap();
+        assert_eq!((out.skipped, out.pages_written), (3, 0));
+        assert_eq!(g.table.len(), 4, "every page was tested");
+        assert!(
+            g.table
+                .values()
+                .all(|slot| matches!(slot.payload, Payload::Probed)),
+            "a skipped record takes no payload handle"
+        );
+        // One consult and one counted read per first-touched page.
+        let mut consulted = seen.lock().unwrap().clone();
+        consulted.sort_unstable();
+        assert_eq!(consulted, (0..4).map(pid).collect::<Vec<_>>());
+        assert_eq!(s.stats().page_reads - before, 4);
+    }
+
+    #[test]
+    fn redo_consults_each_first_touched_page_once() {
+        // A replayed op reads a page whose LSN the test already probed:
+        // the payload comes without a second consult or counted read.
+        for seed in 0..48u64 {
+            let (recs, image) = identity_dense_case(seed, 64);
+            let s = diff_store();
+            for (id, page) in &image {
+                s.write_page(*id, page.clone()).unwrap();
+            }
+            let seen = count_reads(&s);
+            let before = s.stats().page_reads;
+            let mut g = GroupReplay::new(&s, 4096, 0);
+            replay_grouped(recs.iter(), &mut g).unwrap();
+            let mut consulted = seen.lock().unwrap().clone();
+            let total = consulted.len();
+            consulted.sort_unstable();
+            consulted.dedup();
+            assert_eq!(
+                consulted.len(),
+                total,
+                "seed {seed}: a page consulted twice"
+            );
+            assert_eq!(total, g.table.len(), "seed {seed}: one consult per touch");
+            assert_eq!(
+                s.stats().page_reads - before,
+                total as u64,
+                "seed {seed}: one counted read per touch"
+            );
+        }
     }
 
     #[test]

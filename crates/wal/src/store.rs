@@ -1,21 +1,27 @@
 //! Durable frame stores backing the log manager.
 //!
-//! Both stores checksum every frame once, at append, and verify it before
-//! a scan first trusts it. The checksum is FNV-1a folded a machine word at
-//! a time — the shape of `lob_pagestore::page::fnv1a` and the archive's
-//! `checksum_extend`: starting from the FNV offset basis, each of the LSN
-//! word, the frame length, every 8-byte little-endian word of the frame and
-//! then each remaining byte is XORed in and multiplied by the FNV prime.
-//! Multiplying by the odd prime is a bijection on `u64`, so a change to any
-//! single input word always changes the sum: every single-bit flip is
-//! caught. A frame whose sum no longer matches ends the trusted prefix —
-//! the frames after it are never returned, and a torn file tail is dropped.
+//! Both stores checksum every frame once, at append. The checksum is FNV-1a
+//! folded a machine word at a time — the shape of
+//! `lob_pagestore::page::fnv1a` and the archive's `checksum_extend`:
+//! starting from the FNV offset basis, each of the LSN word, the frame
+//! length, every 8-byte little-endian word of the frame and then each
+//! remaining byte is XORed in and multiplied by the FNV prime. Multiplying
+//! by the odd prime is a bijection on `u64`, so a change to any single
+//! input word always changes the sum: every single-bit flip is caught. A
+//! frame whose sum no longer matches ends the trusted prefix — the frames
+//! after it are never returned, and a torn file tail is dropped.
 //!
-//! The prefix rule covers every frame a scan can return. A file scan
-//! verifies every frame from the index entry at or below the truncation
-//! point, so a corrupt frame at or above that point still ends it, and
+//! The two stores differ in when a frame is verified. A file can rot
+//! between append and read, so a [`FileLogStore`] scan verifies every frame
+//! it reads: from the index entry at or below the truncation point, so a
+//! corrupt frame at or above that point still ends it, and
 //! [`FileLogStore::open`] runs the rule over the whole file. Only frames
 //! below the truncation point, which no scan may return, can go unread.
+//! A [`MemLogStore`] sums the immutable [`Bytes`] it stores, so an appended
+//! frame is trusted as it lands; only the fault-injection methods that rot
+//! a stored frame ([`MemLogStore::corrupt_frame`],
+//! [`MemLogStore::flip_bit`]) make a frame untrusted again, and the next
+//! scan verifies from the first rotted frame on.
 
 use bytes::Bytes;
 use lob_pagestore::Lsn;
@@ -107,11 +113,13 @@ pub struct MemLogStore {
     /// stored bytes afterwards without updating this).
     sums: Vec<u64>,
     bytes: u64,
-    /// Frames below this index already passed verification on an earlier
-    /// scan. Frames are immutable once appended, so re-verifying them per
-    /// scan would make every log scan O(whole log) — recovery replays
-    /// dozens of scans over a mostly-unchanging prefix. [`Self::corrupt_frame`]
-    /// rewinds the watermark so injected damage is still caught.
+    /// Frames below this index are trusted. A frame appended behind a
+    /// trusted prefix is trusted at once: its sum is taken from the very
+    /// immutable bytes stored, so checking it again could only agree, and
+    /// recovery's dozens of scans would otherwise re-hash every frame
+    /// appended since the last one. Rotting a frame ([`Self::corrupt_frame`],
+    /// [`Self::flip_bit`]) rewinds the watermark to it; appends then stay
+    /// untrusted until a scan has verified its way up to them.
     verified: std::sync::atomic::AtomicUsize, // lint: atomic(relaxed-counter)
 }
 
@@ -136,14 +144,38 @@ impl MemLogStore {
     /// untouched. Returns the LSN of the damaged frame, or `None` if the
     /// store has fewer frames. Scans will stop just before it.
     pub fn corrupt_frame(&mut self, nth: usize) -> Option<Lsn> {
+        self.rot(nth, |buf| {
+            let mid = buf.len() / 2;
+            match buf.get_mut(mid) {
+                Some(b) => *b ^= 0x01,
+                None => buf.push(0xFF), // even an empty frame can rot
+            }
+        })
+    }
+
+    /// Flip bit `bit` (0-based, little-endian within each byte) of the
+    /// stored bytes of the `nth` frame, leaving its recorded checksum
+    /// untouched. Returns the LSN of the damaged frame, or `None` if the
+    /// store has fewer frames or the frame has fewer bits.
+    pub fn flip_bit(&mut self, nth: usize, bit: usize) -> Option<Lsn> {
+        if bit / 8 >= self.frames.get(nth)?.1.len() {
+            return None;
+        }
+        self.rot(nth, |buf| {
+            if let Some(b) = buf.get_mut(bit / 8) {
+                *b ^= 1u8 << (bit % 8);
+            }
+        })
+    }
+
+    /// Replace the stored bytes of the `nth` frame by `damage` applied to a
+    /// copy, and rewind the watermark so the next scan re-verifies the
+    /// damaged frame and everything after it.
+    fn rot(&mut self, nth: usize, damage: impl FnOnce(&mut Vec<u8>)) -> Option<Lsn> {
         let (lsn, frame) = self.frames.get_mut(nth)?;
         let mut buf = frame.to_vec();
-        match buf.get_mut(frame.len() / 2) {
-            Some(b) => *b ^= 0x01,
-            None => buf.push(0xFF), // even an empty frame can rot
-        }
+        damage(&mut buf);
         *frame = Bytes::from(buf);
-        // The damaged frame (and everything after it) must re-verify.
         let watermark = self.verified.get_mut();
         *watermark = (*watermark).min(nth);
         Some(*lsn)
@@ -155,15 +187,21 @@ impl LogStore for MemLogStore {
         debug_assert!(self.frames.last().map_or(true, |(l, _)| *l < lsn));
         self.bytes += frame.len() as u64;
         self.sums.push(frame_checksum(lsn, &frame));
+        // Trusted at append only behind a trusted prefix: past a rotted
+        // frame, the scan that reaches this one verifies it.
+        let watermark = self.verified.get_mut();
+        if *watermark == self.frames.len() {
+            *watermark += 1;
+        }
         self.frames.push((lsn, frame));
         Ok(())
     }
 
     fn frames_from(&self, from: Lsn) -> std::io::Result<Cow<'_, [(Lsn, Bytes)]>> {
         use std::sync::atomic::Ordering;
-        // Verify from the front: a corrupt interior frame ends the trusted
-        // prefix — later frames are unreachable even if intact themselves.
-        // Already-verified frames are immutable and skip re-verification.
+        // Verify from the watermark: a corrupt interior frame ends the
+        // trusted prefix — later frames are unreachable even if intact
+        // themselves. Below the watermark every frame is trusted.
         let mut good = self.verified.load(Ordering::Relaxed).min(self.frames.len());
         for ((lsn, frame), sum) in self.frames.iter().zip(&self.sums).skip(good) {
             if frame_checksum(*lsn, frame) != *sum {
@@ -573,6 +611,35 @@ mod tests {
     }
 
     #[test]
+    fn mem_store_frame_rotted_after_a_scan_is_caught_by_the_next() {
+        let mut s = MemLogStore::new();
+        for i in 1..=5u64 {
+            s.append(Lsn(i), Bytes::from(vec![i as u8; 4])).unwrap();
+        }
+        // A full scan trusts every frame; then frame 2 rots behind it.
+        assert_eq!(lsns(&s.frames_from(Lsn::NULL).unwrap()).len(), 5);
+        assert_eq!(s.corrupt_frame(1), Some(Lsn(2)));
+        assert_eq!(lsns(&s.frames_from(Lsn::NULL).unwrap()), vec![Lsn(1)]);
+        assert!(s.frames_from(Lsn(3)).unwrap().is_empty());
+    }
+
+    #[test]
+    fn mem_store_appends_behind_a_rotted_frame_stay_untrusted() {
+        let mut s = MemLogStore::new();
+        for i in 1..=3u64 {
+            s.append(Lsn(i), Bytes::from(vec![i as u8; 4])).unwrap();
+        }
+        assert_eq!(s.corrupt_frame(1), Some(Lsn(2)));
+        // Frames appended after the rot are intact themselves, but they sit
+        // behind a frame no scan has verified: the prefix still stops at 1.
+        for i in 4..=5u64 {
+            s.append(Lsn(i), Bytes::from(vec![i as u8; 4])).unwrap();
+        }
+        assert_eq!(lsns(&s.frames_from(Lsn::NULL).unwrap()), vec![Lsn(1)]);
+        assert!(s.frames_from(Lsn(4)).unwrap().is_empty());
+    }
+
+    #[test]
     fn file_store_interior_corruption_stops_scan_at_prefix() {
         // Pins the mid-stream (NOT tail) corruption behavior: a checksum-bad
         // interior frame ends the trusted log prefix even though frames
@@ -642,9 +709,7 @@ mod tests {
                 let (byte, mask) = (bit / 8, 1u8 << (bit % 8));
                 let mut mem = MemLogStore::new();
                 assert_eq!(mem.append_batch(&frames).appended, 3);
-                let mut rotten = frames[1].1.to_vec();
-                rotten[byte] ^= mask;
-                mem.frames[1].1 = Bytes::from(rotten);
+                assert_eq!(mem.flip_bit(1, bit), Some(Lsn(2)));
                 assert_eq!(
                     lsns(&mem.frames_from(Lsn::NULL).unwrap()),
                     vec![Lsn(1)],

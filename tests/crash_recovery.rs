@@ -187,3 +187,49 @@ fn allocator_reseeds_after_recovery() {
         "allocator must not reuse recovered pages"
     );
 }
+
+#[test]
+fn crash_redo_consults_each_first_touched_page_once() {
+    // A mixed suffix over 32 pages, some of them flushed before the crash,
+    // so redo both replays and skips. Every page redo touches is read from
+    // the store exactly once — its LSN test and any later read of its value
+    // share that one `PageRead` consult.
+    let e = engine(32);
+    let mut o = ShadowOracle::new(128);
+    let mut g = WorkloadGen::new(11, 128);
+    let pages: Vec<PageId> = (0..32).map(|i| PageId::new(0, i)).collect();
+    for i in 0..96 {
+        let p = pages[g.below(pages.len())];
+        let op = match g.below(3) {
+            0 => g.mix(&pages, 2, 2),
+            1 => g.physio(p),
+            _ => g.physical(p),
+        };
+        o.execute(&e, op).unwrap();
+        if i % 8 == 7 {
+            e.flush_page(p).unwrap();
+        }
+    }
+    e.force_log().unwrap();
+    let durable = e.log().durable_lsn();
+    e.crash();
+    let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let log = seen.clone();
+    e.install_fault_hook(Some(std::sync::Arc::new(move |event, page| {
+        if let (lob_pagestore::IoEvent::PageRead, Some(page)) = (event, page) {
+            log.lock().unwrap().push(page);
+        }
+        lob_pagestore::FaultVerdict::Proceed
+    })));
+    let outcome = e.recover().unwrap();
+    e.install_fault_hook(None);
+    o.verify_store(&e, durable).unwrap();
+    assert!(outcome.skipped > 0 && outcome.replayed > 0, "{outcome:?}");
+    let mut consulted = seen.lock().unwrap().clone();
+    let total = consulted.len();
+    consulted.sort_unstable();
+    consulted.dedup();
+    assert_eq!(consulted.len(), total, "no page is consulted twice");
+    // The count the full-page first touch made before redo probed LSNs.
+    assert_eq!(total, 32);
+}

@@ -184,3 +184,45 @@ fn the_lock_rank_witness_is_compiled_into_the_test_build() {
     let _meta = meta.lock();
     let _domain = domain.lock();
 }
+
+#[test]
+fn a_catalog_hook_may_read_the_catalog() {
+    // The catalog consults its fault hook with no catalog lock held, so a
+    // hook that reads the catalog itself takes `CatalogGenerations` freely
+    // instead of under `CatalogHook`, which ranks above it.
+    use lob_backup::{BackupCatalog, BackupImage};
+    use lob_pagestore::{FaultVerdict, PageImage};
+    let mut pages = PageImage::new();
+    for i in 0..4 {
+        pages.put(
+            PageId::new(0, i),
+            Page::new(Lsn(5), bytes::Bytes::from(vec![i as u8; 8])),
+        );
+    }
+    let catalog = Arc::new(BackupCatalog::new());
+    catalog
+        .register(BackupImage {
+            backup_id: 1,
+            start_lsn: Lsn(5),
+            end_lsn: Lsn(5),
+            pages,
+            complete: true,
+            incremental: false,
+            base: None,
+        })
+        .unwrap();
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let (weak, log) = (Arc::downgrade(&catalog), seen.clone());
+    catalog.set_fault_hook(Some(Arc::new(move |_, _| {
+        if let Some(catalog) = weak.upgrade() {
+            log.lock().unwrap().push(catalog.len());
+        }
+        FaultVerdict::Proceed
+    })));
+    assert_eq!(
+        catalog.fetch_page(1, PageId::new(0, 2)).unwrap().lsn(),
+        Lsn(5)
+    );
+    assert_eq!(catalog.fetch_image(1).unwrap().pages.len(), 4);
+    assert_eq!(*seen.lock().unwrap(), vec![1, 1]);
+}
